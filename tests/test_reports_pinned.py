@@ -1,0 +1,70 @@
+"""Pinned CLI reports: the behaviour contract as fixed values.
+
+One quick config per subcommand (two where a subcommand has two code paths)
+runs through the CLI, and the sha256 of its report's ``results`` object,
+serialized with sorted keys and compact separators, must equal the pinned
+digest.  A change that is meant to alter a report updates its pin here and
+says why.
+"""
+import hashlib
+import json
+
+import pytest
+
+from burghelea.cli import main
+
+from conftest import fixture_path
+
+PINNED = {
+    "hh-ranks": (
+        ["hh-ranks", "--group", "z4.json", "--max-degree", "2"],
+        "f58876d4c1c259f4688cc63511946b642dad860e3ab83314daa3917cb0d63430"),
+    "hh-ranks-class": (
+        ["hh-ranks", "--group", "d4.json", "--max-degree", "2", "--class", "[1,2,3,0]"],
+        "5016ef5393c297f6b3345e5b3f4668d8fbc20c7e1c64ddcc0ce7771ccfca575e"),
+    "burghelea-check": (
+        ["burghelea-check", "--group", "s3.json", "--max-degree", "1"],
+        "3af28576fecf7fca4598d934ca4f18e62ae07e430f6307ac879b66cb88e18aab"),
+    "burghelea-check-class": (
+        ["burghelea-check", "--group", "s3.json", "--max-degree", "1", "--class", "[0,2,1]"],
+        "9424dd1e7caf036f93a482351f0506d4f225d8b22e6d4612d092e49c9ede3919"),
+    "verify-identities": (
+        ["verify-identities", "--group", "s3.json", "--degree", "2", "--samples", "15",
+         "--seed", "7"],
+        "f5a5d202823cc3c37153489166f51953937cb860a099d142bcf4da65df8a2521"),
+    "conj-bound": (
+        ["conj-bound", "--group", "f2.json", "--radius", "2", "--cap", "6"],
+        "d7197b6464a8f32bc661b4c6baee7421a45f720283fde73610848fc189dcca7c"),
+    "norm-profile": (
+        ["norm-profile", "--group", "z4.json", "--degree", "1", "--radius", "2",
+         "--k-grid", "0..1", "--samples", "4", "--seed", "3"],
+        "a568b4ff7253a0c3076013209da00da05b6793af9588cafec55f9d4d69f57e9d"),
+    "norm-profile-f2": (
+        ["norm-profile", "--group", "f2.json", "--degree", "1", "--radius", "2",
+         "--k-grid", "1..1", "--samples", "3", "--seed", "1"],
+        "4f1d229eccbb0e1eaeb132ddde5eb989c73f6a516dd5832f2ebfc71ae096c218"),
+    "dehn": (
+        ["dehn", "--complex", "octahedron.json", "--degree", "1", "--k", "4"],
+        "ca368e2cf0b7b4d6af65f4e10da57c74d9efaa1558fdf8cdc1dcc383b58b7113"),
+    "fill": (
+        ["fill", "--group", "zz.json", "--degree", "1", "--radius", "2", "--k", "0",
+         "--k-grid", "0..1", "--samples", "4", "--seed", "2"],
+        "dadbbcf0894079a6d1863535abf5040a07d2886b2dd2ad89eb8383d073f579be"),
+}
+
+
+def results_sha256(text: str) -> str:
+    results = json.loads(text)["results"]
+    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_report_matches_pin(name, tmp_path):
+    argv, digest = PINNED[name]
+    # input flags name a fixture file
+    argv = [str(fixture_path(a)) if prev in ("--group", "--complex") else a
+            for prev, a in zip([None] + argv, argv)]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert results_sha256(out.read_text(encoding="utf-8")) == digest
