@@ -57,7 +57,6 @@ from .homotopy import (
     boundary_e,
     dbar,
     homotopy_d,
-    i_e,
     p_e,
     theta_h,
     verify_homotopy_square,

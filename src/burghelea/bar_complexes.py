@@ -11,39 +11,48 @@ while C_n(G) consists of equivariant chains on G^{n+1}, stored here by the
 unique orbit representative with leading entry e; its boundary deletes one
 entry at a time and renormalizes the 0-th face by left translation.
 
+The face maps are ``cprime_faces`` and ``cbar_faces`` (the latter is
+``chains.simplex_faces`` with face 0 renormalized).  ``boundary_cprime`` and
+``boundary_cbar`` extend them over chains, ``bar_homology_ranks`` and
+``dehn.BarTruncation`` turn them into matrices through
+``linalg.boundary_columns``.
+
 psi / psi_inv translate between the two; phi_g embeds C'_n(Z_g) into the
 Hochschild component at the class of g.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
-from .chains import Chain, linear_extend
+from .chains import Chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
 from .hochschild import entry_product, pi_h
-from .linalg import RationalEchelon
+from .linalg import boundary_ranks
 from .metric import CosetSection
 
 ONE = Fraction(1)
 
 
+def cprime_faces(mul: Callable[[Element, Element], Element],
+                 t: tuple) -> Iterator[tuple[tuple, int]]:
+    """Faces of a C' generator of degree n = len(t) >= 1."""
+    n = len(t)
+    yield t[1:], 1
+    for k in range(1, n):
+        yield t[:k - 1] + (mul(t[k - 1], t[k]),) + t[k + 1:], 1 if k % 2 == 0 else -1
+    yield t[:-1], 1 if n % 2 == 0 else -1
+
+
 def boundary_cprime(model: GroupModel, c: Chain) -> Chain:
     if c.kind != "cprime":
         raise GroupMismatchError("boundary_cprime needs a cprime chain")
-    n = c.degree
-    if n == 0:
+    if c.degree == 0:
         return Chain.zero("cprime", 0)
-
-    def faces(t):
-        yield t[1:], ONE
-        for k in range(1, n):
-            merged = t[:k - 1] + (model.mul(t[k - 1], t[k]),) + t[k + 1:]
-            yield merged, ONE if k % 2 == 0 else -ONE
-        yield t[:-1], ONE if n % 2 == 0 else -ONE
-
-    return linear_extend(c, "cprime", n - 1, faces)
+    return linear_extend(c, "cprime", c.degree - 1, partial(cprime_faces, model.mul))
 
 
 def normalize_cbar_tuple(model: GroupModel, t: tuple) -> tuple:
@@ -52,24 +61,23 @@ def normalize_cbar_tuple(model: GroupModel, t: tuple) -> tuple:
     return tuple(model.mul(g0, x) for x in t)
 
 
+def cbar_faces(model: GroupModel, t: tuple) -> Iterator[tuple[tuple, int]]:
+    """Faces of a C-bar generator (e, g_1, ..., g_n), n >= 1: the simplex
+    faces, with face 0 translated back to a leading e."""
+    if t[0] != model.identity:
+        raise GroupMismatchError("cbar tuples must have leading identity")
+    faces = simplex_faces(t)
+    face, sign = next(faces)
+    yield normalize_cbar_tuple(model, face), sign
+    yield from faces
+
+
 def boundary_cbar(model: GroupModel, c: Chain) -> Chain:
     if c.kind != "cbar":
         raise GroupMismatchError("boundary_cbar needs a cbar chain")
-    n = c.degree
-    if n == 0:
+    if c.degree == 0:
         return Chain.zero("cbar", 0)
-
-    def faces(t):
-        if t[0] != model.identity:
-            raise GroupMismatchError("cbar tuples must have leading identity")
-        for k in range(n + 1):
-            face = t[:k] + t[k + 1:]
-            sign = ONE if k % 2 == 0 else -ONE
-            if k == 0:
-                face = normalize_cbar_tuple(model, face)
-            yield face, sign
-
-    return linear_extend(c, "cbar", n - 1, faces)
+    return linear_extend(c, "cbar", c.degree - 1, partial(cbar_faces, model))
 
 
 def psi(model: GroupModel, c: Chain) -> Chain:
@@ -176,32 +184,6 @@ def bar_homology_ranks(elements: list[Element], mul: Callable[[Element, Element]
     """Betti numbers of C'_.(H) for a finite group given by its elements and
     multiplication; independent of the Hochschild machinery."""
     elems = sorted(elements)
-    import itertools
-
-    def basis(n: int) -> list[tuple]:
-        return sorted(itertools.product(elems, repeat=n))
-
-    bases = [basis(n) for n in range(max_degree + 2)]
-    indexes = [{t: i for i, t in enumerate(b)} for b in bases]
-    ranks = [0]
-    for n in range(1, max_degree + 2):
-        ech = RationalEchelon()
-        for t in bases[n]:
-            col: dict[int, int] = {}
-
-            def add(u: tuple, s: int):
-                i = indexes[n - 1][u]
-                v = col.get(i, 0) + s
-                if v:
-                    col[i] = v
-                elif i in col:
-                    del col[i]
-
-            add(t[1:], 1)
-            for k in range(1, n):
-                merged = t[:k - 1] + (mul(t[k - 1], t[k]),) + t[k + 1:]
-                add(merged, 1 if k % 2 == 0 else -1)
-            add(t[:-1], 1 if n % 2 == 0 else -1)
-            ech.insert(col)
-        ranks.append(ech.rank)
+    bases = [sorted(itertools.product(elems, repeat=n)) for n in range(max_degree + 2)]
+    ranks = boundary_ranks(bases, partial(cprime_faces, mul))
     return [len(bases[n]) - ranks[n] - ranks[n + 1] for n in range(max_degree + 1)]

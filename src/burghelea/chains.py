@@ -10,11 +10,17 @@ complex-kind tag plus a degree; the tag fixes the tuple arity:
 
 Zero coefficients are never stored, so equality of chains is equality of
 their term maps.
+
+A boundary is its complex's face map extended by ``linear_extend``.  The
+face map of the standard simplex, ``simplex_faces``, lives here because the
+E complex (``homotopy``), the C-bar complex (``bar_complexes``) and
+simplicial complexes (``dehn``) all use it; the same face functions feed the
+sparse boundary matrices of ``linalg.boundary_columns``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import KindMismatchError
 from .groups import Element, GroupModel
@@ -132,6 +138,16 @@ def linear_extend(c: Chain, kind: str, degree: int,
         for u, r in on_basis(t):
             items.append((u, q * r))
     return Chain(kind, degree, items)
+
+
+def simplex_faces(t: BasisTuple) -> Iterator[tuple[BasisTuple, int]]:
+    """Faces of the simplex t: delete entry k, with sign (-1)^k."""
+    for k in range(len(t)):
+        yield t[:k] + t[k + 1:], 1 if k % 2 == 0 else -1
+
+
+def tuple_str(model: GroupModel, t: BasisTuple) -> str:
+    return "(" + ", ".join(model.element_str(x) for x in t) + ")"
 
 
 def tuple_diameter(wm: WordMetric, t: BasisTuple, mode: str = "pairwise") -> int:

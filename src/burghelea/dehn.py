@@ -9,6 +9,10 @@ l_f over integer N-boundaries of l1-norm at most k.
 The same machinery runs on ball-truncated equivariant bar complexes of a
 group model, with diameter-weighted objectives, to probe the filling-norm
 estimate |b|_{k,1} <= C * |c|_{k+p,1} empirically.
+
+Both kinds of boundary matrix come from ``linalg.boundary_columns``: a
+simplicial complex with the face map ``chains.simplex_faces``, a bar
+truncation with ``bar_complexes.cbar_faces``.
 """
 from __future__ import annotations
 
@@ -16,10 +20,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
-from .bar_complexes import boundary_cbar
-from .chains import Chain, tuple_diameter
+from .bar_complexes import boundary_cbar, cbar_faces
+from .chains import Chain, simplex_faces, tuple_diameter
 from .errors import (
     DescriptorError,
     NotABoundaryError,
@@ -27,7 +32,7 @@ from .errors import (
     ResourceCapError,
 )
 from .groups import GroupModel
-from .linalg import RationalEchelon
+from .linalg import RationalEchelon, boundary_columns
 from .lp import solve_min_lp
 from .metric import WordMetric
 from .norms import NormFamily
@@ -73,13 +78,12 @@ class SimplicialComplex:
             if dim == 0:
                 continue
             for s in ss:
-                for f in _faces(s):
+                for f, _ in simplex_faces(s):
                     if f not in self._index.get(dim - 1, {}):
                         raise DescriptorError(f"face {f!r} of {s!r} is missing")
         for dim in self.simplices:
             if dim >= 2:
-                _assert_dd_zero(self.boundary_columns(dim), self.boundary_columns(dim - 1),
-                                len(self.simplices[dim - 2]))
+                _assert_dd_zero(self.boundary_columns(dim), self.boundary_columns(dim - 1))
 
     @classmethod
     def from_obj(cls, obj: dict) -> "SimplicialComplex":
@@ -108,21 +112,11 @@ class SimplicialComplex:
         over (dim-1)-simplex indices."""
         if dim < 1:
             return [dict() for _ in self.simplices.get(0, ())]
-        cols = []
-        prev = self._index.get(dim - 1, {})
-        for s in self.simplices.get(dim, ()):
-            col = {}
-            for i, f in enumerate(_faces(s)):
-                col[prev[f]] = 1 if i % 2 == 0 else -1
-            cols.append(col)
-        return cols
+        return list(boundary_columns(self.simplices.get(dim, ()),
+                                     self._index.get(dim - 1, {}), simplex_faces))
 
 
-def _faces(s: tuple) -> list[tuple]:
-    return [s[:i] + s[i + 1:] for i in range(len(s))]
-
-
-def _assert_dd_zero(cols_high, cols_low, low_dim_size):
+def _assert_dd_zero(cols_high, cols_low):
     for col in cols_high:
         acc: dict[int, int] = {}
         for j, sj in col.items():
@@ -385,15 +379,8 @@ class BarTruncation:
         self._index = {n: {t: i for i, t in enumerate(b)} for n, b in self.bases.items()}
 
     def boundary_columns(self, degree: int) -> list[dict[int, int]]:
-        cols = []
-        index = self._index[degree - 1]
-        for t in self.bases[degree]:
-            c = boundary_cbar(self.model, Chain.basis("cbar", degree, t))
-            col: dict[int, int] = {}
-            for u, q in c.terms.items():
-                col[index[u]] = int(q)
-            cols.append({i: v for i, v in col.items() if v})
-        return cols
+        return list(boundary_columns(self.bases[degree], self._index[degree - 1],
+                                     partial(cbar_faces, self.model)))
 
     def chain_to_vec(self, c: Chain, degree: int) -> dict[int, Fraction]:
         index = self._index[degree]

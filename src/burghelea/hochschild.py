@@ -5,20 +5,26 @@ Degree-n chains live on (n+1)-tuples of group elements; the boundary is
     b(g_0,...,g_n) = sum_{j=0}^{n-1} (-1)^j (g_0,...,g_j g_{j+1},...,g_n)
                      + (-1)^n (g_n g_0, g_1,...,g_{n-1}).
 
-The complex splits over conjugacy classes of the product of entries, the
-retraction pi_h localizes a class component into the centralizer of h, and
-homology ranks of finite models are computed by exact rational elimination.
+The face map is ``hochschild_faces``; the chain boundary
+``hochschild_boundary`` and the boundary matrices of ``homology_ranks`` both
+use it (matrices through ``linalg.boundary_columns``).  The complex splits
+over conjugacy classes of the product of entries, the retraction pi_h
+localizes a class component into the centralizer of h, and homology ranks of
+finite models are computed by exact rational elimination.
 """
 from __future__ import annotations
 
+import itertools
 import os
+import random
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 from .chains import Chain, linear_extend
 from .errors import GroupMismatchError, ResourceCapError
 from .groups import Element, GroupModel
-from .linalg import RationalEchelon, clear_denominators
+from .linalg import boundary_ranks
 from .metric import (
     ConjugacyClass,
     CosetSection,
@@ -36,29 +42,30 @@ DEFAULT_CAP_MB = 512
 def memory_cap_mb() -> int:
     """Resource cap for chain-space enumeration, in megabytes."""
     env = os.environ.get("BURGHELEA_CAP_MB")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_CAP_MB
+    if env is None:
+        return DEFAULT_CAP_MB
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ResourceCapError(
+            f"BURGHELEA_CAP_MB must be an integer number of megabytes, got {env!r}") from None
+
+
+def hochschild_faces(mul: Callable[[Element, Element], Element],
+                     t: tuple) -> Iterator[tuple[tuple, int]]:
+    """Faces of a Hochschild generator of degree n = len(t) - 1 >= 1."""
+    n = len(t) - 1
+    for j in range(n):
+        yield t[:j] + (mul(t[j], t[j + 1]),) + t[j + 2:], 1 if j % 2 == 0 else -1
+    yield (mul(t[n], t[0]),) + t[1:n], 1 if n % 2 == 0 else -1
 
 
 def hochschild_boundary(model: GroupModel, c: Chain) -> Chain:
     if c.kind != "hochschild":
         raise GroupMismatchError("hochschild_boundary needs a hochschild chain")
-    n = c.degree
-    if n == 0:
+    if c.degree == 0:
         return Chain.zero("hochschild", 0)
-
-    def faces(t):
-        for j in range(n):
-            merged = t[:j] + (model.mul(t[j], t[j + 1]),) + t[j + 2:]
-            yield merged, ONE if j % 2 == 0 else -ONE
-        cyc = (model.mul(t[n], t[0]),) + t[1:n]
-        yield cyc, ONE if n % 2 == 0 else -ONE
-
-    return linear_extend(c, "hochschild", n - 1, faces)
+    return linear_extend(c, "hochschild", c.degree - 1, partial(hochschild_faces, model.mul))
 
 
 def entry_product(model: GroupModel, t: tuple) -> Element:
@@ -66,6 +73,17 @@ def entry_product(model: GroupModel, t: tuple) -> Element:
     for x in t:
         p = model.mul(p, x)
     return p
+
+
+def sample_component_tuple(model: GroupModel, rng: random.Random, pool: list,
+                           h: Element, degree: int) -> tuple:
+    """Random generator of C_degree(QG)_x: entries drawn from the pool except
+    the first, which is forced so that the entry product is conjugate to h."""
+    rest = [rng.choice(pool) for _ in range(degree)]
+    y = rng.choice(pool)
+    target = model.conj(y, h)
+    prod = entry_product(model, rest)
+    return (model.mul(target, model.inv(prod)),) + tuple(rest)
 
 
 def split_by_class(model: GroupModel, wm: WordMetric, c: Chain) -> dict[ConjugacyClass, Chain]:
@@ -165,31 +183,6 @@ def _check_space_cap(model: GroupModel, max_degree: int, class_size: int) -> Non
             "(set BURGHELEA_CAP_MB to override)")
 
 
-def _boundary_rank(model: GroupModel, basis_n: list[tuple], index_prev: dict) -> int:
-    """Rank of b restricted to the span of basis_n, in coordinates of the
-    previous degree's basis."""
-    n = len(basis_n[0]) - 1 if basis_n else 0
-    ech = RationalEchelon()
-    for t in basis_n:
-        col: dict[int, int] = {}
-
-        def add(u: tuple, s: int):
-            i = index_prev[u]
-            v = col.get(i, 0) + s
-            if v:
-                col[i] = v
-            elif i in col:
-                del col[i]
-
-        for j in range(n):
-            merged = t[:j] + (model.mul(t[j], t[j + 1]),) + t[j + 2:]
-            add(merged, 1 if j % 2 == 0 else -1)
-        cyc = (model.mul(t[n], t[0]),) + t[1:n]
-        add(cyc, 1 if n % 2 == 0 else -1)
-        ech.insert(col)
-    return ech.rank
-
-
 def homology_ranks(model: GroupModel, wm: WordMetric, max_degree: int,
                    x: Optional[ConjugacyClass] = None, split: bool = True) -> list[dict]:
     """Exact Betti numbers of the Hochschild complex of a finite model.
@@ -203,47 +196,41 @@ def homology_ranks(model: GroupModel, wm: WordMetric, max_degree: int,
     """
     if not model.is_finite:
         raise GroupMismatchError("homology ranks need a finite model")
-    classes = [x] if x is not None else conjugacy_classes(model, wm)
     if not split and x is None:
         return _homology_ranks_full(model, wm, max_degree)
     from .metric import class_members
-    per_degree = [
-        {"degree": n, "dim_chain_space": 0, "rank_boundary_out": 0,
-         "rank_boundary_in": 0, "betti": 0}
-        for n in range(max_degree + 1)
-    ]
-    for cls in classes:
+    per_degree = _empty_reports(max_degree)
+    for cls in [x] if x is not None else conjugacy_classes(model, wm):
         _check_space_cap(model, max_degree, len(class_members(model, cls.rep)))
         bases = [class_component_basis(model, wm, n, cls) for n in range(max_degree + 2)]
-        indexes = [{t: i for i, t in enumerate(b)} for b in bases]
-        ranks = [0]  # b_0 = 0
-        for n in range(1, max_degree + 2):
-            ranks.append(_boundary_rank(model, bases[n], indexes[n - 1]))
-        for n in range(max_degree + 1):
-            rec = per_degree[n]
-            rec["dim_chain_space"] += len(bases[n])
-            rec["rank_boundary_out"] += ranks[n]
-            rec["rank_boundary_in"] += ranks[n + 1]
-            rec["betti"] += len(bases[n]) - ranks[n] - ranks[n + 1]
+        _add_ranks(model, bases, per_degree)
     return per_degree
 
 
 def _homology_ranks_full(model: GroupModel, wm: WordMetric, max_degree: int) -> list[dict]:
-    import itertools
+    """The unsplit reference path: one elimination over all of G^(n+1)."""
     _check_space_cap(model, max_degree, model.order)
     elems = model.elements()
-    bases = []
-    for n in range(max_degree + 2):
-        b = sorted(itertools.product(elems, repeat=n + 1),
-                   key=lambda t: tuple(model.element_key(g) for g in t))
-        bases.append(list(b))
-    indexes = [{t: i for i, t in enumerate(b)} for b in bases]
-    ranks = [0]
-    for n in range(1, max_degree + 2):
-        ranks.append(_boundary_rank(model, bases[n], indexes[n - 1]))
-    return [
-        {"degree": n, "dim_chain_space": len(bases[n]),
-         "rank_boundary_out": ranks[n], "rank_boundary_in": ranks[n + 1],
-         "betti": len(bases[n]) - ranks[n] - ranks[n + 1]}
-        for n in range(max_degree + 1)
-    ]
+    bases = [sorted(itertools.product(elems, repeat=n + 1),
+                    key=lambda t: tuple(model.element_key(g) for g in t))
+             for n in range(max_degree + 2)]
+    per_degree = _empty_reports(max_degree)
+    _add_ranks(model, bases, per_degree)
+    return per_degree
+
+
+def _empty_reports(max_degree: int) -> list[dict]:
+    return [{"degree": n, "dim_chain_space": 0, "rank_boundary_out": 0,
+             "rank_boundary_in": 0, "betti": 0}
+            for n in range(max_degree + 1)]
+
+
+def _add_ranks(model: GroupModel, bases: list[list[tuple]], per_degree: list[dict]) -> None:
+    """Add the dimensions, boundary ranks and Betti numbers of the complex
+    spanned by ``bases`` (one basis per degree, up to max_degree + 1)."""
+    ranks = boundary_ranks(bases, partial(hochschild_faces, model.mul))
+    for n, rec in enumerate(per_degree):
+        rec["dim_chain_space"] += len(bases[n])
+        rec["rank_boundary_out"] += ranks[n]
+        rec["rank_boundary_in"] += ranks[n + 1]
+        rec["betti"] += len(bases[n]) - ranks[n] - ranks[n + 1]

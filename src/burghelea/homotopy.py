@@ -15,19 +15,26 @@ satisfies id - i^E p^E = D_{n-1} d_n + d_{n+1} D_n exactly.  theta_h sends
 (g_0,...,g_n) to (g_n^-1 h g_0, g_0^-1 g_1, ..., g_{n-1}^-1 g_n); its kernel
 is spanned by left Z_h-translation differences, so it identifies the
 Z_h-coinvariants of E_.(G) with the class component of h.
+
+The face map of E_.(G) is ``chains.simplex_faces``, shared with simplicial
+complexes.  i^E is ``hochschild.iota_h``: both are the identity on terms
+after checking that every entry centralizes h.  ``theta_quotient_dims``
+builds its matrices with ``linalg.boundary_columns`` from theta's on-basis
+map ``theta_tuple`` and from the translation differences.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
-from .chains import Chain, linear_extend
+from .chains import Chain, linear_extend, simplex_faces, tuple_str
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
 from .hochschild import entry_product, hochschild_boundary, iota_h, pi_h
-from .linalg import RationalEchelon
+from .linalg import boundary_columns, rank_of_columns
 from .metric import CosetSection, WordMetric, make_conjugator_provider
 
 ONE = Fraction(1)
@@ -36,15 +43,9 @@ ONE = Fraction(1)
 def boundary_e(model: GroupModel, c: Chain) -> Chain:
     if c.kind != "e":
         raise GroupMismatchError("boundary_e needs an e-complex chain")
-    n = c.degree
-    if n == 0:
+    if c.degree == 0:
         return Chain.zero("e", 0)
-
-    def faces(t):
-        for k in range(n + 1):
-            yield t[:k] + t[k + 1:], ONE if k % 2 == 0 else -ONE
-
-    return linear_extend(c, "e", n - 1, faces)
+    return linear_extend(c, "e", c.degree - 1, simplex_faces)
 
 
 def p_e(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
@@ -57,16 +58,6 @@ def p_e(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
         yield tuple(p(x) for x in t), ONE
 
     return linear_extend(c, "e", c.degree, on_basis)
-
-
-def i_e(model: GroupModel, h: Element, c: Chain) -> Chain:
-    """Inclusion E_.(Z_h) -> E_.(G); identity on terms after validation."""
-    for t in c.terms:
-        for x in t:
-            if not model.commutes(x, h):
-                raise GroupMismatchError(
-                    f"entry {model.element_str(x)} lies outside the centralizer")
-    return Chain(c.kind, c.degree, c.terms)
 
 
 def homotopy_d(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
@@ -95,22 +86,23 @@ def homotopy_d(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
 
 
 def _ip(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
-    return i_e(model, section.h, p_e(model, section, c))
+    return iota_h(model, section.h, p_e(model, section, c))
+
+
+def theta_tuple(model: GroupModel, h: Element, t: tuple) -> Iterator[tuple[tuple, int]]:
+    """theta_h on one generator:
+    (g_0,...,g_n) -> (g_n^-1 h g_0, g_0^-1 g_1, ..., g_{n-1}^-1 g_n)."""
+    m = model
+    first = m.mul(m.mul(m.inv(t[-1]), h), t[0])
+    rest = [m.mul(m.inv(t[i]), t[i + 1]) for i in range(len(t) - 1)]
+    yield (first, *rest), 1
 
 
 def theta_h(model: GroupModel, h: Element, c: Chain) -> Chain:
-    """E_n(G) -> C_n(QG)_x on generators:
-    (g_0,...,g_n) -> (g_n^-1 h g_0, g_0^-1 g_1, ..., g_{n-1}^-1 g_n)."""
+    """E_n(G) -> C_n(QG)_x, extended linearly from ``theta_tuple``."""
     if c.kind != "e":
         raise GroupMismatchError("theta_h needs an e-complex chain")
-    m = model
-
-    def on_basis(t):
-        first = m.mul(m.mul(m.inv(t[-1]), h), t[0])
-        rest = [m.mul(m.inv(t[i]), t[i + 1]) for i in range(len(t) - 1)]
-        yield (first, *rest), ONE
-
-    return linear_extend(c, "hochschild", c.degree, on_basis)
+    return linear_extend(c, "hochschild", c.degree, partial(theta_tuple, model, h))
 
 
 def theta_lift(model: GroupModel, section: CosetSection, c: Chain,
@@ -203,17 +195,17 @@ def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
             lhs = theta_h(m, h, p_e(m, section, c))
             rhs = pi_h(m, section, theta_h(m, h, c), conjugator=conj)
             if lhs != rhs:
-                failures.append(_tuple_str(m, t))
+                failures.append(tuple_str(m, t))
         record("theta.pE == pi.theta", n, len(reps), failures)
 
         z_gens = [tuple(section.retract(x) for x in t) for t in reps]
         failures = []
         for t in z_gens:
             c = Chain.basis("e", n, t)
-            lhs = theta_h(m, h, i_e(m, h, c))
+            lhs = theta_h(m, h, iota_h(m, h, c))
             rhs = iota_h(m, h, theta_h(m, h, c))
             if lhs != rhs:
-                failures.append(_tuple_str(m, t))
+                failures.append(tuple_str(m, t))
         record("theta.iE == iota.theta", n, len(z_gens), failures)
 
         failures = []
@@ -225,7 +217,7 @@ def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
             if n > 0:
                 rhs = rhs + homotopy_d(m, section, boundary_e(m, c))
             if lhs != rhs:
-                failures.append(_tuple_str(m, t))
+                failures.append(tuple_str(m, t))
         record("id - iE.pE == D.d + d.D", n, len(gens), failures)
 
         failures = []
@@ -236,14 +228,14 @@ def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
             if n > 0:
                 rhs = rhs + dbar(m, section, hochschild_boundary(m, hh), conj)
             if lhs != rhs:
-                failures.append(_tuple_str(m, t))
+                failures.append(tuple_str(m, t))
         record("id - iota.pi == b.Dbar + Dbar.b", n, len(reps), failures)
 
         failures = []
         for t in z_gens:
             zc = theta_h(m, h, Chain.basis("e", n, t))
             if pi_h(m, section, iota_h(m, h, zc), conjugator=conj) != zc:
-                failures.append(_tuple_str(m, t))
+                failures.append(tuple_str(m, t))
         record("pi.iota == id", n, len(z_gens), failures)
 
     return {
@@ -268,25 +260,19 @@ def theta_quotient_dims(model: GroupModel, wm: WordMetric, h: Element,
     target = class_component_basis(model, wm, degree, x)
     index = {t: i for i, t in enumerate(target)}
     tuples = list(itertools.product(model.elements(), repeat=degree + 1))
+    image_rank = rank_of_columns(
+        boundary_columns(tuples, index, partial(theta_tuple, model, h)))
 
-    ech = RationalEchelon()
-    for t in tuples:
-        img = theta_h(model, h, Chain.basis("e", degree, t))
-        col: dict[int, int] = {}
-        for u, q in img.terms.items():
-            col[index[u]] = col.get(index[u], 0) + int(q)
-        ech.insert({i: v for i, v in col.items() if v})
-    image_rank = ech.rank
-
-    zs = [z for z in model.elements() if model.commutes(z, h)]
+    zs = [z for z in model.elements() if model.commutes(z, h) and z != model.identity]
     tindex = {t: i for i, t in enumerate(tuples)}
-    kernel = RationalEchelon()
-    for t in tuples:
-        for z in zs:
-            if z == model.identity:
-                continue
-            zt = translate_tuple(model, z, t)
-            kernel.insert({tindex[zt]: 1, tindex[t]: -1} if zt != t else {})
+
+    def difference(zt):
+        z, t = zt
+        yield translate_tuple(model, z, t), 1
+        yield t, -1
+
+    kernel_rank = rank_of_columns(
+        boundary_columns(((z, t) for t in tuples for z in zs), tindex, difference))
     orbits = len({normalize_coinvariant(model, section, t) for t in tuples})
 
     return {
@@ -294,10 +280,7 @@ def theta_quotient_dims(model: GroupModel, wm: WordMetric, h: Element,
         "dim_e": len(tuples),
         "dim_component": len(target),
         "image_rank": image_rank,
-        "kernel_span_rank": kernel.rank,
+        "kernel_span_rank": kernel_rank,
         "coinvariant_basis": orbits,
     }
 
-
-def _tuple_str(model: GroupModel, t: tuple) -> str:
-    return "(" + ", ".join(model.element_str(x) for x in t) + ")"

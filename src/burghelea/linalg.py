@@ -3,12 +3,20 @@
 Rank computations use an incremental row-echelon structure whose rows are
 kept as gcd-normalized integer sparse vectors; all pivoting is fraction-free,
 so results are exact.  A small dense solver supports LP dual extraction.
+
+Every boundary matrix in the workbench is built here.  Each complex defines
+its face map once, as a function from a basis tuple to ``(face, +-1)`` pairs
+(``hochschild.hochschild_faces``, ``bar_complexes.cprime_faces`` and
+``cbar_faces``, ``chains.simplex_faces`` for the E complex and simplicial
+complexes), and ``boundary_columns`` turns it into sparse integer columns.
+``boundary_columns`` streamed into ``rank_of_columns`` is the one place where
+a change to elimination (pivot order, clearing) goes.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 SparseVec = dict[int, int]
 
@@ -83,6 +91,36 @@ def rank_of_columns(columns: Iterable[SparseVec]) -> int:
     for col in columns:
         ech.insert(col)
     return ech.rank
+
+
+Faces = Callable[[tuple], Iterable[tuple[tuple, int]]]
+
+
+def boundary_columns(basis: Iterable[tuple], index_prev: dict[tuple, int],
+                     faces: Faces) -> Iterator[SparseVec]:
+    """Column j is the image of the j-th basis tuple under ``faces``, in the
+    coordinates ``index_prev``; repeated faces cancel.  Columns are yielded
+    one at a time, so a rank never holds the whole matrix."""
+    for t in basis:
+        col: SparseVec = {}
+        for u, s in faces(t):
+            i = index_prev[u]
+            v = col.get(i, 0) + s
+            if v:
+                col[i] = v
+            else:
+                col.pop(i, None)
+        yield col
+
+
+def boundary_ranks(bases: Sequence[Sequence[tuple]], faces: Faces) -> list[int]:
+    """Ranks of the boundary out of each degree of a complex given by one
+    basis per degree; the boundary out of degree 0 is zero."""
+    ranks = [0]
+    for n in range(1, len(bases)):
+        index_prev = {t: i for i, t in enumerate(bases[n - 1])}
+        ranks.append(rank_of_columns(boundary_columns(bases[n], index_prev, faces)))
+    return ranks
 
 
 def solve_dense(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:

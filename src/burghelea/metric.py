@@ -207,14 +207,9 @@ def _free_least_rotation(model: FreeGroup, c: tuple[int, ...]) -> tuple[int, ...
     return min(rotations, key=model.element_key)
 
 
-def conjugacy_class(model: GroupModel, wm: WordMetric, g: Element,
-                    window: Optional[int] = None) -> ConjugacyClass:
-    """Canonical conjugacy-class id of g.
-
-    The canonicalization rules are exact for every supported kind, so the
-    window argument is accepted for interface compatibility but unused.
-    """
-    del window
+def conjugacy_class(model: GroupModel, wm: WordMetric, g: Element) -> ConjugacyClass:
+    """Canonical conjugacy-class id of g; the canonicalization rules are
+    exact for every supported kind."""
     model.check_element(g)
     if isinstance(model, FreeAbelianGroup):
         return ConjugacyClass(g)
@@ -278,10 +273,6 @@ class CentralizerModel:
 
     def contains(self, g: Element) -> bool:
         return self.model.commutes(g, self.h)
-
-    def induced_length(self, g: Element) -> int:
-        """Subspace norm: the ambient word length."""
-        return self.wm.length(g)
 
     def intrinsic_length(self, g: Element) -> int:
         """Word length for an intrinsic generating set of Z_h, where one is

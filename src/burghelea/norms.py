@@ -22,10 +22,9 @@ from .bar_complexes import boundary_cbar, phi_g, phi_g_inv, psi, psi_inv
 from .chains import Chain, tuple_diameter
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
-from .hochschild import entry_product, iota_h, pi_h
+from .hochschild import iota_h, pi_h, sample_component_tuple
 from .homotopy import dbar
 from .metric import (
-    ConjugacyClass,
     CosetSection,
     WordMetric,
     conjugacy_class,
@@ -85,26 +84,6 @@ def rd_chain_seminorm_pair(model: GroupModel, nf: NormFamily, c: Chain,
 # ---------------------------------------------------------------------------
 
 PROFILE_MAPS = ("pi_h", "iota_h", "psi_phi_inv", "phi_psi_inv", "homotopy")
-
-
-def _sample_component_tuple(model: GroupModel, rng: random.Random, ball: list,
-                            h: Element, degree: int) -> tuple:
-    """Random generator of C_degree(QG)_x: entries from the ball except the
-    first, which is forced so the entry product is conjugate to h."""
-    rest = [rng.choice(ball) for _ in range(degree)]
-    y = rng.choice(ball)
-    target = model.conj(y, h)
-    prod = entry_product(model, rest)
-    return (model.mul(target, model.inv(prod)),) + tuple(rest)
-
-
-def _sample_centralizer_tuple(model: GroupModel, rng: random.Random,
-                              z_ball: list, h: Element, degree: int) -> tuple:
-    rest = [rng.choice(z_ball) for _ in range(degree)]
-    y = rng.choice(z_ball)
-    target = model.conj(y, h)
-    prod = entry_product(model, rest)
-    return (model.mul(target, model.inv(prod)),) + tuple(rest)
 
 
 def operator_growth_profile(map_id: str, model: GroupModel, wm: WordMetric,
@@ -201,15 +180,15 @@ def _profile_setup(map_id, model, wm, section: CosetSection, conj,
     if map_id == "pi_h":
         return ((tensor_g, "hochschild"), tensor_z,
                 lambda c: pi_h(model, section, c, conjugator=conj),
-                lambda rng, ball, zball, rep, n: _sample_component_tuple(model, rng, ball, rep, n))
+                lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, ball, rep, n))
     if map_id == "iota_h":
         return ((tensor_z, "hochschild"), tensor_g,
                 lambda c: iota_h(model, h, c),
-                lambda rng, ball, zball, rep, n: _sample_centralizer_tuple(model, rng, zball, rep, n))
+                lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, zball, rep, n))
     if map_id == "psi_phi_inv":
         return ((tensor_z, "hochschild"), rd_z,
                 lambda c: psi(model, phi_g_inv(model, c)),
-                lambda rng, ball, zball, rep, n: _sample_centralizer_tuple(model, rng, zball, rep, n))
+                lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, zball, rep, n))
     if map_id == "phi_psi_inv":
         def backward(c):
             return phi_g(model, h, psi_inv(model, c))
@@ -221,4 +200,4 @@ def _profile_setup(map_id, model, wm, section: CosetSection, conj,
     assert map_id == "homotopy"
     return ((tensor_g, "hochschild"), tensor_g,
             lambda c: dbar(model, section, c, conj),
-            lambda rng, ball, zball, rep, n: _sample_component_tuple(model, rng, ball, rep, n))
+            lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, ball, rep, n))

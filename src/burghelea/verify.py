@@ -20,19 +20,17 @@ from .bar_complexes import (
     psi,
     psi_inv,
 )
-from .chains import Chain
+from .chains import Chain, tuple_str
 from .errors import NotConjugateError, NotConjugateWithinError
 from .groups import Element, GroupModel
 from .hochschild import (
-    entry_product,
     hochschild_boundary,
-    iota_h,
     pi_h,
+    sample_component_tuple,
     split_by_class,
 )
 from .homotopy import boundary_e, theta_h, verify_homotopy_square
 from .metric import (
-    CosetSection,
     WordMetric,
     conjugacy_class,
     coset_section,
@@ -42,27 +40,6 @@ from .metric import (
 )
 
 DEFAULT_RADIUS = 2
-
-
-def _tuple_str(model, t):
-    return "(" + ", ".join(model.element_str(x) for x in t) + ")"
-
-
-def sample_elements(model: GroupModel, wm: WordMetric, rng: random.Random,
-                    count: int, radius: int) -> list[Element]:
-    ball = wm.ball(radius)
-    return [rng.choice(ball) for _ in range(count)]
-
-
-def sample_component_tuple(model: GroupModel, wm: WordMetric, rng: random.Random,
-                           h: Element, degree: int, radius: int) -> tuple:
-    """Random Hochschild generator whose entry product is conjugate to h."""
-    ball = wm.ball(radius)
-    rest = [rng.choice(ball) for _ in range(degree)]
-    y = rng.choice(ball)
-    target = model.conj(y, h)
-    prod = entry_product(model, rest)
-    return (model.mul(target, model.inv(prod)),) + tuple(rest)
 
 
 def default_class_reps(model: GroupModel, wm: WordMetric, limit: int = 3,
@@ -102,12 +79,12 @@ def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
     for n in range(max_degree + 1):
         failures = []
         for _ in range(samples):
-            t = sample_component_tuple(model, wm, rng, h, n, radius)
+            t = sample_component_tuple(model, rng, ball, h, n)
             c = Chain.basis("hochschild", n, t)
             lhs = hochschild_boundary(model, pi_h(model, section, c, conjugator=conj))
             rhs = pi_h(model, section, hochschild_boundary(model, c), conjugator=conj)
             if lhs != rhs:
-                failures.append(_tuple_str(model, t))
+                failures.append(tuple_str(model, t))
         checks.append({"identity_name": "b.pi == pi.b", "degree": n,
                        "samples": samples, "failures": failures})
 
@@ -116,9 +93,9 @@ def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
             t = tuple(rng.choice(ball) for _ in range(n))
             c = Chain.basis("cprime", n, t)
             if boundary_cbar(model, psi(model, c)) != psi(model, boundary_cprime(model, c)):
-                failures.append(_tuple_str(model, t))
+                failures.append(tuple_str(model, t))
             if psi_inv(model, psi(model, c)) != c:
-                failures.append("round trip: " + _tuple_str(model, t))
+                failures.append("round trip: " + tuple_str(model, t))
         checks.append({"identity_name": "d.psi == psi.d (and psi_inv.psi == id)",
                        "degree": n, "samples": samples, "failures": failures})
 
@@ -129,9 +106,9 @@ def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
             lhs = hochschild_boundary(model, phi_g(model, h, c))
             rhs = phi_g(model, h, boundary_cprime(model, c))
             if lhs != rhs:
-                failures.append(_tuple_str(model, t))
+                failures.append(tuple_str(model, t))
             if phi_g_inv(model, phi_g(model, h, c)) != c:
-                failures.append("round trip: " + _tuple_str(model, t))
+                failures.append("round trip: " + tuple_str(model, t))
         checks.append({"identity_name": "b.phi == phi.d (and phi_inv.phi == id)",
                        "degree": n, "samples": samples, "failures": failures})
 
@@ -140,38 +117,38 @@ def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
             t = tuple(rng.choice(ball) for _ in range(n + 1))
             c = Chain.basis("e", n, t)
             if hochschild_boundary(model, theta_h(model, h, c)) != theta_h(model, h, boundary_e(model, c)):
-                failures.append(_tuple_str(model, t))
+                failures.append(tuple_str(model, t))
         checks.append({"identity_name": "b.theta == theta.d", "degree": n,
                        "samples": samples, "failures": failures})
 
         failures = []
         for _ in range(samples):
-            t = sample_component_tuple(model, wm, rng, h, n, radius)
+            t = sample_component_tuple(model, rng, ball, h, n)
             c = Chain.basis("hochschild", n, t)
             direct = localize_to_equivariant(model, section, c, conjugator=conj)
             composed = composed_localization(model, section, c, conjugator=conj)
             if direct != composed:
-                failures.append(_tuple_str(model, t))
+                failures.append(tuple_str(model, t))
         checks.append({"identity_name": "localize == psi.phi_inv.pi", "degree": n,
                        "samples": samples, "failures": failures})
 
     failures = []
     for _ in range(samples):
         n = rng.randrange(0, max_degree + 1)
-        t = sample_component_tuple(model, wm, rng, h, n, radius)
+        t = sample_component_tuple(model, rng, ball, h, n)
         c = Chain.basis("hochschild", n, t)
         parts = split_by_class(model, wm, c)
         total = Chain.zero("hochschild", n)
         for part in parts.values():
             total = total + part
         if total != c:
-            failures.append("sum: " + _tuple_str(model, t))
+            failures.append("sum: " + tuple_str(model, t))
         bc = hochschild_boundary(model, c)
         summed = Chain.zero("hochschild", max(n - 1, 0))
         for part in parts.values():
             summed = summed + hochschild_boundary(model, part)
         if summed != bc:
-            failures.append("boundary: " + _tuple_str(model, t))
+            failures.append("boundary: " + tuple_str(model, t))
     checks.append({"identity_name": "split_by_class respects b and sums to id",
                    "degree": max_degree, "samples": samples, "failures": failures})
     return checks
@@ -190,7 +167,7 @@ def well_definedness_suite(model: GroupModel, wm: WordMetric, h: Element,
     failures = []
     for _ in range(trials):
         n = rng.randrange(0, max_degree + 1)
-        t = sample_component_tuple(model, wm, rng, h, n, radius)
+        t = sample_component_tuple(model, rng, ball, h, n)
         c = Chain.basis("hochschild", n, t)
         a = rng.choice(z_ball)
 
@@ -198,7 +175,7 @@ def well_definedness_suite(model: GroupModel, wm: WordMetric, h: Element,
             return model.mul(a, base(product))
 
         if pi_h(model, section, c, conjugator=base) != pi_h(model, section, c, conjugator=alternative):
-            failures.append(_tuple_str(model, t) + f" with a={model.element_str(a)}")
+            failures.append(tuple_str(model, t) + f" with a={model.element_str(a)}")
     return [{"identity_name": "pi_h invariant under r -> a r", "degree": max_degree,
              "samples": trials, "failures": failures}]
 

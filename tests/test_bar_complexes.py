@@ -19,7 +19,7 @@ from burghelea import (
 )
 from burghelea.bar_complexes import composed_localization, normalize_cbar_tuple
 from burghelea.chains import Chain
-from burghelea.verify import sample_component_tuple
+from burghelea.hochschild import sample_component_tuple
 
 
 def test_cprime_boundary_examples(f2):
@@ -128,7 +128,7 @@ def test_localize_composition_equality(s3, f2, zz, metrics):
         sec = coset_section(m, wm, h)
         for n in range(3):
             for _ in range(35):
-                t = sample_component_tuple(m, wm, rng, h, n, 2)
+                t = sample_component_tuple(m, rng, wm.ball(2), h, n)
                 c = Chain.basis("hochschild", n, t)
                 direct = localize_to_equivariant(m, sec, c)
                 composed = composed_localization(m, sec, c)

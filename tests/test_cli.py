@@ -149,3 +149,11 @@ def test_seed_changes_sampling(tmp_path):
         outs.append(out.read_text())
     # configs differ, so bytes must differ (the embedded config records the seed)
     assert outs[0] != outs[1]
+
+
+def test_invalid_cap_exits_one(monkeypatch, capsys):
+    monkeypatch.setenv("BURGHELEA_CAP_MB", "abc")
+    assert run_cli("hh-ranks", "--group", str(fixture_path("z4.json"))) == 1
+    err = capsys.readouterr().err
+    assert "BURGHELEA_CAP_MB" in err
+    assert "Traceback" not in err

@@ -16,8 +16,7 @@ from burghelea import (
     split_by_class,
 )
 from burghelea.chains import Chain
-from burghelea.hochschild import class_component_basis, entry_product
-from burghelea.verify import sample_component_tuple
+from burghelea.hochschild import class_component_basis, entry_product, sample_component_tuple
 
 
 def test_boundary_degree_one_commutator(s3):
@@ -115,7 +114,7 @@ def test_pi_h_abelian_identity(zz, z4, metrics):
         h = ball[1]
         sec = coset_section(m, wm, h)
         for n in range(3):
-            t = sample_component_tuple(m, wm, rng, h, n, 2)
+            t = sample_component_tuple(m, rng, wm.ball(2), h, n)
             c = Chain.basis("hochschild", n, t)
             assert pi_h(m, sec, c) == c
 
@@ -128,7 +127,7 @@ def test_pi_h_structural_postconditions(s3, metrics):
     rng = random.Random(8)
     for n in range(3):
         for _ in range(30):
-            t = sample_component_tuple(s3, wm, rng, h, n, 3)
+            t = sample_component_tuple(s3, rng, wm.ball(3), h, n)
             out = pi_h(s3, sec, Chain.basis("hochschild", n, t))
             for u in out.terms:
                 assert all(s3.commutes(x, h) for x in u)
@@ -144,7 +143,7 @@ def test_pi_h_chain_map_exercises_cyclic_term(s3, f2, metrics):
         sec = coset_section(m, wm, h)
         for n in (1, 2, 3):
             for _ in range(25):
-                t = sample_component_tuple(m, wm, rng, h, n, 2)
+                t = sample_component_tuple(m, rng, wm.ball(2), h, n)
                 c = Chain.basis("hochschild", n, t)
                 assert hochschild_boundary(m, pi_h(m, sec, c)) == \
                     pi_h(m, sec, hochschild_boundary(m, c))
@@ -160,7 +159,7 @@ def test_pi_h_well_defined_under_conjugator_change(s3, f2, metrics):
         z_ball = [a for a in wm.ball(2) if m.commutes(a, h)]
         for _ in range(40):
             n = rng.randrange(3)
-            t = sample_component_tuple(m, wm, rng, h, n, 2)
+            t = sample_component_tuple(m, rng, wm.ball(2), h, n)
             a = rng.choice(z_ball)
             alt = lambda product: m.mul(a, base(product))
             c = Chain.basis("hochschild", n, t)
@@ -250,3 +249,10 @@ def test_resource_cap(z4, metrics, monkeypatch):
     # so the cap trips before any basis is built
     with pytest.raises(ResourceCapError):
         homology_ranks(z4, metrics(z4), 6)
+
+
+def test_invalid_cap_is_an_error(z4, metrics, monkeypatch):
+    # a cap that is not an integer must not fall back to the default
+    monkeypatch.setenv("BURGHELEA_CAP_MB", "abc")
+    with pytest.raises(ResourceCapError, match="BURGHELEA_CAP_MB"):
+        homology_ranks(z4, metrics(z4), 1)

@@ -12,7 +12,6 @@ from burghelea import (
     dbar,
     hochschild_boundary,
     homotopy_d,
-    i_e,
     iota_h,
     p_e,
     pi_h,
@@ -46,7 +45,7 @@ def test_p_e_and_i_e(f2, zz, metrics):
     # all entries in Z_h stay put
     c = Chain.basis("e", 1, ((1, 1), (1,)))
     assert p_e(f2, sec, c) == c
-    assert i_e(f2, h, c) == c
+    assert iota_h(f2, h, c) == c
     # p_h(a^3 b) = a^3 entrywise
     c2 = Chain.basis("e", 1, ((1, 1, 1, 2), (1,)))
     assert p_e(f2, sec, c2) == Chain.basis("e", 1, ((1, 1, 1), (1,)))
@@ -55,7 +54,7 @@ def test_p_e_and_i_e(f2, zz, metrics):
     c3 = Chain.basis("e", 1, ((3, -1), (0, 2)))
     assert p_e(zz, zsec, c3) == c3
     with pytest.raises(GroupMismatchError):
-        i_e(f2, h, Chain.basis("e", 0, ((2,),)))
+        iota_h(f2, h, Chain.basis("e", 0, ((2,),)))
 
 
 def test_d0_examples(f2, zz, metrics):
@@ -80,7 +79,7 @@ def test_d0_examples(f2, zz, metrics):
 
 
 def _ip(model, sec, c):
-    return i_e(model, sec.h, p_e(model, sec, c))
+    return iota_h(model, sec.h, p_e(model, sec, c))
 
 
 @pytest.mark.parametrize("fixture,h", [("s3", (0, 2, 1)), ("z4", 1), ("f2", (1,)), ("zz", (1, 0))])
