@@ -14,8 +14,17 @@ from burghelea import (
     coset_section,
     find_conjugator,
     minimal_conjugator,
+    parse_group,
 )
 from burghelea.metric import class_members
+from conftest import load_complex_obj
+
+
+@pytest.fixture(scope="module")
+def s3xz():
+    """S3 x Z: a product with a finite factor."""
+    return parse_group({"type": "product", "factors": [
+        load_complex_obj("s3.json"), {"type": "free_abelian", "rank": 1}]})
 
 
 # -- independent oracles -----------------------------------------------------
@@ -108,9 +117,9 @@ def test_conjugacy_class_examples(f2, zz, s3, metrics):
     assert rep == (0, 2, 1)  # the length-1 transposition least in encoding order
 
 
-def test_class_constant_on_conjugates(f2, s3, metrics):
+def test_class_constant_on_conjugates(f2, s3, f2xz, s3xz, metrics):
     rng = random.Random(2)
-    for m, radius in ((f2, 2), (s3, 3)):
+    for m, radius in ((f2, 2), (s3, 3), (f2xz, 2), (s3xz, 2)):
         wm = metrics(m)
         ball = wm.ball(radius)
         for _ in range(100):
@@ -176,12 +185,21 @@ def test_centralizer_finite_exhaustive(s3, metrics):
     assert len(cz.elements) == 2
 
 
-def test_centralizer_stored_elements_commute(d4, metrics):
-    for h in d4.elements():
-        cz = centralizer(d4, metrics(d4), h)
-        elems = cz.elements if cz.realization == "finite_list" else d4.elements()
-        for g in elems:
-            assert d4.commutes(g, h)
+def test_centralizer_stored_elements_commute(d4, f2xz, s3xz, metrics):
+    cases = [(d4, h) for h in d4.elements()]
+    cases += [(m, h) for m in (f2xz, s3xz) for h in metrics(m).ball(2)]
+    for m, h in cases:
+        cz = centralizer(m, metrics(m), h)
+        for part in (cz.components if cz.realization == "product" else (cz,)):
+            f = part.model
+            if part.realization == "finite_list":
+                elems = part.elements
+            elif part.realization == "cyclic":
+                elems = (part.root,)
+            else:
+                elems = f.elements() if f.is_finite else metrics(f).ball(2)
+            for g in elems:
+                assert f.commutes(g, part.h)
 
 
 # -- coset sections and p_h ----------------------------------------------------
@@ -206,8 +224,10 @@ def test_section_examples(f2, zz, s3, metrics):
     assert zsec.retract((4, -3)) == (4, -3)
 
 
-def test_section_minimality_and_equivariance(f2, s3, z4, metrics):
-    for m, h, radius in ((f2, (1,), 4), (f2, (1, 2), 3), (s3, (0, 2, 1), 3), (z4, 1, 3)):
+def test_section_minimality_and_equivariance(f2, s3, z4, f2xz, s3xz, metrics):
+    for m, h, radius in ((f2, (1,), 4), (f2, (1, 2), 3), (s3, (0, 2, 1), 3), (z4, 1, 3),
+                         (f2xz, ((1,), (1,)), 2), (f2xz, ((), (2,)), 2),
+                         (s3xz, ((0, 2, 1), (1,)), 3), (s3xz, ((0, 1, 2), (2,)), 3)):
         wm = metrics(m)
         sec = coset_section(m, wm, h)
         ball = wm.ball(radius)
@@ -281,9 +301,9 @@ def test_not_conjugate_within_window(f2, metrics):
         find_conjugator(f2, wm, (1,), h, 1)
 
 
-def test_minimal_conjugator_matches_bfs(f2, s3, metrics):
+def test_minimal_conjugator_matches_bfs(f2, s3, f2xz, s3xz, metrics):
     rng = random.Random(4)
-    for m, radius in ((f2, 2), (s3, 3)):
+    for m, radius in ((f2, 2), (s3, 3), (f2xz, 2), (s3xz, 2)):
         wm = metrics(m)
         ball = wm.ball(radius)
         for h in (ball[1], ball[3]):
