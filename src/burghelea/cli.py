@@ -45,6 +45,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="burghelea", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -55,14 +61,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--complex", metavar="PATH", help="simplicial complex JSON file")
         p.add_argument("--class", dest="class_rep", metavar="REP",
                        help="element string selecting a conjugacy class")
-        p.add_argument("--degree", type=int, metavar="N")
-        p.add_argument("--max-degree", type=int, metavar="N")
-        p.add_argument("--radius", type=int, metavar="R")
-        p.add_argument("--k", type=int, metavar="INT")
+        p.add_argument("--degree", type=_nonnegative_int, metavar="N")
+        p.add_argument("--max-degree", type=_nonnegative_int, metavar="N")
+        p.add_argument("--radius", type=_nonnegative_int, metavar="R")
+        p.add_argument("--k", type=_nonnegative_int, metavar="INT")
         p.add_argument("--k-grid", metavar="a..b")
-        p.add_argument("--samples", type=int, metavar="N")
+        p.add_argument("--samples", type=_nonnegative_int, metavar="N")
         p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument("--cap", type=int, metavar="N")
+        p.add_argument("--cap", type=_nonnegative_int, metavar="N")
         p.add_argument("--out", metavar="PATH")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
@@ -86,6 +92,8 @@ def _parse_k_grid(spec: Optional[str], default: tuple[int, int]) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
             raise WorkbenchError(f"bad --k-grid {spec!r}; expected a..b") from None
+    if lo < 0:
+        raise WorkbenchError("--k-grid bounds must be nonnegative")
     if hi < lo:
         raise WorkbenchError("--k-grid upper bound below lower bound")
     return list(range(lo, hi + 1))

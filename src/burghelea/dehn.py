@@ -81,9 +81,12 @@ class SimplicialComplex:
                 for f, _ in simplex_faces(s):
                     if f not in self._index.get(dim - 1, {}):
                         raise DescriptorError(f"face {f!r} of {s!r} is missing")
+        self._columns = {
+            dim: list(boundary_columns(ss, self._index.get(dim - 1, {}), simplex_faces))
+            for dim, ss in self.simplices.items() if dim >= 1}
         for dim in self.simplices:
             if dim >= 2:
-                _assert_dd_zero(self.boundary_columns(dim), self.boundary_columns(dim - 1))
+                _assert_dd_zero(self._columns[dim], self._columns[dim - 1])
 
     @classmethod
     def from_obj(cls, obj: dict) -> "SimplicialComplex":
@@ -109,11 +112,11 @@ class SimplicialComplex:
 
     def boundary_columns(self, dim: int) -> list[dict[int, int]]:
         """Column j = boundary of the j-th dim-simplex, as a sparse vector
-        over (dim-1)-simplex indices."""
+        over (dim-1)-simplex indices.  The columns are built once, by the
+        constructor, and shared: callers must not mutate them."""
         if dim < 1:
             return [dict() for _ in self.simplices.get(0, ())]
-        return list(boundary_columns(self.simplices.get(dim, ()),
-                                     self._index.get(dim - 1, {}), simplex_faces))
+        return list(self._columns.get(dim, ()))
 
 
 def _assert_dd_zero(cols_high, cols_low):

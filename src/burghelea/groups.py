@@ -17,14 +17,31 @@ product         tuple with one component encoding per factor
 
 Canonical encodings are unique, so two elements are equal iff their
 encodings are equal.
+
+Behaviour that depends on the kind lives on the model class as well.  On
+valid elements each kind implements (the realizations of the centralizer
+Z_h are in ``metric``; every kind uses ``whole_group`` where h is central):
+
+==============  ====================  ===================================
+kind            length                class_rep / centralizer
+==============  ====================  ===================================
+finite_*        constructor's BFS     shortlex-least member / finite_list
+free            reduced word length   least rotation of the core / cyclic
+free_abelian    l1 norm               the element itself / whole_group
+product         sum over factors      componentwise / product
+==============  ====================  ===================================
+
+``search_conjugator`` raises NotConjugateError where the kind proves it, and
+otherwise runs the breadth-first search of ``metric``; products split it.
 """
 from __future__ import annotations
 
 import itertools
 import json
-from typing import Any, Hashable, Iterable, Sequence
+import math
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
-from .errors import DescriptorError, GroupMismatchError
+from .errors import DescriptorError, GroupMismatchError, NotConjugateError, ResourceCapError
 
 Element = Hashable
 
@@ -50,6 +67,30 @@ def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
 def letter_rank(letter: int) -> int:
     # alphabet order a < a^-1 < b < b^-1 < ...
     return 2 * (abs(letter) - 1) + (1 if letter < 0 else 0)
+
+
+def bfs_distances(start: Element, generators: Sequence[Element],
+                  step: Callable[[Element, Element], Element],
+                  limit: Optional[int] = None) -> dict[Element, int]:
+    """Breadth-first distance from ``start`` of every point reached by the
+    moves x -> step(x, g), g in ``generators``: word lengths when ``step`` is
+    right multiplication.  Stops once more than ``limit`` points are found."""
+    dist = {start: 0}
+    frontier = [start]
+    r = 0
+    while frontier:
+        r += 1
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = step(x, g)
+                if y not in dist:
+                    dist[y] = r
+                    nxt.append(y)
+                    if limit is not None and len(dist) > limit:
+                        return dist
+        frontier = nxt
+    return dist
 
 
 class GroupModel:
@@ -82,6 +123,30 @@ class GroupModel:
         for _ in range(n):
             acc = self.mul(acc, a)
         return acc
+
+    # -- word metric and conjugacy (arguments are valid elements) ----------
+
+    def length(self, a: Element) -> int:
+        raise NotImplementedError
+
+    def shortlex_key(self, a: Element):
+        return (self.length(a), self.element_key(a))
+
+    def ball_elements(self, radius: int, cap: int) -> Iterator[Element]:
+        """Each element of length <= radius once, unordered; ResourceCapError
+        past ``cap`` elements."""
+        raise NotImplementedError
+
+    def class_rep(self, a: Element) -> Element:
+        raise NotImplementedError
+
+    def centralizer(self, h: Element):
+        raise NotImplementedError
+
+    def search_conjugator(self, g: Element, h: Element, bfs: Callable) -> Element:
+        """An r with h = r^-1 g r, for g != h: NotConjugateError where the
+        kind proves there is none, else ``bfs(model, g, h)``."""
+        raise NotImplementedError
 
     # -- membership & ordering ---------------------------------------------
 
@@ -118,7 +183,47 @@ class GroupModel:
         return f"<{type(self).__name__} {self.name}>"
 
 
-class FiniteTableGroup(GroupModel):
+class FiniteGroup(GroupModel):
+    """The finite kinds.  The constructor's closure check computes every word
+    length (``_lengths``), and that table is the word metric."""
+
+    _lengths: dict[Element, int]
+    _elements: tuple[Element, ...]
+
+    def element_key(self, a):
+        return a
+
+    def length(self, a):
+        return self._lengths[a]
+
+    def ball_elements(self, radius, cap):
+        return (g for g, l in self._lengths.items() if l <= radius)
+
+    def class_rep(self, a):
+        return min(class_members(self, a), key=self.shortlex_key)
+
+    def centralizer(self, h):
+        from .metric import FiniteCentralizer, WholeGroupCentralizer
+        elements = tuple(sorted((g for g in self._elements if self.commutes(g, h)),
+                                key=self.shortlex_key))
+        if len(elements) == len(self._elements):
+            return WholeGroupCentralizer(self, h)
+        return FiniteCentralizer(self, h, elements)
+
+    def search_conjugator(self, g, h, bfs):
+        if h not in class_members(self, g):
+            raise NotConjugateError("exhaustive class enumeration excludes h")
+        return bfs(self, g, h)
+
+    @property
+    def is_finite(self):
+        return True
+
+    def elements(self):
+        return self._elements
+
+
+class FiniteTableGroup(FiniteGroup):
     """Finite group given by a full multiplication table over labels."""
 
     kind = "finite_table"
@@ -180,21 +285,11 @@ class FiniteTableGroup(GroupModel):
         gen_set = set(gens)
         if any(self._inv[g] not in gen_set for g in gens):
             raise DescriptorError("non-symmetric generating set")
-        # closure check: generators must generate the whole table
-        reached = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = t[x][g]
-                    if y not in reached:
-                        reached.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(reached) != n:
+        self._lengths = bfs_distances(ident, gens, lambda x, g: t[x][g])
+        if len(self._lengths) != n:
             raise DescriptorError("generating set does not generate the group")
         self.generators = tuple(gens)
+        self._elements = tuple(range(n))
 
     def mul(self, a, b):
         self.check_element(a)
@@ -209,9 +304,6 @@ class FiniteTableGroup(GroupModel):
         if not isinstance(a, int) or not 0 <= a < len(self.labels):
             raise GroupMismatchError(f"{a!r} is not an index into {self.name}")
 
-    def element_key(self, a):
-        return a
-
     def element_str(self, a):
         return self.labels[a]
 
@@ -221,15 +313,8 @@ class FiniteTableGroup(GroupModel):
         except ValueError:
             raise GroupMismatchError(f"unknown element label {s!r}") from None
 
-    @property
-    def is_finite(self):
-        return True
 
-    def elements(self):
-        return tuple(range(len(self.labels)))
-
-
-class FinitePermGroup(GroupModel):
+class FinitePermGroup(FiniteGroup):
     """Finite permutation group generated by image-list permutations.
 
     Composition convention: (a*b)(i) = a[b[i]], i.e. b acts first.
@@ -258,22 +343,12 @@ class FinitePermGroup(GroupModel):
             raise DescriptorError("non-symmetric generating set")
         self.generators = tuple(gens)
         self.name = name or f"perm[{degree}]"
-
-        elems = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = tuple(x[g[i]] for i in range(degree))
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-                        if len(elems) > max_order:
-                            raise DescriptorError(
-                                f"permutation group exceeds order cap {max_order}")
-            frontier = nxt
-        self._elements = tuple(sorted(elems))
+        self._lengths = bfs_distances(self.identity, gens,
+                                     lambda x, g: tuple(x[g[i]] for i in range(degree)),
+                                     limit=max_order)
+        if len(self._lengths) > max_order:
+            raise DescriptorError(f"permutation group exceeds order cap {max_order}")
+        self._elements = tuple(sorted(self._lengths))
 
     @staticmethod
     def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -296,9 +371,6 @@ class FinitePermGroup(GroupModel):
                 and sorted(a) == list(range(self.degree))):
             raise GroupMismatchError(f"{a!r} is not a degree-{self.degree} permutation")
 
-    def element_key(self, a):
-        return a
-
     def element_str(self, a):
         return "[" + ",".join(map(str, a)) + "]"
 
@@ -306,16 +378,9 @@ class FinitePermGroup(GroupModel):
         s = s.strip()
         if not (s.startswith("[") and s.endswith("]")):
             raise GroupMismatchError(f"malformed permutation string {s!r}")
-        images = tuple(int(p) for p in s[1:-1].split(",")) if s != "[]" else ()
+        images = _parse_ints(s[1:-1]) if s != "[]" else ()
         self.check_element(images)
         return images
-
-    @property
-    def is_finite(self):
-        return True
-
-    def elements(self):
-        return self._elements
 
 
 class FreeGroup(GroupModel):
@@ -378,6 +443,52 @@ class FreeGroup(GroupModel):
         word = reduce_word(letters)
         return word
 
+    def length(self, a):
+        return len(a)
+
+    def ball_elements(self, radius, cap):
+        k = 2 * self.rank - 1
+        expected = 1 + 2 * radius if k == 1 else 1 + (k + 1) * (k ** radius - 1) // (k - 1)
+        if expected > cap:
+            raise ResourceCapError(f"ball of size {expected} exceeds cap {cap}")
+        stack = [()]
+        yield ()
+        for _ in range(radius):
+            nxt = []
+            for w in stack:
+                for g in self.generators:
+                    if w and w[-1] == -g[0]:
+                        continue
+                    nw = w + g
+                    nxt.append(nw)
+                    yield nw
+            stack = nxt
+
+    @staticmethod
+    def cyclic_reduce(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Split w = u c u^-1 with c cyclically reduced; returns (u, c)."""
+        i, j = 0, len(word)
+        while j - i >= 2 and word[i] == -word[j - 1]:
+            i += 1
+            j -= 1
+        return word[:i], word[i:j]
+
+    def class_rep(self, a):
+        # the cyclically reduced conjugates are the rotations of the core
+        _, c = self.cyclic_reduce(a)
+        return min((c[k:] + c[:k] for k in range(len(c))), key=self.element_key, default=c)
+
+    def centralizer(self, h):
+        from .metric import CyclicCentralizer, WholeGroupCentralizer
+        if self.rank == 1 or h == self.identity:
+            return WholeGroupCentralizer(self, h)
+        return CyclicCentralizer(self, h)
+
+    def search_conjugator(self, g, h, bfs):
+        if self.class_rep(g) != self.class_rep(h):
+            raise NotConjugateError("distinct cyclic-reduction canonical forms")
+        return bfs(self, g, h)
+
 
 class FreeAbelianGroup(GroupModel):
     """Z^rank with generating set {±e_i}; elements are integer vectors."""
@@ -423,9 +534,26 @@ class FreeAbelianGroup(GroupModel):
         s = s.strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise GroupMismatchError(f"malformed vector string {s!r}")
-        v = tuple(int(p) for p in s[1:-1].split(","))
+        v = _parse_ints(s[1:-1])
         self.check_element(v)
         return v
+
+    def length(self, a):
+        return sum(abs(x) for x in a)
+
+    def ball_elements(self, radius, cap):
+        coordinate = {0: [0], **{l: [l, -l] for l in range(1, radius + 1)}}
+        return _capped(_combinations([coordinate] * self.rank, radius), cap)
+
+    def class_rep(self, a):
+        return a
+
+    def centralizer(self, h):
+        from .metric import WholeGroupCentralizer
+        return WholeGroupCentralizer(self, h)
+
+    def search_conjugator(self, g, h, bfs):
+        raise NotConjugateError(f"distinct elements of {self.name} are non-conjugate")
 
 
 class ProductGroup(GroupModel):
@@ -433,10 +561,13 @@ class ProductGroup(GroupModel):
 
     kind = "product"
 
-    def __init__(self, factors: Sequence[GroupModel], name: str = ""):
+    def __init__(self, factors: Sequence[GroupModel], name: str = "",
+                 max_order: int = DEFAULT_MAX_ORDER):
         if not factors:
             raise DescriptorError("product needs at least one factor")
         self.factors = tuple(factors)
+        if self.is_finite and math.prod(f.order for f in self.factors) > max_order:
+            raise DescriptorError(f"product group exceeds order cap {max_order}")
         self.identity = tuple(f.identity for f in self.factors)
         gens = []
         for i, f in enumerate(self.factors):
@@ -486,6 +617,67 @@ class ProductGroup(GroupModel):
             return super().elements()
         return tuple(itertools.product(*(f.elements() for f in self.factors)))
 
+    def length(self, a):
+        return sum(f.length(x) for f, x in zip(self.factors, a))
+
+    def ball_elements(self, radius, cap):
+        factor_balls = []
+        for f in self.factors:
+            by_len: dict[int, list[Element]] = {}
+            for g in f.ball_elements(radius, cap):
+                by_len.setdefault(f.length(g), []).append(g)
+            factor_balls.append(by_len)
+        return _capped(_combinations(factor_balls, radius), cap)
+
+    def class_rep(self, a):
+        return tuple(f.class_rep(x) for f, x in zip(self.factors, a))
+
+    def centralizer(self, h):
+        from .metric import ProductCentralizer, WholeGroupCentralizer
+        if h == self.identity:
+            return WholeGroupCentralizer(self, h)
+        return ProductCentralizer(self, h)
+
+    def search_conjugator(self, g, h, bfs):
+        # componentwise, each component in its own factor's balls
+        return tuple(f.identity if x == y else f.search_conjugator(x, y, bfs)
+                     for f, x, y in zip(self.factors, g, h))
+
+
+def class_members(model: GroupModel, g: Element) -> list[Element]:
+    """Full conjugacy class of g in a finite model (orbit closure)."""
+    if not model.is_finite:
+        raise GroupMismatchError("class enumeration needs a finite model")
+    orbit = bfs_distances(g, model.generators, lambda x, s: model.conj(s, x))
+    return sorted(orbit, key=model.element_key)
+
+
+def _combinations(options: Sequence[dict[int, list]], budget: int) -> Iterator[tuple]:
+    """Tuples with one entry from each ``options`` (a length -> entries map)
+    whose lengths sum to at most ``budget``."""
+    if not options:
+        yield ()
+        return
+    for l, entries in options[0].items():
+        if l <= budget:
+            for x in entries:
+                for rest in _combinations(options[1:], budget - l):
+                    yield (x,) + rest
+
+
+def _capped(elements: Iterable[Element], cap: int) -> Iterator[Element]:
+    for count, g in enumerate(elements, 1):
+        if count > cap:
+            raise ResourceCapError(f"ball exceeds cap {cap}")
+        yield g
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise GroupMismatchError(f"malformed integer list {text!r}") from None
+
 
 def _split_top_level(s: str, sep: str) -> list[str]:
     parts, depth, cur = [], 0, []
@@ -501,6 +693,15 @@ def _split_top_level(s: str, sep: str) -> list[str]:
             cur.append(ch)
     parts.append("".join(cur))
     return [p.strip() for p in parts]
+
+
+def _checked(value: Any, field: str, kind: type, item: Optional[type] = None) -> Any:
+    """``value`` if its type is exactly ``kind`` (a JSON true is not the int 1),
+    and, for a list, each entry's is ``item``."""
+    if type(value) is not kind or (item and any(type(v) is not item for v in value)):
+        what = f"a list of {item.__name__}" if item else f"of JSON type {kind.__name__}"
+        raise DescriptorError(f"{field} must be {what}")
+    return value
 
 
 def parse_group(descriptor: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupModel:
@@ -521,22 +722,28 @@ def parse_group(descriptor: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupMod
     if not isinstance(descriptor, dict):
         raise DescriptorError("descriptor must be a JSON object")
     kind = descriptor.get("type")
-    name = descriptor.get("name", "")
+    name = _checked(descriptor.get("name", ""), "name", str)
     try:
         if kind == "finite_table":
-            return FiniteTableGroup(descriptor["elements"], descriptor["table"],
-                                    descriptor["generators"], name=name,
-                                    max_order=max_order)
+            table = [_checked(row, "table row", list, int)
+                     for row in _checked(descriptor["table"], "table", list)]
+            return FiniteTableGroup(_checked(descriptor["elements"], "elements", list, str),
+                                    table,
+                                    _checked(descriptor["generators"], "generators", list, str),
+                                    name=name, max_order=max_order)
         if kind == "finite_perm":
-            return FinitePermGroup(descriptor["degree"], descriptor["generators"],
+            perms = [_checked(p, "permutation", list, int)
+                     for p in _checked(descriptor["generators"], "generators", list)]
+            return FinitePermGroup(_checked(descriptor["degree"], "degree", int), perms,
                                    name=name, max_order=max_order)
         if kind == "free":
-            return FreeGroup(descriptor["rank"], name=name)
+            return FreeGroup(_checked(descriptor["rank"], "rank", int), name=name)
         if kind == "free_abelian":
-            return FreeAbelianGroup(descriptor["rank"], name=name)
+            return FreeAbelianGroup(_checked(descriptor["rank"], "rank", int), name=name)
         if kind == "product":
-            factors = [parse_group(d, max_order=max_order) for d in descriptor["factors"]]
-            return ProductGroup(factors, name=name)
+            factors = [parse_group(d, max_order=max_order)
+                       for d in _checked(descriptor["factors"], "factors", list)]
+            return ProductGroup(factors, name=name, max_order=max_order)
     except KeyError as exc:
         raise DescriptorError(f"descriptor missing field {exc}") from exc
     raise DescriptorError(f"unknown group type {kind!r}")

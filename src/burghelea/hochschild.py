@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from .chains import Chain, linear_extend
 from .errors import GroupMismatchError, ResourceCapError
-from .groups import Element, GroupModel
+from .groups import Element, GroupModel, class_members
 from .linalg import boundary_ranks
 from .metric import (
     ConjugacyClass,
@@ -154,7 +154,6 @@ def iota_h(model: GroupModel, h: Element, c: Chain) -> Chain:
 def class_component_basis(model: GroupModel, wm: WordMetric, degree: int,
                           x: ConjugacyClass) -> list[tuple]:
     """Basis tuples of C_degree(QG)_x: entry product lies in x."""
-    from .metric import class_members
     members = class_members(model, x.rep)
     elems = model.elements()
     basis = []
@@ -198,7 +197,6 @@ def homology_ranks(model: GroupModel, wm: WordMetric, max_degree: int,
         raise GroupMismatchError("homology ranks need a finite model")
     if not split and x is None:
         return _homology_ranks_full(model, wm, max_degree)
-    from .metric import class_members
     per_degree = _empty_reports(max_degree)
     for cls in [x] if x is not None else conjugacy_classes(model, wm):
         _check_space_cap(model, max_degree, len(class_members(model, cls.rep)))

@@ -33,13 +33,6 @@ def _normalize(vec: SparseVec) -> SparseVec:
     return {i: v // g for i, v in vec.items()}
 
 
-def clear_denominators(vec: dict[int, Fraction]) -> SparseVec:
-    lcm = 1
-    for q in vec.values():
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    return {i: int(q * lcm) for i, q in vec.items() if q}
-
-
 class RationalEchelon:
     """Incremental echelon form; insert vectors, read off the rank."""
 

@@ -1,5 +1,8 @@
-"""Word metrics, Cayley balls, conjugacy classes, centralizers and coset
-sections.
+"""Word metrics, Cayley balls, conjugacy classes, centralizers, coset
+sections and conjugator searches: the algorithms that work for every kind of
+group.  What depends on the kind is a method of the model (``groups``) or of
+the centralizer realization here, which owns its coset representatives and
+its conjugators to h.
 
 The coset section s(y) picks, for every right coset y of a centralizer, a
 length-minimal representative (shortlex tie-break), and the retraction
@@ -11,24 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from .errors import (
     GroupMismatchError,
     NotConjugateError,
     NotConjugateWithinError,
-    ResourceCapError,
     WindowExhaustedError,
 )
-from .groups import (
-    Element,
-    FiniteTableGroup,
-    FinitePermGroup,
-    FreeAbelianGroup,
-    FreeGroup,
-    GroupModel,
-    ProductGroup,
-)
+from .groups import Element, GroupModel, bfs_distances
 
 DEFAULT_BALL_CAP = 1_000_000
 
@@ -36,57 +31,18 @@ DEFAULT_BALL_CAP = 1_000_000
 class WordMetric:
     """Word-length norm |g| for the model's fixed symmetric generating set.
 
-    Finite kinds are measured by breadth-first search over the Cayley graph;
-    free words by reduced length, integer vectors by their l1 norm, and
-    products by the sum of component lengths (the standard product
-    generating set extends componentwise by identities).
+    The model computes lengths and enumerates balls; this class validates
+    its arguments and caches the balls, sorted by shortlex.
     """
 
     def __init__(self, model: GroupModel, ball_cap: int = DEFAULT_BALL_CAP):
         self.model = model
         self.ball_cap = ball_cap
-        self._lengths: Optional[dict[Element, int]] = None
         self._ball_cache: dict[int, list[Element]] = {}
-        if isinstance(model, ProductGroup):
-            self._factor_metrics = tuple(WordMetric(f, ball_cap) for f in model.factors)
-
-    # -- lengths -------------------------------------------------------------
-
-    def _bfs_lengths(self) -> dict[Element, int]:
-        if self._lengths is None:
-            m = self.model
-            lengths = {m.identity: 0}
-            frontier = [m.identity]
-            r = 0
-            while frontier:
-                r += 1
-                nxt = []
-                for x in frontier:
-                    for g in m.generators:
-                        y = m.mul(x, g)
-                        if y not in lengths:
-                            lengths[y] = r
-                            nxt.append(y)
-                frontier = nxt
-            self._lengths = lengths
-        return self._lengths
 
     def length(self, g: Element) -> int:
-        m = self.model
-        if isinstance(m, (FiniteTableGroup, FinitePermGroup)):
-            lengths = self._bfs_lengths()
-            m.check_element(g)
-            return lengths[g]
-        if isinstance(m, FreeGroup):
-            m.check_element(g)
-            return len(g)
-        if isinstance(m, FreeAbelianGroup):
-            m.check_element(g)
-            return sum(abs(x) for x in g)
-        if isinstance(m, ProductGroup):
-            m.check_element(g)
-            return sum(fm.length(x) for fm, x in zip(self._factor_metrics, g))
-        raise GroupMismatchError(f"unsupported model {m!r}")
+        self.model.check_element(g)
+        return self.model.length(g)
 
     def sort_key(self, g: Element):
         """Shortlex key: (word length, canonical encoding key)."""
@@ -100,84 +56,10 @@ class WordMetric:
             raise ValueError("radius must be nonnegative")
         cached = self._ball_cache.get(radius)
         if cached is None:
-            elems = list(self._iter_ball(radius))
+            elems = list(self.model.ball_elements(radius, self.ball_cap))
             elems.sort(key=self.sort_key)
             cached = self._ball_cache[radius] = elems
         return list(cached)
-
-    def sphere(self, radius: int) -> list[Element]:
-        """All g with |g| == radius, sorted by shortlex."""
-        if radius == 0:
-            return [self.model.identity]
-        return [g for g in self.ball(radius) if self.length(g) == radius]
-
-    def _iter_ball(self, radius: int) -> Iterable[Element]:
-        m = self.model
-        count = 0
-        if isinstance(m, (FiniteTableGroup, FinitePermGroup)):
-            for g, l in self._bfs_lengths().items():
-                if l <= radius:
-                    yield g
-            return
-        if isinstance(m, FreeGroup):
-            expected = 1 if radius == 0 else 1 + 2 * m.rank * ((2 * m.rank - 1) ** radius - 1) // max(2 * m.rank - 2, 1)
-            if m.rank == 1:
-                expected = 2 * radius + 1
-            if expected > self.ball_cap:
-                raise ResourceCapError(f"ball of size {expected} exceeds cap {self.ball_cap}")
-            stack = [()]
-            yield ()
-            for _ in range(radius):
-                nxt = []
-                for w in stack:
-                    for g in m.generators:
-                        if w and w[-1] == -g[0]:
-                            continue
-                        nw = w + g
-                        nxt.append(nw)
-                        yield nw
-                stack = nxt
-            return
-        if isinstance(m, FreeAbelianGroup):
-            def vectors(i: int, budget: int):
-                nonlocal count
-                if i == m.rank - 1:
-                    for v in range(-budget, budget + 1):
-                        count += 1
-                        if count > self.ball_cap:
-                            raise ResourceCapError(f"ball exceeds cap {self.ball_cap}")
-                        yield (v,)
-                    return
-                for v in range(-budget, budget + 1):
-                    for rest in vectors(i + 1, budget - abs(v)):
-                        yield (v,) + rest
-            yield from vectors(0, radius)
-            return
-        if isinstance(m, ProductGroup):
-            factor_balls = []
-            for fm in self._factor_metrics:
-                by_len: dict[int, list[Element]] = {}
-                for g in fm.ball(radius):
-                    by_len.setdefault(fm.length(g), []).append(g)
-                factor_balls.append(by_len)
-
-            def combos(i: int, budget: int):
-                nonlocal count
-                if i == len(factor_balls):
-                    count += 1
-                    if count > self.ball_cap:
-                        raise ResourceCapError(f"ball exceeds cap {self.ball_cap}")
-                    yield ()
-                    return
-                for l, gs in factor_balls[i].items():
-                    if l > budget:
-                        continue
-                    for g in gs:
-                        for rest in combos(i + 1, budget - l):
-                            yield (g,) + rest
-            yield from combos(0, radius)
-            return
-        raise GroupMismatchError(f"unsupported model {m!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,70 +73,17 @@ class ConjugacyClass:
     rep: Element
 
 
-def _free_cyclic_reduce(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split w = u c u^-1 with c cyclically reduced; returns (u, c)."""
-    i, j = 0, len(word)
-    while j - i >= 2 and word[i] == -word[j - 1]:
-        i += 1
-        j -= 1
-    return word[:i], word[i:j]
-
-
-def _free_least_rotation(model: FreeGroup, c: tuple[int, ...]) -> tuple[int, ...]:
-    if not c:
-        return c
-    rotations = [c[k:] + c[:k] for k in range(len(c))]
-    return min(rotations, key=model.element_key)
-
-
 def conjugacy_class(model: GroupModel, wm: WordMetric, g: Element) -> ConjugacyClass:
-    """Canonical conjugacy-class id of g; the canonicalization rules are
-    exact for every supported kind."""
+    """Canonical conjugacy-class id of g; the canonicalization rules
+    (``GroupModel.class_rep``) are exact for every supported kind."""
     model.check_element(g)
-    if isinstance(model, FreeAbelianGroup):
-        return ConjugacyClass(g)
-    if isinstance(model, FreeGroup):
-        _, c = _free_cyclic_reduce(g)
-        return ConjugacyClass(_free_least_rotation(model, c))
-    if isinstance(model, ProductGroup):
-        reps = tuple(conjugacy_class(f, fm, x).rep
-                     for f, fm, x in zip(model.factors, wm._factor_metrics, g))
-        return ConjugacyClass(reps)
-    # finite kinds: enumerate the orbit under conjugation by generators
-    members = class_members(model, g)
-    return ConjugacyClass(min(members, key=wm.sort_key))
-
-
-def class_members(model: GroupModel, g: Element) -> list[Element]:
-    """Full conjugacy class of g in a finite model (orbit closure)."""
-    if not model.is_finite:
-        raise GroupMismatchError("class enumeration needs a finite model")
-    seen = {g}
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in model.generators:
-                y = model.conj(s, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen, key=model.element_key)
+    return ConjugacyClass(model.class_rep(g))
 
 
 def conjugacy_classes(model: GroupModel, wm: WordMetric) -> list[ConjugacyClass]:
     """All conjugacy classes of a finite model, sorted by their reps."""
-    seen: set[Element] = set()
-    out = []
-    for g in model.elements():
-        if g in seen:
-            continue
-        members = class_members(model, g)
-        seen.update(members)
-        out.append(ConjugacyClass(min(members, key=wm.sort_key)))
-    out.sort(key=lambda c: wm.sort_key(c.rep))
-    return out
+    reps = {model.class_rep(g) for g in model.elements()}
+    return [ConjugacyClass(rep) for rep in sorted(reps, key=wm.sort_key)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +91,13 @@ def conjugacy_classes(model: GroupModel, wm: WordMetric) -> list[ConjugacyClass]
 # ---------------------------------------------------------------------------
 
 class CentralizerModel:
-    """Z_h inside an ambient model; realization depends on the kind."""
+    """Z_h inside an ambient model; ``GroupModel.centralizer`` picks the
+    realization for its kind."""
 
     realization: str
 
-    def __init__(self, model: GroupModel, wm: WordMetric, h: Element):
+    def __init__(self, model: GroupModel, h: Element):
         self.model = model
-        self.wm = wm
         self.h = h
 
     def contains(self, g: Element) -> bool:
@@ -279,52 +108,62 @@ class CentralizerModel:
         realized; the retraction need not be 2-Lipschitz for this norm."""
         raise NotImplementedError
 
+    def coset_rep(self, g: Element) -> Element:
+        """The shortlex-least length-minimal element of the coset Z_h g."""
+        raise NotImplementedError
+
+    def conjugator(self, product: Element) -> Element:
+        """Some r with product = r^-1 h r, for product != h; raises
+        NotConjugateError when product is not conjugate to h."""
+        raise NotImplementedError
+
 
 class WholeGroupCentralizer(CentralizerModel):
     realization = "whole_group"
 
     def intrinsic_length(self, g):
-        return self.wm.length(g)
+        return self.model.length(g)
+
+    def coset_rep(self, g):
+        return self.model.identity
+
+    def conjugator(self, product):
+        # h is central, so its class is {h}
+        raise NotConjugateError(f"{self.model.name}: product differs from h")
 
 
 class FiniteCentralizer(CentralizerModel):
     realization = "finite_list"
 
-    def __init__(self, model, wm, h):
-        super().__init__(model, wm, h)
-        self.elements = tuple(sorted((g for g in model.elements() if model.commutes(g, h)),
-                                     key=wm.sort_key))
-        self._intrinsic: Optional[dict[Element, int]] = None
+    def __init__(self, model, h, elements: tuple[Element, ...]):
+        super().__init__(model, h)
+        self.elements = elements
 
+    @cached_property
     def _intrinsic_lengths(self) -> dict[Element, int]:
-        # prefer ambient generators lying in Z_h; fall back to all of Z_h \ {e}
-        if self._intrinsic is None:
-            m = self.model
-            inside = [g for g in m.generators if g in set(self.elements)]
-            for gens in (inside, [g for g in self.elements if g != m.identity]):
-                if not gens:
-                    continue
-                lengths = {m.identity: 0}
-                frontier = [m.identity]
-                r = 0
-                while frontier:
-                    r += 1
-                    nxt = []
-                    for x in frontier:
-                        for s in gens:
-                            y = m.mul(x, s)
-                            if y not in lengths:
-                                lengths[y] = r
-                                nxt.append(y)
-                    frontier = nxt
-                if len(lengths) == len(self.elements):
-                    self._intrinsic = lengths
-                    break
-        assert self._intrinsic is not None
-        return self._intrinsic
+        # the ambient generators lying in Z_h when they generate it, else all
+        # of Z_h \ {e}, which always does
+        m = self.model
+        members = set(self.elements)
+        lengths = bfs_distances(m.identity, [g for g in m.generators if g in members], m.mul)
+        if len(lengths) < len(self.elements):
+            lengths = bfs_distances(m.identity, [g for g in self.elements if g != m.identity],
+                                    m.mul)
+        return lengths
 
     def intrinsic_length(self, g):
-        return self._intrinsic_lengths()[g]
+        return self._intrinsic_lengths[g]
+
+    def coset_rep(self, g):
+        m = self.model
+        return min((m.mul(a, g) for a in self.elements), key=m.shortlex_key)
+
+    def conjugator(self, product):
+        m = self.model
+        for r in m.elements():
+            if m.conj(r, self.h) == product:
+                return r
+        raise NotConjugateError("exhaustive scan excludes the product from [h]")
 
 
 class CyclicCentralizer(CentralizerModel):
@@ -332,16 +171,11 @@ class CyclicCentralizer(CentralizerModel):
 
     realization = "cyclic"
 
-    def __init__(self, model: FreeGroup, wm, h):
-        super().__init__(model, wm, h)
-        u, c = _free_cyclic_reduce(h)
+    def __init__(self, model, h):
+        super().__init__(model, h)
+        u, c = model.cyclic_reduce(h)
         n = len(c)
-        root = None
-        for d in range(1, n + 1):
-            if n % d == 0 and c == c[:d] * (n // d):
-                root = c[:d]
-                break
-        assert root is not None
+        root = next(c[:d] for d in range(1, n + 1) if n % d == 0 and c == c[:d] * (n // d))
         self.root = model.mul(model.mul(u, root), model.inv(u))
         self.cyclic_length = len(root)
 
@@ -350,18 +184,14 @@ class CyclicCentralizer(CentralizerModel):
         m = self.model
         if g == m.identity:
             return 0
-        bound = self.wm.length(g) // self.cyclic_length + 1
-        x = m.identity
-        for k in range(1, bound + 1):
-            x = m.mul(x, self.root)
-            if g == x:
-                return k
-        x = m.identity
-        inv_root = m.inv(self.root)
-        for k in range(1, bound + 1):
-            x = m.mul(x, inv_root)
-            if g == x:
-                return -k
+        bound = m.length(g) // self.cyclic_length + 1
+        for sign in (1, -1):
+            step = self.root if sign == 1 else m.inv(self.root)
+            x = m.identity
+            for k in range(1, bound + 1):
+                x = m.mul(x, step)
+                if g == x:
+                    return sign * k
         return None
 
     def contains(self, g):
@@ -373,34 +203,66 @@ class CyclicCentralizer(CentralizerModel):
             raise GroupMismatchError("element outside the cyclic centralizer")
         return abs(p)
 
+    def coset_rep(self, g):
+        # Search s over {w^m g : |m| <= 2|g|/|w_cyc| + 2}.  Lengths along a
+        # cyclic-subgroup orbit are eventually monotone, so the search is
+        # certified by two consecutive non-decreasing steps at both ends.
+        m, w = self.model, self.root
+        window = 2 * m.length(g) // self.cyclic_length + 2
+        x = m.mul(m.power(w, -window), g)
+        orbit = [x]
+        for _ in range(2 * window):
+            x = m.mul(w, x)
+            orbit.append(x)
+        lengths = [m.length(y) for y in orbit]
+        if not (lengths[0] >= lengths[1] >= lengths[2]
+                and lengths[-1] >= lengths[-2] >= lengths[-3]):
+            raise WindowExhaustedError(
+                f"coset minimum not certified within window {window}")
+        return min(orbit, key=m.shortlex_key)
+
+    def conjugator(self, product):
+        m = self.model
+        if m.class_rep(self.h) != m.class_rep(product):
+            raise NotConjugateError("distinct cyclic-reduction canonical forms")
+        return m.mul(m.inv(self._to_class_rep(self.h)), self._to_class_rep(product))
+
+    def _to_class_rep(self, w: Element) -> Element:
+        """r with w = r^-1 c r where c is the canonical class representative."""
+        m = self.model
+        u, c = m.cyclic_reduce(w)
+        canon = m.class_rep(c)
+        for k in range(max(len(c), 1)):
+            if c[k:] + c[:k] == canon:
+                # c = p^-1 canon p with p the length-k prefix of canon
+                return m.mul(canon[:k], m.inv(u))
+        raise AssertionError("rotation search cannot fail")
+
 
 class ProductCentralizer(CentralizerModel):
+    """Z_h of a product: the product of the factors' centralizers, with one
+    coset section per factor, shared by sections and conjugators."""
+
     realization = "product"
 
-    def __init__(self, model: ProductGroup, wm, h):
-        super().__init__(model, wm, h)
-        self.components = tuple(
-            centralizer(f, fm, x)
-            for f, fm, x in zip(model.factors, wm._factor_metrics, h))
+    def __init__(self, model, h):
+        super().__init__(model, h)
+        self.components = tuple(f.centralizer(x) for f, x in zip(model.factors, h))
+        self.sections = tuple(CosetSection(c) for c in self.components)
 
     def intrinsic_length(self, g):
         return sum(c.intrinsic_length(x) for c, x in zip(self.components, g))
 
+    def coset_rep(self, g):
+        return tuple(s.section(x) for s, x in zip(self.sections, g))
+
+    def conjugator(self, product):
+        return tuple(minimal_conjugator(s, x) for s, x in zip(self.sections, product))
+
 
 def centralizer(model: GroupModel, wm: WordMetric, h: Element) -> CentralizerModel:
     model.check_element(h)
-    if isinstance(model, FreeAbelianGroup) or h == model.identity:
-        return WholeGroupCentralizer(model, wm, h)
-    if isinstance(model, FreeGroup):
-        if model.rank == 1:
-            return WholeGroupCentralizer(model, wm, h)
-        return CyclicCentralizer(model, wm, h)
-    if isinstance(model, ProductGroup):
-        return ProductCentralizer(model, wm, h)
-    cz = FiniteCentralizer(model, wm, h)
-    if len(cz.elements) == model.order:
-        return WholeGroupCentralizer(model, wm, h)
-    return cz
+    return model.centralizer(h)
 
 
 # ---------------------------------------------------------------------------
@@ -417,49 +279,15 @@ class CosetSection:
     def __init__(self, cz: CentralizerModel):
         self.cz = cz
         self.model = cz.model
-        self.wm = cz.wm
         self.h = cz.h
         self._cache: dict[Element, Element] = {}
-        if isinstance(cz, ProductCentralizer):
-            self._component_sections = tuple(CosetSection(c) for c in cz.components)
 
     def section(self, g: Element) -> Element:
         cached = self._cache.get(g)
         if cached is None:
-            cached = self._cache[g] = self._section(g)
+            self.model.check_element(g)
+            cached = self._cache[g] = self.cz.coset_rep(g)
         return cached
-
-    def _section(self, g: Element) -> Element:
-        m, wm, cz = self.model, self.wm, self.cz
-        m.check_element(g)
-        if isinstance(cz, WholeGroupCentralizer):
-            return m.identity
-        if isinstance(cz, FiniteCentralizer):
-            return min((m.mul(a, g) for a in cz.elements), key=wm.sort_key)
-        if isinstance(cz, ProductCentralizer):
-            return tuple(s.section(x) for s, x in zip(self._component_sections, g))
-        assert isinstance(cz, CyclicCentralizer)
-        return self._cyclic_section(g)
-
-    def _cyclic_section(self, g: Element) -> Element:
-        # Search s over {w^m g : |m| <= 2|g|/|w_cyc| + 2}.  Lengths along a
-        # cyclic-subgroup orbit are eventually monotone, so the search is
-        # certified by two consecutive non-decreasing steps at both ends.
-        m, wm = self.model, self.wm
-        cz: CyclicCentralizer = self.cz  # type: ignore[assignment]
-        w = cz.root
-        window = 2 * wm.length(g) // cz.cyclic_length + 2
-        x = m.mul(m.power(w, -window), g)
-        orbit = [x]
-        for _ in range(2 * window):
-            x = m.mul(w, x)
-            orbit.append(x)
-        lengths = [wm.length(y) for y in orbit]
-        if not (lengths[0] >= lengths[1] >= lengths[2]
-                and lengths[-1] >= lengths[-2] >= lengths[-3]):
-            raise WindowExhaustedError(
-                f"coset minimum not certified within window {window}")
-        return min(orbit, key=wm.sort_key)
 
     def retract(self, g: Element) -> Element:
         """p_h(g) = g * s(Z_h g)^-1, a point of Z_h."""
@@ -488,31 +316,23 @@ def find_conjugator(model: GroupModel, wm: WordMetric, g: Element, h: Element,
     model.check_element(h)
     if g == h:
         return model.identity
-    if isinstance(model, FreeAbelianGroup):
-        raise NotConjugateError(f"distinct elements of {model.name} are non-conjugate")
-    if isinstance(model, ProductGroup):
-        parts = []
-        for f, fm, gx, hx in zip(model.factors, wm._factor_metrics, g, h):
-            parts.append(find_conjugator(f, fm, gx, hx, max_radius))
-        return tuple(parts)
-    if isinstance(model, FreeGroup):
-        if conjugacy_class(model, wm, g).rep != conjugacy_class(model, wm, h).rep:
-            raise NotConjugateError("distinct cyclic-reduction canonical forms")
-    if model.is_finite and h not in class_members(model, g):
-        raise NotConjugateError("exhaustive class enumeration excludes h")
-    prev_size = -1
-    for radius in range(max_radius + 1):
-        ball = wm.ball(radius)
-        if model.is_finite and len(ball) == prev_size:
-            # ball stopped growing: the whole group has been searched
-            raise NotConjugateError("search exhausted the finite group")
-        prev_size = len(ball)
-        for r in ball:
-            if wm.length(r) < radius:
-                continue
-            if model.conj(r, g) == h:
-                return r
-    raise NotConjugateWithinError(max_radius)
+
+    def bfs(m: GroupModel, x: Element, y: Element) -> Element:
+        # the components of a product are searched in their factor's balls
+        mw = wm if m is model else WordMetric(m, wm.ball_cap)
+        prev_size = -1
+        for radius in range(max_radius + 1):
+            ball = mw.ball(radius)
+            if m.is_finite and len(ball) == prev_size:
+                # ball stopped growing: the whole group has been searched
+                raise NotConjugateError("search exhausted the finite group")
+            prev_size = len(ball)
+            for r in ball:
+                if m.length(r) >= radius and m.conj(r, x) == y:
+                    return r
+        raise NotConjugateWithinError(max_radius)
+
+    return model.search_conjugator(g, h, bfs)
 
 
 def minimal_conjugator(section: CosetSection, product: Element) -> Element:
@@ -521,46 +341,12 @@ def minimal_conjugator(section: CosetSection, product: Element) -> Element:
 
     All conjugators form the coset Z_h r0, so the certified coset-section
     minimum applied to any single conjugator r0 yields the global minimum.
-    The free kind constructs r0 from cyclic-reduction canonical forms; finite
-    kinds scan the group; abelian kinds need r0 = e.
+    The centralizer realization constructs r0: the cyclic one from
+    cyclic-reduction canonical forms, the finite one by scanning the group,
+    the product one componentwise; the class of a central h is {h}.
     """
-    m, wm, h = section.model, section.wm, section.h
-    r0 = _some_conjugator(m, wm, h, product)
+    r0 = section.model.identity if product == section.h else section.cz.conjugator(product)
     return section.section(r0)
-
-
-def _some_conjugator(model: GroupModel, wm: WordMetric, h: Element,
-                     product: Element) -> Element:
-    if product == h:
-        return model.identity
-    if isinstance(model, FreeAbelianGroup):
-        raise NotConjugateError(f"{model.name}: product differs from h")
-    if isinstance(model, FreeGroup):
-        if conjugacy_class(model, wm, h).rep != conjugacy_class(model, wm, product).rep:
-            raise NotConjugateError("distinct cyclic-reduction canonical forms")
-        rh = _free_conjugator_to_canonical(model, h)
-        rp = _free_conjugator_to_canonical(model, product)
-        return model.mul(model.inv(rh), rp)
-    if isinstance(model, ProductGroup):
-        sections = [coset_section(f, fm, hx)
-                    for f, fm, hx in zip(model.factors, wm._factor_metrics, h)]
-        return tuple(minimal_conjugator(s, px) for s, px in zip(sections, product))
-    for r in model.elements():
-        if model.conj(r, h) == product:
-            return r
-    raise NotConjugateError("exhaustive scan excludes the product from [h]")
-
-
-def _free_conjugator_to_canonical(model: FreeGroup, w: tuple[int, ...]) -> Element:
-    """r with w = r^-1 c r where c is the canonical class representative."""
-    u, c = _free_cyclic_reduce(w)
-    canon = _free_least_rotation(model, c)
-    for k in range(max(len(c), 1)):
-        if c[k:] + c[:k] == canon:
-            # c = p^-1 canon p with p the length-k prefix of canon
-            p = canon[:k]
-            return model.mul(p, model.inv(u))
-    raise AssertionError("rotation search cannot fail")
 
 
 def make_conjugator_provider(section: CosetSection) -> Callable[[Element], Element]:

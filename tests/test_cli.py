@@ -126,6 +126,21 @@ def test_bad_k_grid_exits_one():
                    "--k-grid", "oops") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("conj-bound", "--group", "f2.json", "--radius", "-1"),
+    ("fill", "--group", "zz.json", "--k", "-1"),
+    ("verify-identities", "--group", "z4.json", "--samples", "-3"),
+    ("dehn", "--complex", "triangle.json", "--cap", "-5"),
+    ("hh-ranks", "--group", "z2.json", "--max-degree", "-1"),
+    ("norm-profile", "--group", "z4.json", "--k-grid=-1..1"),
+    ("fill", "--group", "zz.json", "--k-grid=-1..0"),
+])
+def test_negative_numeric_flags_exit_one(argv, capsys):
+    argv = [str(fixture_path(a)) if a.endswith(".json") else a for a in argv]
+    assert run_cli(*argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     pairs = []
     for tag in ("a", "b"):

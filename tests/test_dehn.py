@@ -13,6 +13,7 @@ from burghelea import (
     filling_estimate_check,
     min_l1_filling,
 )
+from burghelea import dehn
 from burghelea.dehn import BarTruncation, enumerate_boundaries, min_l1_filling_vec
 
 from conftest import load_complex_obj, load_model
@@ -129,6 +130,22 @@ def test_dehn_table_monotone(triangle, tetrahedron, fan6):
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[0] == 0
         assert not table["partial"]
+
+
+def test_dehn_builds_each_boundary_matrix_once(monkeypatch):
+    built = []
+    real = dehn.boundary_columns
+
+    def counting(basis, index_prev, faces):
+        built.append(len(basis))
+        return real(basis, index_prev, faces)
+
+    monkeypatch.setattr(dehn, "boundary_columns", counting)
+    X = SimplicialComplex.from_obj(load_complex_obj("octahedron.json"))
+    dehn_function(X, 1, 3)
+    # d_1 and d_2, each once: the dd = 0 check, the LP and the boundary
+    # enumeration share the columns
+    assert built == [X.dimension_size(1), X.dimension_size(2)]
 
 
 def test_dehn_tetrahedron_triangle_fills(tetrahedron):

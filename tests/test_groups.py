@@ -2,12 +2,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from burghelea import DescriptorError, GroupMismatchError, parse_group
+from burghelea import DescriptorError, GroupMismatchError, WorkbenchError, parse_group
 from burghelea.groups import FreeGroup, reduce_word
 
-from conftest import load_model
+from conftest import load_complex_obj, load_model
+
+S4 = {"type": "finite_perm", "degree": 4,
+      "generators": [[1, 0, 2, 3], [1, 2, 3, 0], [3, 0, 1, 2]]}
 
 
 def test_free_reduction_examples():
@@ -103,6 +106,77 @@ def test_parse_group_errors():
           "generators": ["a"]}
     with pytest.raises(DescriptorError):
         parse_group(z4)
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"type": "free", "rank": "2"},
+    {"type": "free", "rank": True},
+    {"type": "free_abelian", "rank": 2.0},
+    {"type": "free_abelian", "rank": True},
+    {"type": "finite_perm", "degree": "3", "generators": [[1, 0, 2], [0, 2, 1]]},
+    {"type": "finite_perm", "degree": 3, "generators": [["1", 0, 2], [0, 2, 1]]},
+    {"type": "finite_perm", "degree": 3, "generators": [[True, 0, 2], [0, 2, 1]]},
+    {"type": "finite_perm", "degree": 3, "generators": 7},
+    {"type": "finite_table", "elements": [["e"], "g"], "table": [[0, 1], [1, 0]],
+     "generators": ["g"]},
+    {"type": "finite_table", "elements": ["e", "g"], "table": [[0, True], [1, 0]],
+     "generators": ["g"]},
+    {"type": "finite_table", "elements": ["e", "g"], "table": [[0, 1], [1, 0]],
+     "generators": [["g"]]},
+    {"type": "free", "rank": 2, "name": 5},
+    {"type": "product", "factors": [S4, S4]},  # order 576 > the cap of 24
+])
+def test_malformed_descriptor_is_descriptor_error(descriptor):
+    with pytest.raises(DescriptorError):
+        parse_group(descriptor)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5)
+    | st.text("01aeg[],", max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text("ae", max_size=2), kids,
+                                                             max_size=2),
+    max_leaves=12)
+_fields = {k: _json for k in ("name", "elements", "table", "generators", "degree", "rank")}
+_descriptors = st.recursive(
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(["finite_table", "finite_perm", "free", "free_abelian"])},
+        optional=_fields),
+    lambda kids: st.fixed_dictionaries({"type": st.just("product")},
+                                       optional={"factors": st.lists(kids, max_size=3) | _json}),
+    max_leaves=3)
+
+
+@settings(max_examples=300)
+@given(_descriptors | _json | st.text(max_size=20))
+def test_parse_group_raises_only_workbench_errors(descriptor):
+    # integers stay small: a huge rank or degree is a memory question
+    try:
+        parse_group(descriptor)
+    except WorkbenchError:
+        pass
+
+
+def test_unparsable_element_numbers(s3, zz, f2xz):
+    for m, text in ((s3, "[1,x,2]"), (s3, "[,]"), (zz, "(1,a)"), (zz, "()"),
+                    (f2xz, "(a; 1.5)")):
+        with pytest.raises(GroupMismatchError):
+            m.parse_element(text)
+
+
+_MODELS = [load_model(n) for n in ("z4.json", "s3.json", "f2.json", "zz.json", "f2xz.json")]
+_MODELS.append(parse_group({"type": "product", "factors": [
+    load_complex_obj("s3.json"), {"type": "free_abelian", "rank": 1}]}))
+
+
+@settings(max_examples=200)
+@given(st.text("0123456789-,;()[] abAeg", max_size=12) | st.text(max_size=8))
+def test_parse_element_raises_only_workbench_errors(text):
+    for m in _MODELS:
+        try:
+            m.parse_element(text)
+        except WorkbenchError:
+            pass
 
 
 def test_membership_validation(f2, zz, z4):

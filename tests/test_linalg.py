@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from burghelea.linalg import RationalEchelon, clear_denominators, rank_of_columns, solve_dense
+from burghelea.linalg import RationalEchelon, rank_of_columns, solve_dense
 
 
 def dense_rank_oracle(rows):
@@ -49,11 +49,6 @@ def test_contains_and_reduce():
     assert ech.contains({0: 3, 1: 7, 2: 1})
     assert not ech.contains({2: 1, 3: 1})
     assert ech.rank == 2
-
-
-def test_clear_denominators():
-    vec = {0: Fraction(1, 2), 3: Fraction(-2, 3)}
-    assert clear_denominators(vec) == {0: 3, 3: -4}
 
 
 def test_solve_dense():

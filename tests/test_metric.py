@@ -16,7 +16,7 @@ from burghelea import (
     minimal_conjugator,
     parse_group,
 )
-from burghelea.metric import class_members
+from burghelea.groups import class_members
 from conftest import load_complex_obj
 
 
