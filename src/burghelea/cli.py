@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import dehn as dehn_mod
 from .bar_complexes import bar_homology_ranks
-from .errors import WorkbenchError
+from .errors import DescriptorError, WorkbenchError
 from .groups import GroupModel, parse_group
 from .hochschild import homology_ranks
 from .metric import (
@@ -99,18 +99,24 @@ def _parse_k_grid(spec: Optional[str], default: tuple[int, int]) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DescriptorError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_group(args) -> GroupModel:
     if not args.group:
         raise WorkbenchError("this command needs --group PATH")
-    with open(args.group, encoding="utf-8") as fh:
-        return parse_group(json.load(fh))
+    return parse_group(_read_json(args.group))
 
 
 def _load_complex(args) -> dehn_mod.SimplicialComplex:
     if not args.complex:
         raise WorkbenchError("this command needs --complex PATH")
-    with open(args.complex, encoding="utf-8") as fh:
-        return dehn_mod.SimplicialComplex.from_obj(json.load(fh))
+    return dehn_mod.SimplicialComplex.from_obj(_read_json(args.complex))
 
 
 def _config_dict(args) -> dict:

@@ -18,6 +18,13 @@ product         tuple with one component encoding per factor
 Canonical encodings are unique, so two elements are equal iff their
 encodings are equal.
 
+There is one group law per encoding, and ``mul``/``inv`` check each operand
+once.  The two finite kinds share ``FiniteGroup``'s law: its constructor
+tabulates products and inverses of the enumerated elements, and
+``check_element`` is membership (the encoding type and a table lookup).  A
+product's law checks only the tuple's shape and leaves each component to its
+factor's law; ``check_element`` on a product checks every component.
+
 Behaviour that depends on the kind lives on the model class as well.  On
 valid elements each kind implements (the realizations of the centralizer
 Z_h are in ``metric``; every kind uses ``whole_group`` where h is central):
@@ -47,7 +54,7 @@ Element = Hashable
 
 # Finite models are desk-scale: chain spaces grow as |G|**(n+1).
 DEFAULT_MAX_ORDER = 24
-# One lowercase letter per free generator.
+# One lowercase letter per free generator; free-abelian ranks share the cap.
 MAX_FREE_RANK = 26
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -184,11 +191,47 @@ class GroupModel:
 
 
 class FiniteGroup(GroupModel):
-    """The finite kinds.  The constructor's closure check computes every word
-    length (``_lengths``), and that table is the word metric."""
+    """The finite kinds share one group law.  The constructor enumerates the
+    group by breadth-first search from the identity (``_lengths``, which is
+    also the word metric) and tabulates the product and the inverse of every
+    element, keyed by the element encodings; membership is a lookup there."""
 
+    _encoding: type
     _lengths: dict[Element, int]
     _elements: tuple[Element, ...]
+    _products: dict[Element, dict[Element, Element]]
+    _inverses: dict[Element, Element]
+
+    def _generate(self, gens: list, compose: Callable[[Element, Element], Element],
+                  max_order: int) -> None:
+        """Check the generating set, enumerate the group it generates under
+        ``compose`` (at most ``max_order`` elements) and tabulate the law."""
+        if self.identity in gens:
+            raise DescriptorError("identity listed as a generator")
+        if any(all(compose(g, s) != self.identity for s in gens) for g in gens):
+            raise DescriptorError("non-symmetric generating set")
+        self.generators = tuple(gens)
+        self._lengths = bfs_distances(self.identity, gens, compose, limit=max_order)
+        if len(self._lengths) > max_order:
+            raise DescriptorError(f"{self.name} exceeds order cap {max_order}")
+        self._elements = tuple(sorted(self._lengths))
+        self._products = {a: {b: compose(a, b) for b in self._elements}
+                          for a in self._elements}
+        self._inverses = {a: next(b for b, ab in row.items() if ab == self.identity)
+                          for a, row in self._products.items()}
+
+    def mul(self, a, b):
+        self.check_element(a)
+        self.check_element(b)
+        return self._products[a][b]
+
+    def inv(self, a):
+        self.check_element(a)
+        return self._inverses[a]
+
+    def check_element(self, a):
+        if not (isinstance(a, self._encoding) and a in self._inverses):
+            raise GroupMismatchError(f"{a!r} is not an element of {self.name}")
 
     def element_key(self, a):
         return a
@@ -227,6 +270,7 @@ class FiniteTableGroup(FiniteGroup):
     """Finite group given by a full multiplication table over labels."""
 
     kind = "finite_table"
+    _encoding = int
 
     def __init__(self, labels: Sequence[str], table: Sequence[Sequence[int]],
                  generator_labels: Sequence[str], name: str = "",
@@ -245,32 +289,30 @@ class FiniteTableGroup(FiniteGroup):
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise DescriptorError("table entry out of range")
         self.labels = tuple(labels)
-        self.table = tuple(tuple(row) for row in table)
         self.name = name or f"table[{n}]"
+        t = tuple(tuple(row) for row in table)
 
         # latin square: rows and columns are permutations
         full = set(range(n))
         for i in range(n):
-            if set(self.table[i]) != full or {self.table[j][i] for j in range(n)} != full:
+            if set(t[i]) != full or {t[j][i] for j in range(n)} != full:
                 raise DescriptorError("table rows/columns are not permutations")
         # identity
         ident = None
         for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
+            if all(t[e][x] == x and t[x][e] == x for x in range(n)):
                 ident = e
                 break
         if ident is None:
             raise DescriptorError("table has no identity element")
         self.identity = ident
         # associativity, desk scale O(n^3)
-        t = self.table
         for a in range(n):
             for b in range(n):
                 tab = t[a][b]
                 for c in range(n):
                     if t[tab][c] != t[a][t[b][c]]:
                         raise DescriptorError("non-associative table")
-        self._inv = tuple(next(b for b in range(n) if t[a][b] == ident) for a in range(n))
 
         label_index = {lab: i for i, lab in enumerate(self.labels)}
         gens = []
@@ -280,29 +322,9 @@ class FiniteTableGroup(FiniteGroup):
             gens.append(label_index[lab])
         if not gens:
             raise DescriptorError("empty generating set")
-        if ident in gens:
-            raise DescriptorError("identity listed as a generator")
-        gen_set = set(gens)
-        if any(self._inv[g] not in gen_set for g in gens):
-            raise DescriptorError("non-symmetric generating set")
-        self._lengths = bfs_distances(ident, gens, lambda x, g: t[x][g])
-        if len(self._lengths) != n:
+        self._generate(gens, lambda a, b: t[a][b], max_order)
+        if len(self._elements) != n:
             raise DescriptorError("generating set does not generate the group")
-        self.generators = tuple(gens)
-        self._elements = tuple(range(n))
-
-    def mul(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
-        return self.table[a][b]
-
-    def inv(self, a):
-        self.check_element(a)
-        return self._inv[a]
-
-    def check_element(self, a):
-        if not isinstance(a, int) or not 0 <= a < len(self.labels):
-            raise GroupMismatchError(f"{a!r} is not an index into {self.name}")
 
     def element_str(self, a):
         return self.labels[a]
@@ -321,55 +343,23 @@ class FinitePermGroup(FiniteGroup):
     """
 
     kind = "finite_perm"
+    _encoding = tuple
 
     def __init__(self, degree: int, generator_perms: Sequence[Sequence[int]],
                  name: str = "", max_order: int = DEFAULT_MAX_ORDER):
         if degree < 1:
             raise DescriptorError("degree must be positive")
-        self.degree = degree
-        self.identity = tuple(range(degree))
-        gens = []
-        for p in generator_perms:
-            p = tuple(p)
-            if sorted(p) != list(range(degree)):
+        # generators are checked before anything of size ``degree`` is built,
+        # so memory stays bounded by the descriptor
+        gens = [tuple(p) for p in generator_perms]
+        for p in gens:
+            if len(p) != degree or sorted(p) != list(range(degree)):
                 raise DescriptorError(f"malformed permutation {p!r}")
-            gens.append(p)
         if not gens:
             raise DescriptorError("empty generating set")
-        if self.identity in gens:
-            raise DescriptorError("identity listed as a generator")
-        gen_set = set(gens)
-        if any(self._invert(g) not in gen_set for g in gens):
-            raise DescriptorError("non-symmetric generating set")
-        self.generators = tuple(gens)
+        self.identity = tuple(range(degree))
         self.name = name or f"perm[{degree}]"
-        self._lengths = bfs_distances(self.identity, gens,
-                                     lambda x, g: tuple(x[g[i]] for i in range(degree)),
-                                     limit=max_order)
-        if len(self._lengths) > max_order:
-            raise DescriptorError(f"permutation group exceeds order cap {max_order}")
-        self._elements = tuple(sorted(self._lengths))
-
-    @staticmethod
-    def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(p)
-        for i, j in enumerate(p):
-            out[j] = i
-        return tuple(out)
-
-    def mul(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
-        return tuple(a[b[i]] for i in range(self.degree))
-
-    def inv(self, a):
-        self.check_element(a)
-        return self._invert(a)
-
-    def check_element(self, a):
-        if not (isinstance(a, tuple) and len(a) == self.degree
-                and sorted(a) == list(range(self.degree))):
-            raise GroupMismatchError(f"{a!r} is not a degree-{self.degree} permutation")
+        self._generate(gens, lambda a, b: tuple(a[i] for i in b), max_order)
 
     def element_str(self, a):
         return "[" + ",".join(map(str, a)) + "]"
@@ -496,8 +486,8 @@ class FreeAbelianGroup(GroupModel):
     kind = "free_abelian"
 
     def __init__(self, rank: int, name: str = ""):
-        if rank < 1:
-            raise DescriptorError("free_abelian rank must be positive")
+        if not 1 <= rank <= MAX_FREE_RANK:
+            raise DescriptorError(f"free_abelian rank must be in 1..{MAX_FREE_RANK}")
         self.rank = rank
         self.identity = (0,) * rank
         gens = []
@@ -578,18 +568,22 @@ class ProductGroup(GroupModel):
         self.generators = tuple(gens)
         self.name = name or " x ".join(f.name for f in self.factors)
 
+    # the law checks only the shape; each factor's law checks its component
     def mul(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
+        self._check_shape(a)
+        self._check_shape(b)
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
 
     def inv(self, a):
-        self.check_element(a)
+        self._check_shape(a)
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
 
-    def check_element(self, a):
+    def _check_shape(self, a):
         if not (isinstance(a, tuple) and len(a) == len(self.factors)):
             raise GroupMismatchError(f"{a!r} has wrong number of components")
+
+    def check_element(self, a):
+        self._check_shape(a)
         for f, x in zip(self.factors, a):
             f.check_element(x)
 

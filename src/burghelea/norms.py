@@ -120,12 +120,7 @@ def operator_growth_profile(map_id: str, model: GroupModel, wm: WordMetric,
         z_ball = [g for g in ball if model.commutes(g, rep)]
         dom_nf, cod_nf, apply_map, sampler = _profile_setup(
             map_id, model, wm, section, conj, metric_variant, diam_mode)
-        gens = []
-        for _ in range(samples):
-            try:
-                gens.append(sampler(rng, ball, z_ball, rep, degree))
-            except GroupMismatchError:
-                continue
+        gens = [sampler(rng, ball, z_ball, rep, degree) for _ in range(samples)]
         for k in ks:
             for kp in ks:
                 best: Optional[Fraction] = None

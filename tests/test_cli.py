@@ -172,3 +172,24 @@ def test_invalid_cap_exits_one(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "BURGHELEA_CAP_MB" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["hh-ranks", "verify-identities"])
+def test_class_outside_group_exits_one(command, capsys):
+    # (1,0,2,3) is a permutation of the right degree but not a symmetry of the square
+    assert run_cli(command, "--group", str(fixture_path("d4.json")),
+                   "--class", "[1,0,2,3]") == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{"])
+@pytest.mark.parametrize("argv", [("hh-ranks", "--group"), ("dehn", "--complex")])
+def test_invalid_json_file_exits_one(argv, content, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run_cli(*argv, str(bad)) == 1
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,14 +126,23 @@ def test_parse_group_errors():
      "generators": [["g"]]},
     {"type": "free", "rank": 2, "name": 5},
     {"type": "product", "factors": [S4, S4]},  # order 576 > the cap of 24
+    {"type": "free_abelian", "rank": 27},  # above MAX_FREE_RANK
+    {"type": "finite_perm", "degree": 10**6, "generators": [[1, 0]]},
 ])
 def test_malformed_descriptor_is_descriptor_error(descriptor):
-    with pytest.raises(DescriptorError):
-        parse_group(descriptor)
+    # memory stays bounded by the descriptor's size, whatever numbers it holds
+    tracemalloc.start()
+    try:
+        with pytest.raises(DescriptorError):
+            parse_group(descriptor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 _json = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5)
+    st.none() | st.booleans() | st.integers(-2, 10**6) | st.floats(-2, 5)
     | st.text("01aeg[],", max_size=3),
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text("ae", max_size=2), kids,
                                                              max_size=2),
@@ -150,7 +160,6 @@ _descriptors = st.recursive(
 @settings(max_examples=300)
 @given(_descriptors | _json | st.text(max_size=20))
 def test_parse_group_raises_only_workbench_errors(descriptor):
-    # integers stay small: a huge rank or degree is a memory question
     try:
         parse_group(descriptor)
     except WorkbenchError:
@@ -179,15 +188,35 @@ def test_parse_element_raises_only_workbench_errors(text):
             pass
 
 
-def test_membership_validation(f2, zz, z4):
+def test_membership_validation(f2, zz, z4, d4, f2xz):
     with pytest.raises(GroupMismatchError):
         f2.mul((1, -1), (2,))  # unreduced word
     with pytest.raises(GroupMismatchError):
         f2.mul((3,), (1,))  # letter outside rank-2 alphabet
     with pytest.raises(GroupMismatchError):
         zz.mul((1,), (0, 0))  # wrong rank
-    with pytest.raises(GroupMismatchError):
-        z4.mul(7, 1)  # index out of range
+    d4_x_z = parse_group({"type": "product", "factors": [
+        load_complex_obj("d4.json"), {"type": "free_abelian", "rank": 1}]})
+    bad = [
+        (z4, 7), (z4, -1), (z4, 1.0), (z4, "1"),  # table index: range, type
+        (d4, (1, 0, 2, 3)),  # a permutation outside D4
+        (d4, (0, 1, 2)), (d4, (0, 0, 1, 2)), (d4, [0, 1, 2, 3]),  # degree, image, type
+        (f2xz, ((1, -1), (0,))), (f2xz, ((), (0, 0))),  # one bad component
+        (d4_x_z, ((1, 0, 2, 3), (0,))),
+        (f2xz, ((),)), (f2xz, ((), (0,), ())), (f2xz, [(), (0,)]),  # shape
+    ]
+    for m, a in bad:
+        with pytest.raises(GroupMismatchError):
+            m.check_element(a)
+        with pytest.raises(GroupMismatchError):
+            m.mul(a, m.identity)
+        with pytest.raises(GroupMismatchError):
+            m.mul(m.identity, a)
+        with pytest.raises(GroupMismatchError):
+            m.inv(a)
+    for m, text in ((d4, "[1,0,2,3]"), (d4_x_z, "([1,0,2,3]; (0))")):
+        with pytest.raises(GroupMismatchError):
+            m.parse_element(text)
 
 
 def test_element_strings_round_trip(s3, f2, zz, f2xz):
