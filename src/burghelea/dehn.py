@@ -150,10 +150,7 @@ def min_l1_filling_vec(columns: list[dict[int, int]], n_rows: int,
     if mode == "integer-oracle":
         if any(Fraction(v).denominator != 1 for v in target.values()):
             raise ValueError("the integer oracle needs an integer target chain")
-        span = RationalEchelon()
-        for col in columns:
-            span.insert(dict(col))
-        if not span.contains({i: int(v) for i, v in target.items() if v}):
+        if not RationalEchelon(columns).contains({i: int(v) for i, v in target.items() if v}):
             raise NotABoundaryError("the target chain is not a boundary")
         found = _integer_min_filling(columns, n_rows, target, oracle_cap)
         if found is None:
@@ -272,17 +269,15 @@ def enumerate_boundaries(X: SimplicialComplex, dim: int, k: int,
     Boundary-ness is decided by rational solvability of da = b, via the
     column-space echelon of the (dim+1)-boundary matrix.
     """
-    span = RationalEchelon()
-    for col in X.boundary_columns(dim + 1):
-        span.insert(dict(col))
+    span = RationalEchelon(X.boundary_columns(dim + 1))
     size = X.dimension_size(dim)
     count = 0
     for vec in _l1_ball_vectors(size, k):
         count += 1
         if count > cap:
             raise ResourceCapError(f"boundary enumeration exceeded cap {cap}")
-        if span.contains(dict(vec)):
-            yield dict(vec)
+        if span.contains(vec):
+            yield vec
 
 
 def _l1_ball_vectors(size: int, k: int):

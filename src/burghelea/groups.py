@@ -56,6 +56,7 @@ Element = Hashable
 DEFAULT_MAX_ORDER = 24
 # One lowercase letter per free generator; free-abelian ranks share the cap.
 MAX_FREE_RANK = 26
+MAX_PRODUCT_DEPTH = 32
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -230,8 +231,12 @@ class FiniteGroup(GroupModel):
         return self._inverses[a]
 
     def check_element(self, a):
-        if not (isinstance(a, self._encoding) and a in self._inverses):
-            raise GroupMismatchError(f"{a!r} is not an element of {self.name}")
+        try:
+            if isinstance(a, self._encoding) and a in self._inverses:
+                return
+        except TypeError:  # unhashable, e.g. a tuple holding a list
+            pass
+        raise GroupMismatchError(f"{a!r} is not an element of {self.name}")
 
     def element_key(self, a):
         return a
@@ -698,7 +703,8 @@ def _checked(value: Any, field: str, kind: type, item: Optional[type] = None) ->
     return value
 
 
-def parse_group(descriptor: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupModel:
+def parse_group(descriptor: Any, max_order: int = DEFAULT_MAX_ORDER,
+                _depth: int = 0) -> GroupModel:
     """Build a validated GroupModel from a JSON descriptor (dict or text).
 
     Schemas:
@@ -706,12 +712,12 @@ def parse_group(descriptor: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupMod
         {"type":"finite_perm","degree":n,"generators":[[image list],...]}
         {"type":"free","rank":k}
         {"type":"free_abelian","rank":k}
-        {"type":"product","factors":[<descriptor>,...]}
+        {"type":"product","factors":[<descriptor>,...]}  (MAX_PRODUCT_DEPTH levels at most)
     """
     if isinstance(descriptor, str):
         try:
             descriptor = json.loads(descriptor)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DescriptorError(f"descriptor is not valid JSON: {exc}") from exc
     if not isinstance(descriptor, dict):
         raise DescriptorError("descriptor must be a JSON object")
@@ -735,7 +741,9 @@ def parse_group(descriptor: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupMod
         if kind == "free_abelian":
             return FreeAbelianGroup(_checked(descriptor["rank"], "rank", int), name=name)
         if kind == "product":
-            factors = [parse_group(d, max_order=max_order)
+            if _depth == MAX_PRODUCT_DEPTH:
+                raise DescriptorError(f"products nest deeper than {MAX_PRODUCT_DEPTH} levels")
+            factors = [parse_group(d, max_order=max_order, _depth=_depth + 1)
                        for d in _checked(descriptor["factors"], "factors", list)]
             return ProductGroup(factors, name=name, max_order=max_order)
     except KeyError as exc:

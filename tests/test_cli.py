@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burghelea.cli import main
 
@@ -193,3 +196,65 @@ def test_invalid_json_file_exits_one(argv, content, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not valid JSON" in err
     assert "Traceback" not in err
+
+
+def _nested_products(levels):
+    descriptor = {"type": "free_abelian", "rank": 1}
+    for _ in range(levels):
+        descriptor = {"type": "product", "factors": [descriptor]}
+    return json.dumps(descriptor)
+
+
+@pytest.mark.parametrize("content", [_nested_products(400), "[" * 100_000],
+                         ids=["400-nested-products", "100000-brackets"])
+def test_deeply_nested_group_file_exits_one(content, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(content)
+    proc = run_subprocess("hh-ranks", "--group", str(deep))
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _is_nonnegative_int(text):
+    try:
+        return int(text) >= 0
+    except ValueError:
+        return False
+
+
+def _valid_k_grid(spec):
+    parts = spec.split("..")
+    return (len(parts) == 2 and all(map(_is_nonnegative_int, parts))
+            and int(parts[0]) <= int(parts[1]))
+
+
+# negatives, floats, text and empty strings: none of them parses as a
+# nonnegative integer, so no run gets past its argument checks
+_not_nonnegative_int = (
+    st.integers(max_value=-1).map(str)
+    | st.floats().map(str)
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+).filter(lambda s: not s.isdecimal() and not _is_nonnegative_int(s))
+_k_grids = (_not_nonnegative_int
+            | st.builds("{}..{}".format, _not_nonnegative_int, st.integers(0, 3))
+            | st.builds("{}..{}".format, st.integers(0, 3), _not_nonnegative_int)
+            ).filter(lambda s: not _valid_k_grid(s))
+_NUMERIC_FLAGS = ("--degree", "--max-degree", "--radius", "--k", "--samples", "--cap")
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(_NUMERIC_FLAGS).flatmap(
+           lambda flag: st.tuples(st.just(flag), _not_nonnegative_int))
+       | st.tuples(st.just("--k-grid"), _k_grids))
+def test_invalid_numeric_flag_values_exit_one(flag_value):
+    # argparse checks the integer flags of every subcommand; norm-profile
+    # also parses --k-grid before it computes anything
+    flag, value = flag_value
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli("norm-profile", "--group", str(fixture_path("z4.json")),
+                       f"{flag}={value}")
+    assert code == 1
+    assert "error:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

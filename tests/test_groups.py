@@ -201,6 +201,7 @@ def test_membership_validation(f2, zz, z4, d4, f2xz):
         (z4, 7), (z4, -1), (z4, 1.0), (z4, "1"),  # table index: range, type
         (d4, (1, 0, 2, 3)),  # a permutation outside D4
         (d4, (0, 1, 2)), (d4, (0, 0, 1, 2)), (d4, [0, 1, 2, 3]),  # degree, image, type
+        (d4, ([0], 1, 2, 3)),  # unhashable
         (f2xz, ((1, -1), (0,))), (f2xz, ((), (0, 0))),  # one bad component
         (d4_x_z, ((1, 0, 2, 3), (0,))),
         (f2xz, ((),)), (f2xz, ((), (0,), ())), (f2xz, [(), (0,)]),  # shape

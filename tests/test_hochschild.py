@@ -212,6 +212,15 @@ def test_ranks_s3_transposition_class(s3, metrics):
     assert [r["betti"] for r in report] == [1, 0]
 
 
+def test_ranks_d4_rotation_class(d4, metrics):
+    # the class of the benchmarked hh-ranks run; b_4 has 8192 columns
+    wm = metrics(d4)
+    report = homology_ranks(d4, wm, 3, x=conjugacy_class(d4, wm, (1, 2, 3, 0)))
+    assert [r["dim_chain_space"] for r in report] == [2, 16, 128, 1024]
+    assert [r["rank_boundary_in"] for r in report] == [1, 15, 113, 911]
+    assert [r["betti"] for r in report] == [1, 0, 0, 0]
+
+
 def test_ranks_split_agrees_with_monolithic(z4, s3, metrics):
     for m, deg in ((z4, 1), (s3, 1)):
         wm = metrics(m)

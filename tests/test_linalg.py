@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from burghelea.linalg import RationalEchelon, rank_of_columns, solve_dense
 
@@ -30,9 +30,26 @@ def to_sparse(row):
     return {i: v for i, v in enumerate(row) if v}
 
 
-@given(st.lists(st.lists(st.integers(-4, 4), min_size=5, max_size=5), min_size=1, max_size=8))
-def test_rank_matches_dense_oracle(rows):
-    assert rank_of_columns(map(to_sparse, rows)) == dense_rank_oracle(rows)
+@st.composite
+def matrix_and_vector(draw):
+    # about half the entries are zero; the rest range over -6..6, so stored
+    # pivots are often not 1 after gcd normalization
+    width = draw(st.integers(1, 10))
+    row = st.lists(st.just(0) | st.integers(-6, 6), min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=14)), draw(row)
+
+
+@settings(max_examples=200)
+@given(matrix_and_vector(), st.data())
+def test_rank_matches_dense_oracle(matrix, data):
+    rows, v = matrix
+    rank = dense_rank_oracle(rows)
+    ech = RationalEchelon(map(to_sparse, rows))
+    assert ech.rank == rank
+    assert rank_of_columns(map(to_sparse, data.draw(st.permutations(rows)))) == rank
+    vec = to_sparse(v)
+    assert ech.contains(vec) == (dense_rank_oracle(rows + [v]) == rank)
+    assert vec == to_sparse(v)  # elimination works on a copy
 
 
 def test_known_ranks():
