@@ -150,18 +150,9 @@ def tuple_str(model: GroupModel, t: BasisTuple) -> str:
     return "(" + ", ".join(model.element_str(x) for x in t) + ")"
 
 
-def tuple_diameter(wm: WordMetric, t: BasisTuple, mode: str = "pairwise") -> int:
-    """diam of a tuple of group elements.
-
-    ``pairwise`` (default): max over pairs i, j of |t_i^-1 t_j|.
-    ``max_entry``: max over entries of |t_i| (a plausible alternative
-    reading; both are kept available).
-    """
+def tuple_diameter(wm: WordMetric, t: BasisTuple) -> int:
+    """diam of a tuple of group elements: max over pairs i, j of |t_i^-1 t_j|."""
     m = wm.model
-    if mode == "max_entry":
-        return max((wm.length(x) for x in t), default=0)
-    if mode != "pairwise":
-        raise ValueError(f"unknown diameter mode {mode!r}")
     best = 0
     for i in range(len(t)):
         inv_i = m.inv(t[i])
@@ -172,9 +163,9 @@ def tuple_diameter(wm: WordMetric, t: BasisTuple, mode: str = "pairwise") -> int
     return best
 
 
-def support_diameter(c: Chain, wm: WordMetric, mode: str = "pairwise") -> dict[BasisTuple, int]:
+def support_diameter(c: Chain, wm: WordMetric) -> dict[BasisTuple, int]:
     """Per-tuple diameters of the support of a group-tuple chain."""
-    return {t: tuple_diameter(wm, t, mode) for t in c.terms}
+    return {t: tuple_diameter(wm, t) for t in c.terms}
 
 
 def convolve(model: GroupModel, f: Chain, g: Chain) -> Chain:

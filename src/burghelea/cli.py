@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: hh-ranks, burghelea-check, verify-identities, conj-bound,
-norm-profile, dehn, fill.  Exit codes: 0 success, 2 mathematical-identity
+norm-profile, dehn, fill.  Each subcommand takes only the flags it reads; any
+other flag is a usage error.  Exit codes: 0 success, 2 mathematical-identity
 failure (the report names the counterexample), 1 usage or resource errors.
 All randomness is seed-derived, so identical configs produce byte-identical
 reports; every report embeds the config it was produced from.
@@ -19,7 +20,7 @@ from typing import Optional
 from . import dehn as dehn_mod
 from .bar_complexes import bar_homology_ranks
 from .errors import DescriptorError, WorkbenchError
-from .groups import GroupModel, parse_group
+from .groups import parse_group
 from .hochschild import homology_ranks
 from .metric import (
     WordMetric,
@@ -51,47 +52,55 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+# argparse keywords of every flag.  A report's config has a key for every flag
+# but --out, holding the value given or None; --seed and --format hold their
+# default below instead of None, also where the subcommand does not take them.
+_FLAGS = {
+    "--group": dict(metavar="PATH", help="group descriptor JSON file"),
+    "--complex": dict(metavar="PATH", help="simplicial complex JSON file"),
+    "--class": dict(dest="class_rep", metavar="REP",
+                    help="element string selecting a conjugacy class"),
+    "--degree": dict(type=_nonnegative_int, metavar="N"),
+    "--max-degree": dict(type=_nonnegative_int, metavar="N"),
+    "--radius": dict(type=_nonnegative_int, metavar="R"),
+    "--k": dict(type=_nonnegative_int, metavar="INT"),
+    "--k-grid": dict(metavar="a..b"),
+    "--samples": dict(type=_nonnegative_int, metavar="N"),
+    "--seed": dict(type=int, default=0, metavar="N"),
+    "--cap": dict(type=_nonnegative_int, metavar="N"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(metavar="PATH"),
+}
+
+
+def _dest(flag: str) -> str:
+    return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
+
+_CONFIG_KEYS = ("command",) + tuple(_dest(f) for f in _FLAGS if f != "--out")
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="burghelea", description=__doc__)
+    parser = _Parser(prog="burghelea", description=__doc__, allow_abbrev=False)
+    parser.set_defaults(**{_dest(f): kw.get("default") for f, kw in _FLAGS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--group", metavar="PATH", help="group descriptor JSON file")
-        p.add_argument("--complex", metavar="PATH", help="simplicial complex JSON file")
-        p.add_argument("--class", dest="class_rep", metavar="REP",
-                       help="element string selecting a conjugacy class")
-        p.add_argument("--degree", type=_nonnegative_int, metavar="N")
-        p.add_argument("--max-degree", type=_nonnegative_int, metavar="N")
-        p.add_argument("--radius", type=_nonnegative_int, metavar="R")
-        p.add_argument("--k", type=_nonnegative_int, metavar="INT")
-        p.add_argument("--k-grid", metavar="a..b")
-        p.add_argument("--samples", type=_nonnegative_int, metavar="N")
-        p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument("--cap", type=_nonnegative_int, metavar="N")
-        p.add_argument("--out", metavar="PATH")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        return p
-
-    add("hh-ranks", "exact Hochschild homology ranks of a finite model")
-    add("burghelea-check", "compare computed ranks against the class-count oracle")
-    add("verify-identities", "run the exact identity suites")
-    add("conj-bound", "profile minimal conjugator lengths over a sample ball")
-    add("norm-profile", "norm-growth profile of the comparison maps")
-    add("dehn", "Dehn function table of a simplicial complex")
-    add("fill", "weighted-filling estimate sweep on a truncated bar complex")
+    for name, (help_text, _, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=help_text,
+                           allow_abbrev=False)
+        for flag, default in flags.items():
+            kwargs = dict(_FLAGS[flag])
+            if default is not None:
+                kwargs["help"] = f"{kwargs.get('help', '')} (default: {default})".lstrip()
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-def _parse_k_grid(spec: Optional[str], default: tuple[int, int]) -> list[int]:
-    if spec is None:
-        lo, hi = default
-    else:
-        try:
-            lo_s, hi_s = spec.split("..")
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise WorkbenchError(f"bad --k-grid {spec!r}; expected a..b") from None
+def _parse_k_grid(spec: str) -> list[int]:
+    try:
+        lo_s, hi_s = spec.split("..")
+        lo, hi = int(lo_s), int(hi_s)
+    except ValueError:
+        raise WorkbenchError(f"bad --k-grid {spec!r}; expected a..b") from None
     if lo < 0:
         raise WorkbenchError("--k-grid bounds must be nonnegative")
     if hi < lo:
@@ -99,7 +108,10 @@ def _parse_k_grid(spec: Optional[str], default: tuple[int, int]) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _read_json(path: str):
+def _read_json(args, flag: str):
+    path = getattr(args, _dest(flag))
+    if not path:
+        raise WorkbenchError(f"this command needs {flag} PATH")
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -107,30 +119,11 @@ def _read_json(path: str):
             raise DescriptorError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_group(args) -> GroupModel:
-    if not args.group:
-        raise WorkbenchError("this command needs --group PATH")
-    return parse_group(_read_json(args.group))
-
-
-def _load_complex(args) -> dehn_mod.SimplicialComplex:
-    if not args.complex:
-        raise WorkbenchError("this command needs --complex PATH")
-    return dehn_mod.SimplicialComplex.from_obj(_read_json(args.complex))
-
-
-def _config_dict(args) -> dict:
-    keys = ("command", "group", "complex", "class_rep", "degree", "max_degree",
-            "radius", "k", "k_grid", "samples", "seed", "cap", "format")
-    return {k: getattr(args, k, None) for k in keys}
-
-
 def _emit(args, payload: dict, csv_rows: Optional[list[dict]] = None,
           csv_fields: Optional[list[str]] = None) -> None:
-    config = _config_dict(args)
     if args.format == "csv" and csv_rows is not None:
         buf = io.StringIO()
-        buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
+        buf.write("# config " + json.dumps(args.config, sort_keys=True) + "\n")
         writer = csv.DictWriter(buf, fieldnames=csv_fields, extrasaction="ignore",
                                 lineterminator="\n")
         writer.writeheader()
@@ -142,7 +135,7 @@ def _emit(args, payload: dict, csv_rows: Optional[list[dict]] = None,
         text = buf.getvalue()
     else:
         body = {k: v for k, v in payload.items() if k != "csv_trailer"}
-        text = json.dumps({"config": config, "results": body},
+        text = json.dumps({"config": args.config, "results": body},
                           sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -156,13 +149,12 @@ def _emit(args, payload: dict, csv_rows: Optional[list[dict]] = None,
 # ---------------------------------------------------------------------------
 
 def _cmd_hh_ranks(args) -> int:
-    model = _load_group(args)
+    model = parse_group(_read_json(args, "--group"))
     wm = WordMetric(model)
-    max_degree = args.max_degree if args.max_degree is not None else 1
     x = None
     if args.class_rep is not None:
         x = conjugacy_class(model, wm, model.parse_element(args.class_rep))
-    report = homology_ranks(model, wm, max_degree, x=x)
+    report = homology_ranks(model, wm, args.max_degree, x=x)
     _emit(args, {"ranks": report, "betti": [r["betti"] for r in report]},
           csv_rows=report,
           csv_fields=["degree", "dim_chain_space", "rank_boundary_out",
@@ -171,9 +163,9 @@ def _cmd_hh_ranks(args) -> int:
 
 
 def _cmd_burghelea_check(args) -> int:
-    model = _load_group(args)
+    model = parse_group(_read_json(args, "--group"))
     wm = WordMetric(model)
-    max_degree = args.max_degree if args.max_degree is not None else 1
+    max_degree = args.max_degree
 
     if args.class_rep is not None:
         # per-class factor: ranks of the class component of the Hochschild
@@ -215,15 +207,12 @@ def _cmd_burghelea_check(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    model = _load_group(args)
+    model = parse_group(_read_json(args, "--group"))
     wm = WordMetric(model)
     h = model.parse_element(args.class_rep) if args.class_rep is not None else None
     report = run_identity_suite(
-        model, wm, h=h,
-        max_degree=args.degree if args.degree is not None else 2,
-        samples=args.samples if args.samples is not None else 50,
-        seed=args.seed,
-        radius=args.radius if args.radius is not None else 2)
+        model, wm, h=h, max_degree=args.degree, samples=args.samples,
+        seed=args.seed, radius=args.radius)
     rows = [{"identity_name": c["identity_name"], "degree": c["degree"],
              "samples": c["samples"], "failures": len(c["failures"]),
              "first_failure": c["failures"][0] if c["failures"] else ""}
@@ -234,11 +223,10 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_conj_bound(args) -> int:
-    model = _load_group(args)
+    model = parse_group(_read_json(args, "--group"))
     wm = WordMetric(model)
-    radius = args.radius if args.radius is not None else 3
-    max_radius = args.cap if args.cap is not None else 2 * radius + 2
-    profile = conjugacy_bound_profile(model, wm, radius, max_radius)
+    max_radius = args.cap if args.cap is not None else 2 * args.radius + 2
+    profile = conjugacy_bound_profile(model, wm, args.radius, max_radius)
     rows = [{"class_rep": r["class_rep"], "length_h": r["length_h"],
              "min_conjugator_len": r["min_conjugator_len"],
              "window_status": r["window_status"]} for r in profile["rows"]]
@@ -250,24 +238,21 @@ def _cmd_conj_bound(args) -> int:
 
 
 def _cmd_norm_profile(args) -> int:
-    model = _load_group(args)
+    model = parse_group(_read_json(args, "--group"))
     wm = WordMetric(model)
-    radius = args.radius if args.radius is not None else 2
-    degree = args.degree if args.degree is not None else 1
-    samples = args.samples if args.samples is not None else 10
-    k_grid = _parse_k_grid(args.k_grid, (0, 2))
+    k_grid = _parse_k_grid(args.k_grid)
     if args.class_rep is not None:
         h_sample = [model.parse_element(args.class_rep)]
     else:
-        h_sample = default_class_reps(model, wm, limit=4, radius=radius)
+        h_sample = default_class_reps(model, wm, limit=4, radius=args.radius)
 
     all_rows, all_fits = [], []
     for map_id in PROFILE_MAPS:
         variants = ("induced", "intrinsic") if map_id in ("pi_h", "iota_h") else ("induced",)
         for metric_variant in variants:
             result = operator_growth_profile(
-                map_id, model, wm, h_sample, degree, radius, k_grid,
-                samples=samples, seed=args.seed, metric_variant=metric_variant)
+                map_id, model, wm, h_sample, args.degree, args.radius, k_grid,
+                samples=args.samples, seed=args.seed, metric_variant=metric_variant)
             all_rows.extend(result["rows"])
             all_fits.extend(result["fits"])
     payload = {"rows": all_rows, "fits": all_fits, "csv_trailer": {"fits": all_fits}}
@@ -278,12 +263,9 @@ def _cmd_norm_profile(args) -> int:
 
 
 def _cmd_dehn(args) -> int:
-    complex_ = _load_complex(args)
-    dim = args.degree if args.degree is not None else 1
-    k_max = args.k if args.k is not None else 3
-    cap = args.cap if args.cap is not None else 2_000_000
-    table = dehn_mod.dehn_function(complex_, dim, k_max, mode="rational-lp",
-                                   enumeration_cap=cap)
+    complex_ = dehn_mod.SimplicialComplex.from_obj(_read_json(args, "--complex"))
+    table = dehn_mod.dehn_function(complex_, args.degree, args.k,
+                                   enumeration_cap=args.cap)
     rows = [{"k": r["k"], "dN_value": r["dehn_value"],
              "witness_id": r["witness_boundary"]} for r in table["rows"]]
     _emit(args, table, csv_rows=rows, csv_fields=["k", "dN_value", "witness_id"])
@@ -291,30 +273,41 @@ def _cmd_dehn(args) -> int:
 
 
 def _cmd_fill(args) -> int:
-    model = _load_group(args)
+    model = parse_group(_read_json(args, "--group"))
     wm = WordMetric(model)
     report = dehn_mod.filling_estimate_check(
-        model, wm,
-        degree=args.degree if args.degree is not None else 1,
-        radius=args.radius if args.radius is not None else 2,
-        k=args.k if args.k is not None else 0,
-        p_grid=_parse_k_grid(args.k_grid, (0, 2)),
-        samples=args.samples if args.samples is not None else 10,
-        seed=args.seed)
+        model, wm, degree=args.degree, radius=args.radius, k=args.k,
+        p_grid=_parse_k_grid(args.k_grid), samples=args.samples, seed=args.seed)
     fields = ["sample", "status", "source_norm_k", "fill_norm_k"]
     fields += [f"ratio_p{p}" for p in report["p_grid"]]
     _emit(args, report, csv_rows=report["rows"], csv_fields=fields)
     return EXIT_OK
 
 
-_COMMANDS = {
-    "hh-ranks": _cmd_hh_ranks,
-    "burghelea-check": _cmd_burghelea_check,
-    "verify-identities": _cmd_verify_identities,
-    "conj-bound": _cmd_conj_bound,
-    "norm-profile": _cmd_norm_profile,
-    "dehn": _cmd_dehn,
-    "fill": _cmd_fill,
+# subcommand -> (help, handler, {flag: effective default}).  The parser takes
+# exactly these flags; a default of None leaves the flag unset.
+_SUBCOMMANDS = {
+    "hh-ranks": ("exact Hochschild homology ranks of a finite model", _cmd_hh_ranks, {
+        "--group": None, "--class": None, "--max-degree": 1, "--format": "json",
+        "--out": None}),
+    "burghelea-check": ("compare computed ranks against the class-count oracle",
+                        _cmd_burghelea_check, {
+        "--group": None, "--class": None, "--max-degree": 1, "--out": None}),
+    "verify-identities": ("run the exact identity suites", _cmd_verify_identities, {
+        "--group": None, "--class": None, "--degree": 2, "--samples": 50, "--seed": 0,
+        "--radius": 2, "--format": "json", "--out": None}),
+    # --cap defaults to 2 * radius + 2 in the handler
+    "conj-bound": ("profile minimal conjugator lengths over a sample ball", _cmd_conj_bound, {
+        "--group": None, "--radius": 3, "--cap": None, "--format": "json", "--out": None}),
+    "norm-profile": ("norm-growth profile of the comparison maps", _cmd_norm_profile, {
+        "--group": None, "--class": None, "--radius": 2, "--degree": 1, "--samples": 10,
+        "--k-grid": "0..2", "--seed": 0, "--format": "json", "--out": None}),
+    "dehn": ("Dehn function table of a simplicial complex", _cmd_dehn, {
+        "--complex": None, "--degree": 1, "--k": 3, "--cap": 2_000_000, "--format": "json",
+        "--out": None}),
+    "fill": ("weighted-filling estimate sweep on a truncated bar complex", _cmd_fill, {
+        "--group": None, "--degree": 1, "--radius": 2, "--k": 0, "--k-grid": "0..2",
+        "--samples": 10, "--seed": 0, "--format": "json", "--out": None}),
 }
 
 
@@ -324,8 +317,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _, handler, flags = _SUBCOMMANDS[args.command]
+    # the config records the flags as given; defaults apply after it
+    args.config = {k: getattr(args, k) for k in _CONFIG_KEYS}
+    for flag, default in flags.items():
+        if getattr(args, _dest(flag)) is None:
+            setattr(args, _dest(flag), default)
     try:
-        return _COMMANDS[args.command](args)
+        return handler(args)
     except (WorkbenchError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -304,7 +304,6 @@ def _compositions(total: int, parts: int):
 
 
 def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
-                  mode: str = "rational-lp", oracle_cap: int = 24,
                   enumeration_cap: int = 2_000_000) -> dict:
     """Table of d^N(k) = sup over boundaries of l1 <= k of l_f(b).
 
@@ -320,7 +319,7 @@ def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
         for b in enumerate_boundaries(X, dim, k_max, cap=enumeration_cap):
             res = min_l1_filling_vec(
                 cols, n_rows, {i: Fraction(v) for i, v in b.items()},
-                mode=mode, oracle_cap=oracle_cap, check_duality=False)
+                check_duality=False)
             fillings.append((sum(abs(v) for v in b.values()), b, res))
     except ResourceCapError:
         partial = True
@@ -336,7 +335,7 @@ def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
             "dehn_value": str(best[0]) if best else "0",
             "witness_boundary": _vec_str(X, dim, best[1]) if best else "",
         })
-    return {"dim": dim, "mode": mode, "rows": rows, "partial": partial}
+    return {"dim": dim, "mode": "rational-lp", "rows": rows, "partial": partial}
 
 
 def _vec_str(X: SimplicialComplex, dim: int, vec: dict[int, int]) -> str:
@@ -359,18 +358,17 @@ class BarTruncation:
     """
 
     def __init__(self, model: GroupModel, wm: WordMetric, max_degree: int,
-                 radius: int, diam_mode: str = "pairwise"):
+                 radius: int):
         self.model = model
         self.wm = wm
         self.radius = radius
-        self.diam_mode = diam_mode
         ball = wm.ball(radius)
         self.bases: dict[int, list[tuple]] = {0: [(model.identity,)]}
         for n in range(1, max_degree + 1):
             basis = []
             for rest in itertools.product(ball, repeat=n):
                 t = (model.identity,) + rest
-                if tuple_diameter(wm, t, diam_mode) <= radius:
+                if tuple_diameter(wm, t) <= radius:
                     basis.append(t)
             basis.sort(key=lambda t: tuple(model.element_key(x) for x in t))
             self.bases[n] = basis
@@ -391,15 +389,14 @@ class BarTruncation:
         return out
 
     def weights(self, degree: int, k: int) -> list[Fraction]:
-        return [Fraction(tuple_diameter(self.wm, t, self.diam_mode) ** k)
+        return [Fraction(tuple_diameter(self.wm, t) ** k)
                 for t in self.bases[degree]]
 
 
 def filling_estimate_check(model: GroupModel, wm: WordMetric, degree: int,
                            radius: int, k: int, p_grid: Iterable[int],
                            samples: int = 10, seed: int = 0,
-                           ratio_bound: float = 10.0,
-                           diam_mode: str = "pairwise") -> dict:
+                           ratio_bound: float = 10.0) -> dict:
     """Sample boundaries c = d(b0) in the truncated bar complex, fill them by
     LP with the |.|_{k,1} objective, and tabulate |b|_{k,1} / |c|_{k+p,1}
     over the p grid.
@@ -410,8 +407,8 @@ def filling_estimate_check(model: GroupModel, wm: WordMetric, degree: int,
     """
     rng = random.Random(seed)
     ps = sorted(set(p_grid))
-    trunc = BarTruncation(model, wm, degree + 1, radius, diam_mode)
-    nf = NormFamily(wm, "rd-chain", diam_mode=diam_mode)
+    trunc = BarTruncation(model, wm, degree + 1, radius)
+    nf = NormFamily(wm, "rd-chain")
     cols = trunc.boundary_columns(degree + 1)
     n_rows = len(trunc.bases[degree])
     weights = trunc.weights(degree + 1, k)

@@ -44,13 +44,12 @@ class NormFamily:
     profile the intrinsic variant instead.
     """
 
-    def __init__(self, wm: WordMetric, kind: str, diam_mode: str = "pairwise",
+    def __init__(self, wm: WordMetric, kind: str,
                  length_fn: Optional[Callable[[Element], int]] = None):
         if kind not in NORM_KINDS:
             raise GroupMismatchError(f"unknown norm kind {kind!r}")
         self.wm = wm
         self.kind = kind
-        self.diam_mode = diam_mode
         self.length = length_fn if length_fn is not None else wm.length
 
     def norm(self, c: Chain, k: int) -> Fraction:
@@ -59,7 +58,7 @@ class NormFamily:
         total = Fraction(0)
         if self.kind == "rd-chain":
             for t, q in c.terms.items():
-                total += abs(q) * tuple_diameter(self.wm, t, self.diam_mode) ** k
+                total += abs(q) * tuple_diameter(self.wm, t) ** k
             return total
         for t, q in c.terms.items():
             w = 1
@@ -89,8 +88,7 @@ PROFILE_MAPS = ("pi_h", "iota_h", "psi_phi_inv", "phi_psi_inv", "homotopy")
 def operator_growth_profile(map_id: str, model: GroupModel, wm: WordMetric,
                             h_sample: Iterable[Element], degree: int, radius: int,
                             k_grid: Iterable[int], samples: int = 25, seed: int = 0,
-                            metric_variant: str = "induced",
-                            diam_mode: str = "pairwise") -> dict:
+                            metric_variant: str = "induced") -> dict:
     """Max ratios |map(c)|_{k,1} / |c|_{k',1} over sampled generators, per
     class representative, with a log-log growth fit against |h_x|.
 
@@ -119,7 +117,7 @@ def operator_growth_profile(map_id: str, model: GroupModel, wm: WordMetric,
         conj = make_conjugator_provider(section)
         z_ball = [g for g in ball if model.commutes(g, rep)]
         dom_nf, cod_nf, apply_map, sampler = _profile_setup(
-            map_id, model, wm, section, conj, metric_variant, diam_mode)
+            map_id, model, wm, section, conj, metric_variant)
         gens = [sampler(rng, ball, z_ball, rep, degree) for _ in range(samples)]
         for k in ks:
             for kp in ks:
@@ -159,7 +157,7 @@ def operator_growth_profile(map_id: str, model: GroupModel, wm: WordMetric,
 
 
 def _profile_setup(map_id, model, wm, section: CosetSection, conj,
-                   metric_variant: str, diam_mode: str):
+                   metric_variant: str):
     """(domain (NormFamily, chain kind), codomain NormFamily, map, sampler)."""
     h = section.h
     if metric_variant == "intrinsic":
@@ -170,7 +168,7 @@ def _profile_setup(map_id, model, wm, section: CosetSection, conj,
         raise GroupMismatchError(f"unknown metric variant {metric_variant!r}")
     tensor_g = NormFamily(wm, "hochschild-tensor")
     tensor_z = NormFamily(wm, "hochschild-tensor", length_fn=z_length)
-    rd_z = NormFamily(wm, "rd-chain", diam_mode=diam_mode, length_fn=z_length)
+    rd_z = NormFamily(wm, "rd-chain", length_fn=z_length)
 
     if map_id == "pi_h":
         return ((tensor_g, "hochschild"), tensor_z,

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +19,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_subprocess(*argv):
+    # the child imports the package from this checkout, not an installed copy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "burghelea.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_hh_ranks_z4(tmp_path):
@@ -120,8 +128,72 @@ def test_usage_errors_exit_one():
     assert run_cli("hh-ranks", "--group", "/nonexistent/x.json") == 1
     proc = run_subprocess("no-such-command")
     assert proc.returncode == 1
+    assert "invalid choice" in proc.stderr
     proc = run_subprocess("hh-ranks", "--bogus-flag", "1")
     assert proc.returncode == 1
+    assert "unrecognized arguments" in proc.stderr
+
+
+# the flags every subcommand accepted before each took only its own
+ALL_FLAGS = ("--group", "--complex", "--class", "--degree", "--max-degree", "--radius",
+             "--k", "--k-grid", "--samples", "--seed", "--cap", "--out", "--format")
+ACCEPTED = {
+    "hh-ranks": {"--group", "--class", "--max-degree", "--format", "--out"},
+    "burghelea-check": {"--group", "--class", "--max-degree", "--out"},
+    "verify-identities": {"--group", "--class", "--degree", "--samples", "--seed",
+                          "--radius", "--format", "--out"},
+    "conj-bound": {"--group", "--radius", "--cap", "--format", "--out"},
+    "norm-profile": {"--group", "--class", "--radius", "--degree", "--samples",
+                     "--k-grid", "--seed", "--format", "--out"},
+    "dehn": {"--complex", "--degree", "--k", "--cap", "--format", "--out"},
+    "fill": {"--group", "--degree", "--radius", "--k", "--k-grid", "--samples", "--seed",
+             "--format", "--out"},
+}
+FOREIGN = [(cmd, flag) for cmd, flags in ACCEPTED.items()
+           for flag in ALL_FLAGS if flag not in flags]
+FLAG_VALUES = {"--group": "z2.json", "--complex": "triangle.json", "--class": "0",
+               "--k-grid": "0..1", "--format": "csv"}
+
+
+def _input_argv(command):
+    if command == "dehn":
+        return [command, "--complex", str(fixture_path("triangle.json"))]
+    return [command, "--group", str(fixture_path("z2.json"))]
+
+
+@pytest.mark.parametrize("command,flag", FOREIGN)
+def test_foreign_flag_exits_one(command, flag, capsys):
+    value = FLAG_VALUES.get(flag, "1")
+    if value.endswith(".json"):
+        value = str(fixture_path(value))
+    assert run_cli(*_input_argv(command), flag, value) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
+# effective defaults each subcommand's --help must show
+HELP_DEFAULTS = {
+    "hh-ranks": {"--max-degree": "1", "--format": "json"},
+    "burghelea-check": {"--max-degree": "1"},
+    "verify-identities": {"--degree": "2", "--samples": "50", "--seed": "0",
+                          "--radius": "2", "--format": "json"},
+    "conj-bound": {"--radius": "3", "--format": "json"},
+    "norm-profile": {"--radius": "2", "--degree": "1", "--samples": "10",
+                     "--k-grid": "0..2", "--seed": "0", "--format": "json"},
+    "dehn": {"--degree": "1", "--k": "3", "--cap": "2000000", "--format": "json"},
+    "fill": {"--degree": "1", "--radius": "2", "--k": "0", "--k-grid": "0..2",
+             "--samples": "10", "--seed": "0", "--format": "json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_help_lists_own_flags_with_defaults(command, capsys):
+    assert run_cli(command, "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == ACCEPTED[command] | {"--help"}
+    for flag, default in HELP_DEFAULTS[command].items():
+        assert re.search(rf"{flag} \S+ \(default: {re.escape(default)}\)", text), flag
 
 
 def test_bad_k_grid_exits_one():
@@ -240,21 +312,25 @@ _k_grids = (_not_nonnegative_int
             | st.builds("{}..{}".format, _not_nonnegative_int, st.integers(0, 3))
             | st.builds("{}..{}".format, st.integers(0, 3), _not_nonnegative_int)
             ).filter(lambda s: not _valid_k_grid(s))
-_NUMERIC_FLAGS = ("--degree", "--max-degree", "--radius", "--k", "--samples", "--cap")
+# each numeric flag goes to a subcommand that takes it
+_NUMERIC_FLAGS = {"--degree": "verify-identities", "--max-degree": "hh-ranks",
+                  "--radius": "norm-profile", "--k": "fill", "--samples": "norm-profile",
+                  "--cap": "dehn"}
 
 
 @settings(max_examples=100)
-@given(st.sampled_from(_NUMERIC_FLAGS).flatmap(
+@given(st.sampled_from(sorted(_NUMERIC_FLAGS)).flatmap(
            lambda flag: st.tuples(st.just(flag), _not_nonnegative_int))
        | st.tuples(st.just("--k-grid"), _k_grids))
 def test_invalid_numeric_flag_values_exit_one(flag_value):
-    # argparse checks the integer flags of every subcommand; norm-profile
-    # also parses --k-grid before it computes anything
+    # argparse checks the integer flags; norm-profile parses --k-grid before
+    # it computes anything
     flag, value = flag_value
+    command = _NUMERIC_FLAGS.get(flag, "norm-profile")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = run_cli("norm-profile", "--group", str(fixture_path("z4.json")),
-                       f"{flag}={value}")
+        code = run_cli(*_input_argv(command), f"{flag}={value}")
     assert code == 1
     assert "error:" in err.getvalue()
+    assert "unrecognized arguments" not in err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -38,9 +38,6 @@ def test_rd_chain_norm_examples(f2, metrics):
     c = Chain.basis("cbar", 1, ((), g))
     assert nf.norm(c, 2) == 4  # diam(1, g)^2 = |g|^2
     assert nf.norm(c, 0) == 1
-    # max-entry reading available as an option
-    nf2 = NormFamily(wm, "rd-chain", diam_mode="max_entry")
-    assert nf2.norm(c, 2) == 4
 
 
 def words():

@@ -3,8 +3,10 @@
 One quick config per subcommand (two where a subcommand has two code paths)
 runs through the CLI, and the sha256 of its report's ``results`` object,
 serialized with sorted keys and compact separators, must equal the pinned
-digest.  A change that is meant to alter a report updates its pin here and
-says why.
+digest.  The sha256 of the whole report file, embedded config included, is
+pinned too; those runs name the fixture files relative to the fixture
+directory, so the config does not depend on where the checkout lives.  A change
+that is meant to alter a report updates its pins here and says why.
 """
 import hashlib
 import json
@@ -13,7 +15,7 @@ import pytest
 
 from burghelea.cli import main
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 PINNED = {
     "hh-ranks": (
@@ -52,6 +54,29 @@ PINNED = {
         "dadbbcf0894079a6d1863535abf5040a07d2886b2dd2ad89eb8383d073f579be"),
 }
 
+FILE_PINNED = {
+    "burghelea-check":
+        "9f782c5b325eef4b29cdfdce8974f5e9db6f819a3b12b498b667ced7439c3ad8",
+    "burghelea-check-class":
+        "5468a23696876d0db715cbe2cfd4eb29fde72e471f170e33ca7638e7cfb1c3c3",
+    "conj-bound":
+        "e72873ed26f83c565ba6b1841a45a8946cf4f2d51df1266855f07da2cd4893b6",
+    "dehn":
+        "129ee18118462162d975fd592703c3c725793ea001d5360e1270506bb2ca5918",
+    "fill":
+        "5bae4342bb9b2800278a5c09c960b9211fb7c842fe21b816bede6b2b21437868",
+    "hh-ranks":
+        "d9102b9938587c66f447beebf409d468498133a6cb7a70d347d65784504bd756",
+    "hh-ranks-class":
+        "3a5742f98786f7d3f5faef63a88575a8a124f60ee35b82e90645b282425a5b11",
+    "norm-profile":
+        "f68c94e8e37ee54c5e4c6da8ee151285978cb791c5d4fe635ac4e0f1f1b11734",
+    "norm-profile-f2":
+        "b9d09b379bb299c52e80b5fe0323cae77cd4b689207a5661aae8903859e0b160",
+    "verify-identities":
+        "7d5ab38fcbd4d0bae62f31b4516728d1cd7bc1ef9477d35d1f85a284cae18cdf",
+}
+
 
 def results_sha256(text: str) -> str:
     results = json.loads(text)["results"]
@@ -68,3 +93,11 @@ def test_report_matches_pin(name, tmp_path):
     out = tmp_path / "report.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert results_sha256(out.read_text(encoding="utf-8")) == digest
+
+
+@pytest.mark.parametrize("name", sorted(FILE_PINNED))
+def test_report_file_matches_pin(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    out = tmp_path / "report.json"
+    assert main(PINNED[name][0] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FILE_PINNED[name]
