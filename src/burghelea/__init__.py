@@ -34,11 +34,11 @@ from .metric import (
     conjugacy_classes,
     coset_section,
     find_conjugator,
-    minimal_conjugator,
 )
 from .hochschild import (
     hochschild_boundary,
     homology_ranks,
+    homology_ranks_unsplit,
     iota_h,
     pi_h,
     split_by_class,
@@ -68,6 +68,7 @@ from .dehn import (
     SimplicialComplex,
     dehn_function,
     filling_estimate_check,
+    integer_min_filling,
     min_l1_filling,
 )
 

@@ -18,14 +18,17 @@ The face maps are ``cprime_faces`` and ``cbar_faces`` (the latter is
 ``linalg.boundary_columns``.
 
 psi / psi_inv translate between the two; phi_g embeds C'_n(Z_g) into the
-Hochschild component at the class of g.
+Hochschild component at the class of g.  The localizations onto C_.(Z_h)
+take the coset section of h alone: it owns the model, h, the retraction p_h
+and the memoized minimal conjugators.  A model's word metric is
+``model.metric``.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .chains import Chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
@@ -140,24 +143,20 @@ def phi_g_inv(model: GroupModel, c: Chain) -> Chain:
     return linear_extend(c, "cprime", c.degree, on_basis)
 
 
-def localize_to_equivariant(model: GroupModel, section: CosetSection, c: Chain,
-                            conjugator: Optional[Callable[[Element], Element]] = None) -> Chain:
+def localize_to_equivariant(section: CosetSection, c: Chain) -> Chain:
     """Direct formula for psi . phi_h^-1 . pi_h on a class component.
 
     A generator with entry product r^-1 h r maps to the equivariant chain
     with value 1 on the orbit of (p(r g_0), p(r g_0 g_1), ..., p(r g_0...g_n)),
-    stored by its leading-e representative.
+    stored by its leading-e representative; r is the minimal conjugator.
     """
     if c.kind != "hochschild":
         raise GroupMismatchError("localize_to_equivariant needs a hochschild chain")
-    from .metric import make_conjugator_provider
-    if conjugator is None:
-        conjugator = make_conjugator_provider(section)
-    m = model
+    m = section.model
     p = section.retract
 
     def on_basis(t):
-        r = conjugator(entry_product(m, t))
+        r = section.conjugator(entry_product(m, t))
         out = []
         acc = r
         for x in t:
@@ -168,11 +167,9 @@ def localize_to_equivariant(model: GroupModel, section: CosetSection, c: Chain,
     return linear_extend(c, "cbar", c.degree, on_basis)
 
 
-def composed_localization(model: GroupModel, section: CosetSection, c: Chain,
-                          conjugator: Optional[Callable[[Element], Element]] = None) -> Chain:
+def composed_localization(section: CosetSection, c: Chain) -> Chain:
     """The three-map composition psi(phi_h^-1(pi_h(c))), for cross-checks."""
-    localized = pi_h(model, section, c, conjugator)
-    return psi(model, phi_g_inv(model, localized))
+    return psi(section.model, phi_g_inv(section.model, pi_h(section, c)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import KindMismatchError
 from .groups import Element, GroupModel
-from .metric import WordMetric
 
 KINDS = ("hochschild", "cprime", "cbar", "e")
 
@@ -150,22 +149,23 @@ def tuple_str(model: GroupModel, t: BasisTuple) -> str:
     return "(" + ", ".join(model.element_str(x) for x in t) + ")"
 
 
-def tuple_diameter(wm: WordMetric, t: BasisTuple) -> int:
-    """diam of a tuple of group elements: max over pairs i, j of |t_i^-1 t_j|."""
-    m = wm.model
+def tuple_diameter(model: GroupModel, t: BasisTuple) -> int:
+    """diam of a tuple of group elements: max over pairs i, j of |t_i^-1 t_j|,
+    in the model's word metric."""
+    length = model.metric.length
     best = 0
     for i in range(len(t)):
-        inv_i = m.inv(t[i])
+        inv_i = model.inv(t[i])
         for j in range(i + 1, len(t)):
-            d = wm.length(m.mul(inv_i, t[j]))
+            d = length(model.mul(inv_i, t[j]))
             if d > best:
                 best = d
     return best
 
 
-def support_diameter(c: Chain, wm: WordMetric) -> dict[BasisTuple, int]:
+def support_diameter(model: GroupModel, c: Chain) -> dict[BasisTuple, int]:
     """Per-tuple diameters of the support of a group-tuple chain."""
-    return {t: tuple_diameter(wm, t) for t in c.terms}
+    return {t: tuple_diameter(model, t) for t in c.terms}
 
 
 def convolve(model: GroupModel, f: Chain, g: Chain) -> Chain:

@@ -22,13 +22,7 @@ from .bar_complexes import bar_homology_ranks
 from .errors import DescriptorError, WorkbenchError
 from .groups import parse_group
 from .hochschild import homology_ranks
-from .metric import (
-    WordMetric,
-    centralizer,
-    conjugacy_bound_profile,
-    conjugacy_class,
-    conjugacy_classes,
-)
+from .metric import centralizer, conjugacy_bound_profile, conjugacy_class, conjugacy_classes
 from .norms import PROFILE_MAPS, operator_growth_profile
 from .verify import default_class_reps, run_identity_suite
 
@@ -80,19 +74,33 @@ def _dest(flag: str) -> str:
 _CONFIG_KEYS = ("command",) + tuple(_dest(f) for f in _FLAGS if f != "--out")
 
 
-def _build_parser() -> _Parser:
+class _Derived:
+    """A default computed from the flags listed before it; --help shows the
+    formula."""
+
+    def __init__(self, formula: str, compute):
+        self.formula = formula
+        self.compute = compute
+
+    def __str__(self) -> str:
+        return self.formula
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the parser of each subcommand."""
     parser = _Parser(prog="burghelea", description=__doc__, allow_abbrev=False)
     parser.set_defaults(**{_dest(f): kw.get("default") for f, kw in _FLAGS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, (help_text, _, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=help_text,
-                           allow_abbrev=False)
+        p = subparsers[name] = sub.add_parser(name, help=help_text, description=help_text,
+                                              allow_abbrev=False)
         for flag, default in flags.items():
             kwargs = dict(_FLAGS[flag])
             if default is not None:
                 kwargs["help"] = f"{kwargs.get('help', '')} (default: {default})".lstrip()
             p.add_argument(flag, **kwargs)
-    return parser
+    return parser, subparsers
 
 
 def _parse_k_grid(spec: str) -> list[int]:
@@ -150,11 +158,10 @@ def _emit(args, payload: dict, csv_rows: Optional[list[dict]] = None,
 
 def _cmd_hh_ranks(args) -> int:
     model = parse_group(_read_json(args, "--group"))
-    wm = WordMetric(model)
     x = None
     if args.class_rep is not None:
-        x = conjugacy_class(model, wm, model.parse_element(args.class_rep))
-    report = homology_ranks(model, wm, args.max_degree, x=x)
+        x = conjugacy_class(model, model.parse_element(args.class_rep))
+    report = homology_ranks(model, args.max_degree, x=x)
     _emit(args, {"ranks": report, "betti": [r["betti"] for r in report]},
           csv_rows=report,
           csv_fields=["degree", "dim_chain_space", "rank_boundary_out",
@@ -164,16 +171,15 @@ def _cmd_hh_ranks(args) -> int:
 
 def _cmd_burghelea_check(args) -> int:
     model = parse_group(_read_json(args, "--group"))
-    wm = WordMetric(model)
     max_degree = args.max_degree
 
     if args.class_rep is not None:
         # per-class factor: ranks of the class component of the Hochschild
         # complex against ranks of C'_.(Z_h), independently computed
         h = model.parse_element(args.class_rep)
-        x = conjugacy_class(model, wm, h)
-        hochschild_side = [r["betti"] for r in homology_ranks(model, wm, max_degree, x=x)]
-        cz = centralizer(model, wm, h)
+        x = conjugacy_class(model, h)
+        hochschild_side = [r["betti"] for r in homology_ranks(model, max_degree, x=x)]
+        cz = centralizer(model, h)
         z_elems = [g for g in model.elements() if model.commutes(g, h)]
         bar_side = bar_homology_ranks(z_elems, model.mul, max_degree)
         mismatches = [n for n in range(max_degree + 1)
@@ -189,8 +195,8 @@ def _cmd_burghelea_check(args) -> int:
         _emit(args, payload)
         return EXIT_OK if not mismatches else EXIT_IDENTITY_FAILURE
 
-    classes = conjugacy_classes(model, wm)
-    report = homology_ranks(model, wm, max_degree)
+    classes = conjugacy_classes(model)
+    report = homology_ranks(model, max_degree)
     betti = [r["betti"] for r in report]
     expected = [len(classes)] + [0] * max_degree
     mismatches = [n for n in range(max_degree + 1) if betti[n] != expected[n]]
@@ -208,10 +214,9 @@ def _cmd_burghelea_check(args) -> int:
 
 def _cmd_verify_identities(args) -> int:
     model = parse_group(_read_json(args, "--group"))
-    wm = WordMetric(model)
     h = model.parse_element(args.class_rep) if args.class_rep is not None else None
     report = run_identity_suite(
-        model, wm, h=h, max_degree=args.degree, samples=args.samples,
+        model, h=h, max_degree=args.degree, samples=args.samples,
         seed=args.seed, radius=args.radius)
     rows = [{"identity_name": c["identity_name"], "degree": c["degree"],
              "samples": c["samples"], "failures": len(c["failures"]),
@@ -224,9 +229,7 @@ def _cmd_verify_identities(args) -> int:
 
 def _cmd_conj_bound(args) -> int:
     model = parse_group(_read_json(args, "--group"))
-    wm = WordMetric(model)
-    max_radius = args.cap if args.cap is not None else 2 * args.radius + 2
-    profile = conjugacy_bound_profile(model, wm, args.radius, max_radius)
+    profile = conjugacy_bound_profile(model, args.radius, args.cap)
     rows = [{"class_rep": r["class_rep"], "length_h": r["length_h"],
              "min_conjugator_len": r["min_conjugator_len"],
              "window_status": r["window_status"]} for r in profile["rows"]]
@@ -239,19 +242,18 @@ def _cmd_conj_bound(args) -> int:
 
 def _cmd_norm_profile(args) -> int:
     model = parse_group(_read_json(args, "--group"))
-    wm = WordMetric(model)
     k_grid = _parse_k_grid(args.k_grid)
     if args.class_rep is not None:
         h_sample = [model.parse_element(args.class_rep)]
     else:
-        h_sample = default_class_reps(model, wm, limit=4, radius=args.radius)
+        h_sample = default_class_reps(model, limit=4, radius=args.radius)
 
     all_rows, all_fits = [], []
     for map_id in PROFILE_MAPS:
         variants = ("induced", "intrinsic") if map_id in ("pi_h", "iota_h") else ("induced",)
         for metric_variant in variants:
             result = operator_growth_profile(
-                map_id, model, wm, h_sample, args.degree, args.radius, k_grid,
+                map_id, model, h_sample, args.degree, args.radius, k_grid,
                 samples=args.samples, seed=args.seed, metric_variant=metric_variant)
             all_rows.extend(result["rows"])
             all_fits.extend(result["fits"])
@@ -274,9 +276,8 @@ def _cmd_dehn(args) -> int:
 
 def _cmd_fill(args) -> int:
     model = parse_group(_read_json(args, "--group"))
-    wm = WordMetric(model)
     report = dehn_mod.filling_estimate_check(
-        model, wm, degree=args.degree, radius=args.radius, k=args.k,
+        model, degree=args.degree, radius=args.radius, k=args.k,
         p_grid=_parse_k_grid(args.k_grid), samples=args.samples, seed=args.seed)
     fields = ["sample", "status", "source_norm_k", "fill_norm_k"]
     fields += [f"ratio_p{p}" for p in report["p_grid"]]
@@ -285,7 +286,8 @@ def _cmd_fill(args) -> int:
 
 
 # subcommand -> (help, handler, {flag: effective default}).  The parser takes
-# exactly these flags; a default of None leaves the flag unset.
+# exactly these flags; a default of None leaves the flag unset.  A _Derived
+# default is computed from the flags before it.
 _SUBCOMMANDS = {
     "hh-ranks": ("exact Hochschild homology ranks of a finite model", _cmd_hh_ranks, {
         "--group": None, "--class": None, "--max-degree": 1, "--format": "json",
@@ -296,9 +298,10 @@ _SUBCOMMANDS = {
     "verify-identities": ("run the exact identity suites", _cmd_verify_identities, {
         "--group": None, "--class": None, "--degree": 2, "--samples": 50, "--seed": 0,
         "--radius": 2, "--format": "json", "--out": None}),
-    # --cap defaults to 2 * radius + 2 in the handler
     "conj-bound": ("profile minimal conjugator lengths over a sample ball", _cmd_conj_bound, {
-        "--group": None, "--radius": 3, "--cap": None, "--format": "json", "--out": None}),
+        "--group": None, "--radius": 3,
+        "--cap": _Derived("2 * radius + 2", lambda args: 2 * args.radius + 2),
+        "--format": "json", "--out": None}),
     "norm-profile": ("norm-growth profile of the comparison maps", _cmd_norm_profile, {
         "--group": None, "--class": None, "--radius": 2, "--degree": 1, "--samples": 10,
         "--k-grid": "0..2", "--seed": 0, "--format": "json", "--out": None}),
@@ -312,9 +315,12 @@ _SUBCOMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # a flag the subcommand does not take: show that subcommand's usage
+            subparsers[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     _, handler, flags = _SUBCOMMANDS[args.command]
@@ -322,6 +328,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.config = {k: getattr(args, k) for k in _CONFIG_KEYS}
     for flag, default in flags.items():
         if getattr(args, _dest(flag)) is None:
+            if isinstance(default, _Derived):
+                default = default.compute(args)
             setattr(args, _dest(flag), default)
     try:
         return handler(args)

@@ -1,10 +1,11 @@
 """Higher-order Dehn functions of finite simplicial complexes.
 
-l_f(b) is the least l1-norm of a chain a with da = b; it is computed two
-ways: an exact rational LP (min sum(a+ + a-) subject to d(a+ - a-) = b) and
-an exhaustive integer oracle with pruning.  The LP value never exceeds the
-oracle value; any strict gap is surfaced, not hidden.  d^N(k) is the sup of
-l_f over integer N-boundaries of l1-norm at most k.
+l_f(b) is the least l1-norm of a chain a with da = b, computed by an exact
+rational LP (min sum(a+ + a-) subject to d(a+ - a-) = b; ``min_l1_filling``).
+Its reference is ``integer_min_filling``, an exhaustive integer search with
+pruning: the LP value never exceeds the oracle value, and any strict gap is
+surfaced, not hidden.  d^N(k) is the sup of l_f over integer N-boundaries of
+l1-norm at most k.
 
 The same machinery runs on ball-truncated equivariant bar complexes of a
 group model, with diameter-weighted objectives, to probe the filling-norm
@@ -34,7 +35,6 @@ from .errors import (
 from .groups import GroupModel
 from .linalg import RationalEchelon, boundary_columns
 from .lp import solve_min_lp
-from .metric import WordMetric
 from .norms import NormFamily
 
 ZERO = Fraction(0)
@@ -134,32 +134,17 @@ class FillingResult:
     value: Fraction              # minimal weighted l1 norm of a filling
     witness: dict[int, Fraction]  # filling chain over (N+1)-simplex indices
     status: str
-    mode: str
     duality_ok: Optional[bool] = None
-    oracle_value: Optional[int] = None
 
 
 def min_l1_filling_vec(columns: list[dict[int, int]], n_rows: int,
-                       target: dict[int, Fraction], mode: str = "rational-lp",
+                       target: dict[int, Fraction],
                        weights: Optional[Sequence[Fraction]] = None,
-                       oracle_cap: int = 24,
                        check_duality: bool = True) -> FillingResult:
-    """Minimal (weighted) l1 filling of a target vector by the given columns."""
+    """Minimal (weighted) l1 filling of a target vector by the given columns,
+    by exact rational LP."""
     ncols = len(columns)
     w = [Fraction(x) for x in weights] if weights is not None else [Fraction(1)] * ncols
-    if mode == "integer-oracle":
-        if any(Fraction(v).denominator != 1 for v in target.values()):
-            raise ValueError("the integer oracle needs an integer target chain")
-        if not RationalEchelon(columns).contains({i: int(v) for i, v in target.items() if v}):
-            raise NotABoundaryError("the target chain is not a boundary")
-        found = _integer_min_filling(columns, n_rows, target, oracle_cap)
-        if found is None:
-            raise OracleCapError(f"no integer filling with l1 <= {oracle_cap}")
-        value, witness = found
-        return FillingResult(Fraction(value), {j: Fraction(v) for j, v in witness.items()},
-                             "optimal", mode, oracle_value=value)
-    if mode != "rational-lp":
-        raise ValueError(f"unknown filling mode {mode!r}")
     # variables a+ then a-: min w.(a+ + a-), d(a+ - a-) = target
     cost = w + w
     A = []
@@ -181,14 +166,13 @@ def min_l1_filling_vec(columns: list[dict[int, int]], n_rows: int,
         v = res.x[j] - res.x[ncols + j]
         if v:
             witness[j] = v
-    return FillingResult(res.value, witness, "optimal", mode, duality_ok=res.duality_ok)
+    return FillingResult(res.value, witness, "optimal", duality_ok=res.duality_ok)
 
 
-def _integer_min_filling(columns, n_rows, target, cap: int):
+def _integer_min_filling(columns, n_rows, target: dict[int, int], cap: int):
     """Exhaustive search over integer chains with l1 <= cap, by increasing
-    radius; pruned depth-first over coefficient choices."""
-    tgt = {i: Fraction(v) for i, v in target.items() if v}
-    tgt_int = {i: int(v) for i, v in tgt.items()}
+    radius; pruned depth-first over coefficient choices.  The target has no
+    zero entries."""
     ncols = len(columns)
     # a row is settled once the last column touching it has been chosen
     last_touch = [0] * n_rows
@@ -233,7 +217,7 @@ def _integer_min_filling(columns, n_rows, target, cap: int):
                     return True
             return False
 
-        if dfs(0, radius, dict(tgt_int)):
+        if dfs(0, radius, dict(target)):
             value = sum(abs(v) for v in witness.values())
             return value, witness
     return None
@@ -251,14 +235,37 @@ def _coefficient_order(budget: int):
 # ---------------------------------------------------------------------------
 
 def min_l1_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int,
-                   mode: str = "rational-lp", oracle_cap: int = 24,
                    check_duality: bool = True) -> FillingResult:
     """l_f(b) for an N-chain b given over simplex tuples; fills with
     (N+1)-chains."""
-    target = {X.index_of(dim, s): Fraction(q) for s, q in b.items() if q}
-    cols = X.boundary_columns(dim + 1)
-    return min_l1_filling_vec(cols, X.dimension_size(dim), target, mode=mode,
-                              oracle_cap=oracle_cap, check_duality=check_duality)
+    return min_l1_filling_vec(X.boundary_columns(dim + 1), X.dimension_size(dim),
+                              _target_vec(X, b, dim), check_duality=check_duality)
+
+
+def integer_min_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int,
+                        cap: int) -> FillingResult:
+    """The least l1-norm of an integer (N+1)-chain filling the integer N-chain
+    b, by exhaustive search up to l1 <= cap: the reference for the LP value
+    of ``min_l1_filling``.  Raises NotABoundaryError when b does not bound and
+    OracleCapError when no filling is found within the cap."""
+    target = _target_vec(X, b, dim)
+    if any(v.denominator != 1 for v in target.values()):
+        raise ValueError("the integer oracle needs an integer target chain")
+    target_int = {i: int(v) for i, v in target.items()}
+    columns = X.boundary_columns(dim + 1)
+    if not RationalEchelon(columns).contains(target_int):
+        raise NotABoundaryError("the target chain is not a boundary")
+    found = _integer_min_filling(columns, X.dimension_size(dim), target_int, cap)
+    if found is None:
+        raise OracleCapError(f"no integer filling with l1 <= {cap}")
+    value, witness = found
+    return FillingResult(Fraction(value), {j: Fraction(v) for j, v in witness.items()},
+                         "optimal")
+
+
+def _target_vec(X: SimplicialComplex, b: dict[tuple, Fraction],
+                dim: int) -> dict[int, Fraction]:
+    return {X.index_of(dim, s): Fraction(q) for s, q in b.items() if q}
 
 
 def enumerate_boundaries(X: SimplicialComplex, dim: int, k: int,
@@ -357,18 +364,16 @@ class BarTruncation:
     shrink on faces, so these spans form a subcomplex.
     """
 
-    def __init__(self, model: GroupModel, wm: WordMetric, max_degree: int,
-                 radius: int):
+    def __init__(self, model: GroupModel, max_degree: int, radius: int):
         self.model = model
-        self.wm = wm
         self.radius = radius
-        ball = wm.ball(radius)
+        ball = model.metric.ball(radius)
         self.bases: dict[int, list[tuple]] = {0: [(model.identity,)]}
         for n in range(1, max_degree + 1):
             basis = []
             for rest in itertools.product(ball, repeat=n):
                 t = (model.identity,) + rest
-                if tuple_diameter(wm, t) <= radius:
+                if tuple_diameter(model, t) <= radius:
                     basis.append(t)
             basis.sort(key=lambda t: tuple(model.element_key(x) for x in t))
             self.bases[n] = basis
@@ -389,13 +394,12 @@ class BarTruncation:
         return out
 
     def weights(self, degree: int, k: int) -> list[Fraction]:
-        return [Fraction(tuple_diameter(self.wm, t) ** k)
+        return [Fraction(tuple_diameter(self.model, t) ** k)
                 for t in self.bases[degree]]
 
 
-def filling_estimate_check(model: GroupModel, wm: WordMetric, degree: int,
-                           radius: int, k: int, p_grid: Iterable[int],
-                           samples: int = 10, seed: int = 0,
+def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
+                           p_grid: Iterable[int], samples: int = 10, seed: int = 0,
                            ratio_bound: float = 10.0) -> dict:
     """Sample boundaries c = d(b0) in the truncated bar complex, fill them by
     LP with the |.|_{k,1} objective, and tabulate |b|_{k,1} / |c|_{k+p,1}
@@ -407,8 +411,8 @@ def filling_estimate_check(model: GroupModel, wm: WordMetric, degree: int,
     """
     rng = random.Random(seed)
     ps = sorted(set(p_grid))
-    trunc = BarTruncation(model, wm, degree + 1, radius)
-    nf = NormFamily(wm, "rd-chain")
+    trunc = BarTruncation(model, degree + 1, radius)
+    nf = NormFamily(model, "rd-chain")
     cols = trunc.boundary_columns(degree + 1)
     n_rows = len(trunc.bases[degree])
     weights = trunc.weights(degree + 1, k)
@@ -431,8 +435,8 @@ def filling_estimate_check(model: GroupModel, wm: WordMetric, degree: int,
             continue
         try:
             target = trunc.chain_to_vec(c, degree)
-            res = min_l1_filling_vec(cols, n_rows, target, mode="rational-lp",
-                                     weights=weights, check_duality=False)
+            res = min_l1_filling_vec(cols, n_rows, target, weights=weights,
+                                     check_duality=False)
         except (NotABoundaryError, ResourceCapError) as exc:
             entry.update(status=f"truncation_error: {exc}", fill_norm_k="")
             rows.append(entry)

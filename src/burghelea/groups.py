@@ -40,12 +40,16 @@ product         sum over factors      componentwise / product
 
 ``search_conjugator`` raises NotConjugateError where the kind proves it, and
 otherwise runs the breadth-first search of ``metric``; products split it.
+
+Each model carries its word metric as ``model.metric``, built once, so every
+length and ball of the model goes through one cache of balls.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DescriptorError, GroupMismatchError, NotConjugateError, ResourceCapError
@@ -133,6 +137,12 @@ class GroupModel:
         return acc
 
     # -- word metric and conjugacy (arguments are valid elements) ----------
+
+    @cached_property
+    def metric(self):
+        """The word metric of this model (``metric.WordMetric``), built once."""
+        from .metric import WordMetric
+        return WordMetric(self)
 
     def length(self, a: Element) -> int:
         raise NotImplementedError

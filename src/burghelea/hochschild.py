@@ -11,6 +11,10 @@ use it (matrices through ``linalg.boundary_columns``).  The complex splits
 over conjugacy classes of the product of entries, the retraction pi_h
 localizes a class component into the centralizer of h, and homology ranks of
 finite models are computed by exact rational elimination.
+
+A model's word metric is ``model.metric``.  The class-component map pi_h
+takes the coset section of h alone: the section owns h, the retraction p_h
+and the memoized minimal conjugators.
 """
 from __future__ import annotations
 
@@ -25,14 +29,7 @@ from .chains import Chain, linear_extend
 from .errors import GroupMismatchError, ResourceCapError
 from .groups import Element, GroupModel, class_members
 from .linalg import boundary_ranks
-from .metric import (
-    ConjugacyClass,
-    CosetSection,
-    WordMetric,
-    conjugacy_class,
-    conjugacy_classes,
-    make_conjugator_provider,
-)
+from .metric import ConjugacyClass, CosetSection, conjugacy_class, conjugacy_classes
 
 ONE = Fraction(1)
 
@@ -86,7 +83,7 @@ def sample_component_tuple(model: GroupModel, rng: random.Random, pool: list,
     return (model.mul(target, model.inv(prod)),) + tuple(rest)
 
 
-def split_by_class(model: GroupModel, wm: WordMetric, c: Chain) -> dict[ConjugacyClass, Chain]:
+def split_by_class(model: GroupModel, c: Chain) -> dict[ConjugacyClass, Chain]:
     """Decompose along conjugacy classes of the entry product.
 
     The components sum back to c, and the boundary restricts to each
@@ -94,12 +91,12 @@ def split_by_class(model: GroupModel, wm: WordMetric, c: Chain) -> dict[Conjugac
     """
     buckets: dict[ConjugacyClass, list] = {}
     for t, q in c.terms.items():
-        x = conjugacy_class(model, wm, entry_product(model, t))
+        x = conjugacy_class(model, entry_product(model, t))
         buckets.setdefault(x, []).append((t, q))
     return {x: Chain(c.kind, c.degree, items) for x, items in buckets.items()}
 
 
-def pi_h(model: GroupModel, section: CosetSection, c: Chain,
+def pi_h(section: CosetSection, c: Chain,
          conjugator: Optional[Callable[[Element], Element]] = None) -> Chain:
     """Localization C_n(QG)_x -> C_n(QZ_h)_[h] along the coset section of h.
 
@@ -109,13 +106,13 @@ def pi_h(model: GroupModel, section: CosetSection, c: Chain,
          p(r g_0...g_{n-1})^-1 p(r g_0...g_n))
 
     with p = p_h; the output does not depend on the choice of r, so any
-    conjugator provider is acceptable.
+    conjugator map may replace the section's minimal ``section.conjugator``.
     """
     if c.kind != "hochschild":
         raise GroupMismatchError("pi_h needs a hochschild chain")
     if conjugator is None:
-        conjugator = make_conjugator_provider(section)
-    m = model
+        conjugator = section.conjugator
+    m = section.model
     h = section.h
     p = section.retract
 
@@ -151,7 +148,7 @@ def iota_h(model: GroupModel, h: Element, c: Chain) -> Chain:
 # homology ranks of finite models
 # ---------------------------------------------------------------------------
 
-def class_component_basis(model: GroupModel, wm: WordMetric, degree: int,
+def class_component_basis(model: GroupModel, degree: int,
                           x: ConjugacyClass) -> list[tuple]:
     """Basis tuples of C_degree(QG)_x: entry product lies in x."""
     members = class_members(model, x.rep)
@@ -182,31 +179,30 @@ def _check_space_cap(model: GroupModel, max_degree: int, class_size: int) -> Non
             "(set BURGHELEA_CAP_MB to override)")
 
 
-def homology_ranks(model: GroupModel, wm: WordMetric, max_degree: int,
-                   x: Optional[ConjugacyClass] = None, split: bool = True) -> list[dict]:
+def homology_ranks(model: GroupModel, max_degree: int,
+                   x: Optional[ConjugacyClass] = None) -> list[dict]:
     """Exact Betti numbers of the Hochschild complex of a finite model.
 
     Returns one report per degree n <= max_degree:
         {degree, dim_chain_space, rank_boundary_out, rank_boundary_in, betti}
     where rank_boundary_out is the rank of b_n out of degree n and
-    rank_boundary_in the rank of b_{n+1} into it.  With ``split`` the
-    computation runs per class component and aggregates (the splitting is a
-    direct sum of subcomplexes); otherwise one monolithic elimination is run.
+    rank_boundary_in the rank of b_{n+1} into it.  The computation runs per
+    class component (only x's, when given) and aggregates: the splitting is
+    a direct sum of subcomplexes.
     """
     if not model.is_finite:
         raise GroupMismatchError("homology ranks need a finite model")
-    if not split and x is None:
-        return _homology_ranks_full(model, wm, max_degree)
     per_degree = _empty_reports(max_degree)
-    for cls in [x] if x is not None else conjugacy_classes(model, wm):
+    for cls in [x] if x is not None else conjugacy_classes(model):
         _check_space_cap(model, max_degree, len(class_members(model, cls.rep)))
-        bases = [class_component_basis(model, wm, n, cls) for n in range(max_degree + 2)]
+        bases = [class_component_basis(model, n, cls) for n in range(max_degree + 2)]
         _add_ranks(model, bases, per_degree)
     return per_degree
 
 
-def _homology_ranks_full(model: GroupModel, wm: WordMetric, max_degree: int) -> list[dict]:
-    """The unsplit reference path: one elimination over all of G^(n+1)."""
+def homology_ranks_unsplit(model: GroupModel, max_degree: int) -> list[dict]:
+    """The unsplit reference for ``homology_ranks``: one elimination over all
+    of G^(n+1)."""
     _check_space_cap(model, max_degree, model.order)
     elems = model.elements()
     bases = [sorted(itertools.product(elems, repeat=n + 1),

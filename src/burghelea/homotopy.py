@@ -21,6 +21,10 @@ complexes.  i^E is ``hochschild.iota_h``: both are the identity on terms
 after checking that every entry centralizes h.  ``theta_quotient_dims``
 builds its matrices with ``linalg.boundary_columns`` from theta's on-basis
 map ``theta_tuple`` and from the translation differences.
+
+p^E, D, Dbar and the lift of theta_h take the coset section of h alone: the
+section owns the model, h, the retraction p_h and the memoized minimal
+conjugators.  A model's word metric is ``model.metric``.
 """
 from __future__ import annotations
 
@@ -28,14 +32,14 @@ import itertools
 import random
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
 from .chains import Chain, linear_extend, simplex_faces, tuple_str
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
-from .hochschild import entry_product, hochschild_boundary, iota_h, pi_h
+from .hochschild import class_component_basis, entry_product, hochschild_boundary, iota_h, pi_h
 from .linalg import boundary_columns, rank_of_columns
-from .metric import CosetSection, WordMetric, make_conjugator_provider
+from .metric import CosetSection, conjugacy_class, coset_section
 
 ONE = Fraction(1)
 
@@ -48,7 +52,7 @@ def boundary_e(model: GroupModel, c: Chain) -> Chain:
     return linear_extend(c, "e", c.degree - 1, simplex_faces)
 
 
-def p_e(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
+def p_e(section: CosetSection, c: Chain) -> Chain:
     """Entrywise retraction E_.(G) -> E_.(Z_h)."""
     if c.kind != "e":
         raise GroupMismatchError("p_e needs an e-complex chain")
@@ -60,7 +64,7 @@ def p_e(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
     return linear_extend(c, "e", c.degree, on_basis)
 
 
-def homotopy_d(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
+def homotopy_d(section: CosetSection, c: Chain) -> Chain:
     """The chain homotopy D_n : E_n(G) -> E_{n+1}(G) for id - i^E p^E.
 
     The inductive prepend is extended linearly over the inner chain.
@@ -68,7 +72,7 @@ def homotopy_d(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
     if c.kind != "e":
         raise GroupMismatchError("homotopy_d needs an e-complex chain")
     n = c.degree
-    m = model
+    m = section.model
     p = section.retract
 
     if n == 0:
@@ -78,15 +82,15 @@ def homotopy_d(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
 
     def dn(t):
         gen = Chain.basis("e", n, t)
-        inner = gen - _ip(m, section, gen) - homotopy_d(m, section, boundary_e(m, gen))
+        inner = gen - _ip(section, gen) - homotopy_d(section, boundary_e(m, gen))
         for u, q in inner.terms.items():
             yield (t[0],) + u, q
 
     return linear_extend(c, "e", n + 1, dn)
 
 
-def _ip(model: GroupModel, section: CosetSection, c: Chain) -> Chain:
-    return iota_h(model, section.h, p_e(model, section, c))
+def _ip(section: CosetSection, c: Chain) -> Chain:
+    return iota_h(section.model, section.h, p_e(section, c))
 
 
 def theta_tuple(model: GroupModel, h: Element, t: tuple) -> Iterator[tuple[tuple, int]]:
@@ -105,18 +109,15 @@ def theta_h(model: GroupModel, h: Element, c: Chain) -> Chain:
     return linear_extend(c, "hochschild", c.degree, partial(theta_tuple, model, h))
 
 
-def theta_lift(model: GroupModel, section: CosetSection, c: Chain,
-               conjugator: Optional[Callable[[Element], Element]] = None) -> Chain:
+def theta_lift(section: CosetSection, c: Chain) -> Chain:
     """A section of theta_h: a generator with entry product r^-1 h r lifts to
-    (r a_0, r a_0 a_1, ..., r a_0...a_n)."""
+    (r a_0, r a_0 a_1, ..., r a_0...a_n), r the minimal conjugator."""
     if c.kind != "hochschild":
         raise GroupMismatchError("theta_lift needs a hochschild chain")
-    if conjugator is None:
-        conjugator = make_conjugator_provider(section)
-    m = model
+    m = section.model
 
     def on_basis(t):
-        r = conjugator(entry_product(m, t))
+        r = section.conjugator(entry_product(m, t))
         out = []
         acc = r
         for x in t:
@@ -127,18 +128,17 @@ def theta_lift(model: GroupModel, section: CosetSection, c: Chain,
     return linear_extend(c, "e", c.degree, on_basis)
 
 
-def dbar(model: GroupModel, section: CosetSection, c: Chain,
-         conjugator: Optional[Callable[[Element], Element]] = None) -> Chain:
+def dbar(section: CosetSection, c: Chain) -> Chain:
     """The homotopy D pushed through theta_h onto the Hochschild side."""
-    lifted = theta_lift(model, section, c, conjugator)
-    return theta_h(model, section.h, homotopy_d(model, section, lifted))
+    lifted = theta_lift(section, c)
+    return theta_h(section.model, section.h, homotopy_d(section, lifted))
 
 
-def normalize_coinvariant(model: GroupModel, section: CosetSection, t: tuple) -> tuple:
+def normalize_coinvariant(section: CosetSection, t: tuple) -> tuple:
     """Canonical representative of the left Z_h-translation orbit of t:
     translate by p_h(t_0)^-1, forcing the first entry into the image of s."""
-    z = model.inv(section.retract(t[0]))
-    return tuple(model.mul(z, x) for x in t)
+    m = section.model
+    return translate_tuple(m, m.inv(section.retract(t[0])), t)
 
 
 def translate_tuple(model: GroupModel, z: Element, t: tuple) -> tuple:
@@ -149,16 +149,16 @@ def translate_tuple(model: GroupModel, z: Element, t: tuple) -> tuple:
 # verification
 # ---------------------------------------------------------------------------
 
-def _e_generators(model: GroupModel, wm: WordMetric, degree: int,
+def _e_generators(model: GroupModel, degree: int,
                   sample: int, radius: int, rng: random.Random) -> list[tuple]:
     if model.is_finite and model.order ** (degree + 1) <= max(sample, 1):
         return list(itertools.product(model.elements(), repeat=degree + 1))
-    ball = wm.ball(radius)
+    ball = model.metric.ball(radius)
     return [tuple(rng.choice(ball) for _ in range(degree + 1)) for _ in range(sample)]
 
 
-def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
-                           n_max: int, samples: int = 50, radius: int = 2,
+def verify_homotopy_square(model: GroupModel, h: Element, n_max: int,
+                           samples: int = 50, radius: int = 2,
                            seed: int = 0) -> dict:
     """Check the commuting square for theta_h and the transferred homotopy.
 
@@ -173,10 +173,8 @@ def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
 
     Any failure is reported with the offending generator.
     """
-    from .metric import coset_section
     rng = random.Random(seed)
-    section = coset_section(model, wm, h)
-    conj = make_conjugator_provider(section)
+    section = coset_section(model, h)
     m = model
     checks: list[dict] = []
 
@@ -185,15 +183,15 @@ def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
                        "samples": count, "failures": failures})
 
     for n in range(n_max + 1):
-        gens = _e_generators(m, wm, n, samples, radius, rng)
-        reps = sorted({normalize_coinvariant(m, section, t) for t in gens},
+        gens = _e_generators(m, n, samples, radius, rng)
+        reps = sorted({normalize_coinvariant(section, t) for t in gens},
                       key=lambda t: tuple(m.element_key(x) for x in t))
 
         failures = []
         for t in reps:
             c = Chain.basis("e", n, t)
-            lhs = theta_h(m, h, p_e(m, section, c))
-            rhs = pi_h(m, section, theta_h(m, h, c), conjugator=conj)
+            lhs = theta_h(m, h, p_e(section, c))
+            rhs = pi_h(section, theta_h(m, h, c))
             if lhs != rhs:
                 failures.append(tuple_str(m, t))
         record("theta.pE == pi.theta", n, len(reps), failures)
@@ -211,11 +209,11 @@ def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
         failures = []
         for t in gens:
             c = Chain.basis("e", n, t)
-            lhs = c - _ip(m, section, c)
+            lhs = c - _ip(section, c)
             # the D(d c) addend is the zero map in degree 0
-            rhs = boundary_e(m, homotopy_d(m, section, c))
+            rhs = boundary_e(m, homotopy_d(section, c))
             if n > 0:
-                rhs = rhs + homotopy_d(m, section, boundary_e(m, c))
+                rhs = rhs + homotopy_d(section, boundary_e(m, c))
             if lhs != rhs:
                 failures.append(tuple_str(m, t))
         record("id - iE.pE == D.d + d.D", n, len(gens), failures)
@@ -223,10 +221,10 @@ def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
         failures = []
         for t in reps:
             hh = theta_h(m, h, Chain.basis("e", n, t))
-            lhs = hh - iota_h(m, h, pi_h(m, section, hh, conjugator=conj))
-            rhs = hochschild_boundary(m, dbar(m, section, hh, conj))
+            lhs = hh - iota_h(m, h, pi_h(section, hh))
+            rhs = hochschild_boundary(m, dbar(section, hh))
             if n > 0:
-                rhs = rhs + dbar(m, section, hochschild_boundary(m, hh), conj)
+                rhs = rhs + dbar(section, hochschild_boundary(m, hh))
             if lhs != rhs:
                 failures.append(tuple_str(m, t))
         record("id - iota.pi == b.Dbar + Dbar.b", n, len(reps), failures)
@@ -234,7 +232,7 @@ def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
         failures = []
         for t in z_gens:
             zc = theta_h(m, h, Chain.basis("e", n, t))
-            if pi_h(m, section, iota_h(m, h, zc), conjugator=conj) != zc:
+            if pi_h(section, iota_h(m, h, zc)) != zc:
                 failures.append(tuple_str(m, t))
         record("pi.iota == id", n, len(z_gens), failures)
 
@@ -247,17 +245,13 @@ def verify_homotopy_square(model: GroupModel, wm: WordMetric, h: Element,
     }
 
 
-def theta_quotient_dims(model: GroupModel, wm: WordMetric, h: Element,
-                        degree: int) -> dict:
+def theta_quotient_dims(model: GroupModel, h: Element, degree: int) -> dict:
     """Rank data for theta_h on a finite model: image rank, kernel rank, and
     the coinvariant basis count, against dim C_degree(QG)_x."""
-    from .hochschild import class_component_basis
-    from .metric import conjugacy_class, coset_section
     if not model.is_finite:
         raise GroupMismatchError("theta rank checks need a finite model")
-    section = coset_section(model, wm, h)
-    x = conjugacy_class(model, wm, h)
-    target = class_component_basis(model, wm, degree, x)
+    section = coset_section(model, h)
+    target = class_component_basis(model, degree, conjugacy_class(model, h))
     index = {t: i for i, t in enumerate(target)}
     tuples = list(itertools.product(model.elements(), repeat=degree + 1))
     image_rank = rank_of_columns(
@@ -273,7 +267,7 @@ def theta_quotient_dims(model: GroupModel, wm: WordMetric, h: Element,
 
     kernel_rank = rank_of_columns(
         boundary_columns(((z, t) for t in tuples for z in zs), tindex, difference))
-    orbits = len({normalize_coinvariant(model, section, t) for t in tuples})
+    orbits = len({normalize_coinvariant(section, t) for t in tuples})
 
     return {
         "degree": degree,

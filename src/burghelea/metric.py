@@ -4,18 +4,24 @@ group.  What depends on the kind is a method of the model (``groups``) or of
 the centralizer realization here, which owns its coset representatives and
 its conjugators to h.
 
+A model's word metric is ``model.metric``, a ``WordMetric`` built once per
+model, so functions here take the model alone and its balls are enumerated
+once however many searches use them.
+
 The coset section s(y) picks, for every right coset y of a centralizer, a
 length-minimal representative (shortlex tie-break), and the retraction
 p_h(g) = g * s(Z_h g)^-1 is the induced 2-Lipschitz map onto the centralizer.
-All minimal choices in this module break ties by shortlex so that every
-downstream computation is reproducible.
+The section is the one handle of a class component: it owns h, p_h and the
+memoized minimal conjugators ``conjugator(product)``.  All minimal choices
+in this module break ties by shortlex so that every downstream computation
+is reproducible.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (
     GroupMismatchError,
@@ -32,7 +38,8 @@ class WordMetric:
     """Word-length norm |g| for the model's fixed symmetric generating set.
 
     The model computes lengths and enumerates balls; this class validates
-    its arguments and caches the balls, sorted by shortlex.
+    its arguments and caches the balls, sorted by shortlex.  ``model.metric``
+    is the model's own instance.
     """
 
     def __init__(self, model: GroupModel, ball_cap: int = DEFAULT_BALL_CAP):
@@ -73,17 +80,17 @@ class ConjugacyClass:
     rep: Element
 
 
-def conjugacy_class(model: GroupModel, wm: WordMetric, g: Element) -> ConjugacyClass:
+def conjugacy_class(model: GroupModel, g: Element) -> ConjugacyClass:
     """Canonical conjugacy-class id of g; the canonicalization rules
     (``GroupModel.class_rep``) are exact for every supported kind."""
     model.check_element(g)
     return ConjugacyClass(model.class_rep(g))
 
 
-def conjugacy_classes(model: GroupModel, wm: WordMetric) -> list[ConjugacyClass]:
+def conjugacy_classes(model: GroupModel) -> list[ConjugacyClass]:
     """All conjugacy classes of a finite model, sorted by their reps."""
     reps = {model.class_rep(g) for g in model.elements()}
-    return [ConjugacyClass(rep) for rep in sorted(reps, key=wm.sort_key)]
+    return [ConjugacyClass(rep) for rep in sorted(reps, key=model.metric.sort_key)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +264,10 @@ class ProductCentralizer(CentralizerModel):
         return tuple(s.section(x) for s, x in zip(self.sections, g))
 
     def conjugator(self, product):
-        return tuple(minimal_conjugator(s, x) for s, x in zip(self.sections, product))
+        return tuple(s.conjugator(x) for s, x in zip(self.sections, product))
 
 
-def centralizer(model: GroupModel, wm: WordMetric, h: Element) -> CentralizerModel:
+def centralizer(model: GroupModel, h: Element) -> CentralizerModel:
     model.check_element(h)
     return model.centralizer(h)
 
@@ -273,7 +280,9 @@ class CosetSection:
     """Deterministic length-minimal section of Z_h \\ G.
 
     ``section(g)`` returns s(Z_h g), the shortlex-least length-minimal
-    representative of the coset of g; ``retract(g)`` is p_h(g) = g s(...)^-1.
+    representative of the coset of g; ``retract(g)`` is p_h(g) = g s(...)^-1;
+    ``conjugator(product)`` is the memoized minimal conjugator from h to a
+    member of its class.
     """
 
     def __init__(self, cz: CentralizerModel):
@@ -281,6 +290,7 @@ class CosetSection:
         self.model = cz.model
         self.h = cz.h
         self._cache: dict[Element, Element] = {}
+        self._conjugators: dict[Element, Element] = {}
 
     def section(self, g: Element) -> Element:
         cached = self._cache.get(g)
@@ -293,16 +303,32 @@ class CosetSection:
         """p_h(g) = g * s(Z_h g)^-1, a point of Z_h."""
         return self.model.mul(g, self.model.inv(self.section(g)))
 
+    def conjugator(self, product: Element) -> Element:
+        """Shortest r (shortlex tie-break) with product = r^-1 h r.
 
-def coset_section(model: GroupModel, wm: WordMetric, h: Element) -> CosetSection:
-    return CosetSection(centralizer(model, wm, h))
+        All conjugators form the coset Z_h r0, so the certified coset-section
+        minimum applied to any single conjugator r0 yields the global
+        minimum.  The centralizer realization constructs r0: the cyclic one
+        from cyclic-reduction canonical forms, the finite one by scanning the
+        group, the product one componentwise; the class of a central h is
+        {h}.
+        """
+        r = self._conjugators.get(product)
+        if r is None:
+            r0 = self.model.identity if product == self.h else self.cz.conjugator(product)
+            r = self._conjugators[product] = self.section(r0)
+        return r
+
+
+def coset_section(model: GroupModel, h: Element) -> CosetSection:
+    return CosetSection(centralizer(model, h))
 
 
 # ---------------------------------------------------------------------------
 # conjugator search
 # ---------------------------------------------------------------------------
 
-def find_conjugator(model: GroupModel, wm: WordMetric, g: Element, h: Element,
+def find_conjugator(model: GroupModel, g: Element, h: Element,
                     max_radius: int) -> Element:
     """Shortest r (shortlex tie-break) with h = r^-1 g r, by breadth-first
     search over balls of increasing radius.
@@ -319,10 +345,9 @@ def find_conjugator(model: GroupModel, wm: WordMetric, g: Element, h: Element,
 
     def bfs(m: GroupModel, x: Element, y: Element) -> Element:
         # the components of a product are searched in their factor's balls
-        mw = wm if m is model else WordMetric(m, wm.ball_cap)
         prev_size = -1
         for radius in range(max_radius + 1):
-            ball = mw.ball(radius)
+            ball = m.metric.ball(radius)
             if m.is_finite and len(ball) == prev_size:
                 # ball stopped growing: the whole group has been searched
                 raise NotConjugateError("search exhausted the finite group")
@@ -333,33 +358,6 @@ def find_conjugator(model: GroupModel, wm: WordMetric, g: Element, h: Element,
         raise NotConjugateWithinError(max_radius)
 
     return model.search_conjugator(g, h, bfs)
-
-
-def minimal_conjugator(section: CosetSection, product: Element) -> Element:
-    """Shortest r (shortlex tie-break) with product = r^-1 h r, for the h of
-    the given section.
-
-    All conjugators form the coset Z_h r0, so the certified coset-section
-    minimum applied to any single conjugator r0 yields the global minimum.
-    The centralizer realization constructs r0: the cyclic one from
-    cyclic-reduction canonical forms, the finite one by scanning the group,
-    the product one componentwise; the class of a central h is {h}.
-    """
-    r0 = section.model.identity if product == section.h else section.cz.conjugator(product)
-    return section.section(r0)
-
-
-def make_conjugator_provider(section: CosetSection) -> Callable[[Element], Element]:
-    """Memoized product -> minimal conjugator map for pi_h-style uses."""
-    cache: dict[Element, Element] = {}
-
-    def provider(product: Element) -> Element:
-        r = cache.get(product)
-        if r is None:
-            r = cache[product] = minimal_conjugator(section, product)
-        return r
-
-    return provider
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +383,19 @@ def ols_loglog_fit(points: list[tuple[float, float]]) -> dict:
     return {"slope": slope, "intercept": intercept, "residual": residual, "points": n}
 
 
-def conjugacy_bound_profile(model: GroupModel, wm: WordMetric,
-                            sample_radius: int, max_radius: int) -> dict:
+def conjugacy_bound_profile(model: GroupModel, sample_radius: int,
+                            max_radius: int) -> dict:
     """For each h in the sample ball, the minimal conjugator length from the
     class-minimal representative h_x to h, plus a growth fit.
 
     Window exhaustion is recorded per row, never fatal.
     """
+    wm = model.metric
     rows = []
     for h in wm.ball(sample_radius):
-        rep = conjugacy_class(model, wm, h).rep
+        rep = conjugacy_class(model, h).rep
         try:
-            r = find_conjugator(model, wm, rep, h, max_radius)
+            r = find_conjugator(model, rep, h, max_radius)
             rows.append({
                 "class_rep": model.element_str(rep),
                 "h": model.element_str(h),

@@ -24,14 +24,7 @@ from .errors import GroupMismatchError
 from .groups import Element, GroupModel
 from .hochschild import iota_h, pi_h, sample_component_tuple
 from .homotopy import dbar
-from .metric import (
-    CosetSection,
-    WordMetric,
-    conjugacy_class,
-    coset_section,
-    make_conjugator_provider,
-    ols_loglog_fit,
-)
+from .metric import CosetSection, conjugacy_class, coset_section, ols_loglog_fit
 
 NORM_KINDS = ("group-algebra", "hochschild-tensor", "rd-chain")
 
@@ -39,18 +32,18 @@ NORM_KINDS = ("group-algebra", "hochschild-tensor", "rd-chain")
 class NormFamily:
     """Evaluator of the k-indexed weighted l1 norms on one chain space.
 
-    ``length_fn`` defaults to the ambient word length (the induced subspace
-    norm on centralizer chains); pass a centralizer's intrinsic length to
-    profile the intrinsic variant instead.
+    ``length_fn`` defaults to the ambient word length ``model.metric.length``
+    (the induced subspace norm on centralizer chains); pass a centralizer's
+    intrinsic length to profile the intrinsic variant instead.
     """
 
-    def __init__(self, wm: WordMetric, kind: str,
+    def __init__(self, model: GroupModel, kind: str,
                  length_fn: Optional[Callable[[Element], int]] = None):
         if kind not in NORM_KINDS:
             raise GroupMismatchError(f"unknown norm kind {kind!r}")
-        self.wm = wm
+        self.model = model
         self.kind = kind
-        self.length = length_fn if length_fn is not None else wm.length
+        self.length = length_fn if length_fn is not None else model.metric.length
 
     def norm(self, c: Chain, k: int) -> Fraction:
         if k < 0:
@@ -58,7 +51,7 @@ class NormFamily:
         total = Fraction(0)
         if self.kind == "rd-chain":
             for t, q in c.terms.items():
-                total += abs(q) * tuple_diameter(self.wm, t) ** k
+                total += abs(q) * tuple_diameter(self.model, t) ** k
             return total
         for t, q in c.terms.items():
             w = 1
@@ -68,14 +61,13 @@ class NormFamily:
         return total
 
 
-def rd_chain_seminorm_pair(model: GroupModel, nf: NormFamily, c: Chain,
-                           k: int) -> tuple[Fraction, Fraction]:
+def rd_chain_seminorm_pair(nf: NormFamily, c: Chain, k: int) -> tuple[Fraction, Fraction]:
     """(|c|_{k,1}, |dc|_{k,1}) for an equivariant bar chain of degree >= 1."""
     if c.kind != "cbar":
         raise GroupMismatchError("rd_chain_seminorm_pair needs a cbar chain")
     if c.degree < 1:
         raise GroupMismatchError("the seminorm pair needs degree >= 1")
-    return nf.norm(c, k), nf.norm(boundary_cbar(model, c), k)
+    return nf.norm(c, k), nf.norm(boundary_cbar(nf.model, c), k)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +77,7 @@ def rd_chain_seminorm_pair(model: GroupModel, nf: NormFamily, c: Chain,
 PROFILE_MAPS = ("pi_h", "iota_h", "psi_phi_inv", "phi_psi_inv", "homotopy")
 
 
-def operator_growth_profile(map_id: str, model: GroupModel, wm: WordMetric,
+def operator_growth_profile(map_id: str, model: GroupModel,
                             h_sample: Iterable[Element], degree: int, radius: int,
                             k_grid: Iterable[int], samples: int = 25, seed: int = 0,
                             metric_variant: str = "induced") -> dict:
@@ -100,6 +92,7 @@ def operator_growth_profile(map_id: str, model: GroupModel, wm: WordMetric,
         raise GroupMismatchError(f"unknown map id {map_id!r}")
     rng = random.Random(seed)
     ks = list(k_grid)
+    wm = model.metric
     ball = wm.ball(radius)
     rows: list[dict] = []
     per_pair_points: dict[tuple[int, int], list[tuple[float, float]]] = {}
@@ -107,17 +100,15 @@ def operator_growth_profile(map_id: str, model: GroupModel, wm: WordMetric,
     reps = []
     seen = set()
     for h in h_sample:
-        rep = conjugacy_class(model, wm, h).rep
+        rep = conjugacy_class(model, h).rep
         if rep not in seen:
             seen.add(rep)
             reps.append(rep)
 
     for rep in reps:
-        section = coset_section(model, wm, rep)
-        conj = make_conjugator_provider(section)
+        section = coset_section(model, rep)
         z_ball = [g for g in ball if model.commutes(g, rep)]
-        dom_nf, cod_nf, apply_map, sampler = _profile_setup(
-            map_id, model, wm, section, conj, metric_variant)
+        dom_nf, cod_nf, apply_map, sampler = _profile_setup(map_id, section, metric_variant)
         gens = [sampler(rng, ball, z_ball, rep, degree) for _ in range(samples)]
         for k in ks:
             for kp in ks:
@@ -156,23 +147,22 @@ def operator_growth_profile(map_id: str, model: GroupModel, wm: WordMetric,
     return {"rows": rows, "fits": fits}
 
 
-def _profile_setup(map_id, model, wm, section: CosetSection, conj,
-                   metric_variant: str):
+def _profile_setup(map_id: str, section: CosetSection, metric_variant: str):
     """(domain (NormFamily, chain kind), codomain NormFamily, map, sampler)."""
-    h = section.h
+    model, h = section.model, section.h
     if metric_variant == "intrinsic":
         z_length = section.cz.intrinsic_length
     elif metric_variant == "induced":
-        z_length = wm.length
+        z_length = model.metric.length
     else:
         raise GroupMismatchError(f"unknown metric variant {metric_variant!r}")
-    tensor_g = NormFamily(wm, "hochschild-tensor")
-    tensor_z = NormFamily(wm, "hochschild-tensor", length_fn=z_length)
-    rd_z = NormFamily(wm, "rd-chain", length_fn=z_length)
+    tensor_g = NormFamily(model, "hochschild-tensor")
+    tensor_z = NormFamily(model, "hochschild-tensor", length_fn=z_length)
+    rd_z = NormFamily(model, "rd-chain", length_fn=z_length)
 
     if map_id == "pi_h":
         return ((tensor_g, "hochschild"), tensor_z,
-                lambda c: pi_h(model, section, c, conjugator=conj),
+                lambda c: pi_h(section, c),
                 lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, ball, rep, n))
     if map_id == "iota_h":
         return ((tensor_z, "hochschild"), tensor_g,
@@ -192,5 +182,5 @@ def _profile_setup(map_id, model, wm, section: CosetSection, conj,
         return ((rd_z, "cbar"), tensor_z, backward, sample_cbar)
     assert map_id == "homotopy"
     return ((tensor_g, "hochschild"), tensor_g,
-            lambda c: dbar(model, section, c, conj),
+            lambda c: dbar(section, c),
             lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, ball, rep, n))

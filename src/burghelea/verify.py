@@ -30,25 +30,18 @@ from .hochschild import (
     split_by_class,
 )
 from .homotopy import boundary_e, theta_h, verify_homotopy_square
-from .metric import (
-    WordMetric,
-    conjugacy_class,
-    coset_section,
-    find_conjugator,
-    make_conjugator_provider,
-    minimal_conjugator,
-)
+from .metric import conjugacy_class, coset_section, find_conjugator
 
 DEFAULT_RADIUS = 2
 
 
-def default_class_reps(model: GroupModel, wm: WordMetric, limit: int = 3,
+def default_class_reps(model: GroupModel, limit: int = 3,
                        radius: int = 2) -> list[Element]:
     """Deterministic small set of class representatives to verify against."""
     reps = []
     seen = set()
-    for g in wm.ball(radius):
-        rep = conjugacy_class(model, wm, g).rep
+    for g in model.metric.ball(radius):
+        rep = conjugacy_class(model, g).rep
         if rep not in seen:
             seen.add(rep)
             reps.append(rep)
@@ -57,8 +50,8 @@ def default_class_reps(model: GroupModel, wm: WordMetric, limit: int = 3,
     return reps
 
 
-def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
-                    max_degree: int = 3, samples: int = 200, seed: int = 0,
+def chain_map_suite(model: GroupModel, h: Element, max_degree: int = 3,
+                    samples: int = 200, seed: int = 0,
                     radius: int = DEFAULT_RADIUS) -> list[dict]:
     """Exact chain-map identities on seeded random generators:
 
@@ -70,9 +63,8 @@ def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
         b . theta  = theta . d
     """
     rng = random.Random(seed)
-    section = coset_section(model, wm, h)
-    conj = make_conjugator_provider(section)
-    ball = wm.ball(radius)
+    section = coset_section(model, h)
+    ball = model.metric.ball(radius)
     z_ball = [g for g in ball if model.commutes(g, h)]
     checks = []
 
@@ -81,8 +73,8 @@ def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
         for _ in range(samples):
             t = sample_component_tuple(model, rng, ball, h, n)
             c = Chain.basis("hochschild", n, t)
-            lhs = hochschild_boundary(model, pi_h(model, section, c, conjugator=conj))
-            rhs = pi_h(model, section, hochschild_boundary(model, c), conjugator=conj)
+            lhs = hochschild_boundary(model, pi_h(section, c))
+            rhs = pi_h(section, hochschild_boundary(model, c))
             if lhs != rhs:
                 failures.append(tuple_str(model, t))
         checks.append({"identity_name": "b.pi == pi.b", "degree": n,
@@ -125,8 +117,8 @@ def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
         for _ in range(samples):
             t = sample_component_tuple(model, rng, ball, h, n)
             c = Chain.basis("hochschild", n, t)
-            direct = localize_to_equivariant(model, section, c, conjugator=conj)
-            composed = composed_localization(model, section, c, conjugator=conj)
+            direct = localize_to_equivariant(section, c)
+            composed = composed_localization(section, c)
             if direct != composed:
                 failures.append(tuple_str(model, t))
         checks.append({"identity_name": "localize == psi.phi_inv.pi", "degree": n,
@@ -137,7 +129,7 @@ def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
         n = rng.randrange(0, max_degree + 1)
         t = sample_component_tuple(model, rng, ball, h, n)
         c = Chain.basis("hochschild", n, t)
-        parts = split_by_class(model, wm, c)
+        parts = split_by_class(model, c)
         total = Chain.zero("hochschild", n)
         for part in parts.values():
             total = total + part
@@ -154,15 +146,14 @@ def chain_map_suite(model: GroupModel, wm: WordMetric, h: Element,
     return checks
 
 
-def well_definedness_suite(model: GroupModel, wm: WordMetric, h: Element,
-                           trials: int = 100, max_degree: int = 2, seed: int = 0,
+def well_definedness_suite(model: GroupModel, h: Element, trials: int = 100,
+                           max_degree: int = 2, seed: int = 0,
                            radius: int = DEFAULT_RADIUS) -> list[dict]:
     """pi_h is independent of the conjugator choice: replacing r by a*r for
     a in Z_h leaves the output unchanged."""
     rng = random.Random(seed)
-    section = coset_section(model, wm, h)
-    base = make_conjugator_provider(section)
-    ball = wm.ball(radius)
+    section = coset_section(model, h)
+    ball = model.metric.ball(radius)
     z_ball = [g for g in ball if model.commutes(g, h)]
     failures = []
     for _ in range(trials):
@@ -172,18 +163,18 @@ def well_definedness_suite(model: GroupModel, wm: WordMetric, h: Element,
         a = rng.choice(z_ball)
 
         def alternative(product):
-            return model.mul(a, base(product))
+            return model.mul(a, section.conjugator(product))
 
-        if pi_h(model, section, c, conjugator=base) != pi_h(model, section, c, conjugator=alternative):
+        if pi_h(section, c) != pi_h(section, c, conjugator=alternative):
             failures.append(tuple_str(model, t) + f" with a={model.element_str(a)}")
     return [{"identity_name": "pi_h invariant under r -> a r", "degree": max_degree,
              "samples": trials, "failures": failures}]
 
 
-def metric_suite(model: GroupModel, wm: WordMetric, h: Element,
-                 radius: int = 4) -> list[dict]:
+def metric_suite(model: GroupModel, h: Element, radius: int = 4) -> list[dict]:
     """Exhaustive window checks: |p_h(g)| <= 2|g| and p_h(ag) = a p_h(g)."""
-    section = coset_section(model, wm, h)
+    wm = model.metric
+    section = coset_section(model, h)
     ball = wm.ball(radius)
     z_ball = [a for a in ball if model.commutes(a, h)]
 
@@ -212,25 +203,25 @@ def metric_suite(model: GroupModel, wm: WordMetric, h: Element,
     return [lip, eq, sec]
 
 
-def conjugator_cross_check(model: GroupModel, wm: WordMetric, h: Element,
-                           samples: int = 30, radius: int = 2, seed: int = 0,
+def conjugator_cross_check(model: GroupModel, h: Element, samples: int = 30,
+                           radius: int = 2, seed: int = 0,
                            max_radius: int = 8) -> list[dict]:
     """The constructive minimal conjugator agrees with breadth-first search."""
     rng = random.Random(seed)
-    section = coset_section(model, wm, h)
-    ball = wm.ball(radius)
+    section = coset_section(model, h)
+    ball = model.metric.ball(radius)
     failures = []
     tried = 0
     for _ in range(samples):
         y = rng.choice(ball)
         product = model.conj(y, h)
         try:
-            bfs = find_conjugator(model, wm, h, product, max_radius)
+            bfs = find_conjugator(model, h, product, max_radius)
         except (NotConjugateError, NotConjugateWithinError) as exc:
             failures.append(f"{model.element_str(product)}: {exc}")
             continue
         tried += 1
-        fast = minimal_conjugator(section, product)
+        fast = section.conjugator(product)
         if fast != bfs:
             failures.append(
                 f"{model.element_str(product)}: bfs={model.element_str(bfs)} "
@@ -239,23 +230,22 @@ def conjugator_cross_check(model: GroupModel, wm: WordMetric, h: Element,
              "degree": radius, "samples": tried, "failures": failures}]
 
 
-def run_identity_suite(model: GroupModel, wm: WordMetric,
-                       h: Optional[Element] = None, max_degree: int = 2,
-                       samples: int = 50, seed: int = 0,
+def run_identity_suite(model: GroupModel, h: Optional[Element] = None,
+                       max_degree: int = 2, samples: int = 50, seed: int = 0,
                        radius: int = DEFAULT_RADIUS) -> dict:
     """The full battery for one model; the CLI maps failures to exit code 2."""
-    reps = [h] if h is not None else default_class_reps(model, wm)
+    reps = [h] if h is not None else default_class_reps(model)
     all_checks = []
     for rep in reps:
         prefix = f"[h={model.element_str(rep)}] "
         batteries = [
-            chain_map_suite(model, wm, rep, max_degree, samples, seed, radius),
-            well_definedness_suite(model, wm, rep, max(samples, 100) if samples else 0,
+            chain_map_suite(model, rep, max_degree, samples, seed, radius),
+            well_definedness_suite(model, rep, max(samples, 100) if samples else 0,
                                    min(max_degree, 2), seed, radius),
-            metric_suite(model, wm, rep, radius=min(radius + 2, 4)),
-            conjugator_cross_check(model, wm, rep, samples=min(samples, 30),
+            metric_suite(model, rep, radius=min(radius + 2, 4)),
+            conjugator_cross_check(model, rep, samples=min(samples, 30),
                                    radius=radius, seed=seed),
-            verify_homotopy_square(model, wm, rep, n_max=min(max_degree, 2),
+            verify_homotopy_square(model, rep, n_max=min(max_degree, 2),
                                    samples=samples, radius=radius, seed=seed)["checks"],
         ]
         for battery in batteries:

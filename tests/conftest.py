@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from burghelea import WordMetric, parse_group
+from burghelea import parse_group
 
 settings.register_profile("workbench", deadline=None, max_examples=40)
 settings.load_profile("workbench")
@@ -59,16 +59,3 @@ def zz():
 @pytest.fixture(scope="session")
 def f2xz():
     return load_model("f2xz.json")
-
-
-@pytest.fixture(scope="session")
-def metrics():
-    cache = {}
-
-    def get(model):
-        wm = cache.get(id(model))
-        if wm is None:
-            wm = cache[id(model)] = WordMetric(model)
-        return wm
-
-    return get

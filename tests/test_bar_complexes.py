@@ -32,10 +32,10 @@ def test_cprime_boundary_examples(f2):
                                       (((1,),), Fraction(1))])
 
 
-def test_cprime_dd_zero(s3, f2, metrics):
+def test_cprime_dd_zero(s3, f2):
     rng = random.Random(7)
     for m in (s3, f2):
-        ball = metrics(m).ball(2)
+        ball = m.metric.ball(2)
         for n in (2, 3, 4):
             t = tuple(rng.choice(ball) for _ in range(n))
             c = Chain.basis("cprime", n, t)
@@ -55,11 +55,11 @@ def test_cbar_boundary_examples(f2):
     ])
 
 
-def test_cbar_dd_zero_and_validation(s3, f2, metrics):
+def test_cbar_dd_zero_and_validation(s3, f2):
     rng = random.Random(17)
     for m in (s3, f2):
         e = m.identity
-        ball = metrics(m).ball(2)
+        ball = m.metric.ball(2)
         for n in (2, 3):
             t = (e,) + tuple(rng.choice(ball) for _ in range(n))
             c = Chain.basis("cbar", n, t)
@@ -76,10 +76,10 @@ def test_psi_examples(f2):
     assert back == Chain.basis("cprime", 2, (a, b))
 
 
-def test_psi_chain_map_degree_three(s3, f2, metrics):
+def test_psi_chain_map_degree_three(s3, f2):
     rng = random.Random(23)
     for m in (s3, f2):
-        ball = metrics(m).ball(2)
+        ball = m.metric.ball(2)
         for _ in range(30):
             t = tuple(rng.choice(ball) for _ in range(3))
             c = Chain.basis("cprime", 3, t)
@@ -97,8 +97,7 @@ def test_phi_examples(zz):
     assert out == Chain.basis("hochschild", 1, ((1, -1), (0, 1)))
 
 
-def test_phi_chain_map_and_inverse(s3, metrics):
-    wm = metrics(s3)
+def test_phi_chain_map_and_inverse(s3):
     h = (0, 2, 1)
     z = [g for g in s3.elements() if s3.commutes(g, h)]
     rng = random.Random(29)
@@ -121,38 +120,36 @@ def test_phi_rejects_noncentral_entries(s3):
         phi_g(s3, (0, 2, 1), Chain.basis("cprime", 1, ((1, 2, 0),)))
 
 
-def test_localize_composition_equality(s3, f2, zz, metrics):
+def test_localize_composition_equality(s3, f2, zz):
     rng = random.Random(31)
     for m, h in ((s3, (0, 2, 1)), (f2, (1,)), (zz, (1, 0))):
-        wm = metrics(m)
-        sec = coset_section(m, wm, h)
+        wm = m.metric
+        sec = coset_section(m, h)
         for n in range(3):
             for _ in range(35):
                 t = sample_component_tuple(m, rng, wm.ball(2), h, n)
                 c = Chain.basis("hochschild", n, t)
-                direct = localize_to_equivariant(m, sec, c)
-                composed = composed_localization(m, sec, c)
+                direct = localize_to_equivariant(sec, c)
+                composed = composed_localization(sec, c)
                 assert direct == composed
                 for u in direct.terms:
                     assert u[0] == m.identity
 
 
-def test_localize_degree_zero(s3, metrics):
-    wm = metrics(s3)
+def test_localize_degree_zero(s3):
     h = (0, 2, 1)
-    sec = coset_section(s3, wm, h)
-    out = localize_to_equivariant(s3, sec, Chain.basis("hochschild", 0, ((2, 1, 0),)))
+    sec = coset_section(s3, h)
+    out = localize_to_equivariant(sec, Chain.basis("hochschild", 0, ((2, 1, 0),)))
     assert out == Chain.basis("cbar", 0, (s3.identity,))
 
 
-def test_localize_abelian_formula(zz, metrics):
+def test_localize_abelian_formula(zz):
     # p = id and r = e, so the orbit tuple is the prefix-product tuple
-    wm = metrics(zz)
     h = (1, 0)
-    sec = coset_section(zz, wm, h)
+    sec = coset_section(zz, h)
     g0 = (1, 2)
     t = (g0, zz.mul(zz.inv(g0), h))
-    out = localize_to_equivariant(zz, sec, Chain.basis("hochschild", 1, t))
+    out = localize_to_equivariant(sec, Chain.basis("hochschild", 1, t))
     expected = normalize_cbar_tuple(zz, (g0, h))
     assert out == Chain.basis("cbar", 1, expected)
 
@@ -171,12 +168,11 @@ def test_bar_ranks_finite_groups(z2, z4, s3):
         assert ranks == [1, 0]
 
 
-def test_burghelea_factor_per_class(s3, metrics):
+def test_burghelea_factor_per_class(s3):
     from burghelea import conjugacy_classes
-    wm = metrics(s3)
-    for rep in [c.rep for c in conjugacy_classes(s3, wm)]:
-        x = conjugacy_class(s3, wm, rep)
-        hochschild_side = [r["betti"] for r in homology_ranks(s3, wm, 1, x=x)]
+    for rep in [c.rep for c in conjugacy_classes(s3)]:
+        x = conjugacy_class(s3, rep)
+        hochschild_side = [r["betti"] for r in homology_ranks(s3, 1, x=x)]
         z = [g for g in s3.elements() if s3.commutes(g, rep)]
         bar_side = bar_homology_ranks(z, s3.mul, 1)
         assert hochschild_side == bar_side

@@ -56,16 +56,15 @@ def test_kind_and_degree_mismatch():
         Chain("nope", 0)
 
 
-def test_support_diameter(f2, metrics):
-    wm = metrics(f2)
+def test_support_diameter(f2):
     e, a, ab = (), (1,), (1, 2)
-    assert tuple_diameter(wm, (e,)) == 0
-    assert tuple_diameter(wm, (e, (1, 1, 2))) == 3
+    assert tuple_diameter(f2, (e,)) == 0
+    assert tuple_diameter(f2, (e, (1, 1, 2))) == 3
     # max over |a|, |ab|, |a^-1 ab| = max(1, 2, 1) = 2
-    assert tuple_diameter(wm, (e, a, ab)) == 2
-    assert tuple_diameter(wm, ((1,), (-1,))) == 2
+    assert tuple_diameter(f2, (e, a, ab)) == 2
+    assert tuple_diameter(f2, ((1,), (-1,))) == 2
     c = Chain("hochschild", 1, [((e, a), Fraction(1)), ((a, ab), Fraction(2))])
-    assert support_diameter(c, wm) == {(e, a): 1, (a, ab): 1}
+    assert support_diameter(f2, c) == {(e, a): 1, (a, ab): 1}
 
 
 def test_serialization_round_trip_and_determinism(f2):

@@ -168,6 +168,8 @@ def test_foreign_flag_exits_one(command, flag, capsys):
         value = str(fixture_path(value))
     assert run_cli(*_input_argv(command), flag, value) == 1
     err = capsys.readouterr().err
+    # the usage shown is the subcommand's, naming the flags it does take
+    assert err.startswith(f"usage: burghelea {command} ")
     assert f"unrecognized arguments: {flag}" in err
     assert "Traceback" not in err
 
@@ -178,7 +180,7 @@ HELP_DEFAULTS = {
     "burghelea-check": {"--max-degree": "1"},
     "verify-identities": {"--degree": "2", "--samples": "50", "--seed": "0",
                           "--radius": "2", "--format": "json"},
-    "conj-bound": {"--radius": "3", "--format": "json"},
+    "conj-bound": {"--radius": "3", "--cap": "2 * radius + 2", "--format": "json"},
     "norm-profile": {"--radius": "2", "--degree": "1", "--samples": "10",
                      "--k-grid": "0..2", "--seed": "0", "--format": "json"},
     "dehn": {"--degree": "1", "--k": "3", "--cap": "2000000", "--format": "json"},

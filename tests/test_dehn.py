@@ -11,6 +11,7 @@ from burghelea import (
     SimplicialComplex,
     dehn_function,
     filling_estimate_check,
+    integer_min_filling,
     min_l1_filling,
 )
 from burghelea import dehn
@@ -63,21 +64,21 @@ def test_single_simplex_fill(triangle):
     b = {(1, 2): F(1), (0, 2): F(-1), (0, 1): F(1)}
     res = min_l1_filling(triangle, b, 1)
     assert res.value == 1 and res.status == "optimal"
-    oracle = min_l1_filling(triangle, b, 1, mode="integer-oracle")
+    oracle = integer_min_filling(triangle, b, 1, 24)
     assert oracle.value == 1
 
 
 def test_zero_chain_fill(triangle, octahedron):
     for X in (triangle, octahedron):
         assert min_l1_filling(X, {}, 1).value == 0
-        assert min_l1_filling(X, {}, 1, mode="integer-oracle").value == 0
+        assert integer_min_filling(X, {}, 1, 24).value == 0
 
 
 def test_octahedron_equatorial_cycle(octahedron):
     # pinned regression value: either hemisphere fills with 4 triangles
     b = {(1, 2): F(1), (2, 3): F(1), (3, 4): F(1), (1, 4): F(-1)}
     lp = min_l1_filling(octahedron, b, 1)
-    oracle = min_l1_filling(octahedron, b, 1, mode="integer-oracle", oracle_cap=8)
+    oracle = integer_min_filling(octahedron, b, 1, 8)
     assert lp.value == 4
     assert oracle.value == 4
     assert lp.duality_ok
@@ -97,7 +98,7 @@ def test_not_a_boundary(octahedron):
     with pytest.raises(NotABoundaryError):
         min_l1_filling(octahedron, {(0, 1): F(1)}, 1)
     with pytest.raises(NotABoundaryError):
-        min_l1_filling(octahedron, {(0, 1): F(1)}, 1, mode="integer-oracle")
+        integer_min_filling(octahedron, {(0, 1): F(1)}, 1, 24)
     # a cycle that does not bound: the circle complex has no 2-simplices
     circle = SimplicialComplex([0, 1, 2], {1: [(0, 1), (0, 2), (1, 2)]})
     b = {(0, 1): F(1), (1, 2): F(1), (0, 2): F(-1)}
@@ -108,7 +109,12 @@ def test_not_a_boundary(octahedron):
 def test_oracle_cap_error(octahedron):
     b = {(1, 2): F(1), (2, 3): F(1), (3, 4): F(1), (1, 4): F(-1)}
     with pytest.raises(OracleCapError):
-        min_l1_filling(octahedron, b, 1, mode="integer-oracle", oracle_cap=3)
+        integer_min_filling(octahedron, b, 1, 3)
+
+
+def _over_simplices(X, vec):
+    """An edge chain given by edge index, keyed by the edges instead."""
+    return {X.simplices[1][i]: q for i, q in vec.items()}
 
 
 def test_lp_matches_oracle_small_boundaries(triangle, tetrahedron, fan6):
@@ -117,8 +123,7 @@ def test_lp_matches_oracle_small_boundaries(triangle, tetrahedron, fan6):
             target = {i: F(v) for i, v in b.items()}
             cols = X.boundary_columns(2)
             lp = min_l1_filling_vec(cols, X.dimension_size(1), target)
-            oracle = min_l1_filling_vec(cols, X.dimension_size(1), target,
-                                        mode="integer-oracle", oracle_cap=10)
+            oracle = integer_min_filling(X, _over_simplices(X, target), 1, 10)
             assert lp.value <= oracle.value
             assert lp.value == oracle.value
 
@@ -160,7 +165,7 @@ def test_fan_rim_cycle_fills_with_m_triangles(fan6):
            (5, 6): F(1), (1, 6): F(-1)}
     res = min_l1_filling(fan6, rim, 1)
     assert res.value == 6
-    oracle = min_l1_filling(fan6, rim, 1, mode="integer-oracle", oracle_cap=8)
+    oracle = integer_min_filling(fan6, rim, 1, 8)
     assert oracle.value == 6
 
 
@@ -188,27 +193,25 @@ def test_random_complexes_lp_le_oracle(faces):
     face0 = X.simplices[2][0]
     b = {i: F(v) for i, v in X.boundary_columns(2)[0].items()}
     lp = min_l1_filling_vec(cols, X.dimension_size(1), b)
-    oracle = min_l1_filling_vec(cols, X.dimension_size(1), b,
-                                mode="integer-oracle", oracle_cap=6)
+    oracle = integer_min_filling(X, _over_simplices(X, b), 1, 6)
     assert lp.value <= oracle.value <= 1  # the face itself is a filling
 
 
 # -- truncated bar complex ------------------------------------------------------
 
-def test_bar_truncation_is_subcomplex(metrics):
+def test_bar_truncation_is_subcomplex():
     zz = load_model("zz.json")
-    wm = metrics(zz)
-    trunc = BarTruncation(zz, wm, 2, 2)
+    wm = zz.metric
+    trunc = BarTruncation(zz, 2, 2)
     # every boundary column stays inside the lower basis (no KeyError)
     cols = trunc.boundary_columns(2)
     assert cols and all(isinstance(c, dict) for c in cols)
     assert len(trunc.bases[1]) == len(wm.ball(2))
 
 
-def test_filling_estimate_boundaries_fill(metrics):
+def test_filling_estimate_boundaries_fill():
     zz = load_model("zz.json")
-    wm = metrics(zz)
-    report = filling_estimate_check(zz, wm, degree=1, radius=2, k=0,
+    report = filling_estimate_check(zz, degree=1, radius=2, k=0,
                                     p_grid=[0, 1], samples=8, seed=4)
     assert report["rows"]
     for row in report["rows"]:
@@ -218,13 +221,12 @@ def test_filling_estimate_boundaries_fill(metrics):
             assert F(row["fill_norm_k"]) <= F(row["source_norm_k"])
 
 
-def test_filling_estimate_truncation_error(metrics):
+def test_filling_estimate_truncation_error():
     # delta_(e, e1) generates H_1(Z^2) rationally, so it cannot bound:
     # the truncation reports it, without claiming a refutation
     from burghelea.chains import Chain
     zz = load_model("zz.json")
-    wm = metrics(zz)
-    trunc = BarTruncation(zz, wm, 2, 1)
+    trunc = BarTruncation(zz, 2, 1)
     cols = trunc.boundary_columns(2)
     target = trunc.chain_to_vec(Chain.basis("cbar", 1, ((0, 0), (1, 0))), 1)
     with pytest.raises(NotABoundaryError):

@@ -11,6 +11,7 @@ from burghelea import (
     coset_section,
     hochschild_boundary,
     homology_ranks,
+    homology_ranks_unsplit,
     iota_h,
     pi_h,
     split_by_class,
@@ -45,9 +46,9 @@ def test_boundary_degree_zero(z4):
 
 
 @pytest.mark.parametrize("fixture", ["z4", "s3", "f2", "zz"])
-def test_b_squared_zero(fixture, request, metrics):
+def test_b_squared_zero(fixture, request):
     m = request.getfixturevalue(fixture)
-    wm = metrics(m)
+    wm = m.metric
     rng = random.Random(13)
     ball = wm.ball(2)
     for n in range(1, 5):
@@ -58,34 +59,33 @@ def test_b_squared_zero(fixture, request, metrics):
         assert hochschild_boundary(m, hochschild_boundary(m, c)).is_zero()
 
 
-def test_split_by_class(s3, metrics):
-    wm = metrics(s3)
+def test_split_by_class(s3):
     e = s3.identity
     s, t = (1, 0, 2), (0, 2, 1)
     # product e lands in the class of e
     c = Chain.basis("hochschild", 1, (s, s3.inv(s)))
-    parts = split_by_class(s3, wm, c)
-    assert list(parts) == [conjugacy_class(s3, wm, e)]
+    parts = split_by_class(s3, c)
+    assert list(parts) == [conjugacy_class(s3, e)]
     # non-conjugate singletons split into two components
     c2 = Chain("hochschild", 0, [((e,), Fraction(1)), ((s,), Fraction(1))])
-    assert len(split_by_class(s3, wm, c2)) == 2
+    assert len(split_by_class(s3, c2)) == 2
     # (s, t): product st is a 3-cycle
     c3 = Chain.basis("hochschild", 1, (s, t))
-    (cls,) = split_by_class(s3, wm, c3)
-    assert cls == conjugacy_class(s3, wm, s3.mul(s, t))
+    (cls,) = split_by_class(s3, c3)
+    assert cls == conjugacy_class(s3, s3.mul(s, t))
     assert s3.mul(s, t) in ((1, 2, 0), (2, 0, 1))
 
 
-def test_split_sums_and_commutes_with_boundary(s3, f2, metrics):
+def test_split_sums_and_commutes_with_boundary(s3, f2):
     rng = random.Random(3)
     for m in (s3, f2):
-        wm = metrics(m)
+        wm = m.metric
         ball = wm.ball(2)
         for n in (1, 2):
             items = [(tuple(rng.choice(ball) for _ in range(n + 1)),
                       Fraction(rng.randint(-2, 2))) for _ in range(8)]
             c = Chain("hochschild", n, items)
-            parts = split_by_class(m, wm, c)
+            parts = split_by_class(m, c)
             total = Chain.zero("hochschild", n)
             for p in parts.values():
                 total = total + p
@@ -97,38 +97,37 @@ def test_split_sums_and_commutes_with_boundary(s3, f2, metrics):
             assert lhs == rhs
 
 
-def test_pi_h_degree_zero_gives_h(s3, metrics):
-    wm = metrics(s3)
+def test_pi_h_degree_zero_gives_h(s3):
     h = (0, 2, 1)
-    sec = coset_section(s3, wm, h)
+    sec = coset_section(s3, h)
     for g0 in ((1, 0, 2), (2, 1, 0), h):
-        out = pi_h(s3, sec, Chain.basis("hochschild", 0, (g0,)))
+        out = pi_h(sec, Chain.basis("hochschild", 0, (g0,)))
         assert out == Chain.basis("hochschild", 0, (h,))
 
 
-def test_pi_h_abelian_identity(zz, z4, metrics):
+def test_pi_h_abelian_identity(zz, z4):
     rng = random.Random(1)
     for m in (zz, z4):
-        wm = metrics(m)
+        wm = m.metric
         ball = wm.ball(2)
         h = ball[1]
-        sec = coset_section(m, wm, h)
+        sec = coset_section(m, h)
         for n in range(3):
             t = sample_component_tuple(m, rng, wm.ball(2), h, n)
             c = Chain.basis("hochschild", n, t)
-            assert pi_h(m, sec, c) == c
+            assert pi_h(sec, c) == c
 
 
-def test_pi_h_structural_postconditions(s3, metrics):
+def test_pi_h_structural_postconditions(s3):
     # entries land in Z_h and the entry product is h-conjugate within Z_h
-    wm = metrics(s3)
+    wm = s3.metric
     h = (0, 2, 1)
-    sec = coset_section(s3, wm, h)
+    sec = coset_section(s3, h)
     rng = random.Random(8)
     for n in range(3):
         for _ in range(30):
             t = sample_component_tuple(s3, rng, wm.ball(3), h, n)
-            out = pi_h(s3, sec, Chain.basis("hochschild", n, t))
+            out = pi_h(sec, Chain.basis("hochschild", n, t))
             for u in out.terms:
                 assert all(s3.commutes(x, h) for x in u)
                 prod = entry_product(s3, u)
@@ -136,26 +135,25 @@ def test_pi_h_structural_postconditions(s3, metrics):
                            if s3.commutes(z, h))
 
 
-def test_pi_h_chain_map_exercises_cyclic_term(s3, f2, metrics):
+def test_pi_h_chain_map_exercises_cyclic_term(s3, f2):
     rng = random.Random(21)
     for m, h in ((s3, (0, 2, 1)), (f2, (1,))):
-        wm = metrics(m)
-        sec = coset_section(m, wm, h)
+        wm = m.metric
+        sec = coset_section(m, h)
         for n in (1, 2, 3):
             for _ in range(25):
                 t = sample_component_tuple(m, rng, wm.ball(2), h, n)
                 c = Chain.basis("hochschild", n, t)
-                assert hochschild_boundary(m, pi_h(m, sec, c)) == \
-                    pi_h(m, sec, hochschild_boundary(m, c))
+                assert hochschild_boundary(m, pi_h(sec, c)) == \
+                    pi_h(sec, hochschild_boundary(m, c))
 
 
-def test_pi_h_well_defined_under_conjugator_change(s3, f2, metrics):
-    from burghelea.metric import make_conjugator_provider
+def test_pi_h_well_defined_under_conjugator_change(s3, f2):
     rng = random.Random(5)
     for m, h in ((s3, (0, 2, 1)), (f2, (1, 2))):
-        wm = metrics(m)
-        sec = coset_section(m, wm, h)
-        base = make_conjugator_provider(sec)
+        wm = m.metric
+        sec = coset_section(m, h)
+        base = sec.conjugator
         z_ball = [a for a in wm.ball(2) if m.commutes(a, h)]
         for _ in range(40):
             n = rng.randrange(3)
@@ -163,13 +161,12 @@ def test_pi_h_well_defined_under_conjugator_change(s3, f2, metrics):
             a = rng.choice(z_ball)
             alt = lambda product: m.mul(a, base(product))
             c = Chain.basis("hochschild", n, t)
-            assert pi_h(m, sec, c, conjugator=base) == pi_h(m, sec, c, conjugator=alt)
+            assert pi_h(sec, c, conjugator=base) == pi_h(sec, c, conjugator=alt)
 
 
-def test_iota_round_trip_and_validation(s3, metrics):
-    wm = metrics(s3)
+def test_iota_round_trip_and_validation(s3):
     h = (0, 2, 1)
-    sec = coset_section(s3, wm, h)
+    sec = coset_section(s3, h)
     z = [g for g in s3.elements() if s3.commutes(g, h)]
     rng = random.Random(2)
     for n in range(3):
@@ -182,7 +179,7 @@ def test_iota_round_trip_and_validation(s3, metrics):
             c = Chain.basis("hochschild", n, t)
             inc = iota_h(s3, h, c)
             assert inc == c
-            assert pi_h(s3, sec, inc) == c
+            assert pi_h(sec, inc) == c
     with pytest.raises(GroupMismatchError):
         iota_h(s3, h, Chain.basis("hochschild", 0, ((1, 2, 0),)))
 
@@ -193,75 +190,70 @@ def test_iota_of_zero(s3):
 
 # -- homology ranks -----------------------------------------------------------
 
-def test_ranks_z2(z2, metrics):
-    report = homology_ranks(z2, metrics(z2), 2)
+def test_ranks_z2(z2):
+    report = homology_ranks(z2, 2)
     assert [r["betti"] for r in report] == [2, 0, 0]
 
 
-def test_ranks_z4(z4, metrics):
-    report = homology_ranks(z4, metrics(z4), 1)
+def test_ranks_z4(z4):
+    report = homology_ranks(z4, 1)
     assert [r["betti"] for r in report] == [4, 0]
     assert report[0]["dim_chain_space"] == 4
     assert report[1]["dim_chain_space"] == 16
 
 
-def test_ranks_s3_transposition_class(s3, metrics):
-    wm = metrics(s3)
-    x = conjugacy_class(s3, wm, (0, 2, 1))
-    report = homology_ranks(s3, wm, 1, x=x)
+def test_ranks_s3_transposition_class(s3):
+    x = conjugacy_class(s3, (0, 2, 1))
+    report = homology_ranks(s3, 1, x=x)
     assert [r["betti"] for r in report] == [1, 0]
 
 
-def test_ranks_d4_rotation_class(d4, metrics):
+def test_ranks_d4_rotation_class(d4):
     # the class of the benchmarked hh-ranks run; b_4 has 8192 columns
-    wm = metrics(d4)
-    report = homology_ranks(d4, wm, 3, x=conjugacy_class(d4, wm, (1, 2, 3, 0)))
+    report = homology_ranks(d4, 3, x=conjugacy_class(d4, (1, 2, 3, 0)))
     assert [r["dim_chain_space"] for r in report] == [2, 16, 128, 1024]
     assert [r["rank_boundary_in"] for r in report] == [1, 15, 113, 911]
     assert [r["betti"] for r in report] == [1, 0, 0, 0]
 
 
-def test_ranks_split_agrees_with_monolithic(z4, s3, metrics):
+def test_ranks_split_agrees_with_monolithic(z4, s3):
     for m, deg in ((z4, 1), (s3, 1)):
-        wm = metrics(m)
-        split = homology_ranks(m, wm, deg, split=True)
-        full = homology_ranks(m, wm, deg, split=False)
+        split = homology_ranks(m, deg)
+        full = homology_ranks_unsplit(m, deg)
         assert [r["betti"] for r in split] == [r["betti"] for r in full]
         assert [r["dim_chain_space"] for r in split] == [r["dim_chain_space"] for r in full]
 
 
-def test_ranks_equal_class_count(z2, z4, s3, metrics):
+def test_ranks_equal_class_count(z2, z4, s3):
     for m in (z2, z4, s3):
-        wm = metrics(m)
-        report = homology_ranks(m, wm, 1)
-        assert report[0]["betti"] == len(conjugacy_classes(m, wm))
+        report = homology_ranks(m, 1)
+        assert report[0]["betti"] == len(conjugacy_classes(m))
         assert report[1]["betti"] == 0
 
 
-def test_class_component_basis_dimension(s3, metrics):
-    wm = metrics(s3)
-    x = conjugacy_class(s3, wm, (0, 2, 1))
+def test_class_component_basis_dimension(s3):
+    x = conjugacy_class(s3, (0, 2, 1))
     for n in range(3):
-        basis = class_component_basis(s3, wm, n, x)
+        basis = class_component_basis(s3, n, x)
         assert len(basis) == 3 * 6 ** n
-        assert all(conjugacy_class(s3, wm, entry_product(s3, t)) == x for t in basis)
+        assert all(conjugacy_class(s3, entry_product(s3, t)) == x for t in basis)
 
 
-def test_ranks_infinite_model_rejected(f2, metrics):
+def test_ranks_infinite_model_rejected(f2):
     with pytest.raises(GroupMismatchError):
-        homology_ranks(f2, metrics(f2), 1)
+        homology_ranks(f2, 1)
 
 
-def test_resource_cap(z4, metrics, monkeypatch):
+def test_resource_cap(z4, monkeypatch):
     monkeypatch.setenv("BURGHELEA_CAP_MB", "0")
     # env parse clamps to >= 1 MB; the degree-6 spaces of Z/4 need ~4.5 MB,
     # so the cap trips before any basis is built
     with pytest.raises(ResourceCapError):
-        homology_ranks(z4, metrics(z4), 6)
+        homology_ranks(z4, 6)
 
 
-def test_invalid_cap_is_an_error(z4, metrics, monkeypatch):
+def test_invalid_cap_is_an_error(z4, monkeypatch):
     # a cap that is not an integer must not fall back to the default
     monkeypatch.setenv("BURGHELEA_CAP_MB", "abc")
     with pytest.raises(ResourceCapError, match="BURGHELEA_CAP_MB"):
-        homology_ranks(z4, metrics(z4), 1)
+        homology_ranks(z4, 1)

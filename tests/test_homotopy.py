@@ -38,55 +38,53 @@ def test_boundary_e_examples(f2):
     assert boundary_e(f2, Chain.basis("e", 0, (g0,))).is_zero()
 
 
-def test_p_e_and_i_e(f2, zz, metrics):
-    wm = metrics(f2)
+def test_p_e_and_i_e(f2, zz):
     h = (1,)
-    sec = coset_section(f2, wm, h)
+    sec = coset_section(f2, h)
     # all entries in Z_h stay put
     c = Chain.basis("e", 1, ((1, 1), (1,)))
-    assert p_e(f2, sec, c) == c
+    assert p_e(sec, c) == c
     assert iota_h(f2, h, c) == c
     # p_h(a^3 b) = a^3 entrywise
     c2 = Chain.basis("e", 1, ((1, 1, 1, 2), (1,)))
-    assert p_e(f2, sec, c2) == Chain.basis("e", 1, ((1, 1, 1), (1,)))
+    assert p_e(sec, c2) == Chain.basis("e", 1, ((1, 1, 1), (1,)))
     # abelian: identity
-    zsec = coset_section(zz, metrics(zz), (1, 0))
+    zsec = coset_section(zz, (1, 0))
     c3 = Chain.basis("e", 1, ((3, -1), (0, 2)))
-    assert p_e(zz, zsec, c3) == c3
+    assert p_e(zsec, c3) == c3
     with pytest.raises(GroupMismatchError):
         iota_h(f2, h, Chain.basis("e", 0, ((2,),)))
 
 
-def test_d0_examples(f2, zz, metrics):
-    wm = metrics(f2)
+def test_d0_examples(f2, zz):
     h = (1,)
-    sec = coset_section(f2, wm, h)
+    sec = coset_section(f2, h)
     # g0 in Z_h: D0(g0) = (g0, g0), boundary vanishes like id - ip
     g0 = (1, 1)
-    d0 = homotopy_d(f2, sec, Chain.basis("e", 0, (g0,)))
+    d0 = homotopy_d(sec, Chain.basis("e", 0, (g0,)))
     assert d0 == Chain.basis("e", 1, (g0, g0))
     assert boundary_e(f2, d0).is_zero()
     # F2, h=a, g0=a^3 b: D0 = (a^3, a^3 b), dD0 = (a^3 b) - (a^3)
     g0 = (1, 1, 1, 2)
-    d0 = homotopy_d(f2, sec, Chain.basis("e", 0, (g0,)))
+    d0 = homotopy_d(sec, Chain.basis("e", 0, (g0,)))
     assert d0 == Chain.basis("e", 1, ((1, 1, 1), g0))
     out = boundary_e(f2, d0)
     assert out == Chain("e", 0, [((g0,), Fraction(1)), (((1, 1, 1),), Fraction(-1))])
     # abelian: p = id so id - ip = 0 and dD0 = 0
-    zsec = coset_section(zz, metrics(zz), (1, 0))
-    d0 = homotopy_d(zz, zsec, Chain.basis("e", 0, ((2, 3),)))
+    zsec = coset_section(zz, (1, 0))
+    d0 = homotopy_d(zsec, Chain.basis("e", 0, ((2, 3),)))
     assert boundary_e(zz, d0).is_zero()
 
 
-def _ip(model, sec, c):
-    return iota_h(model, sec.h, p_e(model, sec, c))
+def _ip(sec, c):
+    return iota_h(sec.model, sec.h, p_e(sec, c))
 
 
 @pytest.mark.parametrize("fixture,h", [("s3", (0, 2, 1)), ("z4", 1), ("f2", (1,)), ("zz", (1, 0))])
-def test_homotopy_identity_degrees_up_to_three(fixture, h, request, metrics):
+def test_homotopy_identity_degrees_up_to_three(fixture, h, request):
     m = request.getfixturevalue(fixture)
-    wm = metrics(m)
-    sec = coset_section(m, wm, h)
+    wm = m.metric
+    sec = coset_section(m, h)
     rng = random.Random(37)
     ball = wm.ball(2)
     for n in range(4):
@@ -96,17 +94,16 @@ def test_homotopy_identity_degrees_up_to_three(fixture, h, request, metrics):
             gens = [tuple(rng.choice(ball) for _ in range(n + 1)) for _ in range(25)]
         for t in gens:
             c = Chain.basis("e", n, t)
-            lhs = c - _ip(m, sec, c)
-            rhs = boundary_e(m, homotopy_d(m, sec, c))
+            lhs = c - _ip(sec, c)
+            rhs = boundary_e(m, homotopy_d(sec, c))
             if n > 0:
-                rhs = rhs + homotopy_d(m, sec, boundary_e(m, c))
+                rhs = rhs + homotopy_d(sec, boundary_e(m, c))
             assert lhs == rhs
 
 
-def test_equivariance_exhaustive_s3(s3, metrics):
-    wm = metrics(s3)
+def test_equivariance_exhaustive_s3(s3):
     h = (0, 2, 1)
-    sec = coset_section(s3, wm, h)
+    sec = coset_section(s3, h)
     zs = [z for z in s3.elements() if s3.commutes(z, h)]
     for n in (0, 1):
         for t in itertools.product(s3.elements(), repeat=n + 1):
@@ -114,8 +111,8 @@ def test_equivariance_exhaustive_s3(s3, metrics):
             for z in zs:
                 zt = translate_tuple(s3, z, t)
                 zc = Chain.basis("e", n, zt)
-                for f in (lambda x: p_e(s3, sec, x),
-                          lambda x: homotopy_d(s3, sec, x)):
+                for f in (lambda x: p_e(sec, x),
+                          lambda x: homotopy_d(sec, x)):
                     image_t = f(c)
                     image_zt = f(zc)
                     shifted = Chain(image_t.kind, image_t.degree,
@@ -124,7 +121,7 @@ def test_equivariance_exhaustive_s3(s3, metrics):
                     assert image_zt == shifted
 
 
-def test_theta_examples(s3, metrics):
+def test_theta_examples(s3):
     h = (0, 2, 1)
     g0 = (1, 2, 0)
     out = theta_h(s3, h, Chain.basis("e", 0, (g0,)))
@@ -138,10 +135,10 @@ def test_theta_examples(s3, metrics):
                 theta_h(s3, h, Chain.basis("e", 1, t))
 
 
-def test_theta_chain_map(s3, f2, metrics):
+def test_theta_chain_map(s3, f2):
     rng = random.Random(41)
     for m, h in ((s3, (0, 2, 1)), (f2, (1, 2))):
-        ball = metrics(m).ball(2)
+        ball = m.metric.ball(2)
         for n in (1, 2, 3):
             for _ in range(20):
                 t = tuple(rng.choice(ball) for _ in range(n + 1))
@@ -150,70 +147,68 @@ def test_theta_chain_map(s3, f2, metrics):
                     theta_h(m, h, boundary_e(m, c))
 
 
-def test_theta_lands_in_component_and_lift_sections(s3, metrics):
-    wm = metrics(s3)
+def test_theta_lands_in_component_and_lift_sections(s3):
     h = (0, 2, 1)
-    sec = coset_section(s3, wm, h)
-    x = conjugacy_class(s3, wm, h)
+    sec = coset_section(s3, h)
+    x = conjugacy_class(s3, h)
     rng = random.Random(43)
     for n in (0, 1, 2):
         for _ in range(25):
             t = tuple(rng.choice(s3.elements()) for _ in range(n + 1))
             out = theta_h(s3, h, Chain.basis("e", n, t))
             for u in out.terms:
-                assert conjugacy_class(s3, wm, entry_product(s3, u)) == x
+                assert conjugacy_class(s3, entry_product(s3, u)) == x
             # lift is a section of theta
-            assert theta_h(s3, h, theta_lift(s3, sec, out)) == out
+            assert theta_h(s3, h, theta_lift(sec, out)) == out
 
 
-def test_theta_surjectivity_rank(s3, metrics):
-    d = theta_quotient_dims(s3, metrics(s3), (0, 2, 1), 1)
+def test_theta_surjectivity_rank(s3):
+    d = theta_quotient_dims(s3, (0, 2, 1), 1)
     assert d["dim_component"] == 18  # |x| * |G| = 3 * 6
     assert d["image_rank"] == 18     # surjective
     assert d["kernel_span_rank"] == d["dim_e"] - d["image_rank"]
     assert d["coinvariant_basis"] == d["dim_component"]
 
 
-def test_coinvariant_normalization_fixed_point(s3, f2, metrics):
+def test_coinvariant_normalization_fixed_point(s3, f2):
     rng = random.Random(47)
     for m, h in ((s3, (0, 2, 1)), (f2, (1,))):
-        wm = metrics(m)
-        sec = coset_section(m, wm, h)
+        wm = m.metric
+        sec = coset_section(m, h)
         ball = wm.ball(2)
         for _ in range(40):
             t = tuple(rng.choice(ball) for _ in range(3))
-            rep = normalize_coinvariant(m, sec, t)
-            assert normalize_coinvariant(m, sec, rep) == rep
+            rep = normalize_coinvariant(sec, t)
+            assert normalize_coinvariant(sec, rep) == rep
             # representative is a left translate by a centralizer element
             z = m.mul(t[0], m.inv(rep[0]))
             assert m.commutes(z, h)
             assert translate_tuple(m, z, rep) == t
 
 
-def test_dbar_homotopy_on_s3_component(s3, metrics):
-    wm = metrics(s3)
+def test_dbar_homotopy_on_s3_component(s3):
     h = (0, 2, 1)
-    sec = coset_section(s3, wm, h)
-    x = conjugacy_class(s3, wm, h)
+    sec = coset_section(s3, h)
+    x = conjugacy_class(s3, h)
     for n in (1, 2):
-        basis = class_component_basis(s3, wm, n, x)
+        basis = class_component_basis(s3, n, x)
         for t in basis[::7]:
             c = Chain.basis("hochschild", n, t)
-            lhs = c - iota_h(s3, h, pi_h(s3, sec, c))
-            rhs = hochschild_boundary(s3, dbar(s3, sec, c)) \
-                + dbar(s3, sec, hochschild_boundary(s3, c))
+            lhs = c - iota_h(s3, h, pi_h(sec, c))
+            rhs = hochschild_boundary(s3, dbar(sec, c)) \
+                + dbar(sec, hochschild_boundary(s3, c))
             assert lhs == rhs
 
 
-def test_verify_homotopy_square_abelian_trivial(zz, z4, metrics):
+def test_verify_homotopy_square_abelian_trivial(zz, z4):
     for m, h in ((zz, (1, 0)), (z4, 1)):
-        report = verify_homotopy_square(m, metrics(m), h, n_max=2,
+        report = verify_homotopy_square(m, h, n_max=2,
                                         samples=10, radius=2, seed=1)
         assert report["all_passed"]
 
 
-def test_verify_homotopy_square_s3_exhaustive(s3, metrics):
-    report = verify_homotopy_square(s3, metrics(s3), (0, 2, 1), n_max=2,
+def test_verify_homotopy_square_s3_exhaustive(s3):
+    report = verify_homotopy_square(s3, (0, 2, 1), n_max=2,
                                     samples=10 ** 6, radius=2, seed=0)
     assert report["all_passed"]
     # degree-2 checks on quotient representatives cover all 108 of them

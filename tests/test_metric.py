@@ -13,11 +13,10 @@ from burghelea import (
     centralizer,
     coset_section,
     find_conjugator,
-    minimal_conjugator,
     parse_group,
 )
-from burghelea.groups import class_members
-from conftest import load_complex_obj
+from burghelea.groups import FreeGroup, class_members
+from conftest import load_complex_obj, load_model
 
 
 @pytest.fixture(scope="module")
@@ -51,27 +50,27 @@ def bruteforce_class(model, g):
 
 # -- word length ------------------------------------------------------------
 
-def test_word_length_examples(f2, zz, s3, metrics):
-    wf = metrics(f2)
+def test_word_length_examples(f2, zz, s3):
+    wf = f2.metric
     assert wf.length((1, 2, -1)) == 3  # |a b a^-1|
-    assert metrics(zz).length((2, 1)) == 3
+    assert zz.metric.length((2, 1)) == 3
     # S3: |(13)| = 3, frozen from the generator-product oracle
     oracle = bruteforce_lengths(s3, 4)
     assert oracle[(2, 1, 0)] == 3
-    assert metrics(s3).length((2, 1, 0)) == 3
+    assert s3.metric.length((2, 1, 0)) == 3
 
 
-def test_bfs_agrees_with_bruteforce_oracle(s3, d4, z4, metrics):
+def test_bfs_agrees_with_bruteforce_oracle(s3, d4, z4):
     for m in (s3, d4, z4):
         oracle = bruteforce_lengths(m, 10)
-        wm = metrics(m)
+        wm = m.metric
         assert all(wm.length(g) == oracle[g] for g in m.elements())
 
 
-def test_length_symmetry_and_triangle(f2, zz, s3, metrics):
+def test_length_symmetry_and_triangle(f2, zz, s3):
     rng = random.Random(5)
     for m, radius in ((f2, 3), (zz, 3), (s3, 3)):
-        wm = metrics(m)
+        wm = m.metric
         ball = wm.ball(radius)
         for g in ball:
             assert wm.length(m.inv(g)) == wm.length(g)
@@ -81,16 +80,23 @@ def test_length_symmetry_and_triangle(f2, zz, s3, metrics):
         assert wm.length(m.identity) == 0
 
 
-def test_ball_counts_and_determinism(f2, zz, metrics):
-    wf = metrics(f2)
+def test_ball_counts_and_determinism(f2, zz):
+    wf = f2.metric
     assert len(wf.ball(1)) == 5
     # 1 + 4 + 12 reduced words
     assert len(wf.ball(2)) == 17
-    assert len(metrics(zz).ball(1)) == 5
+    assert len(zz.metric.ball(1)) == 5
     b1 = wf.ball(2)
     b2 = WordMetric(f2.__class__(2) if False else f2).ball(2)
     assert b1 == b2
     assert len(set(b1)) == len(b1)
+
+
+def test_model_carries_one_metric(f2, f2xz):
+    for m in (f2, f2xz, *f2xz.factors):
+        assert isinstance(m.metric, WordMetric)
+        assert m.metric is m.metric
+        assert m.metric.model is m
 
 
 def test_ball_cap():
@@ -104,27 +110,27 @@ def test_ball_cap():
 
 # -- conjugacy classes --------------------------------------------------------
 
-def test_conjugacy_class_examples(f2, zz, s3, metrics):
+def test_conjugacy_class_examples(f2, zz, s3):
     a, b = (1,), (2,)
     aba = f2.mul(f2.mul(a, b), f2.inv(a))
-    assert conjugacy_class(f2, metrics(f2), aba).rep == b
-    assert conjugacy_class(zz, metrics(zz), (2, 1)).rep == (2, 1)
+    assert conjugacy_class(f2, aba).rep == b
+    assert conjugacy_class(zz, (2, 1)).rep == (2, 1)
     # S3 transpositions: class size 3, shortlex-least transposition as rep
     members = bruteforce_class(s3, (2, 1, 0))
     assert len(members) == 3
-    rep = conjugacy_class(s3, metrics(s3), (2, 1, 0)).rep
+    rep = conjugacy_class(s3, (2, 1, 0)).rep
     assert rep in members
     assert rep == (0, 2, 1)  # the length-1 transposition least in encoding order
 
 
-def test_class_constant_on_conjugates(f2, s3, f2xz, s3xz, metrics):
+def test_class_constant_on_conjugates(f2, s3, f2xz, s3xz):
     rng = random.Random(2)
     for m, radius in ((f2, 2), (s3, 3), (f2xz, 2), (s3xz, 2)):
-        wm = metrics(m)
+        wm = m.metric
         ball = wm.ball(radius)
         for _ in range(100):
             g, x = rng.choice(ball), rng.choice(ball)
-            assert conjugacy_class(m, wm, g) == conjugacy_class(m, wm, m.conj(x, g))
+            assert conjugacy_class(m, g) == conjugacy_class(m, m.conj(x, g))
 
 
 def test_class_members_match_bruteforce(s3, z4):
@@ -133,36 +139,35 @@ def test_class_members_match_bruteforce(s3, z4):
             assert set(class_members(m, g)) == bruteforce_class(m, g)
 
 
-def test_class_counts(z2, z4, s3, d4, metrics):
+def test_class_counts(z2, z4, s3, d4):
     expected = {id(z2): 2, id(z4): 4, id(s3): 3, id(d4): 5}
     for m in (z2, z4, s3, d4):
-        assert len(conjugacy_classes(m, metrics(m))) == expected[id(m)]
+        assert len(conjugacy_classes(m)) == expected[id(m)]
 
 
-def test_rep_is_length_minimal(s3, d4, metrics):
+def test_rep_is_length_minimal(s3, d4):
     for m in (s3, d4):
-        wm = metrics(m)
+        wm = m.metric
         for g in m.elements():
-            rep = conjugacy_class(m, wm, g).rep
+            rep = conjugacy_class(m, g).rep
             assert all(wm.length(rep) <= wm.length(x) for x in bruteforce_class(m, g))
 
 
-def test_product_class_componentwise(f2xz, metrics):
-    wm = metrics(f2xz)
+def test_product_class_componentwise(f2xz):
     g = ((1, 2, -1), (3,))
-    assert conjugacy_class(f2xz, wm, g).rep == ((2,), (3,))
+    assert conjugacy_class(f2xz, g).rep == ((2,), (3,))
 
 
 # -- centralizers --------------------------------------------------------------
 
-def test_centralizer_whole_group_abelian(zz, metrics):
-    cz = centralizer(zz, metrics(zz), (1, 0))
+def test_centralizer_whole_group_abelian(zz):
+    cz = centralizer(zz, (1, 0))
     assert cz.realization == "whole_group"
 
 
-def test_centralizer_free_maximal_root(f2, metrics):
-    wm = metrics(f2)
-    cz = centralizer(f2, wm, (1, 1))  # a^2
+def test_centralizer_free_maximal_root(f2):
+    wm = f2.metric
+    cz = centralizer(f2, (1, 1))  # a^2
     assert cz.realization == "cyclic"
     assert cz.root == (1,)
     # brute-force commutation on the radius-4 ball agrees with membership
@@ -170,26 +175,25 @@ def test_centralizer_free_maximal_root(f2, metrics):
         assert cz.contains(g) == f2.commutes(g, (1, 1))
 
 
-def test_centralizer_conjugated_root(f2, metrics):
+def test_centralizer_conjugated_root(f2):
     # h = b a^2 b^-1 has maximal root b a b^-1
-    wm = metrics(f2)
     h = f2.mul(f2.mul((2,), (1, 1)), (-2,))
-    cz = centralizer(f2, wm, h)
+    cz = centralizer(f2, h)
     assert cz.root == (2, 1, -2)
 
 
-def test_centralizer_finite_exhaustive(s3, metrics):
-    cz = centralizer(s3, metrics(s3), (1, 0, 2))
+def test_centralizer_finite_exhaustive(s3):
+    cz = centralizer(s3, (1, 0, 2))
     assert cz.realization == "finite_list"
     assert set(cz.elements) == {g for g in s3.elements() if s3.commutes(g, (1, 0, 2))}
     assert len(cz.elements) == 2
 
 
-def test_centralizer_stored_elements_commute(d4, f2xz, s3xz, metrics):
+def test_centralizer_stored_elements_commute(d4, f2xz, s3xz):
     cases = [(d4, h) for h in d4.elements()]
-    cases += [(m, h) for m in (f2xz, s3xz) for h in metrics(m).ball(2)]
+    cases += [(m, h) for m in (f2xz, s3xz) for h in m.metric.ball(2)]
     for m, h in cases:
-        cz = centralizer(m, metrics(m), h)
+        cz = centralizer(m, h)
         for part in (cz.components if cz.realization == "product" else (cz,)):
             f = part.model
             if part.realization == "finite_list":
@@ -197,7 +201,7 @@ def test_centralizer_stored_elements_commute(d4, f2xz, s3xz, metrics):
             elif part.realization == "cyclic":
                 elems = (part.root,)
             else:
-                elems = f.elements() if f.is_finite else metrics(f).ball(2)
+                elems = f.elements() if f.is_finite else f.metric.ball(2)
             for g in elems:
                 assert f.commutes(g, part.h)
 
@@ -209,9 +213,9 @@ def bruteforce_cyclic_section(model, wm, root, g, window=12):
     return min(candidates, key=wm.sort_key)
 
 
-def test_section_examples(f2, zz, s3, metrics):
-    wm = metrics(f2)
-    sec = coset_section(f2, wm, (1,))  # h = a
+def test_section_examples(f2, zz, s3):
+    wm = f2.metric
+    sec = coset_section(f2, (1,))  # h = a
     g = (1, 1, 1, 2)  # a^3 b
     assert sec.section(g) == (2,)  # frozen from the window oracle
     assert bruteforce_cyclic_section(f2, wm, (1,), g) == (2,)
@@ -219,17 +223,17 @@ def test_section_examples(f2, zz, s3, metrics):
     # elements of Z_h map to themselves
     assert sec.retract((1, 1)) == (1, 1)
     # abelian: single coset, section e, retraction identity
-    zsec = coset_section(zz, metrics(zz), (1, 0))
+    zsec = coset_section(zz, (1, 0))
     assert zsec.section((4, -3)) == (0, 0)
     assert zsec.retract((4, -3)) == (4, -3)
 
 
-def test_section_minimality_and_equivariance(f2, s3, z4, f2xz, s3xz, metrics):
+def test_section_minimality_and_equivariance(f2, s3, z4, f2xz, s3xz):
     for m, h, radius in ((f2, (1,), 4), (f2, (1, 2), 3), (s3, (0, 2, 1), 3), (z4, 1, 3),
                          (f2xz, ((1,), (1,)), 2), (f2xz, ((), (2,)), 2),
                          (s3xz, ((0, 2, 1), (1,)), 3), (s3xz, ((0, 1, 2), (2,)), 3)):
-        wm = metrics(m)
-        sec = coset_section(m, wm, h)
+        wm = m.metric
+        sec = coset_section(m, h)
         ball = wm.ball(radius)
         z_ball = [a for a in ball if m.commutes(a, h)]
         for g in ball:
@@ -243,39 +247,39 @@ def test_section_minimality_and_equivariance(f2, s3, z4, f2xz, s3xz, metrics):
                 assert sec.retract(m.mul(a, g)) == m.mul(a, sec.retract(g))
 
 
-def test_section_deterministic(f2, metrics):
-    wm = metrics(f2)
-    s1 = coset_section(f2, wm, (1,))
-    s2 = coset_section(f2, WordMetric(f2), (1,))
+def test_section_deterministic(f2):
+    wm = f2.metric
+    s1 = coset_section(f2, (1,))
+    s2 = coset_section(f2, (1,))
     for g in wm.ball(3):
         assert s1.section(g) == s2.section(g)
 
 
 # -- conjugator search ----------------------------------------------------------
 
-def test_find_conjugator_examples(zz, f2, s3, metrics):
-    assert find_conjugator(zz, metrics(zz), (2, 1), (2, 1), 4) == (0, 0)
+def test_find_conjugator_examples(zz, f2, s3):
+    assert find_conjugator(zz, (2, 1), (2, 1), 4) == (0, 0)
     aba = f2.mul(f2.mul((1,), (2,)), (-1,))
-    r = find_conjugator(f2, metrics(f2), (2,), aba, 4)
+    r = find_conjugator(f2, (2,), aba, 4)
     assert r == (-1,) and f2.conj(r, (2,)) == aba
     # between the two generating transpositions: exhaustive search gives 2
     # (a generator conjugation of a transposition yields the third one)
     g, h = (1, 0, 2), (0, 2, 1)
-    oracle = min(metrics(s3).length(r) for r in s3.elements() if s3.conj(r, g) == h)
+    oracle = min(s3.metric.length(r) for r in s3.elements() if s3.conj(r, g) == h)
     assert oracle == 2
-    r = find_conjugator(s3, metrics(s3), g, h, 4)
-    assert s3.conj(r, g) == h and metrics(s3).length(r) == oracle
+    r = find_conjugator(s3, g, h, 4)
+    assert s3.conj(r, g) == h and s3.metric.length(r) == oracle
 
 
-def test_find_conjugator_minimal_and_exact(s3, f2, metrics):
+def test_find_conjugator_minimal_and_exact(s3, f2):
     rng = random.Random(9)
     for m, radius in ((s3, 3), (f2, 2)):
-        wm = metrics(m)
+        wm = m.metric
         ball = wm.ball(radius)
         for _ in range(40):
             g, x = rng.choice(ball), rng.choice(ball)
             h = m.conj(x, g)
-            r = find_conjugator(m, wm, g, h, 6)
+            r = find_conjugator(m, g, h, 6)
             assert m.conj(r, g) == h
             # no shorter conjugator exists (exhaustion within the ball)
             for cand in wm.ball(wm.length(r)):
@@ -283,59 +287,89 @@ def test_find_conjugator_minimal_and_exact(s3, f2, metrics):
                     assert m.conj(cand, g) != h
 
 
-def test_not_conjugate_proven(zz, f2, s3, metrics):
+def test_not_conjugate_proven(zz, f2, s3):
     with pytest.raises(NotConjugateError):
-        find_conjugator(zz, metrics(zz), (1, 0), (0, 1), 8)
+        find_conjugator(zz, (1, 0), (0, 1), 8)
     with pytest.raises(NotConjugateError):
-        find_conjugator(f2, metrics(f2), (1,), (2,), 8)
+        find_conjugator(f2, (1,), (2,), 8)
     with pytest.raises(NotConjugateError):
-        find_conjugator(s3, metrics(s3), (1, 0, 2), (1, 2, 0), 8)
+        find_conjugator(s3, (1, 0, 2), (1, 2, 0), 8)
 
 
-def test_not_conjugate_within_window(f2, metrics):
+def test_not_conjugate_within_window(f2):
     # conjugate pair whose shortest conjugator exceeds the window
-    wm = metrics(f2)
     long_r = (2, 2, 2)
     h = f2.conj(long_r, (1,))
     with pytest.raises(NotConjugateWithinError):
-        find_conjugator(f2, wm, (1,), h, 1)
+        find_conjugator(f2, (1,), h, 1)
 
 
-def test_minimal_conjugator_matches_bfs(f2, s3, f2xz, s3xz, metrics):
+def test_minimal_conjugator_matches_bfs(f2, s3, f2xz, s3xz):
     rng = random.Random(4)
     for m, radius in ((f2, 2), (s3, 3), (f2xz, 2), (s3xz, 2)):
-        wm = metrics(m)
-        ball = wm.ball(radius)
+        ball = m.metric.ball(radius)
         for h in (ball[1], ball[3]):
-            sec = coset_section(m, wm, h)
+            sec = coset_section(m, h)
+            built = []
+            realize = sec.cz.conjugator
+
+            def counting(product):
+                built.append(product)
+                return realize(product)
+
+            sec.cz.conjugator = counting
+            products = set()
             for _ in range(25):
                 y = rng.choice(ball)
                 product = m.conj(y, h)
-                fast = minimal_conjugator(sec, product)
-                bfs = find_conjugator(m, wm, h, product, 10)
+                fast = sec.conjugator(product)
+                bfs = find_conjugator(m, h, product, 10)
                 assert fast == bfs
+                assert sec.conjugator(product) is fast
+                products.add(product)
+            # memoized: each product's conjugator is constructed once
+            assert sorted(built, key=m.shortlex_key) == sorted(products - {h}, key=m.shortlex_key)
 
 
-def test_conjugator_product_kind(f2xz, metrics):
-    wm = metrics(f2xz)
+def test_find_conjugator_builds_factor_balls_once(monkeypatch):
+    m = load_model("f2xz.json")  # fresh, so no ball is cached yet
+    f2 = m.factors[0]
+    radii = []
+    enumerate_ball = FreeGroup.ball_elements
+
+    def counting(self, radius, cap):
+        if self is f2:
+            radii.append(radius)
+        return enumerate_ball(self, radius, cap)
+
+    monkeypatch.setattr(FreeGroup, "ball_elements", counting)
+    g = ((2,), (1,))
+    h = m.conj(((1, 2), (0,)), g)
+    for _ in range(2):
+        r = find_conjugator(m, g, h, 4)
+        assert m.conj(r, g) == h
+    assert radii and sorted(radii) == sorted(set(radii))
+
+
+def test_conjugator_product_kind(f2xz):
     g = ((2,), (1,))
     x = ((1,), (0,))
     h = f2xz.conj(x, g)
-    r = find_conjugator(f2xz, wm, g, h, 4)
+    r = find_conjugator(f2xz, g, h, 4)
     assert f2xz.conj(r, g) == h
 
 
 # -- conjugacy bound profile -----------------------------------------------------
 
-def test_profile_abelian_all_zero(zz, z4, metrics):
+def test_profile_abelian_all_zero(zz, z4):
     for m in (zz, z4):
-        prof = conjugacy_bound_profile(m, metrics(m), 2, 4)
+        prof = conjugacy_bound_profile(m, 2, 4)
         assert all(r["min_conjugator_len"] == 0 for r in prof["rows"])
         assert all(r["window_status"] == "ok" for r in prof["rows"])
 
 
-def test_profile_f2_linear_bound(f2, metrics):
-    prof = conjugacy_bound_profile(f2, metrics(f2), 3, 6)
+def test_profile_f2_linear_bound(f2):
+    prof = conjugacy_bound_profile(f2, 3, 6)
     for row in prof["rows"]:
         assert row["window_status"] == "ok"
         assert row["min_conjugator_len"] <= row["length_h"]

@@ -15,8 +15,8 @@ def delta(g):
     return Chain.basis("hochschild", 0, (g,))
 
 
-def test_group_algebra_norm_examples(f2, metrics):
-    nf = NormFamily(metrics(f2), "group-algebra")
+def test_group_algebra_norm_examples(f2):
+    nf = NormFamily(f2, "group-algebra")
     for k in range(4):
         assert nf.norm(delta(()), k) == 1
     g = (1, 2, -1)
@@ -24,16 +24,15 @@ def test_group_algebra_norm_examples(f2, metrics):
         assert nf.norm(delta(g), k) == 4 ** k  # (1+|g|)^k with |g| = 3
 
 
-def test_tensor_norm_product_weight(f2, metrics):
-    nf = NormFamily(metrics(f2), "hochschild-tensor")
+def test_tensor_norm_product_weight(f2):
+    nf = NormFamily(f2, "hochschild-tensor")
     c = Chain.basis("hochschild", 1, (((1,), (2, 2))))
     # weights (1+1)^k (1+2)^k
     assert nf.norm(c, 2) == 4 * 9
 
 
-def test_rd_chain_norm_examples(f2, metrics):
-    wm = metrics(f2)
-    nf = NormFamily(wm, "rd-chain")
+def test_rd_chain_norm_examples(f2):
+    nf = NormFamily(f2, "rd-chain")
     g = (1, 2)
     c = Chain.basis("cbar", 1, ((), g))
     assert nf.norm(c, 2) == 4  # diam(1, g)^2 = |g|^2
@@ -47,9 +46,8 @@ def words():
 @given(words(), st.integers(0, 3), st.integers(0, 3))
 def test_monotone_in_k(w, k1, k2):
     from conftest import load_model
-    from burghelea import WordMetric
     f2 = load_model("f2.json")
-    nf = NormFamily(WordMetric(f2), "group-algebra")
+    nf = NormFamily(f2, "group-algebra")
     lo, hi = min(k1, k2), max(k1, k2)
     assert nf.norm(delta(w), lo) <= nf.norm(delta(w), hi)
 
@@ -58,9 +56,8 @@ def test_monotone_in_k(w, k1, k2):
        st.integers(0, 3))
 def test_homogeneity_and_triangle(w1, w2, q, k):
     from conftest import load_model
-    from burghelea import WordMetric
     f2 = load_model("f2.json")
-    nf = NormFamily(WordMetric(f2), "group-algebra")
+    nf = NormFamily(f2, "group-algebra")
     c1, c2 = delta(w1), delta(w2)
     assert nf.norm(c1.scale(q), k) == abs(q) * nf.norm(c1, k)
     assert nf.norm(c1 + c2, k) <= nf.norm(c1, k) + nf.norm(c2, k)
@@ -68,12 +65,11 @@ def test_homogeneity_and_triangle(w1, w2, q, k):
     assert (nf.norm(c1 - c1, k) == 0) and (c1 - c1).is_zero()
 
 
-def test_submultiplicative_on_seeded_pairs(f2, z4, metrics):
+def test_submultiplicative_on_seeded_pairs(f2, z4):
     rng = random.Random(19)
     for m, radius in ((f2, 3), (z4, 3)):
-        wm = metrics(m)
-        nf = NormFamily(wm, "group-algebra")
-        ball = wm.ball(radius)
+        nf = NormFamily(m, "group-algebra")
+        ball = m.metric.ball(radius)
         for _ in range(150):
             f = Chain("hochschild", 0,
                       [((rng.choice(ball),), Fraction(rng.randint(-3, 3))) for _ in range(3)])
@@ -83,57 +79,54 @@ def test_submultiplicative_on_seeded_pairs(f2, z4, metrics):
                 assert nf.norm(convolve(m, f, g), k) <= nf.norm(f, k) * nf.norm(g, k)
 
 
-def test_seminorm_pair(f2, metrics):
-    wm = metrics(f2)
-    nf = NormFamily(wm, "rd-chain")
+def test_seminorm_pair(f2):
+    nf = NormFamily(f2, "rd-chain")
     e, g, h = (), (1,), (2, 2)
     # degree-1 generators are cycles of the equivariant complex
     c = Chain.basis("cbar", 1, (e, g))
-    pair = rd_chain_seminorm_pair(f2, nf, c, 2)
+    pair = rd_chain_seminorm_pair(nf, c, 2)
     assert pair == (1, 0)
     zero = Chain.zero("cbar", 1)
-    assert rd_chain_seminorm_pair(f2, nf, zero, 3) == (0, 0)
+    assert rd_chain_seminorm_pair(nf, zero, 3) == (0, 0)
     c2 = Chain.basis("cbar", 2, (e, g, h))
-    norm2, bnorm2 = rd_chain_seminorm_pair(f2, nf, c2, 1)
+    norm2, bnorm2 = rd_chain_seminorm_pair(nf, c2, 1)
     assert norm2 == 3  # diam(1, a, b^2) = 3 via |a^-1 b^2|
     assert bnorm2 == nf.norm(boundary_cbar(f2, c2), 1)
     cycle = boundary_cbar(f2, c2)  # boundaries are cycles
     if cycle.degree >= 1:
-        assert rd_chain_seminorm_pair(f2, nf, cycle, 1)[1] == 0
+        assert rd_chain_seminorm_pair(nf, cycle, 1)[1] == 0
 
 
-def test_pi_h_degree_zero_norm_bound(s3, f2, metrics):
+def test_pi_h_degree_zero_norm_bound(s3, f2):
     # every degree-0 output term is delta_h, so the norm is bounded by
     # (1+|h|)^k times the input mass
     from burghelea import pi_h
     rng = random.Random(3)
     for m, h in ((s3, (0, 2, 1)), (f2, (1, 2))):
-        wm = metrics(m)
-        sec = coset_section(m, wm, h)
-        nf = NormFamily(wm, "hochschild-tensor")
+        wm = m.metric
+        sec = coset_section(m, h)
+        nf = NormFamily(m, "hochschild-tensor")
         ball = wm.ball(2)
         for _ in range(20):
             y = rng.choice(ball)
             c = Chain.basis("hochschild", 0, (m.conj(y, h),)).scale(Fraction(rng.randint(1, 5)))
             k = rng.randint(0, 3)
             mass = sum(abs(q) for q in c.terms.values())
-            assert nf.norm(pi_h(m, sec, c), k) <= (1 + wm.length(h)) ** k * mass
+            assert nf.norm(pi_h(sec, c), k) <= (1 + wm.length(h)) ** k * mass
 
 
-def test_profile_abelian_pi_ratios_one(zz, z4, metrics):
+def test_profile_abelian_pi_ratios_one(zz, z4):
     for m in (zz, z4):
-        wm = metrics(m)
-        prof = operator_growth_profile("pi_h", m, wm, wm.ball(2), 1, 2, [0, 1, 2],
+        prof = operator_growth_profile("pi_h", m, m.metric.ball(2), 1, 2, [0, 1, 2],
                                        samples=8, seed=5)
         matching = [r for r in prof["rows"] if r["k"] == r["k_prime"]]
         assert matching
         assert all(r["max_ratio_num"] == r["max_ratio_den"] for r in matching)
 
 
-def test_profile_iota_isometric_on_induced(s3, f2, metrics):
+def test_profile_iota_isometric_on_induced(s3, f2):
     for m in (s3, f2):
-        wm = metrics(m)
-        prof = operator_growth_profile("iota_h", m, wm, wm.ball(2), 1, 2, [0, 1],
+        prof = operator_growth_profile("iota_h", m, m.metric.ball(2), 1, 2, [0, 1],
                                        samples=8, seed=6, metric_variant="induced")
         matching = [r for r in prof["rows"] if r["k"] == r["k_prime"]]
         assert matching
@@ -141,27 +134,24 @@ def test_profile_iota_isometric_on_induced(s3, f2, metrics):
             assert Fraction(r["max_ratio_num"], r["max_ratio_den"]) <= 1
 
 
-def test_profile_f2_pi_finite_ratios_with_fit(f2, metrics):
-    wm = metrics(f2)
-    h_sample = [g for g in wm.ball(3)]
-    prof = operator_growth_profile("pi_h", f2, wm, h_sample, 1, 2, [0, 1],
+def test_profile_f2_pi_finite_ratios_with_fit(f2):
+    h_sample = f2.metric.ball(3)
+    prof = operator_growth_profile("pi_h", f2, h_sample, 1, 2, [0, 1],
                                    samples=6, seed=7)
     assert prof["rows"]
     assert all(r["max_ratio_den"] > 0 for r in prof["rows"])
     assert prof["fits"] and all("slope" in f for f in prof["fits"])
 
 
-def test_profile_all_maps_run(s3, metrics):
-    wm = metrics(s3)
+def test_profile_all_maps_run(s3):
     for map_id in PROFILE_MAPS:
-        prof = operator_growth_profile(map_id, s3, wm, [(0, 2, 1)], 1, 2, [0, 1],
+        prof = operator_growth_profile(map_id, s3, [(0, 2, 1)], 1, 2, [0, 1],
                                        samples=5, seed=8)
         assert prof["rows"], map_id
 
 
-def test_profile_intrinsic_variant(f2, metrics):
-    wm = metrics(f2)
-    prof = operator_growth_profile("pi_h", f2, wm, [(1,)], 1, 2, [0, 1],
+def test_profile_intrinsic_variant(f2):
+    prof = operator_growth_profile("pi_h", f2, [(1,)], 1, 2, [0, 1],
                                    samples=5, seed=9, metric_variant="intrinsic")
     assert prof["rows"]
     assert all(r["metric"] == "intrinsic" for r in prof["rows"])

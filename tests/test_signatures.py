@@ -1,0 +1,63 @@
+"""The API rule: a model carries its word metric (``model.metric``) and a
+coset section carries its model, h and conjugators, so no signature takes a
+WordMetric, none takes a model beside a section, and only pi_h takes a
+conjugator map (to check that its output does not depend on the choice)."""
+import importlib
+import inspect
+import pkgutil
+import typing
+
+import burghelea
+from burghelea.groups import GroupModel
+from burghelea.metric import CosetSection, WordMetric
+
+
+def _callables():
+    """(qualified name, function) for every function and method defined in
+    the package's modules."""
+    for info in pkgutil.iter_modules(burghelea.__path__):
+        module = importlib.import_module(f"burghelea.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    if inspect.isfunction(fn):
+                        yield f"{module.__name__}.{name}.{attr}", fn
+
+
+def _classes(hint) -> set:
+    """The classes a type hint names, through Optional, unions and generics."""
+    if isinstance(hint, type):
+        return {hint}
+    return set().union(*map(_classes, typing.get_args(hint)))
+
+
+def _parameter_classes(fn) -> set:
+    """The classes named by the hints of fn's parameters (not its return)."""
+    hints = typing.get_type_hints(fn)
+    return set().union(*(_classes(hints[p]) for p in inspect.signature(fn).parameters
+                         if p in hints))
+
+
+def test_no_signature_takes_a_metric_or_a_model_beside_a_section():
+    found = dict(_callables())
+    assert "burghelea.hochschild.pi_h" in found and len(found) > 100
+    offenders = []
+    for name, fn in found.items():
+        classes = _parameter_classes(fn)
+
+        def takes(cls):
+            return any(issubclass(c, cls) for c in classes)
+
+        if takes(WordMetric) or (takes(GroupModel) and takes(CosetSection)):
+            offenders.append(name)
+    assert offenders == []
+
+
+def test_only_pi_h_takes_a_conjugator():
+    takers = [name for name, fn in _callables()
+              if "conjugator" in inspect.signature(fn).parameters]
+    assert takers == ["burghelea.hochschild.pi_h"]
