@@ -4,6 +4,7 @@ homotopies, rapid-decay norm families and l1 filling functions."""
 
 from .chains import Chain, chain_from_obj, chain_to_obj, support_diameter, tuple_diameter
 from .errors import (
+    CertificateError,
     DescriptorError,
     GroupMismatchError,
     KindMismatchError,

@@ -132,7 +132,7 @@ def phi_g(model: GroupModel, g: Element, c: Chain) -> Chain:
     return linear_extend(c, "hochschild", c.degree, on_basis)
 
 
-def phi_g_inv(model: GroupModel, c: Chain) -> Chain:
+def phi_g_inv(c: Chain) -> Chain:
     """Drop the leading entry of each generator."""
     if c.kind != "hochschild":
         raise GroupMismatchError("phi_g_inv needs a hochschild chain")
@@ -169,7 +169,7 @@ def localize_to_equivariant(section: CosetSection, c: Chain) -> Chain:
 
 def composed_localization(section: CosetSection, c: Chain) -> Chain:
     """The three-map composition psi(phi_h^-1(pi_h(c))), for cross-checks."""
-    return psi(section.model, phi_g_inv(section.model, pi_h(section, c)))
+    return psi(section.model, phi_g_inv(pi_h(section, c)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import DescriptorError, WorkbenchError
 from .groups import parse_group
 from .hochschild import homology_ranks
 from .metric import centralizer, conjugacy_bound_profile, conjugacy_class, conjugacy_classes
-from .norms import PROFILE_MAPS, operator_growth_profile
+from .norms import INTRINSIC_MAPS, PROFILE_MAPS, operator_growth_profile
 from .verify import default_class_reps, run_identity_suite
 
 EXIT_OK = 0
@@ -250,7 +250,7 @@ def _cmd_norm_profile(args) -> int:
 
     all_rows, all_fits = [], []
     for map_id in PROFILE_MAPS:
-        variants = ("induced", "intrinsic") if map_id in ("pi_h", "iota_h") else ("induced",)
+        variants = ("induced", "intrinsic") if map_id in INTRINSIC_MAPS else ("induced",)
         for metric_variant in variants:
             result = operator_growth_profile(
                 map_id, model, h_sample, args.degree, args.radius, k_grid,

@@ -1,7 +1,8 @@
 """Higher-order Dehn functions of finite simplicial complexes.
 
 l_f(b) is the least l1-norm of a chain a with da = b, computed by an exact
-rational LP (min sum(a+ + a-) subject to d(a+ - a-) = b; ``min_l1_filling``).
+rational LP (min sum(a+ + a-) subject to d(a+ - a-) = b; ``min_l1_filling``)
+whose optimum ``lp.solve_min_lp`` certifies against its dual.
 Its reference is ``integer_min_filling``, an exhaustive integer search with
 pruning: the LP value never exceeds the oracle value, and any strict gap is
 surfaced, not hidden.  d^N(k) is the sup of l_f over integer N-boundaries of
@@ -38,6 +39,8 @@ from .lp import solve_min_lp
 from .norms import NormFamily
 
 ZERO = Fraction(0)
+# the fill report's least bounded p is the least whose max ratio stays below this
+RATIO_BOUND = 10.0
 
 
 class SimplicialComplex:
@@ -133,14 +136,11 @@ def _assert_dd_zero(cols_high, cols_low):
 class FillingResult:
     value: Fraction              # minimal weighted l1 norm of a filling
     witness: dict[int, Fraction]  # filling chain over (N+1)-simplex indices
-    status: str
-    duality_ok: Optional[bool] = None
 
 
 def min_l1_filling_vec(columns: list[dict[int, int]], n_rows: int,
                        target: dict[int, Fraction],
-                       weights: Optional[Sequence[Fraction]] = None,
-                       check_duality: bool = True) -> FillingResult:
+                       weights: Optional[Sequence[Fraction]] = None) -> FillingResult:
     """Minimal (weighted) l1 filling of a target vector by the given columns,
     by exact rational LP."""
     ncols = len(columns)
@@ -157,7 +157,7 @@ def min_l1_filling_vec(columns: list[dict[int, int]], n_rows: int,
         for i, s in col.items():
             A[i][j] = Fraction(s)
             A[i][ncols + j] = Fraction(-s)
-    res = solve_min_lp(cost, A, b, check_duality=check_duality)
+    res = solve_min_lp(cost, A, b)
     if res.status == "infeasible":
         raise NotABoundaryError("the target chain is not a boundary")
     assert res.status == "optimal" and res.x is not None
@@ -166,7 +166,7 @@ def min_l1_filling_vec(columns: list[dict[int, int]], n_rows: int,
         v = res.x[j] - res.x[ncols + j]
         if v:
             witness[j] = v
-    return FillingResult(res.value, witness, "optimal", duality_ok=res.duality_ok)
+    return FillingResult(res.value, witness)
 
 
 def _integer_min_filling(columns, n_rows, target: dict[int, int], cap: int):
@@ -234,12 +234,11 @@ def _coefficient_order(budget: int):
 # higher-order Dehn functions
 # ---------------------------------------------------------------------------
 
-def min_l1_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int,
-                   check_duality: bool = True) -> FillingResult:
+def min_l1_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int) -> FillingResult:
     """l_f(b) for an N-chain b given over simplex tuples; fills with
     (N+1)-chains."""
     return min_l1_filling_vec(X.boundary_columns(dim + 1), X.dimension_size(dim),
-                              _target_vec(X, b, dim), check_duality=check_duality)
+                              _target_vec(X, b, dim))
 
 
 def integer_min_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int,
@@ -259,8 +258,7 @@ def integer_min_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int
     if found is None:
         raise OracleCapError(f"no integer filling with l1 <= {cap}")
     value, witness = found
-    return FillingResult(Fraction(value), {j: Fraction(v) for j, v in witness.items()},
-                         "optimal")
+    return FillingResult(Fraction(value), {j: Fraction(v) for j, v in witness.items()})
 
 
 def _target_vec(X: SimplicialComplex, b: dict[tuple, Fraction],
@@ -324,9 +322,7 @@ def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
     fillings = []
     try:
         for b in enumerate_boundaries(X, dim, k_max, cap=enumeration_cap):
-            res = min_l1_filling_vec(
-                cols, n_rows, {i: Fraction(v) for i, v in b.items()},
-                check_duality=False)
+            res = min_l1_filling_vec(cols, n_rows, {i: Fraction(v) for i, v in b.items()})
             fillings.append((sum(abs(v) for v in b.values()), b, res))
     except ResourceCapError:
         partial = True
@@ -399,14 +395,13 @@ class BarTruncation:
 
 
 def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
-                           p_grid: Iterable[int], samples: int = 10, seed: int = 0,
-                           ratio_bound: float = 10.0) -> dict:
+                           p_grid: Iterable[int], samples: int = 10, seed: int = 0) -> dict:
     """Sample boundaries c = d(b0) in the truncated bar complex, fill them by
     LP with the |.|_{k,1} objective, and tabulate |b|_{k,1} / |c|_{k+p,1}
     over the p grid.
 
     Reports the least p in the grid whose max ratio stays below
-    ``ratio_bound`` (a diagnostic, not a determination of the paper-level
+    ``RATIO_BOUND`` (a diagnostic, not a determination of the paper-level
     filling exponent).  Unfillable samples are recorded as truncation errors.
     """
     rng = random.Random(seed)
@@ -435,8 +430,7 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
             continue
         try:
             target = trunc.chain_to_vec(c, degree)
-            res = min_l1_filling_vec(cols, n_rows, target, weights=weights,
-                                     check_duality=False)
+            res = min_l1_filling_vec(cols, n_rows, target, weights=weights)
         except (NotABoundaryError, ResourceCapError) as exc:
             entry.update(status=f"truncation_error: {exc}", fill_norm_k="")
             rows.append(entry)
@@ -462,7 +456,7 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
     for p in ps:
         if p in unbounded_ps:
             continue
-        if p in max_ratio and float(max_ratio[p]) <= ratio_bound:
+        if p in max_ratio and float(max_ratio[p]) <= RATIO_BOUND:
             least_p = p
             break
     return {
@@ -474,5 +468,5 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
         "rows": rows,
         "max_ratio_per_p": {str(p): str(v) for p, v in sorted(max_ratio.items())},
         "least_bounded_p": least_p,
-        "ratio_bound": ratio_bound,
+        "ratio_bound": RATIO_BOUND,
     }

@@ -43,3 +43,7 @@ class NotABoundaryError(WorkbenchError):
 
 class OracleCapError(WorkbenchError):
     """The integer enumeration oracle hit its configured cap."""
+
+
+class CertificateError(WorkbenchError):
+    """An exact optimum failed its check against its dual certificate."""

@@ -57,7 +57,7 @@ from .errors import DescriptorError, GroupMismatchError, NotConjugateError, Reso
 Element = Hashable
 
 # Finite models are desk-scale: chain spaces grow as |G|**(n+1).
-DEFAULT_MAX_ORDER = 24
+MAX_ORDER = 24
 # One lowercase letter per free generator; free-abelian ranks share the cap.
 MAX_FREE_RANK = 26
 MAX_PRODUCT_DEPTH = 32
@@ -213,18 +213,17 @@ class FiniteGroup(GroupModel):
     _products: dict[Element, dict[Element, Element]]
     _inverses: dict[Element, Element]
 
-    def _generate(self, gens: list, compose: Callable[[Element, Element], Element],
-                  max_order: int) -> None:
+    def _generate(self, gens: list, compose: Callable[[Element, Element], Element]) -> None:
         """Check the generating set, enumerate the group it generates under
-        ``compose`` (at most ``max_order`` elements) and tabulate the law."""
+        ``compose`` (at most ``MAX_ORDER`` elements) and tabulate the law."""
         if self.identity in gens:
             raise DescriptorError("identity listed as a generator")
         if any(all(compose(g, s) != self.identity for s in gens) for g in gens):
             raise DescriptorError("non-symmetric generating set")
         self.generators = tuple(gens)
-        self._lengths = bfs_distances(self.identity, gens, compose, limit=max_order)
-        if len(self._lengths) > max_order:
-            raise DescriptorError(f"{self.name} exceeds order cap {max_order}")
+        self._lengths = bfs_distances(self.identity, gens, compose, limit=MAX_ORDER)
+        if len(self._lengths) > MAX_ORDER:
+            raise DescriptorError(f"{self.name} exceeds order cap {MAX_ORDER}")
         self._elements = tuple(sorted(self._lengths))
         self._products = {a: {b: compose(a, b) for b in self._elements}
                           for a in self._elements}
@@ -288,13 +287,12 @@ class FiniteTableGroup(FiniteGroup):
     _encoding = int
 
     def __init__(self, labels: Sequence[str], table: Sequence[Sequence[int]],
-                 generator_labels: Sequence[str], name: str = "",
-                 max_order: int = DEFAULT_MAX_ORDER):
+                 generator_labels: Sequence[str], name: str = ""):
         n = len(labels)
         if n == 0:
             raise DescriptorError("empty element list")
-        if n > max_order:
-            raise DescriptorError(f"table group exceeds order cap {max_order}")
+        if n > MAX_ORDER:
+            raise DescriptorError(f"table group exceeds order cap {MAX_ORDER}")
         if len(set(labels)) != n:
             raise DescriptorError("duplicate element labels")
         if len(table) != n or any(len(row) != n for row in table):
@@ -337,7 +335,7 @@ class FiniteTableGroup(FiniteGroup):
             gens.append(label_index[lab])
         if not gens:
             raise DescriptorError("empty generating set")
-        self._generate(gens, lambda a, b: t[a][b], max_order)
+        self._generate(gens, lambda a, b: t[a][b])
         if len(self._elements) != n:
             raise DescriptorError("generating set does not generate the group")
 
@@ -361,7 +359,7 @@ class FinitePermGroup(FiniteGroup):
     _encoding = tuple
 
     def __init__(self, degree: int, generator_perms: Sequence[Sequence[int]],
-                 name: str = "", max_order: int = DEFAULT_MAX_ORDER):
+                 name: str = ""):
         if degree < 1:
             raise DescriptorError("degree must be positive")
         # generators are checked before anything of size ``degree`` is built,
@@ -374,7 +372,7 @@ class FinitePermGroup(FiniteGroup):
             raise DescriptorError("empty generating set")
         self.identity = tuple(range(degree))
         self.name = name or f"perm[{degree}]"
-        self._generate(gens, lambda a, b: tuple(a[i] for i in b), max_order)
+        self._generate(gens, lambda a, b: tuple(a[i] for i in b))
 
     def element_str(self, a):
         return "[" + ",".join(map(str, a)) + "]"
@@ -566,13 +564,12 @@ class ProductGroup(GroupModel):
 
     kind = "product"
 
-    def __init__(self, factors: Sequence[GroupModel], name: str = "",
-                 max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, factors: Sequence[GroupModel], name: str = ""):
         if not factors:
             raise DescriptorError("product needs at least one factor")
         self.factors = tuple(factors)
-        if self.is_finite and math.prod(f.order for f in self.factors) > max_order:
-            raise DescriptorError(f"product group exceeds order cap {max_order}")
+        if self.is_finite and math.prod(f.order for f in self.factors) > MAX_ORDER:
+            raise DescriptorError(f"product group exceeds order cap {MAX_ORDER}")
         self.identity = tuple(f.identity for f in self.factors)
         gens = []
         for i, f in enumerate(self.factors):
@@ -713,8 +710,7 @@ def _checked(value: Any, field: str, kind: type, item: Optional[type] = None) ->
     return value
 
 
-def parse_group(descriptor: Any, max_order: int = DEFAULT_MAX_ORDER,
-                _depth: int = 0) -> GroupModel:
+def parse_group(descriptor: Any, _depth: int = 0) -> GroupModel:
     """Build a validated GroupModel from a JSON descriptor (dict or text).
 
     Schemas:
@@ -740,12 +736,11 @@ def parse_group(descriptor: Any, max_order: int = DEFAULT_MAX_ORDER,
             return FiniteTableGroup(_checked(descriptor["elements"], "elements", list, str),
                                     table,
                                     _checked(descriptor["generators"], "generators", list, str),
-                                    name=name, max_order=max_order)
+                                    name=name)
         if kind == "finite_perm":
             perms = [_checked(p, "permutation", list, int)
                      for p in _checked(descriptor["generators"], "generators", list)]
-            return FinitePermGroup(_checked(descriptor["degree"], "degree", int), perms,
-                                   name=name, max_order=max_order)
+            return FinitePermGroup(_checked(descriptor["degree"], "degree", int), perms, name)
         if kind == "free":
             return FreeGroup(_checked(descriptor["rank"], "rank", int), name=name)
         if kind == "free_abelian":
@@ -753,9 +748,9 @@ def parse_group(descriptor: Any, max_order: int = DEFAULT_MAX_ORDER,
         if kind == "product":
             if _depth == MAX_PRODUCT_DEPTH:
                 raise DescriptorError(f"products nest deeper than {MAX_PRODUCT_DEPTH} levels")
-            factors = [parse_group(d, max_order=max_order, _depth=_depth + 1)
+            factors = [parse_group(d, _depth=_depth + 1)
                        for d in _checked(descriptor["factors"], "factors", list)]
-            return ProductGroup(factors, name=name, max_order=max_order)
+            return ProductGroup(factors, name=name)
     except KeyError as exc:
         raise DescriptorError(f"descriptor missing field {exc}") from exc
     raise DescriptorError(f"unknown group type {kind!r}")

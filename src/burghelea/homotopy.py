@@ -44,7 +44,7 @@ from .metric import CosetSection, conjugacy_class, coset_section
 ONE = Fraction(1)
 
 
-def boundary_e(model: GroupModel, c: Chain) -> Chain:
+def boundary_e(c: Chain) -> Chain:
     if c.kind != "e":
         raise GroupMismatchError("boundary_e needs an e-complex chain")
     if c.degree == 0:
@@ -72,7 +72,6 @@ def homotopy_d(section: CosetSection, c: Chain) -> Chain:
     if c.kind != "e":
         raise GroupMismatchError("homotopy_d needs an e-complex chain")
     n = c.degree
-    m = section.model
     p = section.retract
 
     if n == 0:
@@ -82,7 +81,7 @@ def homotopy_d(section: CosetSection, c: Chain) -> Chain:
 
     def dn(t):
         gen = Chain.basis("e", n, t)
-        inner = gen - _ip(section, gen) - homotopy_d(section, boundary_e(m, gen))
+        inner = gen - _ip(section, gen) - homotopy_d(section, boundary_e(gen))
         for u, q in inner.terms.items():
             yield (t[0],) + u, q
 
@@ -211,9 +210,9 @@ def verify_homotopy_square(model: GroupModel, h: Element, n_max: int,
             c = Chain.basis("e", n, t)
             lhs = c - _ip(section, c)
             # the D(d c) addend is the zero map in degree 0
-            rhs = boundary_e(m, homotopy_d(section, c))
+            rhs = boundary_e(homotopy_d(section, c))
             if n > 0:
-                rhs = rhs + homotopy_d(section, boundary_e(m, c))
+                rhs = rhs + homotopy_d(section, boundary_e(c))
             if lhs != rhs:
                 failures.append(tuple_str(m, t))
         record("id - iE.pE == D.d + d.D", n, len(gens), failures)

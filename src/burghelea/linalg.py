@@ -6,8 +6,7 @@ so results are exact.  Rows are keyed by their largest index, the "lowest
 one" rule of persistence reduction: faces of later basis tuples land on later
 rows, so fill-in stays low.  On the D4 rotation class, b_4 (8192 columns, rank
 911) stores 5,183 nonzeros instead of 15,436 with smallest-index pivots, and
-its columns insert in 0.52 s instead of 7.0 s (Python 3.11, 2-vCPU VM).  A
-small dense solver supports LP dual extraction.
+its columns insert in 0.52 s instead of 7.0 s (Python 3.11, 2-vCPU VM).
 
 Every boundary matrix in the workbench is built here.  Each complex defines
 its face map once, as a function from a basis tuple to ``(face, +-1)`` pairs
@@ -20,8 +19,7 @@ a change to elimination (pivot order, clearing) goes.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 SparseVec = dict[int, int]
 
@@ -110,21 +108,3 @@ def boundary_ranks(bases: Sequence[Sequence[tuple]], faces: Faces) -> list[int]:
         index_prev = {t: i for i, t in enumerate(bases[n - 1])}
         ranks.append(rank_of_columns(boundary_columns(bases[n], index_prev, faces)))
     return ranks
-
-
-def solve_dense(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a square system by Gaussian elimination; None if singular."""
-    n = len(rows)
-    a = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]

@@ -2,8 +2,10 @@
 
 Solves   min c.x  subject to  A x = b, x >= 0   with Fraction arithmetic
 throughout; Bland's rule guarantees termination on degenerate instances.
-The dual vector is recovered from the final basis, so every optimum can be
-self-checked against strong duality.
+Every optimum is certified: the dual y is read off the artificial block of
+the final tableau, and ``_certify`` checks x and y against the LP as given
+(Applegate, Cook, Dash & Espinoza, ORL 2007).  A failed check raises
+``CertificateError``; it never yields a value.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import solve_dense
+from .errors import CertificateError
 
 ZERO = Fraction(0)
 
@@ -21,12 +23,10 @@ class LPResult:
     status: str                     # optimal | infeasible | unbounded
     value: Optional[Fraction]
     x: Optional[list[Fraction]]
-    dual: Optional[list[Fraction]]
-    duality_ok: Optional[bool]
+    dual: Optional[list[Fraction]]  # y for the rows as given
 
 
-def solve_min_lp(c: Sequence, A: Sequence[Sequence], b: Sequence,
-                 check_duality: bool = False) -> LPResult:
+def solve_min_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     m = len(A)
     n = len(c)
     cost = [Fraction(v) for v in c]
@@ -35,13 +35,11 @@ def solve_min_lp(c: Sequence, A: Sequence[Sequence], b: Sequence,
     for row in rows:
         if len(row) != n:
             raise ValueError("ragged constraint matrix")
-    # sign-normalize so the artificial basis is feasible
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    # tableau [A | I | rhs]; artificials are columns n..n+m-1
-    tab = [rows[i] + [Fraction(1) if j == i else ZERO for j in range(m)] + [rhs[i]]
+    # tableau [A | I | rhs] with rows negated where rhs < 0, so the
+    # artificial basis (columns n..n+m-1) is feasible
+    negated = [v < 0 for v in rhs]
+    tab = [([-v for v in rows[i]] if negated[i] else rows[i])
+           + [Fraction(1) if j == i else ZERO for j in range(m)] + [abs(rhs[i])]
            for i in range(m)]
     basis = list(range(n, n + m))
     art_cost = [ZERO] * n + [Fraction(1)] * m
@@ -50,32 +48,51 @@ def solve_min_lp(c: Sequence, A: Sequence[Sequence], b: Sequence,
     if status == "unbounded":  # phase 1 is always bounded below by 0
         raise AssertionError("phase 1 cannot be unbounded")
     if _objective(tab, basis, art_cost) > 0:
-        return LPResult("infeasible", None, None, None, None)
+        return LPResult("infeasible", None, None, None)
 
     _drive_out_artificials(tab, basis, n)
     # rows still basic in an artificial are zero rows: redundant constraints
-    keep = [i for i in range(len(basis)) if basis[i] < n]
-    tab = [tab[i] for i in keep]
-    basis = [basis[i] for i in keep]
-    kept_rows = [rows[i] for i in keep]
-    kept_rhs = [rhs[i] for i in keep]
+    kept = [i for i in range(m) if basis[i] < n]
+    tab = [tab[i] for i in kept]
+    basis = [basis[i] for i in kept]
 
-    full_cost = cost + [ZERO] * m
-    status = _simplex(tab, basis, full_cost, allowed=n)
+    status = _simplex(tab, basis, cost + [ZERO] * m, allowed=n)
     if status == "unbounded":
-        return LPResult("unbounded", None, None, None, None)
+        return LPResult("unbounded", None, None, None)
 
     x = [ZERO] * n
     for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[i][-1]
-    value = sum((cost[j] * x[j] for j in range(n)), ZERO)
+        x[bi] = tab[i][-1]
+    # the artificial block holds the row operations applied to [A | b], so
+    # y_k = sum_i c_{basis[i]} T[i][n+k]; negated rows flip back
+    dual = []
+    for k in range(m):
+        y = sum((cost[bi] * tab[i][n + k] for i, bi in enumerate(basis) if cost[bi]), ZERO)
+        dual.append(-y if negated[k] else y)
+    _certify(cost, rows, rhs, x, dual)
+    return LPResult("optimal", sum((cost[j] * x[j] for j in range(n)), ZERO), x, dual)
 
-    dual = None
-    duality_ok = None
-    if check_duality:
-        dual, duality_ok = _dual_certificate(kept_rows, kept_rhs, cost, basis, value)
-    return LPResult("optimal", value, x, dual, duality_ok)
+
+def _certify(c, A, b, x, y) -> None:
+    """Check x >= 0, A x = b, c - A^T y >= 0 and c.x = b.y.  By weak duality
+    any y that passes proves x optimal, whatever produced it."""
+    if any(v < 0 for v in x):
+        raise CertificateError("LP certificate failed: x has a negative entry")
+    support = [(j, v) for j, v in enumerate(x) if v]
+    for row, bi in zip(A, b):
+        if sum((row[j] * v for j, v in support), ZERO) != bi:
+            raise CertificateError("LP certificate failed: A x != b")
+    reduced = list(c)
+    for row, yi in zip(A, y):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    reduced[j] -= yi * a
+    if any(r < 0 for r in reduced):
+        raise CertificateError("LP certificate failed: c - A^T y has a negative entry")
+    if (sum((c[j] * v for j, v in support), ZERO)
+            != sum((bi * yi for bi, yi in zip(b, y) if yi), ZERO)):
+        raise CertificateError("LP certificate failed: c.x != b.y")
 
 
 def _objective(tab, basis, cost) -> Fraction:
@@ -127,23 +144,3 @@ def _drive_out_artificials(tab, basis, n: int) -> None:
             j = next((jj for jj in range(n) if tab[i][jj]), None)
             if j is not None:
                 _pivot(tab, basis, i, j)
-
-
-def _dual_certificate(rows, rhs, cost, basis, value):
-    """y = c_B B^-T on the kept (independent) rows; checks y.b == value and
-    c - A^T y >= 0, i.e. strong duality at the reported optimum."""
-    m = len(rows)
-    assert len(basis) == m
-    bt = [[rows[r][basis[i]] for r in range(m)] for i in range(len(basis))]
-    cb = [cost[bi] if bi < len(cost) else ZERO for bi in basis]
-    y = solve_dense(bt, cb)
-    if y is None:
-        return None, None
-    dual_value = sum((y[i] * rhs[i] for i in range(m)), ZERO)
-    feasible = True
-    for j in range(len(cost)):
-        reduced = cost[j] - sum((y[i] * rows[i][j] for i in range(m)), ZERO)
-        if reduced < 0:
-            feasible = False
-            break
-    return y, bool(feasible and dual_value == value)

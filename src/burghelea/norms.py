@@ -9,8 +9,8 @@ chains:
     rd-chain           sum |c(1,g_1,...,g_n)| diam(1,g_1,...,g_n)^k
 
 The tensor-space weight is the product weight, the concrete realization of
-the projective tensor norm of weighted l1 spaces.  diam defaults to the max
-pairwise distance; the max-entry reading is available as an option.
+the projective tensor norm of weighted l1 spaces.  diam is the max pairwise
+distance.
 """
 from __future__ import annotations
 
@@ -34,13 +34,16 @@ class NormFamily:
 
     ``length_fn`` defaults to the ambient word length ``model.metric.length``
     (the induced subspace norm on centralizer chains); pass a centralizer's
-    intrinsic length to profile the intrinsic variant instead.
+    intrinsic length to profile the intrinsic variant instead.  The rd-chain
+    norm weighs ambient diameters, so it takes no ``length_fn``.
     """
 
     def __init__(self, model: GroupModel, kind: str,
                  length_fn: Optional[Callable[[Element], int]] = None):
         if kind not in NORM_KINDS:
             raise GroupMismatchError(f"unknown norm kind {kind!r}")
+        if kind == "rd-chain" and length_fn is not None:
+            raise GroupMismatchError("the rd-chain norm weighs diameters and takes no length_fn")
         self.model = model
         self.kind = kind
         self.length = length_fn if length_fn is not None else model.metric.length
@@ -75,6 +78,9 @@ def rd_chain_seminorm_pair(nf: NormFamily, c: Chain, k: int) -> tuple[Fraction, 
 # ---------------------------------------------------------------------------
 
 PROFILE_MAPS = ("pi_h", "iota_h", "psi_phi_inv", "phi_psi_inv", "homotopy")
+# the maps whose norms read the Z_h side's word length, so the only ones with
+# an intrinsic variant
+INTRINSIC_MAPS = ("pi_h", "iota_h")
 
 
 def operator_growth_profile(map_id: str, model: GroupModel,
@@ -85,11 +91,15 @@ def operator_growth_profile(map_id: str, model: GroupModel,
     class representative, with a log-log growth fit against |h_x|.
 
     metric_variant selects the induced subspace norm or the intrinsic
-    centralizer norm on the Z_h side of pi_h / iota_h; the profile is a
-    diagnostic, never a certified bound.
+    centralizer norm on the Z_h side of one of ``INTRINSIC_MAPS``; the profile
+    is a diagnostic, never a certified bound.
     """
     if map_id not in PROFILE_MAPS:
         raise GroupMismatchError(f"unknown map id {map_id!r}")
+    if metric_variant not in ("induced", "intrinsic"):
+        raise GroupMismatchError(f"unknown metric variant {metric_variant!r}")
+    if metric_variant == "intrinsic" and map_id not in INTRINSIC_MAPS:
+        raise GroupMismatchError(f"{map_id} has no intrinsic variant")
     rng = random.Random(seed)
     ks = list(k_grid)
     wm = model.metric
@@ -150,15 +160,10 @@ def operator_growth_profile(map_id: str, model: GroupModel,
 def _profile_setup(map_id: str, section: CosetSection, metric_variant: str):
     """(domain (NormFamily, chain kind), codomain NormFamily, map, sampler)."""
     model, h = section.model, section.h
-    if metric_variant == "intrinsic":
-        z_length = section.cz.intrinsic_length
-    elif metric_variant == "induced":
-        z_length = model.metric.length
-    else:
-        raise GroupMismatchError(f"unknown metric variant {metric_variant!r}")
+    z_length = section.cz.intrinsic_length if metric_variant == "intrinsic" else None
     tensor_g = NormFamily(model, "hochschild-tensor")
     tensor_z = NormFamily(model, "hochschild-tensor", length_fn=z_length)
-    rd_z = NormFamily(model, "rd-chain", length_fn=z_length)
+    rd = NormFamily(model, "rd-chain")
 
     if map_id == "pi_h":
         return ((tensor_g, "hochschild"), tensor_z,
@@ -169,8 +174,8 @@ def _profile_setup(map_id: str, section: CosetSection, metric_variant: str):
                 lambda c: iota_h(model, h, c),
                 lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, zball, rep, n))
     if map_id == "psi_phi_inv":
-        return ((tensor_z, "hochschild"), rd_z,
-                lambda c: psi(model, phi_g_inv(model, c)),
+        return ((tensor_z, "hochschild"), rd,
+                lambda c: psi(model, phi_g_inv(c)),
                 lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, zball, rep, n))
     if map_id == "phi_psi_inv":
         def backward(c):
@@ -179,7 +184,7 @@ def _profile_setup(map_id: str, section: CosetSection, metric_variant: str):
         def sample_cbar(rng, ball, zball, rep, n):
             t = (model.identity,) + tuple(rng.choice(zball) for _ in range(n))
             return t
-        return ((rd_z, "cbar"), tensor_z, backward, sample_cbar)
+        return ((rd, "cbar"), tensor_z, backward, sample_cbar)
     assert map_id == "homotopy"
     return ((tensor_g, "hochschild"), tensor_g,
             lambda c: dbar(section, c),

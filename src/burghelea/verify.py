@@ -99,7 +99,7 @@ def chain_map_suite(model: GroupModel, h: Element, max_degree: int = 3,
             rhs = phi_g(model, h, boundary_cprime(model, c))
             if lhs != rhs:
                 failures.append(tuple_str(model, t))
-            if phi_g_inv(model, phi_g(model, h, c)) != c:
+            if phi_g_inv(phi_g(model, h, c)) != c:
                 failures.append("round trip: " + tuple_str(model, t))
         checks.append({"identity_name": "b.phi == phi.d (and phi_inv.phi == id)",
                        "degree": n, "samples": samples, "failures": failures})
@@ -108,7 +108,7 @@ def chain_map_suite(model: GroupModel, h: Element, max_degree: int = 3,
         for _ in range(samples):
             t = tuple(rng.choice(ball) for _ in range(n + 1))
             c = Chain.basis("e", n, t)
-            if hochschild_boundary(model, theta_h(model, h, c)) != theta_h(model, h, boundary_e(model, c)):
+            if hochschild_boundary(model, theta_h(model, h, c)) != theta_h(model, h, boundary_e(c)):
                 failures.append(tuple_str(model, t))
         checks.append({"identity_name": "b.theta == theta.d", "degree": n,
                        "samples": samples, "failures": failures})

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,21 @@ def load_model(name: str):
 def load_complex_obj(name: str) -> dict:
     with open(fixture_path(name), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def assert_certified(c, A, b, res):
+    """res is an optimum of min c.x s.t. A x = b, x >= 0, and res.dual is a
+    dual solution that proves it: x >= 0, A x = b, c - A^T y >= 0, c.x = b.y."""
+    F = Fraction
+    x, y = res.x, res.dual
+    assert res.status == "optimal" and len(x) == len(c) and len(y) == len(A)
+    assert all(v >= 0 for v in x)
+    for row, bi in zip(A, b):
+        assert sum(F(a) * v for a, v in zip(row, x)) == F(bi)
+    for j, cj in enumerate(c):
+        assert F(cj) - sum(F(row[j]) * yi for row, yi in zip(A, y)) >= 0
+    assert sum(F(cj) * v for cj, v in zip(c, x)) == res.value
+    assert sum(F(bi) * yi for bi, yi in zip(b, y)) == res.value
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ COMPLEXES = {
     "hochschild": (hochschild_boundary, lambda m: partial(hochschild_faces, m.mul)),
     "cprime": (boundary_cprime, lambda m: partial(cprime_faces, m.mul)),
     "cbar": (boundary_cbar, lambda m: partial(cbar_faces, m)),
-    "e": (boundary_e, lambda m: simplex_faces),
+    "e": (lambda m, c: boundary_e(c), lambda m: simplex_faces),
 }
 
 

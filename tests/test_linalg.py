@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from burghelea.linalg import RationalEchelon, rank_of_columns, solve_dense
+from burghelea.linalg import RationalEchelon, rank_of_columns
 
 
 def dense_rank_oracle(rows):
@@ -66,11 +66,3 @@ def test_contains_and_reduce():
     assert ech.contains({0: 3, 1: 7, 2: 1})
     assert not ech.contains({2: 1, 3: 1})
     assert ech.rank == 2
-
-
-def test_solve_dense():
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = solve_dense(a, [Fraction(5), Fraction(10)])
-    assert x == [Fraction(1), Fraction(3)]
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve_dense(singular, [Fraction(1), Fraction(2)]) is None

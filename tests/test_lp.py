@@ -1,9 +1,14 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from burghelea import cli, lp
+from burghelea.errors import CertificateError
 from burghelea.lp import solve_min_lp
+
+from conftest import assert_certified, fixture_path
 
 F = Fraction
 
@@ -56,9 +61,9 @@ def brute_force_vertex_optimum(c, A, b):
 
 def test_simple_optimum():
     # min x0 + x1 s.t. x0 + x1 = 1 -> 1
-    res = solve_min_lp([1, 1], [[1, 1]], [1], check_duality=True)
-    assert res.status == "optimal" and res.value == 1
-    assert res.duality_ok
+    res = solve_min_lp([1, 1], [[1, 1]], [1])
+    assert res.value == 1
+    assert_certified([1, 1], [[1, 1]], [1], res)
 
 
 def test_infeasible():
@@ -75,16 +80,36 @@ def test_unbounded():
 
 def test_degenerate_redundant_rows():
     # duplicated constraint rows must be dropped, not break the solve
-    res = solve_min_lp([2, 3], [[1, 1], [1, 1], [2, 2]], [1, 1, 2],
-                       check_duality=True)
-    assert res.status == "optimal" and res.value == 2
-    assert res.duality_ok
+    A, b = [[1, 1], [1, 1], [2, 2]], [1, 1, 2]
+    res = solve_min_lp([2, 3], A, b)
+    assert res.value == 2
+    assert_certified([2, 3], A, b, res)
 
 
 def test_negative_rhs_normalization():
-    res = solve_min_lp([1, 1], [[-1, 0]], [-2], check_duality=True)
-    assert res.status == "optimal" and res.value == 2 and res.x[0] == 2
-    assert res.duality_ok
+    res = solve_min_lp([1, 1], [[-1, 0]], [-2])
+    assert res.value == 2 and res.x[0] == 2
+    # the dual is for the row as given, not the negated one
+    assert res.dual == [-1]
+    assert_certified([1, 1], [[-1, 0]], [-2], res)
+
+
+def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
+    real = lp._simplex
+
+    def skip_phase2(tab, basis, cost, allowed):
+        # phase 1 may enter every column; phase 2 stops at its first basis
+        return real(tab, basis, cost, allowed) if allowed == len(cost) else "optimal"
+
+    monkeypatch.setattr(lp, "_simplex", skip_phase2)
+    # phase 1 ends at x = (1, 0), value 2; the optimum is x = (0, 1), value 1
+    with pytest.raises(CertificateError):
+        solve_min_lp([2, 1], [[1, 1]], [1])
+    code = cli.main(["dehn", "--complex", str(fixture_path("octahedron.json")),
+                     "--degree", "1", "--k", "4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
 
 
 @settings(max_examples=25)
@@ -99,17 +124,14 @@ def test_negative_rhs_normalization():
 )
 def test_against_vertex_enumeration(mab, c):
     m, A, b = mab
-    res = solve_min_lp(c, A, b, check_duality=True)
+    res = solve_min_lp(c, A, b)
     reference = brute_force_vertex_optimum(c, A, b)
     if res.status == "optimal":
-        # nonnegative costs: bounded; value matches the best vertex
+        # nonnegative costs: bounded; value matches the best vertex, and the
+        # reported x and dual prove it
         assert reference is not None
         assert res.value == reference
-        assert res.duality_ok in (True, None)
-        # reported solution is feasible and achieves the value
-        for row, bv in zip(A, b):
-            assert sum(F(r) * x for r, x in zip(row, res.x)) == F(bv)
-        assert sum(F(ci) * xi for ci, xi in zip(c, res.x)) == res.value
+        assert_certified(c, A, b, res)
     else:
         assert res.status == "infeasible"
         assert reference is None

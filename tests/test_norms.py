@@ -8,6 +8,7 @@ from burghelea import NormFamily, boundary_cbar, operator_growth_profile, rd_cha
 from burghelea.chains import Chain, convolve
 from burghelea.groups import reduce_word
 from burghelea.metric import coset_section
+from burghelea.errors import GroupMismatchError
 from burghelea.norms import PROFILE_MAPS
 
 
@@ -155,3 +156,19 @@ def test_profile_intrinsic_variant(f2):
                                    samples=5, seed=9, metric_variant="intrinsic")
     assert prof["rows"]
     assert all(r["metric"] == "intrinsic" for r in prof["rows"])
+
+
+def test_rd_chain_norm_takes_no_length_fn(f2):
+    # the rd-chain norm weighs ambient diameters: |(e, aa)|_{1,1} = 2 whatever
+    # length is passed, so passing one is refused rather than ignored
+    c = Chain.basis("cbar", 1, (f2.identity, (1, 1)))
+    assert NormFamily(f2, "rd-chain").norm(c, 1) == 2
+    with pytest.raises(GroupMismatchError):
+        NormFamily(f2, "rd-chain", length_fn=lambda g: 1000)
+
+
+def test_intrinsic_variant_only_for_maps_that_read_lengths(f2):
+    for map_id in ("psi_phi_inv", "phi_psi_inv", "homotopy"):
+        with pytest.raises(GroupMismatchError):
+            operator_growth_profile(map_id, f2, [(1,)], 1, 2, [0, 1],
+                                    samples=2, seed=9, metric_variant="intrinsic")

@@ -1,7 +1,8 @@
 """The API rule: a model carries its word metric (``model.metric``) and a
 coset section carries its model, h and conjugators, so no signature takes a
 WordMetric, none takes a model beside a section, and only pi_h takes a
-conjugator map (to check that its output does not depend on the choice)."""
+conjugator map (to check that its output does not depend on the choice).
+Switches and single-value knobs that were removed stay removed."""
 import importlib
 import inspect
 import pkgutil
@@ -61,3 +62,12 @@ def test_only_pi_h_takes_a_conjugator():
     takers = [name for name, fn in _callables()
               if "conjugator" in inspect.signature(fn).parameters]
     assert takers == ["burghelea.hochschild.pi_h"]
+
+
+def test_no_removed_switch_or_knob_returns():
+    # every LP optimum is certified; the order cap and the fill report's
+    # ratio bound are module constants
+    banned = {"check_duality", "max_order", "ratio_bound"}
+    takers = [name for name, fn in _callables()
+              if banned & set(inspect.signature(fn).parameters)]
+    assert takers == []
