@@ -39,7 +39,7 @@ from .lp import solve_min_lp
 from .norms import NormFamily
 
 ZERO = Fraction(0)
-# the fill report's least bounded p is the least whose max ratio stays below this
+# the fill report's least bounded p is the least whose max ratio is at most this
 RATIO_BOUND = 10.0
 
 
@@ -147,16 +147,12 @@ def min_l1_filling_vec(columns: list[dict[int, int]], n_rows: int,
     w = [Fraction(x) for x in weights] if weights is not None else [Fraction(1)] * ncols
     # variables a+ then a-: min w.(a+ + a-), d(a+ - a-) = target
     cost = w + w
-    A = []
-    b = []
-    for i in range(n_rows):
-        row = [ZERO] * (2 * ncols)
-        A.append(row)
-        b.append(target.get(i, ZERO))
+    A = [[0] * (2 * ncols) for _ in range(n_rows)]
+    b = [target.get(i, ZERO) for i in range(n_rows)]
     for j, col in enumerate(columns):
         for i, s in col.items():
-            A[i][j] = Fraction(s)
-            A[i][ncols + j] = Fraction(-s)
+            A[i][j] = s
+            A[i][ncols + j] = -s
     res = solve_min_lp(cost, A, b)
     if res.status == "infeasible":
         raise NotABoundaryError("the target chain is not a boundary")
@@ -400,7 +396,7 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
     LP with the |.|_{k,1} objective, and tabulate |b|_{k,1} / |c|_{k+p,1}
     over the p grid.
 
-    Reports the least p in the grid whose max ratio stays below
+    Reports the least p in the grid whose max ratio is at most
     ``RATIO_BOUND`` (a diagnostic, not a determination of the paper-level
     filling exponent).  Unfillable samples are recorded as truncation errors.
     """

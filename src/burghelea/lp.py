@@ -2,10 +2,13 @@
 
 Solves   min c.x  subject to  A x = b, x >= 0   with Fraction arithmetic
 throughout; Bland's rule guarantees termination on degenerate instances.
-Every optimum is certified: the dual y is read off the artificial block of
-the final tableau, and ``_certify`` checks x and y against the LP as given
-(Applegate, Cook, Dash & Espinoza, ORL 2007).  A failed check raises
-``CertificateError``; it never yields a value.
+The tableau is [A | I | rhs] with two objective rows below it, the phase-2
+costs and the phase-1 costs reduced against the artificial basis; they
+pivot with the constraints, so the last row always holds the reduced costs
+that price the entering column.  Every optimum is certified: the dual y is
+read off the artificial block of the phase-2 row, and ``_certify`` checks x
+and y against the LP as given (Applegate, Cook, Dash & Espinoza, ORL 2007).
+A failed check raises ``CertificateError``; it never yields a value.
 """
 from __future__ import annotations
 
@@ -41,34 +44,33 @@ def solve_min_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     tab = [([-v for v in rows[i]] if negated[i] else rows[i])
            + [Fraction(1) if j == i else ZERO for j in range(m)] + [abs(rhs[i])]
            for i in range(m)]
+    # below it the phase-2 row [c | 0 | 0] and the phase-1 row: the sum of
+    # the artificials, reduced against their basis, is minus the column sums
+    phase1 = ([-sum((row[j] for row in tab), ZERO) for j in range(n)] + [ZERO] * m
+              + [-sum((row[-1] for row in tab), ZERO)])
+    tab += [cost + [ZERO] * (m + 1), phase1]
     basis = list(range(n, n + m))
-    art_cost = [ZERO] * n + [Fraction(1)] * m
 
-    status = _simplex(tab, basis, art_cost, allowed=n + m)
+    status = _simplex(tab, basis, allowed=n + m)
     if status == "unbounded":  # phase 1 is always bounded below by 0
         raise AssertionError("phase 1 cannot be unbounded")
-    if _objective(tab, basis, art_cost) > 0:
+    if tab.pop()[-1]:
         return LPResult("infeasible", None, None, None)
 
+    # a row whose artificial stays basic is zero on columns < n: a redundant
+    # constraint, which never takes part in a ratio test
     _drive_out_artificials(tab, basis, n)
-    # rows still basic in an artificial are zero rows: redundant constraints
-    kept = [i for i in range(m) if basis[i] < n]
-    tab = [tab[i] for i in kept]
-    basis = [basis[i] for i in kept]
-
-    status = _simplex(tab, basis, cost + [ZERO] * m, allowed=n)
+    status = _simplex(tab, basis, allowed=n)
     if status == "unbounded":
         return LPResult("unbounded", None, None, None)
 
     x = [ZERO] * n
     for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
-    # the artificial block holds the row operations applied to [A | b], so
-    # y_k = sum_i c_{basis[i]} T[i][n+k]; negated rows flip back
-    dual = []
-    for k in range(m):
-        y = sum((cost[bi] * tab[i][n + k] for i, bi in enumerate(basis) if cost[bi]), ZERO)
-        dual.append(-y if negated[k] else y)
+        if bi < n:
+            x[bi] = tab[i][-1]
+    # the phase-2 row holds c - c_B B^-1 [A | I], so its artificial block is
+    # -y for the rows as normalized; negated rows flip back
+    dual = [v if neg else -v for v, neg in zip(tab[-1][n:n + m], negated)]
     _certify(cost, rows, rhs, x, dual)
     return LPResult("optimal", sum((cost[j] * x[j] for j in range(n)), ZERO), x, dual)
 
@@ -95,22 +97,14 @@ def _certify(c, A, b, x, y) -> None:
         raise CertificateError("LP certificate failed: c.x != b.y")
 
 
-def _objective(tab, basis, cost) -> Fraction:
-    return sum((cost[bi] * tab[i][-1] for i, bi in enumerate(basis)), ZERO)
-
-
-def _simplex(tab, basis, cost, allowed: int) -> str:
-    """Bland-rule simplex on the tableau; columns >= allowed never enter."""
-    m = len(tab)
+def _simplex(tab, basis, allowed: int) -> str:
+    """Bland-rule simplex on the tableau; the constraint rows are the first
+    len(basis), the last row holds the reduced costs, and columns >= allowed
+    never enter."""
+    m = len(basis)
     while True:
-        entering = None
-        for j in range(allowed):
-            if j in basis:
-                continue
-            r = cost[j] - sum((cost[basis[i]] * tab[i][j] for i in range(m)), ZERO)
-            if r < 0:
-                entering = j
-                break
+        costs = tab[-1]  # _pivot rebinds the rows, so re-read it
+        entering = next((j for j in range(allowed) if costs[j] < 0), None)
         if entering is None:
             return "optimal"
         leaving = None

@@ -79,11 +79,12 @@ def test_unbounded():
 
 
 def test_degenerate_redundant_rows():
-    # duplicated constraint rows must be dropped, not break the solve
-    A, b = [[1, 1], [1, 1], [2, 2]], [1, 1, 2]
-    res = solve_min_lp([2, 3], A, b)
-    assert res.value == 2
-    assert_certified([2, 3], A, b, res)
+    # redundant constraint rows must not break the solve or the dual; in the
+    # second LP the redundant row is negated to make its rhs nonnegative
+    for A, b in [([[1, 1], [1, 1], [2, 2]], [1, 1, 2]), ([[1, 1], [-1, -1]], [1, -1])]:
+        res = solve_min_lp([2, 3], A, b)
+        assert res.value == 2
+        assert_certified([2, 3], A, b, res)
 
 
 def test_negative_rhs_normalization():
@@ -97,9 +98,10 @@ def test_negative_rhs_normalization():
 def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
     real = lp._simplex
 
-    def skip_phase2(tab, basis, cost, allowed):
-        # phase 1 may enter every column; phase 2 stops at its first basis
-        return real(tab, basis, cost, allowed) if allowed == len(cost) else "optimal"
+    def skip_phase2(tab, basis, allowed):
+        # phase 1 may enter every column but the rhs; phase 2 stops at its
+        # first basis
+        return real(tab, basis, allowed) if allowed == len(tab[0]) - 1 else "optimal"
 
     monkeypatch.setattr(lp, "_simplex", skip_phase2)
     # phase 1 ends at x = (1, 0), value 2; the optimum is x = (0, 1), value 1
@@ -118,7 +120,7 @@ def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
         st.just(m),
         st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
                  min_size=m, max_size=m),
-        st.lists(st.integers(0, 4), min_size=m, max_size=m),
+        st.lists(st.integers(-4, 4), min_size=m, max_size=m),
     )),
     st.lists(st.integers(0, 5), min_size=4, max_size=4),
 )
