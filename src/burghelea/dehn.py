@@ -8,6 +8,15 @@ pruning: the LP value never exceeds the oracle value, and any strict gap is
 surfaced, not hidden.  d^N(k) is the sup of l_f over integer N-boundaries of
 l1-norm at most k.
 
+Those boundaries are enumerated on their parametrization, not over the l1
+ball: in the reduced column space of d_{N+1} a boundary is fixed by its
+pivot coordinates, so ``enumerate_boundaries`` walks only those, depth-first
+within the budget, and prunes a branch as soon as a coordinate it has
+decided is not an integer or the l1 spent exceeds k.  On the octahedron at
+k = 7 that is 519 leaves for 259 boundaries, where the ball holds 696,032
+vectors.  The boundaries come in the order of support size, support,
+magnitudes and signs, and the enumeration cap counts leaves of the walk.
+
 The same machinery runs on ball-truncated equivariant bar complexes of a
 group model, with diameter-weighted objectives, to probe the filling-norm
 estimate |b|_{k,1} <= C * |c|_{k+p,1} empirically.
@@ -265,43 +274,94 @@ def _target_vec(X: SimplicialComplex, b: dict[tuple, Fraction],
 def enumerate_boundaries(X: SimplicialComplex, dim: int, k: int,
                          cap: int = 2_000_000) -> Iterable[dict[int, int]]:
     """All integer dim-chains b with l1(b) <= k that are boundaries, one
-    representative per +-b pair (l_f is symmetric under negation).
+    representative per +-b pair (l_f is symmetric under negation): the one
+    whose first nonzero entry is positive.
 
-    Boundary-ness is decided by rational solvability of da = b, via the
-    column-space echelon of the (dim+1)-boundary matrix.
+    A boundary is determined by its pivot coordinates in the reduced column
+    space of the (dim+1)-boundary matrix (``RationalEchelon.reduced_rows``),
+    so only those are walked, depth-first within the l1 budget; the other
+    coordinates follow and prune the walk (``_boundary_leaves``).  The
+    boundaries come sorted by support size, support, magnitudes and then
+    signs, + before -.  The cap counts leaves of the walk, the integer
+    boundaries of l1 <= k with both signs and zero; past it the boundaries
+    found so far are yielded, in that order, and ResourceCapError is raised.
     """
-    span = RationalEchelon(X.boundary_columns(dim + 1))
-    size = X.dimension_size(dim)
-    count = 0
-    for vec in _l1_ball_vectors(size, k):
-        count += 1
-        if count > cap:
-            raise ResourceCapError(f"boundary enumeration exceeded cap {cap}")
-        if span.contains(vec):
-            yield vec
+    lcm, rows = RationalEchelon(X.boundary_columns(dim + 1)).reduced_rows()
+    found = []
+    try:
+        for vec in _boundary_leaves(lcm, rows, X.dimension_size(dim), k, cap):
+            if vec and vec[min(vec)] > 0:
+                found.append(vec)
+    except ResourceCapError:
+        yield from sorted(found, key=_ball_order)
+        raise
+    yield from sorted(found, key=_ball_order)
 
 
-def _l1_ball_vectors(size: int, k: int):
-    """Nonzero sparse integer vectors with l1 <= k, first nonzero positive."""
-    if size == 0:
-        return
-    for support_size in range(1, min(size, k) + 1):
-        for support in itertools.combinations(range(size), support_size):
-            for mags in _compositions(k, support_size):
-                for signs in itertools.product((1, -1), repeat=support_size - 1):
-                    yield {i: m * s for i, m, s in
-                           zip(support, mags, (1,) + signs)}
+def _ball_order(vec: dict[int, int]):
+    support = sorted(vec)
+    return (len(support), support, [abs(vec[i]) for i in support],
+            [vec[i] < 0 for i in support])
 
 
-def _compositions(total: int, parts: int):
-    """All positive integer tuples of the given length with sum <= total."""
-    if parts == 1:
-        for v in range(1, total + 1):
-            yield (v,)
-        return
-    for v in range(1, total - parts + 2):
-        for rest in _compositions(total - v, parts - 1):
-            yield (v,) + rest
+def _boundary_leaves(lcm: int, rows: dict[int, dict[int, int]], size: int, k: int,
+                     cap: int):
+    """Every integer vector of l1 <= k in the span of the rows, from the
+    reduced rows with common pivot entry lcm.  Pivot coordinates are chosen
+    largest first, and a free coordinate is closed, checked for
+    divisibility by lcm and charged to the budget, at the last row that
+    touches it.  Largest first closes coordinates sooner than smallest
+    first: on the octahedron at k = 7 the walk takes 13,823 steps for its
+    519 leaves, against 24,687.  Iterative, so the depth is not bounded by
+    the recursion limit; more than cap leaves raise ResourceCapError."""
+    pivots = sorted(rows, reverse=True)
+    free_parts = [[(i, s) for i, s in rows[j].items() if i != j] for j in pivots]
+    last_touch = {}
+    for t, part in enumerate(free_parts):
+        for i, _ in part:
+            last_touch[i] = t
+    closing = [[] for _ in pivots]
+    for i, t in last_touch.items():
+        closing[t].append(i)
+    depth = len(pivots)
+    acc = [0] * size        # lcm * the free coordinates, from the rows chosen so far
+    coeff = [None] * depth  # the coefficient chosen at each depth, None if none yet
+    spent = [0] * (depth + 1)
+    leaves = 0
+    t = 0
+    while t >= 0:
+        if t == depth:
+            leaves += 1
+            if leaves > cap:
+                raise ResourceCapError(f"boundary enumeration exceeded cap {cap}")
+            vec = {j: v for j, v in zip(pivots, coeff) if v}
+            vec.update((i, acc[i] // lcm) for i in last_touch if acc[i])
+            yield dict(sorted(vec.items()))
+            t -= 1
+            continue
+        v = coeff[t]
+        if v is not None:
+            for i, s in free_parts[t]:
+                acc[i] -= v * s
+            v = -v if v > 0 else 1 - v  # 0, 1, -1, 2, -2, ...
+        else:
+            v = 0
+        if abs(v) > k - spent[t]:
+            coeff[t] = None
+            t -= 1
+            continue
+        coeff[t] = v
+        for i, s in free_parts[t]:
+            acc[i] += v * s
+        total = spent[t] + abs(v)
+        for i in closing[t]:
+            q, r = divmod(acc[i], lcm)
+            total += abs(q)
+            if r or total > k:
+                break
+        else:
+            spent[t + 1] = total
+            t += 1
 
 
 def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
@@ -310,6 +370,8 @@ def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
 
     Exact over the finite enumeration; monotone nondecreasing in k by
     construction.  Witnesses (the arg-sup boundary and its filling) are kept.
+    Past ``enumeration_cap`` leaves of the boundary walk the table covers the
+    boundaries found so far and is marked partial.
     """
     cols = X.boundary_columns(dim + 1)
     n_rows = X.dimension_size(dim)

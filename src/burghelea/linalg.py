@@ -75,6 +75,34 @@ class RationalEchelon:
     def contains(self, vec: SparseVec) -> bool:
         return not self.reduce(vec)
 
+    def reduced_rows(self) -> tuple[int, dict[int, SparseVec]]:
+        """The stored rows back-substituted, so each is zero at every other
+        pivot, and scaled to one common pivot entry L, the lcm of the reduced
+        rows' pivots.  Returns (L, pivot -> row).  A vector v lies in the
+        span iff L*v == sum over pivots j of v[j] * row_j: its pivot
+        coordinates determine it.  The stored rows are left as they are."""
+        reduced: dict[int, SparseVec] = {}
+        for j in sorted(self._rows):
+            row = dict(self._rows[j])
+            for p in [p for p in row if p != j and p in reduced]:
+                # each reduced row is zero at the other pivots, so clearing
+                # p brings no other pivot back in
+                other = reduced[p]
+                a, b = other[p], row[p]
+                for i in row:
+                    row[i] *= a
+                for i, x in other.items():
+                    y = row.get(i, 0) - b * x
+                    if y:
+                        row[i] = y
+                    else:
+                        del row[i]
+            g = math.gcd(*row.values())
+            reduced[j] = {i: v // g for i, v in row.items()}
+        lcm = math.lcm(*(row[j] for j, row in reduced.items()))
+        return lcm, {j: {i: v * (lcm // row[j]) for i, v in row.items()}
+                     for j, row in reduced.items()}
+
 
 def rank_of_columns(columns: Iterable[SparseVec]) -> int:
     return RationalEchelon(columns).rank

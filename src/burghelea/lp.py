@@ -5,9 +5,12 @@ throughout; Bland's rule guarantees termination on degenerate instances.
 The tableau is [A | I | rhs] with two objective rows below it, the phase-2
 costs and the phase-1 costs reduced against the artificial basis; they
 pivot with the constraints, so the last row always holds the reduced costs
-that price the entering column.  Every optimum is certified: the dual y is
-read off the artificial block of the phase-2 row, and ``_certify`` checks x
-and y against the LP as given (Applegate, Cook, Dash & Espinoza, ORL 2007).
+that price the entering column.  A pivot updates the rows in place, and
+only on the columns where the pivot row is nonzero; the tableau rows are
+fresh lists, so the LP as given is never touched.  Every optimum is
+certified: the dual y is read off the artificial block of the phase-2 row,
+and ``_certify`` checks x and y against the LP as given (Applegate, Cook,
+Dash & Espinoza, ORL 2007).
 A failed check raises ``CertificateError``; it never yields a value.
 """
 from __future__ import annotations
@@ -102,8 +105,8 @@ def _simplex(tab, basis, allowed: int) -> str:
     len(basis), the last row holds the reduced costs, and columns >= allowed
     never enter."""
     m = len(basis)
+    costs = tab[-1]
     while True:
-        costs = tab[-1]  # _pivot rebinds the rows, so re-read it
         entering = next((j for j in range(allowed) if costs[j] < 0), None)
         if entering is None:
             return "optimal"
@@ -122,13 +125,20 @@ def _simplex(tab, basis, allowed: int) -> str:
 
 
 def _pivot(tab, basis, i: int, j: int) -> None:
-    piv = tab[i][j]
-    tab[i] = [v / piv for v in tab[i]]
+    """Pivot on (i, j) in place.  Only the columns where the pivot row is
+    nonzero change: elsewhere v - f*0 = v."""
     row_i = tab[i]
-    for r in range(len(tab)):
-        if r != i and tab[r][j]:
-            f = tab[r][j]
-            tab[r] = [v - f * w for v, w in zip(tab[r], row_i)]
+    piv = row_i[j]
+    support = [c for c, w in enumerate(row_i) if w]
+    if piv != 1:
+        for c in support:
+            row_i[c] /= piv
+    pairs = [(c, row_i[c]) for c in support]
+    for r, row in enumerate(tab):
+        f = row[j]
+        if f and r != i:
+            for c, w in pairs:
+                row[c] -= f * w
     basis[i] = j
 
 

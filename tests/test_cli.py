@@ -112,6 +112,29 @@ def test_dehn_cli(tmp_path):
     assert values == ["0", "0", "0", "1", "4"]
 
 
+def _dehn_report(tmp_path, tag, *flags):
+    out = tmp_path / f"dehn_{tag}.json"
+    code = run_cli("dehn", "--complex", str(fixture_path("octahedron.json")),
+                   "--degree", "1", *flags, "--out", str(out))
+    assert code == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("cap", ["0", "100"])
+def test_dehn_cap_below_leaf_count_is_partial(tmp_path, cap):
+    # --cap counts leaves of the boundary walk: 519 at k = 7 on the octahedron
+    first = _dehn_report(tmp_path, "a", "--k", "7", "--cap", cap)
+    assert json.loads(first)["results"]["partial"] is True
+    assert _dehn_report(tmp_path, "b", "--k", "7", "--cap", cap) == first
+
+
+def test_dehn_k8_completes_under_default_cap(tmp_path):
+    # the boundary walk has 1,095 leaves at k = 8, far under the default cap
+    report = json.loads(_dehn_report(tmp_path, "k8", "--k", "8"))["results"]
+    assert report["partial"] is False
+    assert len(report["rows"]) == 9
+
+
 def test_fill_cli(tmp_path):
     out = tmp_path / "fill.json"
     code = run_cli("fill", "--group", str(fixture_path("zz.json")),

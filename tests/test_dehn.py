@@ -8,6 +8,7 @@ from burghelea import (
     DescriptorError,
     NotABoundaryError,
     OracleCapError,
+    ResourceCapError,
     SimplicialComplex,
     dehn_function,
     filling_estimate_check,
@@ -16,6 +17,7 @@ from burghelea import (
 )
 from burghelea import dehn
 from burghelea.dehn import BarTruncation, enumerate_boundaries, min_l1_filling_vec
+from burghelea.linalg import RationalEchelon
 from burghelea.lp import solve_min_lp
 
 from conftest import assert_certified, load_complex_obj, load_model
@@ -143,6 +145,88 @@ def test_lp_matches_oracle_small_boundaries(triangle, tetrahedron, fan6):
             oracle = integer_min_filling(X, _over_simplices(X, target), 1, 10)
             assert lp.value <= oracle.value
             assert lp.value == oracle.value
+
+
+def _ball_boundaries(columns, size, k):
+    """The reference enumeration: every nonzero integer vector of l1 <= k,
+    first nonzero entry positive, in the order of support size, support,
+    magnitudes and signs, tested against the echelon of the boundary
+    columns."""
+    span = RationalEchelon(columns)
+    for support_size in range(1, min(size, k) + 1):
+        for support in itertools.combinations(range(size), support_size):
+            for mags in _compositions(k, support_size):
+                for signs in itertools.product((1, -1), repeat=support_size - 1):
+                    vec = {i: m * s for i, m, s in zip(support, mags, (1,) + signs)}
+                    if span.contains(vec):
+                        yield vec
+
+
+def _compositions(total, parts):
+    """All positive integer tuples of the given length with sum <= total."""
+    if parts == 1:
+        yield from ((v,) for v in range(1, total + 1))
+        return
+    for v in range(1, total - parts + 2):
+        for rest in _compositions(total - v, parts - 1):
+            yield (v,) + rest
+
+
+@pytest.mark.parametrize("name", ["triangle.json", "tetrahedron.json", "fan6.json",
+                                  "octahedron.json"])
+def test_enumeration_matches_ball_walk(name):
+    X = SimplicialComplex.from_obj(load_complex_obj(name))
+    for dim in X.simplices:
+        for k in range(5):
+            expected = list(_ball_boundaries(X.boundary_columns(dim + 1),
+                                             X.dimension_size(dim), k))
+            got = list(enumerate_boundaries(X, dim, k))
+            assert got == expected
+            assert [list(v) for v in got] == [list(v) for v in expected]
+
+
+class _OneMatrix:
+    """A boundary matrix alone, read the way enumerate_boundaries reads a
+    complex."""
+
+    def __init__(self, columns, size):
+        self.columns, self.size = columns, size
+
+    def boundary_columns(self, dim):
+        return self.columns
+
+    def dimension_size(self, dim):
+        return self.size
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda size: st.tuples(
+    st.just(size),
+    st.lists(st.dictionaries(st.integers(0, size - 1), st.integers(-3, 3).filter(bool),
+                             max_size=size), max_size=4),
+    st.integers(0, 4))))
+def test_enumeration_matches_ball_walk_any_matrix(size_columns_k):
+    # the fixture complexes all have reduced pivots 1; general integer
+    # columns give a common pivot L > 1, so the divisibility pruning counts
+    size, columns, k = size_columns_k
+    expected = list(_ball_boundaries(columns, size, k))
+    assert list(enumerate_boundaries(_OneMatrix(columns, size), 0, k)) == expected
+
+
+def test_enumeration_cap_counts_leaves(octahedron):
+    # the 259 boundaries of l1 <= 7 are 519 leaves with their negatives and
+    # zero; a cap below that yields what was found, in order, then raises
+    full = list(enumerate_boundaries(octahedron, 1, 7))
+    assert len(full) == 259
+    assert len(list(enumerate_boundaries(octahedron, 1, 7, cap=519))) == 259
+    for cap in (0, 100, 518):
+        got = []
+        with pytest.raises(ResourceCapError):
+            for b in enumerate_boundaries(octahedron, 1, 7, cap=cap):
+                got.append(b)
+        assert all(b in full for b in got)
+        assert got == sorted(got, key=full.index)
+        assert (got == []) == (cap == 0)
 
 
 def test_dehn_table_monotone(triangle, tetrahedron, fan6):

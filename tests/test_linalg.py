@@ -66,3 +66,37 @@ def test_contains_and_reduce():
     assert ech.contains({0: 3, 1: 7, 2: 1})
     assert not ech.contains({2: 1, 3: 1})
     assert ech.rank == 2
+
+
+@settings(max_examples=200)
+@given(matrix_and_vector())
+def test_reduced_rows_parametrize_the_span(matrix_and_vector):
+    matrix, _ = matrix_and_vector
+    columns = [to_sparse(row) for row in matrix]
+    ech = RationalEchelon(columns)
+    lcm, rows = ech.reduced_rows()
+    assert len(rows) == ech.rank
+    reduced = RationalEchelon(rows.values())
+    for j, row in rows.items():
+        # pivot j is the largest index, its entry is L, and every other
+        # pivot coordinate is zero
+        assert max(row) == j and row[j] == lcm
+        assert all(p == j or p not in row for p in rows)
+    for col in columns:
+        # every input column reduces to zero against the reduced rows, and
+        # its pivot coordinates rebuild it
+        assert reduced.contains(col)
+        rebuilt = {}
+        for j, row in rows.items():
+            for i, v in row.items():
+                rebuilt[i] = rebuilt.get(i, 0) + col.get(j, 0) * v
+        assert {i: v for i, v in rebuilt.items() if v} == {i: lcm * v for i, v in col.items()}
+
+
+def test_reduced_rows_common_pivot():
+    # the row {1: 1, 2: 2} has an entry at pivot 1; back-substitution clears
+    # it to {0: -1, 2: 2}, and the pivots 1 and 2 give L = 2
+    lcm, rows = RationalEchelon([{0: 1, 1: 1}, {1: 1, 2: 2}]).reduced_rows()
+    assert lcm == 2
+    assert rows == {1: {0: 2, 1: 2}, 2: {0: -1, 2: 2}}
+    assert RationalEchelon().reduced_rows() == (1, {})

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from fractions import Fraction
 
@@ -112,6 +113,28 @@ def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err and "Traceback" not in err
+
+
+def test_inputs_and_certified_lp_unmutated(monkeypatch):
+    # _pivot updates the tableau in place: neither the caller's Fraction
+    # lists nor the LP that _certify checks may share a row with it
+    c = [F(1), F(2), F(0), F(3)]
+    A = [[F(1), F(-1), F(2), F(0)], [F(-2), F(1), F(0), F(1)], [F(1), F(0), F(2), F(1)]]
+    b = [F(3), F(-1), F(4)]
+    given_lp = copy.deepcopy((c, A, b))
+    certified = []
+    real = lp._certify
+
+    def recording(c_, A_, b_, x, y):
+        real(c_, A_, b_, x, y)
+        certified.append(copy.deepcopy((c_, A_, b_)))
+
+    monkeypatch.setattr(lp, "_certify", recording)
+    res = solve_min_lp(c, A, b)
+    assert res.status == "optimal"
+    assert_certified(c, A, b, res)
+    assert (c, A, b) == given_lp
+    assert certified == [given_lp]
 
 
 @settings(max_examples=25)
