@@ -5,7 +5,9 @@ rational LP (min sum(a+ + a-) subject to d(a+ - a-) = b; ``min_l1_filling``)
 whose optimum ``lp.solve_min_lp`` certifies against its dual.
 Its reference is ``integer_min_filling``, an exhaustive integer search with
 pruning: the LP value never exceeds the oracle value, and any strict gap is
-surfaced, not hidden.  d^N(k) is the sup of l_f over integer N-boundaries of
+surfaced, not hidden.  All LPs of a run share the objective and the matrix,
+so ``solve_min_lp`` solves the first cold and each later one by a dual
+simplex from the last optimal basis.  d^N(k) is the sup of l_f over integer N-boundaries of
 l1-norm at most k.
 
 Those boundaries are enumerated on their parametrization, not over the l1
@@ -15,7 +17,8 @@ within the budget, and prunes a branch as soon as a coordinate it has
 decided is not an integer or the l1 spent exceeds k.  On the octahedron at
 k = 7 that is 519 leaves for 259 boundaries, where the ball holds 696,032
 vectors.  The boundaries come in the order of support size, support,
-magnitudes and signs, and the enumeration cap counts leaves of the walk.
+magnitudes and signs, and the enumeration cap counts steps of the walk
+(13,823 at k = 7), so it bounds the work, not just the output.
 
 The same machinery runs on ball-truncated equivariant bar complexes of a
 group model, with diameter-weighted objectives, to probe the filling-norm
@@ -282,9 +285,9 @@ def enumerate_boundaries(X: SimplicialComplex, dim: int, k: int,
     so only those are walked, depth-first within the l1 budget; the other
     coordinates follow and prune the walk (``_boundary_leaves``).  The
     boundaries come sorted by support size, support, magnitudes and then
-    signs, + before -.  The cap counts leaves of the walk, the integer
-    boundaries of l1 <= k with both signs and zero; past it the boundaries
-    found so far are yielded, in that order, and ResourceCapError is raised.
+    signs, + before -.  The cap counts steps of the walk (each coefficient
+    tried, each leaf and each step back is one); past it the boundaries found
+    so far are yielded, in that order, and ResourceCapError is raised.
     """
     lcm, rows = RationalEchelon(X.boundary_columns(dim + 1)).reduced_rows()
     found = []
@@ -313,7 +316,7 @@ def _boundary_leaves(lcm: int, rows: dict[int, dict[int, int]], size: int, k: in
     touches it.  Largest first closes coordinates sooner than smallest
     first: on the octahedron at k = 7 the walk takes 13,823 steps for its
     519 leaves, against 24,687.  Iterative, so the depth is not bounded by
-    the recursion limit; more than cap leaves raise ResourceCapError."""
+    the recursion limit; more than cap steps raise ResourceCapError."""
     pivots = sorted(rows, reverse=True)
     free_parts = [[(i, s) for i, s in rows[j].items() if i != j] for j in pivots]
     last_touch = {}
@@ -327,13 +330,13 @@ def _boundary_leaves(lcm: int, rows: dict[int, dict[int, int]], size: int, k: in
     acc = [0] * size        # lcm * the free coordinates, from the rows chosen so far
     coeff = [None] * depth  # the coefficient chosen at each depth, None if none yet
     spent = [0] * (depth + 1)
-    leaves = 0
+    steps = 0
     t = 0
     while t >= 0:
+        steps += 1
+        if steps > cap:
+            raise ResourceCapError(f"boundary enumeration exceeded cap {cap}")
         if t == depth:
-            leaves += 1
-            if leaves > cap:
-                raise ResourceCapError(f"boundary enumeration exceeded cap {cap}")
             vec = {j: v for j, v in zip(pivots, coeff) if v}
             vec.update((i, acc[i] // lcm) for i in last_touch if acc[i])
             yield dict(sorted(vec.items()))
@@ -370,7 +373,7 @@ def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
 
     Exact over the finite enumeration; monotone nondecreasing in k by
     construction.  Witnesses (the arg-sup boundary and its filling) are kept.
-    Past ``enumeration_cap`` leaves of the boundary walk the table covers the
+    Past ``enumeration_cap`` steps of the boundary walk the table covers the
     boundaries found so far and is marked partial.
     """
     cols = X.boundary_columns(dim + 1)

@@ -122,14 +122,14 @@ def _dehn_report(tmp_path, tag, *flags):
 
 @pytest.mark.parametrize("cap", ["0", "100"])
 def test_dehn_cap_below_leaf_count_is_partial(tmp_path, cap):
-    # --cap counts leaves of the boundary walk: 519 at k = 7 on the octahedron
+    # --cap counts steps of the boundary walk: 13,823 at k = 7 on the octahedron
     first = _dehn_report(tmp_path, "a", "--k", "7", "--cap", cap)
     assert json.loads(first)["results"]["partial"] is True
     assert _dehn_report(tmp_path, "b", "--k", "7", "--cap", cap) == first
 
 
 def test_dehn_k8_completes_under_default_cap(tmp_path):
-    # the boundary walk has 1,095 leaves at k = 8, far under the default cap
+    # the boundary walk takes 25,233 steps at k = 8, far under the default cap
     report = json.loads(_dehn_report(tmp_path, "k8", "--k", "8"))["results"]
     assert report["partial"] is False
     assert len(report["rows"]) == 9

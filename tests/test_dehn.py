@@ -213,13 +213,13 @@ def test_enumeration_matches_ball_walk_any_matrix(size_columns_k):
     assert list(enumerate_boundaries(_OneMatrix(columns, size), 0, k)) == expected
 
 
-def test_enumeration_cap_counts_leaves(octahedron):
-    # the 259 boundaries of l1 <= 7 are 519 leaves with their negatives and
-    # zero; a cap below that yields what was found, in order, then raises
+def test_enumeration_cap_counts_steps(octahedron):
+    # the walk to the 259 boundaries of l1 <= 7 takes 13,823 steps; a cap
+    # below that yields what was found, in order, then raises
     full = list(enumerate_boundaries(octahedron, 1, 7))
     assert len(full) == 259
-    assert len(list(enumerate_boundaries(octahedron, 1, 7, cap=519))) == 259
-    for cap in (0, 100, 518):
+    assert len(list(enumerate_boundaries(octahedron, 1, 7, cap=13_823))) == 259
+    for cap in (0, 100, 13_822):
         got = []
         with pytest.raises(ResourceCapError):
             for b in enumerate_boundaries(octahedron, 1, 7, cap=cap):

@@ -105,9 +105,13 @@ def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
         return real(tab, basis, allowed) if allowed == len(tab[0]) - 1 else "optimal"
 
     monkeypatch.setattr(lp, "_simplex", skip_phase2)
+    monkeypatch.setattr(lp, "_last", None)  # so the next solve is cold
     # phase 1 ends at x = (1, 0), value 2; the optimum is x = (0, 1), value 1
     with pytest.raises(CertificateError):
         solve_min_lp([2, 1], [[1, 1]], [1])
+    # a dehn run solves one LP cold and repairs the rest by the dual simplex:
+    # stopped after zero pivots, it leaves a basis that is not primal feasible
+    monkeypatch.setattr(lp, "_dual_simplex", lambda tab, basis, n: None)
     code = cli.main(["dehn", "--complex", str(fixture_path("octahedron.json")),
                      "--degree", "1", "--k", "4"])
     err = capsys.readouterr().err
@@ -160,3 +164,71 @@ def test_against_vertex_enumeration(mab, c):
     else:
         assert res.status == "infeasible"
         assert reference is None
+
+
+@st.composite
+def lp_runs(draw):
+    """A small integer A whose last row is the sum of its first and its
+    last-but-one, c >= 0, and 2-6 right-hand sides: each A x for an x >= 0
+    or any b consistent with the redundant row, and one in the middle that
+    breaks the redundant row, so it is infeasible."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    A.append([u + v for u, v in zip(A[0], A[-1])])
+    c = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    bs = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            x = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            bs.append([sum(a * v for a, v in zip(row, x)) for row in A])
+        else:
+            b = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+            bs.append(b + [b[0] + b[-1]])
+    broken = list(bs[0])
+    broken[-1] += 1
+    middle = (len(bs) + 1) // 2
+    bs.insert(middle, broken)
+    return c, A, bs, middle
+
+
+@settings(max_examples=60)
+@given(lp_runs())
+def test_warm_solves_match_cold(run):
+    # consecutive solves on one (c, A) reuse one MinLP; each verdict equals
+    # the cold one on a fresh MinLP, and each optimum is certified
+    c, A, bs, middle = run
+    verdicts = []
+    for b in bs:
+        res = solve_min_lp(c, A, b)
+        cold = lp.MinLP(c, A).solve(b)
+        assert (res.status, res.value) == (cold.status, cold.value)
+        if res.status == "optimal":
+            assert_certified(c, A, b, res)
+        verdicts.append((res.status, lp._last[1]))
+    assert len({id(memo) for _, memo in verdicts}) == 1
+    assert verdicts[middle][0] == "infeasible"
+
+
+def test_mutated_matrix_is_solved_cold():
+    # the memo compares c and A by value: a caller that changes A in place
+    # between calls gets the new LP's optimum, not the kept tableau's
+    c, A = [2, 1], [[1, 1]]
+    assert solve_min_lp(c, A, [1]).value == 1
+    A[0][1] = 2
+    res = solve_min_lp(c, A, [1])
+    assert res.value == F(1, 2) == lp.MinLP(c, A).solve([1]).value
+    assert_certified(c, A, [1], res)
+
+
+def test_unproven_infeasibility_is_an_error(monkeypatch):
+    # b = 1 and b = 2 are feasible for x0 + x1 = b: a verdict of infeasible
+    # on either path fails the Farkas check
+    warm = lp.MinLP([1, 1], [[1, 1]])
+    assert warm.solve([1]).value == 1
+    monkeypatch.setattr(lp, "_dual_simplex", lambda tab, basis, n: 0)
+    with pytest.raises(CertificateError):
+        warm.solve([2])
+    monkeypatch.setattr(lp, "_simplex", lambda tab, basis, allowed: "optimal")
+    with pytest.raises(CertificateError):
+        lp.MinLP([1, 1], [[1, 1]]).solve([1])
