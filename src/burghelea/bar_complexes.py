@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator
 
-from .chains import Chain, linear_extend, simplex_faces
+from .chains import Chain, check_chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
 from .hochschild import entry_product, pi_h
@@ -53,20 +53,23 @@ def cprime_faces(mul: Callable[[Element, Element], Element],
 def boundary_cprime(model: GroupModel, c: Chain) -> Chain:
     if c.kind != "cprime":
         raise GroupMismatchError("boundary_cprime needs a cprime chain")
+    check_chain(model, c)
     if c.degree == 0:
         return Chain.zero("cprime", 0)
-    return linear_extend(c, "cprime", c.degree - 1, partial(cprime_faces, model.mul))
+    return linear_extend(c, "cprime", c.degree - 1, partial(cprime_faces, model._mul))
 
 
 def normalize_cbar_tuple(model: GroupModel, t: tuple) -> tuple:
-    """Left-translate an orbit tuple so that its leading entry is e."""
-    g0 = model.inv(t[0])
-    return tuple(model.mul(g0, x) for x in t)
+    """Left-translate an orbit tuple of valid elements so that its leading
+    entry is e."""
+    mul = model._mul
+    g0 = model._inv(t[0])
+    return tuple([mul(g0, x) for x in t])
 
 
 def cbar_faces(model: GroupModel, t: tuple) -> Iterator[tuple[tuple, int]]:
-    """Faces of a C-bar generator (e, g_1, ..., g_n), n >= 1: the simplex
-    faces, with face 0 translated back to a leading e."""
+    """Faces of a C-bar generator (e, g_1, ..., g_n) of valid elements,
+    n >= 1: the simplex faces, with face 0 translated back to a leading e."""
     if t[0] != model.identity:
         raise GroupMismatchError("cbar tuples must have leading identity")
     faces = simplex_faces(t)
@@ -78,6 +81,7 @@ def cbar_faces(model: GroupModel, t: tuple) -> Iterator[tuple[tuple, int]]:
 def boundary_cbar(model: GroupModel, c: Chain) -> Chain:
     if c.kind != "cbar":
         raise GroupMismatchError("boundary_cbar needs a cbar chain")
+    check_chain(model, c)
     if c.degree == 0:
         return Chain.zero("cbar", 0)
     return linear_extend(c, "cbar", c.degree - 1, partial(cbar_faces, model))
@@ -87,12 +91,14 @@ def psi(model: GroupModel, c: Chain) -> Chain:
     """C'_n -> C_n: (g_1,...,g_n) -> (1, g_1, g_1 g_2, ..., g_1...g_n)."""
     if c.kind != "cprime":
         raise GroupMismatchError("psi needs a cprime chain")
+    check_chain(model, c)
+    mul = model._mul
 
     def on_basis(t):
         out = [model.identity]
         acc = model.identity
         for x in t:
-            acc = model.mul(acc, x)
+            acc = mul(acc, x)
             out.append(acc)
         yield tuple(out), ONE
 
@@ -103,11 +109,13 @@ def psi_inv(model: GroupModel, c: Chain) -> Chain:
     """C_n -> C'_n: consecutive quotients of the orbit representative."""
     if c.kind != "cbar":
         raise GroupMismatchError("psi_inv needs a cbar chain")
+    check_chain(model, c)
+    mul, inv = model._mul, model._inv
 
     def on_basis(t):
         if t[0] != model.identity:
             raise GroupMismatchError("cbar tuples must have leading identity")
-        out = [model.mul(model.inv(t[i]), t[i + 1]) for i in range(len(t) - 1)]
+        out = [mul(inv(t[i]), t[i + 1]) for i in range(len(t) - 1)]
         yield tuple(out), ONE
 
     return linear_extend(c, "cprime", c.degree, on_basis)
@@ -120,13 +128,16 @@ def phi_g(model: GroupModel, g: Element, c: Chain) -> Chain:
     """
     if c.kind != "cprime":
         raise GroupMismatchError("phi_g needs a cprime chain")
+    model.check_element(g)
+    check_chain(model, c)
+    mul = model._mul
 
     def on_basis(t):
         for x in t:
-            if not model.commutes(x, g):
+            if mul(x, g) != mul(g, x):
                 raise GroupMismatchError(
                     f"entry {model.element_str(x)} does not centralize g")
-        lead = model.mul(model.inv(entry_product(model, t)), g)
+        lead = mul(model._inv(entry_product(model, t)), g)
         yield (lead,) + t, ONE
 
     return linear_extend(c, "hochschild", c.degree, on_basis)
@@ -153,6 +164,8 @@ def localize_to_equivariant(section: CosetSection, c: Chain) -> Chain:
     if c.kind != "hochschild":
         raise GroupMismatchError("localize_to_equivariant needs a hochschild chain")
     m = section.model
+    check_chain(m, c)
+    mul = m._mul
     p = section.retract
 
     def on_basis(t):
@@ -160,7 +173,7 @@ def localize_to_equivariant(section: CosetSection, c: Chain) -> Chain:
         out = []
         acc = r
         for x in t:
-            acc = m.mul(acc, x)
+            acc = mul(acc, x)
             out.append(p(acc))
         yield normalize_cbar_tuple(m, tuple(out)), ONE
 

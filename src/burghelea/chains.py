@@ -16,11 +16,16 @@ face map of the standard simplex, ``simplex_faces``, lives here because the
 E complex (``homotopy``), the C-bar complex (``bar_complexes``) and
 simplicial complexes (``dehn``) all use it; the same face functions feed the
 sparse boundary matrices of ``linalg.boundary_columns``.
+
+Elements are checked at the edge.  A public chain map that touches the group
+law checks every entry of its input chain once, with ``check_chain``, and
+its face and on-basis functions then run the model's unchecked kernel
+(``_mul``/``_inv``) on those entries and on the products they make.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import KindMismatchError
 from .groups import Element, GroupModel
@@ -47,13 +52,14 @@ class Chain:
                  terms: Mapping[BasisTuple, Fraction] | Iterable[tuple[BasisTuple, Fraction]] = ()):
         n = arity(kind, degree)
         acc: dict[BasisTuple, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for t, q in items:
             if not (isinstance(t, tuple) and len(t) == n):
                 raise KindMismatchError(
                     f"tuple {t!r} has arity {len(t) if isinstance(t, tuple) else '?'}, "
                     f"kind {kind!r} degree {degree} needs {n}")
-            q = Fraction(q)
+            if type(q) is not Fraction:
+                q = Fraction(q)
             if q:
                 s = acc.get(t)
                 if s is None:
@@ -135,8 +141,18 @@ def linear_extend(c: Chain, kind: str, degree: int,
     items: list[tuple[BasisTuple, Fraction]] = []
     for t, q in c.terms.items():
         for u, r in on_basis(t):
-            items.append((u, q * r))
+            # face signs are +-1: no Fraction product for them
+            items.append((u, q if r == 1 else -q if r == -1 else q * r))
     return Chain(kind, degree, items)
+
+
+def check_chain(model: GroupModel, c: Chain) -> None:
+    """Raise GroupMismatchError unless every entry of every basis tuple of c
+    is an element of ``model``: the edge check of a public chain map."""
+    check = model.check_element
+    for t in c.terms:
+        for x in t:
+            check(x)
 
 
 def simplex_faces(t: BasisTuple) -> Iterator[tuple[BasisTuple, int]]:

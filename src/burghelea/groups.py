@@ -18,12 +18,17 @@ product         tuple with one component encoding per factor
 Canonical encodings are unique, so two elements are equal iff their
 encodings are equal.
 
-There is one group law per encoding, and ``mul``/``inv`` check each operand
-once.  The two finite kinds share ``FiniteGroup``'s law: its constructor
-tabulates products and inverses of the enumerated elements, and
-``check_element`` is membership (the encoding type and a table lookup).  A
-product's law checks only the tuple's shape and leaves each component to its
-factor's law; ``check_element`` on a product checks every component.
+There is one group law per encoding.  Its kernel ``_mul``/``_inv`` trusts
+its operands; the public ``mul``/``inv``, in each kind's own class body,
+check each operand once with ``check_element`` and call the kernel, as
+``conj``, ``commutes`` and ``power`` do.  The two finite kinds share
+``FiniteGroup``'s law: its constructor tabulates products and inverses of
+the enumerated elements, and ``check_element`` is membership (the exact
+encoding type and a table lookup).  A product binds its factors' kernels and
+checks in its constructor.  Elements are checked at the edges
+(``parse_group``, ``parse_element``, the public chain maps, a coset section
+on a cache miss), which then run the kernel.  A letter, coordinate or table
+index is an ``int``, never a ``bool``.
 
 Behaviour that depends on the kind lives on the model class as well.  On
 valid elements each kind implements (the realizations of the centralizer
@@ -113,27 +118,26 @@ class GroupModel:
     identity: Element
     generators: tuple[Element, ...]
 
-    # -- group law ---------------------------------------------------------
-
-    def mul(self, a: Element, b: Element) -> Element:
-        raise NotImplementedError
-
-    def inv(self, a: Element) -> Element:
-        raise NotImplementedError
+    # -- group law (each kind defines mul, inv, check_element, _mul, _inv) --
 
     def conj(self, r: Element, g: Element) -> Element:
         """r^-1 g r."""
-        return self.mul(self.mul(self.inv(r), g), r)
+        self.check_element(r)
+        self.check_element(g)
+        return self._mul(self._mul(self._inv(r), g), r)
 
     def commutes(self, a: Element, b: Element) -> bool:
-        return self.mul(a, b) == self.mul(b, a)
+        self.check_element(a)
+        self.check_element(b)
+        return self._mul(a, b) == self._mul(b, a)
 
     def power(self, a: Element, n: int) -> Element:
+        self.check_element(a)
         if n < 0:
-            return self.power(self.inv(a), -n)
+            a, n = self._inv(a), -n
         acc = self.identity
         for _ in range(n):
-            acc = self.mul(acc, a)
+            acc = self._mul(acc, a)
         return acc
 
     # -- word metric and conjugacy (arguments are valid elements) ----------
@@ -166,11 +170,7 @@ class GroupModel:
         kind proves there is none, else ``bfs(model, g, h)``."""
         raise NotImplementedError
 
-    # -- membership & ordering ---------------------------------------------
-
-    def check_element(self, a: Element) -> None:
-        """Raise GroupMismatchError unless ``a`` is a canonical encoding."""
-        raise NotImplementedError
+    # -- ordering ------------------------------------------------------------
 
     def element_key(self, a: Element):
         """Deterministic total-order key on canonical encodings (no length)."""
@@ -233,15 +233,21 @@ class FiniteGroup(GroupModel):
     def mul(self, a, b):
         self.check_element(a)
         self.check_element(b)
-        return self._products[a][b]
+        return self._mul(a, b)
 
     def inv(self, a):
         self.check_element(a)
+        return self._inv(a)
+
+    def _mul(self, a, b):
+        return self._products[a][b]
+
+    def _inv(self, a):
         return self._inverses[a]
 
     def check_element(self, a):
         try:
-            if isinstance(a, self._encoding) and a in self._inverses:
+            if type(a) is self._encoding and a in self._inverses:
                 return
         except TypeError:  # unhashable, e.g. a tuple holding a list
             pass
@@ -405,21 +411,27 @@ class FreeGroup(GroupModel):
     def mul(self, a, b):
         self.check_element(a)
         self.check_element(b)
+        return self._mul(a, b)
+
+    def inv(self, a):
+        self.check_element(a)
+        return self._inv(a)
+
+    def _mul(self, a, b):
         # only the junction can cancel when both factors are reduced
         k = 0
         while k < len(a) and k < len(b) and a[len(a) - 1 - k] == -b[k]:
             k += 1
         return a[:len(a) - k] + b[k:]
 
-    def inv(self, a):
-        self.check_element(a)
-        return tuple(-x for x in reversed(a))
+    def _inv(self, a):
+        return tuple([-x for x in reversed(a)])
 
     def check_element(self, a):
         if not isinstance(a, tuple):
             raise GroupMismatchError(f"{a!r} is not a word tuple")
         for i, x in enumerate(a):
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
+            if type(x) is not int or x == 0 or abs(x) > self.rank:
                 raise GroupMismatchError(f"letter {x!r} outside alphabet of {self.name}")
             if i and a[i - 1] == -x:
                 raise GroupMismatchError(f"word {a!r} is not freely reduced")
@@ -516,15 +528,21 @@ class FreeAbelianGroup(GroupModel):
     def mul(self, a, b):
         self.check_element(a)
         self.check_element(b)
-        return tuple(x + y for x, y in zip(a, b))
+        return self._mul(a, b)
 
     def inv(self, a):
         self.check_element(a)
-        return tuple(-x for x in a)
+        return self._inv(a)
+
+    def _mul(self, a, b):
+        return tuple([x + y for x, y in zip(a, b)])
+
+    def _inv(self, a):
+        return tuple([-x for x in a])
 
     def check_element(self, a):
         if not (isinstance(a, tuple) and len(a) == self.rank
-                and all(isinstance(x, int) for x in a)):
+                and all(type(x) is int for x in a)):
             raise GroupMismatchError(f"{a!r} is not a rank-{self.rank} vector")
 
     def element_key(self, a):
@@ -579,25 +597,30 @@ class ProductGroup(GroupModel):
                 gens.append(tuple(t))
         self.generators = tuple(gens)
         self.name = name or " x ".join(f.name for f in self.factors)
+        self._muls = [f._mul for f in self.factors]
+        self._invs = [f._inv for f in self.factors]
+        self._checks = [f.check_element for f in self.factors]
 
-    # the law checks only the shape; each factor's law checks its component
     def mul(self, a, b):
-        self._check_shape(a)
-        self._check_shape(b)
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
+        self.check_element(a)
+        self.check_element(b)
+        return self._mul(a, b)
 
     def inv(self, a):
-        self._check_shape(a)
-        return tuple(f.inv(x) for f, x in zip(self.factors, a))
+        self.check_element(a)
+        return self._inv(a)
 
-    def _check_shape(self, a):
-        if not (isinstance(a, tuple) and len(a) == len(self.factors)):
-            raise GroupMismatchError(f"{a!r} has wrong number of components")
+    def _mul(self, a, b):
+        return tuple([m(x, y) for m, x, y in zip(self._muls, a, b)])
+
+    def _inv(self, a):
+        return tuple([i(x) for i, x in zip(self._invs, a)])
 
     def check_element(self, a):
-        self._check_shape(a)
-        for f, x in zip(self.factors, a):
-            f.check_element(x)
+        if not (isinstance(a, tuple) and len(a) == len(self._checks)):
+            raise GroupMismatchError(f"{a!r} has wrong number of components")
+        for check, x in zip(self._checks, a):
+            check(x)
 
     def element_key(self, a):
         return tuple(f.element_key(x) for f, x in zip(self.factors, a))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Optional
 
-from .chains import Chain, linear_extend
+from .chains import Chain, check_chain, linear_extend
 from .errors import GroupMismatchError, ResourceCapError
 from .groups import Element, GroupModel, class_members
 from .linalg import boundary_ranks
@@ -60,15 +60,18 @@ def hochschild_faces(mul: Callable[[Element, Element], Element],
 def hochschild_boundary(model: GroupModel, c: Chain) -> Chain:
     if c.kind != "hochschild":
         raise GroupMismatchError("hochschild_boundary needs a hochschild chain")
+    check_chain(model, c)
     if c.degree == 0:
         return Chain.zero("hochschild", 0)
-    return linear_extend(c, "hochschild", c.degree - 1, partial(hochschild_faces, model.mul))
+    return linear_extend(c, "hochschild", c.degree - 1, partial(hochschild_faces, model._mul))
 
 
 def entry_product(model: GroupModel, t: tuple) -> Element:
+    """g_0 g_1 ... g_n, by the kernel: the entries must be valid elements."""
+    mul = model._mul
     p = model.identity
     for x in t:
-        p = model.mul(p, x)
+        p = mul(p, x)
     return p
 
 
@@ -89,6 +92,7 @@ def split_by_class(model: GroupModel, c: Chain) -> dict[ConjugacyClass, Chain]:
     The components sum back to c, and the boundary restricts to each
     component, so this realizes the class splitting of the complex.
     """
+    check_chain(model, c)
     buckets: dict[ConjugacyClass, list] = {}
     for t, q in c.terms.items():
         x = conjugacy_class(model, entry_product(model, t))
@@ -106,13 +110,16 @@ def pi_h(section: CosetSection, c: Chain,
          p(r g_0...g_{n-1})^-1 p(r g_0...g_n))
 
     with p = p_h; the output does not depend on the choice of r, so any
-    conjugator map may replace the section's minimal ``section.conjugator``.
+    conjugator map into the model may replace the section's minimal
+    ``section.conjugator``.
     """
     if c.kind != "hochschild":
         raise GroupMismatchError("pi_h needs a hochschild chain")
     if conjugator is None:
         conjugator = section.conjugator
     m = section.model
+    check_chain(m, c)
+    mul, inv = m._mul, m._inv
     h = section.h
     p = section.retract
 
@@ -121,13 +128,13 @@ def pi_h(section: CosetSection, c: Chain,
         prefixes = []
         acc = r
         for x in t:
-            acc = m.mul(acc, x)
+            acc = mul(acc, x)
             prefixes.append(acc)
         retracts = [p(x) for x in prefixes]
-        first = m.mul(m.mul(m.inv(retracts[-1]), h), retracts[0])
+        first = mul(mul(inv(retracts[-1]), h), retracts[0])
         entries = [first]
         for i in range(len(t) - 1):
-            entries.append(m.mul(m.inv(retracts[i]), retracts[i + 1]))
+            entries.append(mul(inv(retracts[i]), retracts[i + 1]))
         yield tuple(entries), ONE
 
     return linear_extend(c, "hochschild", c.degree, on_basis)
@@ -136,9 +143,12 @@ def pi_h(section: CosetSection, c: Chain,
 def iota_h(model: GroupModel, h: Element, c: Chain) -> Chain:
     """Inclusion C_n(QZ_h)_[h] -> C_n(QG)_x; identity on terms after
     checking that every entry centralizes h."""
+    model.check_element(h)
+    check_chain(model, c)
+    mul = model._mul
     for t in c.terms:
         for x in t:
-            if not model.commutes(x, h):
+            if mul(x, h) != mul(h, x):
                 raise GroupMismatchError(
                     f"entry {model.element_str(x)} lies outside the centralizer")
     return Chain(c.kind, c.degree, c.terms)

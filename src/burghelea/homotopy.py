@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterator
 
-from .chains import Chain, linear_extend, simplex_faces, tuple_str
+from .chains import Chain, check_chain, linear_extend, simplex_faces, tuple_str
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
 from .hochschild import class_component_basis, entry_product, hochschild_boundary, iota_h, pi_h
@@ -56,6 +56,7 @@ def p_e(section: CosetSection, c: Chain) -> Chain:
     """Entrywise retraction E_.(G) -> E_.(Z_h)."""
     if c.kind != "e":
         raise GroupMismatchError("p_e needs an e-complex chain")
+    check_chain(section.model, c)
     p = section.retract
 
     def on_basis(t):
@@ -71,6 +72,7 @@ def homotopy_d(section: CosetSection, c: Chain) -> Chain:
     """
     if c.kind != "e":
         raise GroupMismatchError("homotopy_d needs an e-complex chain")
+    check_chain(section.model, c)
     n = c.degree
     p = section.retract
 
@@ -93,11 +95,11 @@ def _ip(section: CosetSection, c: Chain) -> Chain:
 
 
 def theta_tuple(model: GroupModel, h: Element, t: tuple) -> Iterator[tuple[tuple, int]]:
-    """theta_h on one generator:
+    """theta_h on one generator of valid elements:
     (g_0,...,g_n) -> (g_n^-1 h g_0, g_0^-1 g_1, ..., g_{n-1}^-1 g_n)."""
-    m = model
-    first = m.mul(m.mul(m.inv(t[-1]), h), t[0])
-    rest = [m.mul(m.inv(t[i]), t[i + 1]) for i in range(len(t) - 1)]
+    mul, inv = model._mul, model._inv
+    first = mul(mul(inv(t[-1]), h), t[0])
+    rest = [mul(inv(t[i]), t[i + 1]) for i in range(len(t) - 1)]
     yield (first, *rest), 1
 
 
@@ -105,6 +107,8 @@ def theta_h(model: GroupModel, h: Element, c: Chain) -> Chain:
     """E_n(G) -> C_n(QG)_x, extended linearly from ``theta_tuple``."""
     if c.kind != "e":
         raise GroupMismatchError("theta_h needs an e-complex chain")
+    model.check_element(h)
+    check_chain(model, c)
     return linear_extend(c, "hochschild", c.degree, partial(theta_tuple, model, h))
 
 
@@ -114,13 +118,15 @@ def theta_lift(section: CosetSection, c: Chain) -> Chain:
     if c.kind != "hochschild":
         raise GroupMismatchError("theta_lift needs a hochschild chain")
     m = section.model
+    check_chain(m, c)
+    mul = m._mul
 
     def on_basis(t):
         r = section.conjugator(entry_product(m, t))
         out = []
         acc = r
         for x in t:
-            acc = m.mul(acc, x)
+            acc = mul(acc, x)
             out.append(acc)
         yield tuple(out), ONE
 

@@ -300,8 +300,9 @@ class CosetSection:
         return cached
 
     def retract(self, g: Element) -> Element:
-        """p_h(g) = g * s(Z_h g)^-1, a point of Z_h."""
-        return self.model.mul(g, self.model.inv(self.section(g)))
+        """p_h(g) = g * s(Z_h g)^-1, a point of Z_h.  ``section`` checks g on
+        a cache miss, so the product runs on the kernel."""
+        return self.model._mul(g, self.model._inv(self.section(g)))
 
     def conjugator(self, product: Element) -> Element:
         """Shortest r (shortlex tie-break) with product = r^-1 h r.

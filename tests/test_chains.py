@@ -3,8 +3,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from burghelea import KindMismatchError, chain_from_obj, chain_to_obj, support_diameter
-from burghelea.chains import Chain, convolve, tuple_diameter
+from burghelea import (
+    GroupMismatchError,
+    KindMismatchError,
+    chain_from_obj,
+    chain_to_obj,
+    coset_section,
+    support_diameter,
+)
+from burghelea.bar_complexes import (
+    boundary_cbar,
+    boundary_cprime,
+    localize_to_equivariant,
+    phi_g,
+    psi,
+    psi_inv,
+)
+from burghelea.chains import Chain, convolve, linear_extend, tuple_diameter
+from burghelea.hochschild import hochschild_boundary, iota_h, pi_h, split_by_class
+from burghelea.homotopy import dbar, homotopy_d, p_e, theta_h, theta_lift
 
 
 def f2_chains(degree=1):
@@ -86,3 +103,56 @@ def test_convolution(z4):
     h = Chain("hochschild", 0, [((g,), Fraction(1))])
     out = convolve(z4, f, h)
     assert out.terms == {(2,): Fraction(1), (1,): Fraction(2)}
+
+
+_SIGNS = st.sampled_from([1, -1, Fraction(1), Fraction(-1), 2, -3, Fraction(1, 3),
+                          Fraction(-5, 2), 0])
+
+
+@given(f2_chains(1), st.lists(_SIGNS, min_size=1, max_size=4))
+def test_linear_extend_signs_match_products(c, signs):
+    # each basis tuple maps to itself and its swap with mixed unit and
+    # non-unit signs, so images of different tuples meet and cancel
+    def on_basis(t):
+        for k, r in enumerate(signs):
+            yield t[k % 2:] + t[:k % 2], r
+
+    out = linear_extend(c, "hochschild", 1, on_basis)
+    reference = Chain("hochschild", 1, [(u, q * r) for t, q in c.terms.items()
+                                        for u, r in on_basis(t)])
+    assert out == reference
+    assert all(type(q) is Fraction for q in out.terms.values())
+
+
+def test_chain_maps_reject_non_members(f2xz, z4):
+    # every public chain map checks its input chain once and then runs the
+    # unchecked kernel: an unreduced F2 word inside an F2 x Z element, and a
+    # Z4 index of 7, on which the table kernel would raise a bare KeyError
+    for m, bad, h in ((f2xz, ((1, -1), (0,)), f2xz.parse_element("(a; (0))")),
+                      (z4, 7, z4.parse_element("g"))):
+        e = m.identity
+        section = coset_section(m, h)
+        hh = Chain.basis("hochschild", 1, (bad, e))
+        cprime = Chain.basis("cprime", 2, (bad, e))
+        cbar = Chain.basis("cbar", 1, (e, bad))
+        ec = Chain.basis("e", 1, (bad, e))
+        calls = [
+            lambda: hochschild_boundary(m, hh),
+            lambda: pi_h(section, hh),
+            lambda: split_by_class(m, hh),
+            lambda: iota_h(m, h, hh),
+            lambda: boundary_cprime(m, cprime),
+            lambda: boundary_cbar(m, cbar),
+            lambda: psi(m, cprime),
+            lambda: psi_inv(m, cbar),
+            lambda: phi_g(m, h, cprime),
+            lambda: localize_to_equivariant(section, hh),
+            lambda: p_e(section, ec),
+            lambda: homotopy_d(section, ec),
+            lambda: theta_h(m, h, ec),
+            lambda: theta_lift(section, hh),
+            lambda: dbar(section, hh),
+        ]
+        for call in calls:
+            with pytest.raises(GroupMismatchError):
+                call()

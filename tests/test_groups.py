@@ -220,6 +220,53 @@ def test_membership_validation(f2, zz, z4, d4, f2xz):
             m.parse_element(text)
 
 
+def test_bool_is_not_an_element(f2, zz, z4, f2xz):
+    # True == 1 and hashes alike, but a letter, coordinate or table index is
+    # an int proper, as in descriptors; element_str would print it as True
+    bad = [(f2, (True,)), (f2, (2, True)), (zz, (True, 0)), (zz, (0, False)),
+           (z4, True), (z4, False), (f2xz, ((False,), (0,))), (f2xz, ((), (True,)))]
+    for m, a in bad:
+        with pytest.raises(GroupMismatchError):
+            m.check_element(a)
+        with pytest.raises(GroupMismatchError):
+            m.mul(a, m.identity)
+        with pytest.raises(GroupMismatchError):
+            m.inv(a)
+
+
+def _elements(m):
+    """Hypothesis strategy for valid elements of model m."""
+    if m.kind == "product":
+        return st.tuples(*map(_elements, m.factors))
+    if m.is_finite:
+        return st.sampled_from(m.elements())
+    if m.kind == "free":
+        letters = st.integers(-m.rank, m.rank).filter(bool)
+        return st.lists(letters, max_size=8).map(reduce_word)
+    return st.tuples(*[st.integers(-9, 9)] * m.rank)
+
+
+# every kind: finite_table, finite_perm, free, free_abelian, a product of
+# infinite factors, a product with a finite factor and a nested product
+_KERNEL_MODELS = _MODELS + [parse_group({"type": "product", "factors": [
+    load_complex_obj("f2xz.json"), load_complex_obj("z4.json")]})]
+
+
+@given(st.data())
+def test_kernel_matches_public_law(data):
+    for m in _KERNEL_MODELS:
+        a, b = data.draw(_elements(m)), data.draw(_elements(m))
+        ab = m._mul(a, b)
+        assert ab == m.mul(a, b)
+        assert m._inv(a) == m.inv(a)
+        m.check_element(ab)
+        assert m._mul(ab, m._inv(b)) == a
+        if m.kind == "product":
+            assert ab == tuple(f.mul(x, y) for f, x, y in zip(m.factors, a, b))
+        elif m.kind == "free":
+            assert ab == reduce_word(a + b)
+
+
 def test_element_strings_round_trip(s3, f2, zz, f2xz):
     for m, elems in [
         (s3, s3.elements()),

@@ -71,3 +71,21 @@ def test_no_removed_switch_or_knob_returns():
     takers = [name for name, fn in _callables()
               if banned & set(inspect.signature(fn).parameters)]
     assert takers == []
+
+
+def test_each_kind_with_a_kernel_defines_its_checked_law():
+    # perfbench/tracer.py times the group law by wrapping mul, inv and
+    # check_element where a class body defines them, so a kind whose kernel
+    # (_mul/_inv) is its own defines its public law beside it
+    kinds, stack = [], list(GroupModel.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        kinds.append(cls)
+        stack.extend(cls.__subclasses__())
+    law = {"mul", "inv", "check_element", "_mul", "_inv"}
+    assert not law & set(vars(GroupModel))
+    with_kernel = {cls.__name__ for cls in kinds if "_mul" in vars(cls)}
+    assert with_kernel == {"FiniteGroup", "FreeGroup", "FreeAbelianGroup", "ProductGroup"}
+    for cls in kinds:
+        if "_mul" in vars(cls):
+            assert law <= set(vars(cls)), cls.__name__
