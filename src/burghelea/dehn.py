@@ -6,9 +6,9 @@ whose optimum ``lp.solve_min_lp`` certifies against its dual.
 Its reference is ``integer_min_filling``, an exhaustive integer search with
 pruning: the LP value never exceeds the oracle value, and any strict gap is
 surfaced, not hidden.  All LPs of a run share the objective and the matrix,
-so ``solve_min_lp`` solves the first cold and each later one by a dual
-simplex from the last optimal basis.  d^N(k) is the sup of l_f over integer N-boundaries of
-l1-norm at most k.
+so ``solve_min_lp`` builds one tableau for them and solves each by a dual
+simplex from the basis the one before left.  d^N(k) is the sup of l_f over
+integer N-boundaries of l1-norm at most k.
 
 Those boundaries are enumerated on their parametrization, not over the l1
 ball: in the reduced column space of d_{N+1} a boundary is fixed by its
@@ -45,7 +45,7 @@ from .errors import (
     OracleCapError,
     ResourceCapError,
 )
-from .groups import GroupModel
+from .groups import GroupModel, _checked
 from .linalg import RationalEchelon, boundary_columns
 from .lp import solve_min_lp
 from .norms import NormFamily
@@ -105,16 +105,19 @@ class SimplicialComplex:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "SimplicialComplex":
+        """Schema: {"vertices": [v, ...], "simplices": {"<dim>": [[v, ...], ...]}}
+        with each vertex a JSON int or string."""
         if not isinstance(obj, dict) or "vertices" not in obj:
             raise DescriptorError("complex descriptor needs a vertices list")
         simplices = {}
-        for key, ss in obj.get("simplices", {}).items():
+        for key, ss in _checked(obj.get("simplices", {}), "simplices", dict).items():
             try:
                 dim = int(key)
             except ValueError:
                 raise DescriptorError(f"bad dimension key {key!r}") from None
-            simplices[dim] = [tuple(s) for s in ss]
-        return cls(obj["vertices"], simplices)
+            simplices[dim] = [tuple(_vertex_list(s, f"each {key}-simplex"))
+                              for s in _checked(ss, f"simplices {key!r}", list)]
+        return cls(_vertex_list(obj["vertices"], "vertices"), simplices)
 
     def dimension_size(self, dim: int) -> int:
         return len(self.simplices.get(dim, ()))
@@ -132,6 +135,14 @@ class SimplicialComplex:
         if dim < 1:
             return [dict() for _ in self.simplices.get(0, ())]
         return list(self._columns.get(dim, ()))
+
+
+def _vertex_list(value, field: str) -> list:
+    """``value`` if it is a list of JSON ints and strings (a JSON true is not
+    the int 1)."""
+    if type(value) is not list or any(type(v) not in (int, str) for v in value):
+        raise DescriptorError(f"{field} must be a list of JSON ints and strings")
+    return value
 
 
 def _assert_dd_zero(cols_high, cols_low):

@@ -42,10 +42,13 @@ def memory_cap_mb() -> int:
     if env is None:
         return DEFAULT_CAP_MB
     try:
-        return max(1, int(env))
+        cap = int(env)
     except ValueError:
+        cap = None
+    if cap is None or cap < 1:
         raise ResourceCapError(
-            f"BURGHELEA_CAP_MB must be an integer number of megabytes, got {env!r}") from None
+            f"BURGHELEA_CAP_MB must be a positive integer number of megabytes, got {env!r}")
+    return cap
 
 
 def hochschild_faces(mul: Callable[[Element, Element], Element],

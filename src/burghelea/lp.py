@@ -1,26 +1,25 @@
-"""Exact simplex over the rationals, warm-started across right-hand sides.
+"""Exact dual simplex over the rationals, one tableau for every right-hand side.
 
 Solves   min c.x  subject to  A x = b, x >= 0   with Fraction arithmetic
-throughout.  ``MinLP(c, A)`` converts c and A once and solves for any b.
-
-The cold path (a first solve, or one after a solve that kept no optimum)
-runs two phases from the artificial basis by Bland's rule on the tableau
-[DA | I | Db], D the row signs that make Db >= 0, with the phase-2 and the
-phase-1 cost rows below it; they pivot with the constraints, in place and
-only on the pivot row's nonzeros.  Tableau rows are fresh lists, so the LP
-as given is never touched.  An optimal basis stays dual feasible for every
-b, so the warm path sets rhs = B^-1 D b from the kept artificial block and
-repairs primal feasibility by a dual simplex (Koberstein, PhD thesis, 2005).
+throughout, for c >= 0 (every caller minimises a weighted l1 norm).
+``MinLP(c, A)`` builds the tableau [A | I | rhs] over the cost row
+[c | 0 | 0] once, on the artificial basis.  With c >= 0 that basis is dual
+feasible, and a dual feasible basis stays so for every b.  So each solve,
+the first included, sets rhs = B^-1 b from the artificial block and runs
+one dual simplex (Koberstein, PhD thesis, 2005) by Bland's rule.  An
+artificial is fixed at 0: it never enters, and a basic one with a nonzero
+rhs is infeasible like a negative rhs.  Rows pivot in place and only on the
+pivot row's nonzeros; tableau rows are fresh lists, so the LP as given is
+never touched.
 
 ``solve_min_lp(c, A, b)`` reuses the ``MinLP`` of its previous call when c
-and A are equal by value, so a run of many LPs on one matrix pays for one
-cold solve.
+and A are equal by value, so a run of many LPs on one matrix builds one
+tableau.
 
 Every verdict is certified against the LP as given (Applegate, Cook, Dash &
-Espinoza, ORL 2007): an optimum by its dual y, read off the phase-2 row
+Espinoza, ORL 2007): an optimum by its dual y, read off the cost row
 (``_certify``); infeasibility by a Farkas y with y^T A >= 0 and y.b < 0,
-read off the phase-1 row when cold and off the failing row of B^-1 D when
-warm (``_certify_infeasible``).  A failed check raises
+the failing row of B^-1 (``_certify_infeasible``).  A failed check raises
 ``CertificateError``; it never yields a verdict.
 """
 from __future__ import annotations
@@ -36,103 +35,65 @@ ZERO = Fraction(0)
 
 @dataclass
 class LPResult:
-    status: str                     # optimal | infeasible | unbounded
+    status: str                     # optimal | infeasible
     value: Optional[Fraction]
     x: Optional[list[Fraction]]
     dual: Optional[list[Fraction]]  # y for the rows as given
 
 
 class MinLP:
-    """min c.x subject to A x = b, x >= 0 for one c and A and any b; keeps
-    the last optimal tableau, its basis and its row signs D."""
+    """min c.x subject to A x = b, x >= 0 for one c >= 0 and A and any b;
+    keeps the tableau and its basis from one solve to the next."""
 
     def __init__(self, c: Sequence, A: Sequence[Sequence]):
         self.cost = [Fraction(v) for v in c]
         self.rows = [[Fraction(v) for v in row] for row in A]
         if any(len(row) != len(self.cost) for row in self.rows):
             raise ValueError("ragged constraint matrix")
-        self._tab: Optional[list[list[Fraction]]] = None
+        if any(v < 0 for v in self.cost):
+            raise ValueError("negative cost: the artificial basis is not dual feasible")
+        m = len(self.rows)
+        self._tab = [row + [Fraction(1) if j == i else ZERO for j in range(m)] + [ZERO]
+                     for i, row in enumerate(self.rows)]
+        self._tab.append(self.cost + [ZERO] * (m + 1))
+        self._basis = list(range(len(self.cost), len(self.cost) + m))
 
     def solve(self, b: Sequence) -> LPResult:
         rhs = [Fraction(v) for v in b]
-        status = self._cold(rhs) if self._tab is None else self._warm(rhs)
-        if status != "optimal":
-            return LPResult(status, None, None, None)
-        n, tab = len(self.cost), self._tab
+        if len(rhs) != len(self.rows):  # zip would pad or cut b unseen
+            raise ValueError("right-hand side and constraint matrix differ in length")
+        tab, basis, n = self._tab, self._basis, len(self.cost)
+        for row in tab:  # on the cost row this is -c_B B^-1 b
+            row[-1] = sum((w * v for w, v in zip(row[n:-1], rhs) if w), ZERO)
+        failed = _dual_simplex(tab, basis, n)
+        if failed is not None:
+            # that row of B^-1, signed so that y.b < 0, is a Farkas certificate
+            row = tab[failed]
+            y = row[n:-1]
+            _certify_infeasible(self.rows, rhs, [-v for v in y] if row[-1] > 0 else y)
+            return LPResult("infeasible", None, None, None)
         x = [ZERO] * n
-        for i, bi in enumerate(self._basis):
+        for i, bi in enumerate(basis):
             if bi < n:
                 x[bi] = tab[i][-1]
-        # the phase-2 row's artificial block is -c_B B^-1 = -D y
-        dual = [-v for v in _signed(tab[-1][n:-1], self._negated)]
+        # the cost row's artificial block is -c_B B^-1 = -y
+        dual = [-v for v in tab[-1][n:-1]]
         _certify(self.cost, self.rows, rhs, x, dual)
         return LPResult("optimal", sum((self.cost[j] * x[j] for j in range(n)), ZERO),
                         x, dual)
-
-    def _cold(self, b: list[Fraction]) -> str:
-        """Phases 1 and 2 from the artificial basis; keeps an optimal tableau."""
-        m, n = len(self.rows), len(self.cost)
-        negated = [v < 0 for v in b]
-        tab = [([-v for v in self.rows[i]] if negated[i] else self.rows[i])
-               + [Fraction(1) if j == i else ZERO for j in range(m)] + [abs(b[i])]
-               for i in range(m)]
-        # below it the phase-2 row [c | 0 | 0] and the phase-1 row: the sum of
-        # the artificials, reduced against their basis, is minus the column sums
-        phase1 = ([-sum((row[j] for row in tab), ZERO) for j in range(n)] + [ZERO] * m
-                  + [-sum((row[-1] for row in tab), ZERO)])
-        tab += [self.cost + [ZERO] * (m + 1), phase1]
-        basis = list(range(n, n + m))
-
-        if _simplex(tab, basis, allowed=n + m) == "unbounded":  # bounded below by 0
-            raise AssertionError("phase 1 cannot be unbounded")
-        phase1 = tab.pop()
-        if phase1[-1]:
-            # the row is [-pi DA | 1 - pi | -pi D b] with -pi DA >= 0 and
-            # pi D b > 0, so y = -D pi is a Farkas certificate
-            _certify_infeasible(self.rows, b, _signed([v - 1 for v in phase1[n:-1]], negated))
-            return "infeasible"
-        # a row whose artificial stays basic is zero on columns < n: a redundant
-        # constraint, which never takes part in a ratio test
-        _drive_out_artificials(tab, basis, n)
-        if _simplex(tab, basis, allowed=n) == "unbounded":
-            return "unbounded"
-        self._tab, self._basis, self._negated = tab, basis, negated
-        return "optimal"
-
-    def _warm(self, b: list[Fraction]) -> str:
-        """rhs = B^-1 D b from the kept tableau, then the dual simplex."""
-        tab, basis, n = self._tab, self._basis, len(self.cost)
-        signed = _signed(b, self._negated)
-        for row in tab:  # on the phase-2 row this is -c_B B^-1 D b
-            row[-1] = sum((w * s for w, s in zip(row[n:-1], signed) if w), ZERO)
-        # a basic artificial sits on a row that is zero on columns < n
-        failed = next((i for i, bi in enumerate(basis) if bi >= n and tab[i][-1]), None)
-        if failed is None:
-            failed = _dual_simplex(tab, basis, n)
-            if failed is None:
-                return "optimal"
-        # that row of B^-1 D, signed so that y.b < 0, is a Farkas certificate
-        row = tab[failed]
-        y = _signed(row[n:-1], self._negated)
-        _certify_infeasible(self.rows, b, [-v for v in y] if row[-1] > 0 else y)
-        return "infeasible"
 
 
 _last: Optional[tuple[tuple[list, list[list]], MinLP]] = None
 
 
 def solve_min_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
-    """min c.x subject to A x = b, x >= 0; warm from the previous call's
-    ``MinLP`` when c and A are equal by value to its c and A."""
+    """min c.x subject to A x = b, x >= 0, for c >= 0; warm from the previous
+    call's ``MinLP`` when c and A are equal by value to its c and A."""
     global _last
     given = (list(c), [list(row) for row in A])
     if _last is None or _last[0] != given:
         _last = (given, MinLP(c, A))
     return _last[1].solve(b)
-
-
-def _signed(vec, negated):
-    return [-v if neg else v for v, neg in zip(vec, negated)]
 
 
 def _certify(c, A, b, x, y) -> None:
@@ -166,46 +127,27 @@ def _certify_infeasible(A, b, y) -> None:
         raise CertificateError("LP certificate failed: Farkas y^T A has a negative entry")
 
 
-def _simplex(tab, basis, allowed: int) -> str:
-    """Bland-rule simplex on the tableau; the constraint rows are the first
-    len(basis), the last row holds the reduced costs, and columns >= allowed
-    never enter."""
-    m = len(basis)
-    costs = tab[-1]
-    while True:
-        entering = next((j for j in range(allowed) if costs[j] < 0), None)
-        if entering is None:
-            return "optimal"
-        leaving = None
-        best: Optional[Fraction] = None
-        for i in range(m):
-            a = tab[i][entering]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
-            return "unbounded"
-        _pivot(tab, basis, leaving, entering)
-
-
 def _dual_simplex(tab, basis, n: int) -> Optional[int]:
-    """Dual simplex on a dual-feasible tableau by Bland's rule for the dual:
-    the leaving row has the smallest basis index among negative rhs; the
-    entering column j < n, among the row's negative entries a_j, has the
-    least reduced cost over -a_j, ties to the smallest j.  Returns None at an
-    optimum, or a negative-rhs row with no negative entry: b is infeasible."""
+    """Dual simplex on a dual-feasible tableau by Bland's rule for the dual.
+    A row is infeasible if its rhs is negative, or if its basic variable is
+    an artificial (index >= n, fixed at 0) and its rhs is nonzero; such a
+    row is signed so its rhs is negative.  The leaving row has the smallest
+    basis index among infeasible rows; the entering column j < n, among the
+    signed row's negative entries s_j, has the least reduced cost over -s_j,
+    ties to the smallest j.  Returns None at an optimum, or an infeasible
+    row with no such entry: b is infeasible."""
     while True:
-        negative = [i for i in range(len(basis)) if tab[i][-1] < 0]
-        if not negative:
+        infeasible = [i for i, bi in enumerate(basis)
+                      if tab[i][-1] < 0 or (bi >= n and tab[i][-1])]
+        if not infeasible:
             return None
-        i = min(negative, key=basis.__getitem__)
-        ratios = [(tab[-1][j] / -a, j) for j, a in enumerate(tab[i][:n]) if a < 0]
+        i = min(infeasible, key=basis.__getitem__)
+        up = tab[i][-1] > 0  # so the row is signed by -1
+        ratios = [(tab[-1][j] / abs(a), j) for j, a in enumerate(tab[i][:n])
+                  if a and (a > 0) == up]
         if not ratios:
             return i
         _pivot(tab, basis, i, min(ratios)[1])
-
 
 def _pivot(tab, basis, i: int, j: int) -> None:
     """Pivot on (i, j) in place.  Only the columns where the pivot row is
@@ -223,11 +165,3 @@ def _pivot(tab, basis, i: int, j: int) -> None:
             for c, w in pairs:
                 row[c] -= f * w
     basis[i] = j
-
-
-def _drive_out_artificials(tab, basis, n: int) -> None:
-    for i in range(len(basis)):
-        if basis[i] >= n:
-            j = next((jj for jj in range(n) if tab[i][jj]), None)
-            if j is not None:
-                _pivot(tab, basis, i, j)

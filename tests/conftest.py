@@ -27,6 +27,19 @@ def load_complex_obj(name: str) -> dict:
         return json.load(fh)
 
 
+# descriptors off the schema: vertices a list of JSON ints or strings,
+# simplices an object of lists of vertex lists
+MALFORMED_COMPLEXES = [
+    {"vertices": 5},
+    {"vertices": [0, 1, 2], "simplices": []},
+    {"vertices": [0, 1, 2], "simplices": {"1": 7}},
+    {"vertices": [0, 1, 2], "simplices": {"1": [5]}},
+    {"vertices": [[0], 1]},
+    {"vertices": [0, 1, 2], "simplices": {"1": [[0, [1]]]}},
+    {"vertices": [0, True]},
+]
+
+
 def assert_certified(c, A, b, res):
     """res is an optimum of min c.x s.t. A x = b, x >= 0, and res.dual is a
     dual solution that proves it: x >= 0, A x = b, c - A^T y >= 0, c.x = b.y."""

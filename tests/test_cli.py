@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from burghelea.cli import main
 
-from conftest import fixture_path
+from conftest import MALFORMED_COMPLEXES, fixture_path
 
 
 def run_cli(*argv):
@@ -292,6 +292,16 @@ def test_invalid_json_file_exits_one(argv, content, tmp_path, capsys):
     assert run_cli(*argv, str(bad)) == 1
     err = capsys.readouterr().err
     assert "not valid JSON" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("obj", MALFORMED_COMPLEXES)
+def test_malformed_complex_file_exits_one(obj, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert run_cli("dehn", "--complex", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
     assert "Traceback" not in err
 
 

@@ -20,7 +20,7 @@ from burghelea.dehn import BarTruncation, enumerate_boundaries, min_l1_filling_v
 from burghelea.linalg import RationalEchelon
 from burghelea.lp import solve_min_lp
 
-from conftest import assert_certified, load_complex_obj, load_model
+from conftest import MALFORMED_COMPLEXES, assert_certified, load_complex_obj, load_model
 
 F = Fraction
 
@@ -54,6 +54,11 @@ def test_complex_validation():
         SimplicialComplex([0, 1], {1: [(0, 0)]})  # degenerate simplex
     X = SimplicialComplex([0, 1, 2], {1: [(0, 1), (0, 2), (1, 2)], 2: [(0, 1, 2)]})
     assert X.dimension_size(2) == 1
+    for obj in MALFORMED_COMPLEXES:
+        with pytest.raises(DescriptorError):
+            SimplicialComplex.from_obj(obj)
+    Y = SimplicialComplex.from_obj({"vertices": [0, "a"], "simplices": {"1": [["a", 0]]}})
+    assert Y.simplices[1] == ((0, "a"),)
 
 
 def test_boundary_columns_signs(triangle):

@@ -245,15 +245,17 @@ def test_ranks_infinite_model_rejected(f2):
 
 
 def test_resource_cap(z4, monkeypatch):
-    monkeypatch.setenv("BURGHELEA_CAP_MB", "0")
-    # env parse clamps to >= 1 MB; the degree-6 spaces of Z/4 need ~4.5 MB,
-    # so the cap trips before any basis is built
-    with pytest.raises(ResourceCapError):
+    monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
+    # the least cap, 1 MB; the degree-6 spaces of Z/4 need ~4.5 MB, so the
+    # cap trips before any basis is built
+    with pytest.raises(ResourceCapError, match="cap is 1 MB"):
         homology_ranks(z4, 6)
 
 
 def test_invalid_cap_is_an_error(z4, monkeypatch):
-    # a cap that is not an integer must not fall back to the default
-    monkeypatch.setenv("BURGHELEA_CAP_MB", "abc")
-    with pytest.raises(ResourceCapError, match="BURGHELEA_CAP_MB"):
-        homology_ranks(z4, 1)
+    # a cap that is not a positive integer must not fall back to the default
+    # or be clamped to 1 MB
+    for env in ("abc", "0", "-3"):
+        monkeypatch.setenv("BURGHELEA_CAP_MB", env)
+        with pytest.raises(ResourceCapError, match="BURGHELEA_CAP_MB"):
+            homology_ranks(z4, 1)

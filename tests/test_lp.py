@@ -73,15 +73,24 @@ def test_infeasible():
     assert res.status == "infeasible"
 
 
-def test_unbounded():
-    # min -x0 with x0 - x1 = 0: both can grow without bound
-    res = solve_min_lp([-1, 0], [[1, -1]], [0])
-    assert res.status == "unbounded"
+def test_negative_cost_is_rejected():
+    # the artificial basis is dual feasible only for c >= 0; min -x0 with
+    # x0 - x1 = 0 would be unbounded
+    with pytest.raises(ValueError, match="negative cost"):
+        solve_min_lp([-1, 0], [[1, -1]], [0])
+
+
+def test_wrong_length_rhs_is_rejected():
+    # a b with too few or too many entries is not the LP that A describes
+    for b in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="length"):
+            lp.MinLP([1, 1], [[1, 0], [0, 1]]).solve(b)
 
 
 def test_degenerate_redundant_rows():
-    # redundant constraint rows must not break the solve or the dual; in the
-    # second LP the redundant row is negated to make its rhs nonnegative
+    # redundant constraint rows must not break the solve or the dual: their
+    # artificials stay basic at 0; in the second LP the redundant row is the
+    # first one negated
     for A, b in [([[1, 1], [1, 1], [2, 2]], [1, 1, 2]), ([[1, 1], [-1, -1]], [1, -1])]:
         res = solve_min_lp([2, 3], A, b)
         assert res.value == 2
@@ -91,26 +100,24 @@ def test_degenerate_redundant_rows():
 def test_negative_rhs_normalization():
     res = solve_min_lp([1, 1], [[-1, 0]], [-2])
     assert res.value == 2 and res.x[0] == 2
-    # the dual is for the row as given, not the negated one
+    # the negative rhs makes the basic artificial infeasible; the dual is
+    # for the row as given
     assert res.dual == [-1]
     assert_certified([1, 1], [[-1, 0]], [-2], res)
 
 
 def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
-    real = lp._simplex
+    def wrong_column(tab, basis, n):
+        # one pivot on row 0 entering the column of the largest ratio, not
+        # the least: x = (1, 0) is primal feasible with value 2, but the
+        # optimum is x = (0, 1) with value 1
+        lp._pivot(tab, basis, 0, max(range(n), key=lambda j: tab[-1][j] / tab[0][j]))
 
-    def skip_phase2(tab, basis, allowed):
-        # phase 1 may enter every column but the rhs; phase 2 stops at its
-        # first basis
-        return real(tab, basis, allowed) if allowed == len(tab[0]) - 1 else "optimal"
-
-    monkeypatch.setattr(lp, "_simplex", skip_phase2)
-    monkeypatch.setattr(lp, "_last", None)  # so the next solve is cold
-    # phase 1 ends at x = (1, 0), value 2; the optimum is x = (0, 1), value 1
-    with pytest.raises(CertificateError):
+    monkeypatch.setattr(lp, "_dual_simplex", wrong_column)
+    with pytest.raises(CertificateError, match="c - A\\^T y"):
         solve_min_lp([2, 1], [[1, 1]], [1])
-    # a dehn run solves one LP cold and repairs the rest by the dual simplex:
-    # stopped after zero pivots, it leaves a basis that is not primal feasible
+    # stopped after zero pivots, the dual simplex leaves the artificial
+    # basis, which is not primal feasible for a dehn run's boundaries
     monkeypatch.setattr(lp, "_dual_simplex", lambda tab, basis, n: None)
     code = cli.main(["dehn", "--complex", str(fixture_path("octahedron.json")),
                      "--degree", "1", "--k", "4"])
@@ -169,15 +176,16 @@ def test_against_vertex_enumeration(mab, c):
 @st.composite
 def lp_runs(draw):
     """A small integer A whose last row is the sum of its first and its
-    last-but-one, c >= 0, and 2-6 right-hand sides: each A x for an x >= 0
-    or any b consistent with the redundant row, and one in the middle that
-    breaks the redundant row, so it is infeasible."""
+    last-but-one, c >= 0, and 3-7 right-hand sides: first b = 0, which
+    leaves every artificial basic, then each A x for an x >= 0 or any b
+    consistent with the redundant row, and one in the middle that breaks the
+    redundant row, so it is infeasible."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                       min_size=m, max_size=m))
     A.append([u + v for u, v in zip(A[0], A[-1])])
     c = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    bs = []
+    bs = [[0] * (m + 1)]
     for _ in range(draw(st.integers(1, 5))):
         if draw(st.booleans()):
             x = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
@@ -185,7 +193,7 @@ def lp_runs(draw):
         else:
             b = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
             bs.append(b + [b[0] + b[-1]])
-    broken = list(bs[0])
+    broken = list(bs[1])
     broken[-1] += 1
     middle = (len(bs) + 1) // 2
     bs.insert(middle, broken)
@@ -196,11 +204,16 @@ def lp_runs(draw):
 @given(lp_runs())
 def test_warm_solves_match_cold(run):
     # consecutive solves on one (c, A) reuse one MinLP; each verdict equals
-    # the cold one on a fresh MinLP, and each optimum is certified
+    # the one of a fresh MinLP, and each optimum is certified
     c, A, bs, middle = run
+    lp._last = None
     verdicts = []
-    for b in bs:
+    for k, b in enumerate(bs):
         res = solve_min_lp(c, A, b)
+        if k == 0:
+            # b = 0 needs no pivot: the next solve starts from the artificial basis
+            assert res.value == 0
+            assert lp._last[1]._basis == list(range(len(c), len(c) + len(A)))
         cold = lp.MinLP(c, A).solve(b)
         assert (res.status, res.value) == (cold.status, cold.value)
         if res.status == "optimal":
@@ -223,12 +236,11 @@ def test_mutated_matrix_is_solved_cold():
 
 def test_unproven_infeasibility_is_an_error(monkeypatch):
     # b = 1 and b = 2 are feasible for x0 + x1 = b: a verdict of infeasible
-    # on either path fails the Farkas check
+    # on a first solve or on a later one fails the Farkas check
     warm = lp.MinLP([1, 1], [[1, 1]])
     assert warm.solve([1]).value == 1
     monkeypatch.setattr(lp, "_dual_simplex", lambda tab, basis, n: 0)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="Farkas"):
         warm.solve([2])
-    monkeypatch.setattr(lp, "_simplex", lambda tab, basis, allowed: "optimal")
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="Farkas"):
         lp.MinLP([1, 1], [[1, 1]]).solve([1])
