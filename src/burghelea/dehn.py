@@ -528,7 +528,7 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
     for p in ps:
         if p in unbounded_ps:
             continue
-        if p in max_ratio and float(max_ratio[p]) <= RATIO_BOUND:
+        if p in max_ratio and max_ratio[p] <= RATIO_BOUND:  # exact against the float
             least_p = p
             break
     return {

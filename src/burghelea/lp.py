@@ -1,31 +1,37 @@
 """Exact dual simplex over the rationals, one tableau for every right-hand side.
 
-Solves   min c.x  subject to  A x = b, x >= 0   with Fraction arithmetic
-throughout, for c >= 0 (every caller minimises a weighted l1 norm).
-``MinLP(c, A)`` builds the tableau [A | I | rhs] over the cost row
-[c | 0 | 0] once, on the artificial basis.  With c >= 0 that basis is dual
-feasible, and a dual feasible basis stays so for every b.  So each solve,
-the first included, sets rhs = B^-1 b from the artificial block and runs
-one dual simplex (Koberstein, PhD thesis, 2005) by Bland's rule.  An
-artificial is fixed at 0: it never enters, and a basic one with a nonzero
-rhs is infeasible like a negative rhs.  Rows pivot in place and only on the
-pivot row's nonzeros; tableau rows are fresh lists, so the LP as given is
-never touched.
+Solves   min c.x  subject to  A x = b, x >= 0   in Python ints, for c >= 0
+(every caller minimises a weighted l1 norm).  ``MinLP(c, A)`` builds the
+tableau [A | I | rhs] over the cost row [c | 0 | 0] once, on the artificial
+basis.  With c >= 0 that basis is dual feasible for every b, so each solve,
+the first included, sets rhs = B^-1 b from the artificial block and runs one
+dual simplex (Koberstein, PhD thesis, 2005) by Bland's rule.  An artificial
+is fixed at 0: it never enters, and a basic one with a nonzero rhs is
+infeasible like a negative rhs.  ``solve_min_lp(c, A, b)`` reuses the
+``MinLP`` of its previous call when c and A are equal by value.
 
-``solve_min_lp(c, A, b)`` reuses the ``MinLP`` of its previous call when c
-and A are equal by value, so a run of many LPs on one matrix builds one
-tableau.
+Each tableau row is a list R of ints over its own denominator d > 0, in
+lowest terms (gcd(*R, d) = 1); c and each row of A are scaled by their lcm
+once, and a b = B / L scales every row by L.  A pivot on (i, j) signs row i
+so its pivot p is positive and sets d_i = p; each row r with f = R_r[j] != 0
+becomes R_r p - f R_i over d_r p (Edmonds, 1967).  Rows with f = 0 are not
+touched, where one common denominator, the basis determinant of Bareiss
+elimination, would rescale every row on every pivot.  The ratio test
+cross-multiplies; positive row denominators cancel.  Tableau rows are fresh
+lists, so the LP as given is never touched.
 
 Every verdict is certified against the LP as given (Applegate, Cook, Dash &
-Espinoza, ORL 2007): an optimum by its dual y, read off the cost row
-(``_certify``); infeasibility by a Farkas y with y^T A >= 0 and y.b < 0,
-the failing row of B^-1 (``_certify_infeasible``).  A failed check raises
-``CertificateError``; it never yields a verdict.
+Espinoza, ORL 2007), in ints, with x = X / dx and y = Y / dy: an optimum by
+its dual y, read off the cost row (``_certify``); infeasibility by a Farkas y
+with y^T A >= 0 and y.b < 0, the failing row of B^-1 (``_certify_infeasible``).
+A failed check raises ``CertificateError``; it never yields a verdict.  x, y
+and the value become ``Fraction`` only in the ``LPResult``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import CertificateError
@@ -41,46 +47,62 @@ class LPResult:
     dual: Optional[list[Fraction]]  # y for the rows as given
 
 
+def _scaled(values: Sequence) -> tuple[list[int], int]:
+    """(V, d) with values = V / d, d the lcm of their denominators."""
+    fracs = [Fraction(v) for v in values]
+    d = lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (d // v.denominator) for v in fracs], d
+
+
+def _lowest(row: list[int], d: int) -> tuple[list[int], int]:
+    g = gcd(*row, d)
+    return (row, d) if g == 1 else ([v // g for v in row], d // g)
+
+
 class MinLP:
     """min c.x subject to A x = b, x >= 0 for one c >= 0 and A and any b;
     keeps the tableau and its basis from one solve to the next."""
 
     def __init__(self, c: Sequence, A: Sequence[Sequence]):
-        self.cost = [Fraction(v) for v in c]
-        self.rows = [[Fraction(v) for v in row] for row in A]
-        if any(len(row) != len(self.cost) for row in self.rows):
+        self.cost = _scaled(c)
+        self.rows = [_scaled(row) for row in A]
+        n, m = len(self.cost[0]), len(self.rows)
+        if any(len(row) != n for row, _ in self.rows):
             raise ValueError("ragged constraint matrix")
-        if any(v < 0 for v in self.cost):
+        if any(v < 0 for v in self.cost[0]):
             raise ValueError("negative cost: the artificial basis is not dual feasible")
-        m = len(self.rows)
-        self._tab = [row + [Fraction(1) if j == i else ZERO for j in range(m)] + [ZERO]
-                     for i, row in enumerate(self.rows)]
-        self._tab.append(self.cost + [ZERO] * (m + 1))
-        self._basis = list(range(len(self.cost), len(self.cost) + m))
+        self._tab = [row + [d if k == i else 0 for k in range(m)] + [0]
+                     for i, (row, d) in enumerate(self.rows)]
+        self._tab.append(self.cost[0] + [0] * (m + 1))
+        self._den = [d for _, d in self.rows] + [self.cost[1]]
+        self._basis = list(range(n, n + m))
 
     def solve(self, b: Sequence) -> LPResult:
-        rhs = [Fraction(v) for v in b]
-        if len(rhs) != len(self.rows):  # zip would pad or cut b unseen
+        B, L = _scaled(b)
+        if len(B) != len(self.rows):  # zip would pad or cut b unseen
             raise ValueError("right-hand side and constraint matrix differ in length")
-        tab, basis, n = self._tab, self._basis, len(self.cost)
-        for row in tab:  # on the cost row this is -c_B B^-1 b
-            row[-1] = sum((w * v for w, v in zip(row[n:-1], rhs) if w), ZERO)
-        failed = _dual_simplex(tab, basis, n)
+        tab, den, basis, n = self._tab, self._den, self._basis, len(self.cost[0])
+        for r, row in enumerate(tab):  # on the cost row this is -c_B B^-1 b
+            rhs = sum(w * v for w, v in zip(row[n:-1], B) if w)
+            row = [v * L for v in row] if L != 1 else row
+            row[-1] = rhs
+            tab[r], den[r] = _lowest(row, den[r] * L)
+        failed = _dual_simplex(tab, den, basis, n)
         if failed is not None:
             # that row of B^-1, signed so that y.b < 0, is a Farkas certificate
             row = tab[failed]
-            y = row[n:-1]
-            _certify_infeasible(self.rows, rhs, [-v for v in y] if row[-1] > 0 else y)
+            y = [-v for v in row[n:-1]] if row[-1] > 0 else row[n:-1]
+            _certify_infeasible(self.rows, B, y)
             return LPResult("infeasible", None, None, None)
-        x = [ZERO] * n
-        for i, bi in enumerate(basis):
-            if bi < n:
-                x[bi] = tab[i][-1]
+        xs = {bi: (tab[r][-1], den[r]) for r, bi in enumerate(basis) if bi < n and tab[r][-1]}
+        dx = lcm(*(d for _, d in xs.values()))
+        X = [xs[j][0] * (dx // xs[j][1]) if j in xs else 0 for j in range(n)]
         # the cost row's artificial block is -c_B B^-1 = -y
-        dual = [-v for v in tab[-1][n:-1]]
-        _certify(self.cost, self.rows, rhs, x, dual)
-        return LPResult("optimal", sum((self.cost[j] * x[j] for j in range(n)), ZERO),
-                        x, dual)
+        Y, dy = [-v for v in tab[-1][n:-1]], den[-1]
+        _certify(self.cost, self.rows, (B, L), (X, dx), (Y, dy))
+        value = Fraction(sum(cj * xj for cj, xj in zip(self.cost[0], X) if xj), self.cost[1] * dx)
+        return LPResult("optimal", value, [Fraction(v, dx) if v else ZERO for v in X],
+                        [Fraction(v, dy) if v else ZERO for v in Y])
 
 
 _last: Optional[tuple[tuple[list, list[list]], MinLP]] = None
@@ -97,37 +119,41 @@ def solve_min_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
 
 
 def _certify(c, A, b, x, y) -> None:
-    """Check x >= 0, A x = b, c - A^T y >= 0 and c.x = b.y.  By weak duality
-    any y that passes proves x optimal, whatever produced it."""
-    if any(v < 0 for v in x):
+    """Check x >= 0, A x = b, c - A^T y >= 0 and c.x = b.y, each side scaled
+    to ints: c, b, x and y are (ints, denominator) pairs, A a list of them.
+    By weak duality any y that passes proves x optimal, whatever produced it."""
+    (C, dc), (B, db), (X, dx), (Y, dy) = c, b, x, y
+    if any(v < 0 for v in X):
         raise CertificateError("LP certificate failed: x has a negative entry")
-    support = [(j, v) for j, v in enumerate(x) if v]
-    for row, bi in zip(A, b):
-        if sum((row[j] * v for j, v in support), ZERO) != bi:
+    support = [(j, v) for j, v in enumerate(X) if v]
+    for (row, da), bi in zip(A, B):
+        if sum(row[j] * v for j, v in support) * db != bi * da * dx:
             raise CertificateError("LP certificate failed: A x != b")
-    reduced = list(c)
-    for row, yi in zip(A, y):
+    la = lcm(*(da for _, da in A))
+    reduced = [v * dy * la for v in C]  # (c - A^T y) dc dy la
+    for (row, da), yi in zip(A, Y):
         if yi:
-            for j, a in enumerate(row):
-                if a:
-                    reduced[j] -= yi * a
+            w = yi * dc * (la // da)
+            reduced = [r - w * a for r, a in zip(reduced, row)]
     if any(r < 0 for r in reduced):
         raise CertificateError("LP certificate failed: c - A^T y has a negative entry")
-    if (sum((c[j] * v for j, v in support), ZERO)
-            != sum((bi * yi for bi, yi in zip(b, y) if yi), ZERO)):
+    if (sum(C[j] * v for j, v in support) * db * dy
+            != sum(bi * yi for bi, yi in zip(B, Y) if yi) * dc * dx):
         raise CertificateError("LP certificate failed: c.x != b.y")
 
 
-def _certify_infeasible(A, b, y) -> None:
-    """Check y.b < 0 and y^T A >= 0 (Farkas): then no x >= 0 has A x = b."""
-    if sum((bi * yi for bi, yi in zip(b, y)), ZERO) >= 0:
+def _certify_infeasible(A, B, y) -> None:
+    """Check y.b < 0 and y^T A >= 0 (Farkas): then no x >= 0 has A x = b.
+    A is (ints, denominator) rows; b = B and y are ints up to positive scale."""
+    if sum(bi * yi for bi, yi in zip(B, y)) >= 0:
         raise CertificateError("LP certificate failed: Farkas y.b is not negative")
-    used = [(row, yi) for row, yi in zip(A, y) if yi]
-    if any(sum((yi * row[j] for row, yi in used), ZERO) < 0 for j in range(len(used[0][0]))):
+    la = lcm(*(da for _, da in A))
+    used = [(row, yi * (la // da)) for (row, da), yi in zip(A, y) if yi]
+    if any(sum(w * row[j] for row, w in used) < 0 for j in range(len(used[0][0]))):
         raise CertificateError("LP certificate failed: Farkas y^T A has a negative entry")
 
 
-def _dual_simplex(tab, basis, n: int) -> Optional[int]:
+def _dual_simplex(tab, den, basis, n: int) -> Optional[int]:
     """Dual simplex on a dual-feasible tableau by Bland's rule for the dual.
     A row is infeasible if its rhs is negative, or if its basic variable is
     an artificial (index >= n, fixed at 0) and its rhs is nonzero; such a
@@ -142,26 +168,30 @@ def _dual_simplex(tab, basis, n: int) -> Optional[int]:
         if not infeasible:
             return None
         i = min(infeasible, key=basis.__getitem__)
-        up = tab[i][-1] > 0  # so the row is signed by -1
-        ratios = [(tab[-1][j] / abs(a), j) for j, a in enumerate(tab[i][:n])
-                  if a and (a > 0) == up]
-        if not ratios:
+        row, cost = tab[i], tab[-1]
+        up = row[-1] > 0  # so the row is signed by -1
+        best = None
+        for j in range(n):  # cost[j] / |a| < cost[best] / |a_best|, ties to the first j
+            a = row[j]
+            if a and (a > 0) == up and (best is None or cost[j] * a_best < cost[best] * abs(a)):
+                best, a_best = j, abs(a)
+        if best is None:
             return i
-        _pivot(tab, basis, i, min(ratios)[1])
+        _pivot(tab, den, basis, i, best)
 
-def _pivot(tab, basis, i: int, j: int) -> None:
-    """Pivot on (i, j) in place.  Only the columns where the pivot row is
-    nonzero change: elsewhere v - f*0 = v."""
-    row_i = tab[i]
-    piv = row_i[j]
-    support = [c for c, w in enumerate(row_i) if w]
-    if piv != 1:
-        for c in support:
-            row_i[c] /= piv
-    pairs = [(c, row_i[c]) for c in support]
+
+def _pivot(tab, den, basis, i: int, j: int) -> None:
+    """Pivot on (i, j): row i over its pivot p > 0, then each row r with
+    f = R_r[j] != 0 becomes (R_r p - f R_i) / (d_r p); rows with f = 0 stay."""
+    row_i = tab[i] if tab[i][j] > 0 else [-v for v in tab[i]]
+    row_i, p = _lowest(row_i, row_i[j])
+    tab[i], den[i] = row_i, p
+    pairs = [(c, w) for c, w in enumerate(row_i) if w]
     for r, row in enumerate(tab):
         f = row[j]
         if f and r != i:
+            row = [v * p for v in row] if p != 1 else row
             for c, w in pairs:
                 row[c] -= f * w
+            tab[r], den[r] = _lowest(row, den[r] * p)
     basis[i] = j

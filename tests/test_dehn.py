@@ -327,6 +327,19 @@ def test_filling_estimate_boundaries_fill():
             assert F(row["fill_norm_k"]) <= F(row["source_norm_k"])
 
 
+def test_ratio_bound_is_exact(monkeypatch):
+    # a max ratio r above the bound is not bounded, even where float(r)
+    # rounds down onto the bound: here r = 1/3 at p = 0, float(r) < 1/3
+    zz = load_model("zz.json")
+    args = dict(degree=1, radius=2, k=0, p_grid=[0, 1], samples=8, seed=2)
+    report = filling_estimate_check(zz, **args)
+    r = F(report["max_ratio_per_p"]["0"])
+    assert report["least_bounded_p"] == 0 and F(float(r)) < r
+    monkeypatch.setattr(dehn, "RATIO_BOUND", float(r))
+    report = filling_estimate_check(zz, **args)
+    assert report["least_bounded_p"] == 1 and report["ratio_bound"] == float(r)
+
+
 def test_filling_estimate_truncation_error():
     # delta_(e, e1) generates H_1(Z^2) rationally, so it cannot bound:
     # the truncation reports it, without claiming a refutation

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,19 @@ from burghelea.lp import solve_min_lp
 from conftest import assert_certified, fixture_path
 
 F = Fraction
+
+
+def rationals(lo: int, hi: int):
+    """Integers in lo..hi, or numerators in lo..hi over denominators 1..6."""
+    return st.one_of(st.integers(lo, hi), st.builds(F, st.integers(lo, hi), st.integers(1, 6)))
+
+
+def assert_lowest_terms(memo: lp.MinLP):
+    # each tableau row is ints over a positive denominator, in lowest terms
+    assert len(memo._den) == len(memo._tab)
+    for row, d in zip(memo._tab, memo._den):
+        assert all(type(v) is int for v in row) and type(d) is int
+        assert d > 0 and math.gcd(*row, d) == 1
 
 
 def solve_rectangular(A_cols, b):
@@ -107,18 +121,18 @@ def test_negative_rhs_normalization():
 
 
 def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
-    def wrong_column(tab, basis, n):
+    def wrong_column(tab, den, basis, n):
         # one pivot on row 0 entering the column of the largest ratio, not
         # the least: x = (1, 0) is primal feasible with value 2, but the
         # optimum is x = (0, 1) with value 1
-        lp._pivot(tab, basis, 0, max(range(n), key=lambda j: tab[-1][j] / tab[0][j]))
+        lp._pivot(tab, den, basis, 0, max(range(n), key=lambda j: F(tab[-1][j], tab[0][j])))
 
     monkeypatch.setattr(lp, "_dual_simplex", wrong_column)
     with pytest.raises(CertificateError, match="c - A\\^T y"):
         solve_min_lp([2, 1], [[1, 1]], [1])
     # stopped after zero pivots, the dual simplex leaves the artificial
     # basis, which is not primal feasible for a dehn run's boundaries
-    monkeypatch.setattr(lp, "_dual_simplex", lambda tab, basis, n: None)
+    monkeypatch.setattr(lp, "_dual_simplex", lambda tab, den, basis, n: None)
     code = cli.main(["dehn", "--complex", str(fixture_path("octahedron.json")),
                      "--degree", "1", "--k", "4"])
     err = capsys.readouterr().err
@@ -128,7 +142,8 @@ def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
 
 def test_inputs_and_certified_lp_unmutated(monkeypatch):
     # _pivot updates the tableau in place: neither the caller's Fraction
-    # lists nor the LP that _certify checks may share a row with it
+    # lists nor the LP that _certify checks may share a row with it.
+    # _certify gets c, b and each row of A as ints over a denominator.
     c = [F(1), F(2), F(0), F(3)]
     A = [[F(1), F(-1), F(2), F(0)], [F(-2), F(1), F(0), F(1)], [F(1), F(0), F(2), F(1)]]
     b = [F(3), F(-1), F(4)]
@@ -136,9 +151,13 @@ def test_inputs_and_certified_lp_unmutated(monkeypatch):
     certified = []
     real = lp._certify
 
+    def values(ints_over_d):
+        ints, d = ints_over_d
+        return [F(v, d) for v in ints]
+
     def recording(c_, A_, b_, x, y):
         real(c_, A_, b_, x, y)
-        certified.append(copy.deepcopy((c_, A_, b_)))
+        certified.append((values(c_), [values(row) for row in A_], values(b_)))
 
     monkeypatch.setattr(lp, "_certify", recording)
     res = solve_min_lp(c, A, b)
@@ -152,15 +171,16 @@ def test_inputs_and_certified_lp_unmutated(monkeypatch):
 @given(
     st.integers(1, 3).flatmap(lambda m: st.tuples(
         st.just(m),
-        st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+        st.lists(st.lists(rationals(-3, 3), min_size=4, max_size=4),
                  min_size=m, max_size=m),
-        st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+        st.lists(rationals(-4, 4), min_size=m, max_size=m),
     )),
-    st.lists(st.integers(0, 5), min_size=4, max_size=4),
+    st.lists(rationals(0, 5), min_size=4, max_size=4),
 )
 def test_against_vertex_enumeration(mab, c):
     m, A, b = mab
     res = solve_min_lp(c, A, b)
+    assert_lowest_terms(lp._last[1])
     reference = brute_force_vertex_optimum(c, A, b)
     if res.status == "optimal":
         # nonnegative costs: bounded; value matches the best vertex, and the
@@ -175,23 +195,23 @@ def test_against_vertex_enumeration(mab, c):
 
 @st.composite
 def lp_runs(draw):
-    """A small integer A whose last row is the sum of its first and its
+    """A small rational A whose last row is the sum of its first and its
     last-but-one, c >= 0, and 3-7 right-hand sides: first b = 0, which
     leaves every artificial basic, then each A x for an x >= 0 or any b
     consistent with the redundant row, and one in the middle that breaks the
     redundant row, so it is infeasible."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    A = draw(st.lists(st.lists(rationals(-3, 3), min_size=n, max_size=n),
                       min_size=m, max_size=m))
     A.append([u + v for u, v in zip(A[0], A[-1])])
-    c = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    c = draw(st.lists(rationals(0, 5), min_size=n, max_size=n))
     bs = [[0] * (m + 1)]
     for _ in range(draw(st.integers(1, 5))):
         if draw(st.booleans()):
-            x = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            x = draw(st.lists(rationals(0, 3), min_size=n, max_size=n))
             bs.append([sum(a * v for a, v in zip(row, x)) for row in A])
         else:
-            b = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+            b = draw(st.lists(rationals(-4, 4), min_size=m, max_size=m))
             bs.append(b + [b[0] + b[-1]])
     broken = list(bs[1])
     broken[-1] += 1
@@ -210,11 +230,14 @@ def test_warm_solves_match_cold(run):
     verdicts = []
     for k, b in enumerate(bs):
         res = solve_min_lp(c, A, b)
+        assert_lowest_terms(lp._last[1])
         if k == 0:
             # b = 0 needs no pivot: the next solve starts from the artificial basis
             assert res.value == 0
             assert lp._last[1]._basis == list(range(len(c), len(c) + len(A)))
-        cold = lp.MinLP(c, A).solve(b)
+        cold_lp = lp.MinLP(c, A)
+        cold = cold_lp.solve(b)
+        assert_lowest_terms(cold_lp)
         assert (res.status, res.value) == (cold.status, cold.value)
         if res.status == "optimal":
             assert_certified(c, A, b, res)
@@ -239,7 +262,7 @@ def test_unproven_infeasibility_is_an_error(monkeypatch):
     # on a first solve or on a later one fails the Farkas check
     warm = lp.MinLP([1, 1], [[1, 1]])
     assert warm.solve([1]).value == 1
-    monkeypatch.setattr(lp, "_dual_simplex", lambda tab, basis, n: 0)
+    monkeypatch.setattr(lp, "_dual_simplex", lambda tab, den, basis, n: 0)
     with pytest.raises(CertificateError, match="Farkas"):
         warm.solve([2])
     with pytest.raises(CertificateError, match="Farkas"):

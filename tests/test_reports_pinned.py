@@ -52,6 +52,10 @@ PINNED = {
         ["fill", "--group", "zz.json", "--degree", "1", "--radius", "2", "--k", "0",
          "--k-grid", "0..1", "--samples", "4", "--seed", "2"],
         "dadbbcf0894079a6d1863535abf5040a07d2886b2dd2ad89eb8383d073f579be"),
+    # the largest LP config: one 25 x 698 weighted filling LP per sample
+    "fill-zz-r3": (
+        ["fill", "--group", "zz.json", "--radius", "3"],
+        "eb8bb4451247fd12ce34d4eeafc35b766176c1f31eccc57b991a374571aafc43"),
 }
 
 FILE_PINNED = {
