@@ -13,7 +13,9 @@ import json
 
 import pytest
 
+from burghelea.chains import Chain
 from burghelea.cli import main
+from burghelea.metric import CosetSection
 
 from conftest import FIXTURES, fixture_path
 
@@ -105,3 +107,33 @@ def test_report_file_matches_pin(name, tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(PINNED[name][0] + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FILE_PINNED[name]
+
+
+# Sabotaged runs: with chain equality always false, every chain identity fails
+# on every drawn case, so the report lists each case in the order it was
+# drawn and the digest pins that order.  On f2xz the retraction is also made
+# wrong (its value is multiplied on the left by a generator), which pins the
+# failure texts of the metric checks.  s3 keeps its retraction: a wrong one
+# leaves Z_h there, and iota_h refuses it.
+SABOTAGED = {
+    "f2xz": (True, "68df2779b31bf346b1b64b3b8fcbc08496d6abd3bb28a02b9d47fa5fea2101d3"),
+    "s3": (False, "a298062ab20860c3e0e46ae7813c01a05dbdf01a798fe32251b73f81447ff8a8"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(SABOTAGED))
+def test_sabotaged_report_pins_the_drawn_cases(group, tmp_path, monkeypatch):
+    wrong_retract, digest = SABOTAGED[group]
+    monkeypatch.setattr(Chain, "__eq__", lambda self, other: False)
+    if wrong_retract:
+        retract = CosetSection.retract
+
+        def shifted(self, g):
+            return self.model.mul(self.model.generators[0], retract(self, g))
+
+        monkeypatch.setattr(CosetSection, "retract", shifted)
+    out = tmp_path / "report.json"
+    argv = ["verify-identities", "--group", str(fixture_path(f"{group}.json")),
+            "--degree", "2", "--samples", "6", "--radius", "1", "--seed", "3"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert results_sha256(out.read_text(encoding="utf-8")) == digest
