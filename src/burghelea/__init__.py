@@ -60,8 +60,8 @@ from .homotopy import (
     homotopy_d,
     p_e,
     theta_h,
-    verify_homotopy_square,
 )
+from .verify import verify_homotopy_square
 from .norms import NormFamily, operator_growth_profile, rd_chain_seminorm_pair
 from .dehn import (
     BarTruncation,

@@ -25,19 +25,21 @@ map ``theta_tuple`` and from the translation differences.
 p^E, D, Dbar and the lift of theta_h take the coset section of h alone: the
 section owns the model, h, the retraction p_h and the memoized minimal
 conjugators.  A model's word metric is ``model.metric``.
+
+This module holds the maps only.  The identities they satisfy are checked by
+``verify.verify_homotopy_square``.
 """
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from functools import partial
 from typing import Iterator
 
-from .chains import Chain, check_chain, linear_extend, simplex_faces, tuple_str
+from .chains import Chain, check_chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
-from .hochschild import class_component_basis, entry_product, hochschild_boundary, iota_h, pi_h
+from .hochschild import class_component_basis, entry_product, iota_h
 from .linalg import boundary_columns, rank_of_columns
 from .metric import CosetSection, conjugacy_class, coset_section
 
@@ -83,15 +85,12 @@ def homotopy_d(section: CosetSection, c: Chain) -> Chain:
 
     def dn(t):
         gen = Chain.basis("e", n, t)
-        inner = gen - _ip(section, gen) - homotopy_d(section, boundary_e(gen))
+        ip = iota_h(section.model, section.h, p_e(section, gen))
+        inner = gen - ip - homotopy_d(section, boundary_e(gen))
         for u, q in inner.terms.items():
             yield (t[0],) + u, q
 
     return linear_extend(c, "e", n + 1, dn)
-
-
-def _ip(section: CosetSection, c: Chain) -> Chain:
-    return iota_h(section.model, section.h, p_e(section, c))
 
 
 def theta_tuple(model: GroupModel, h: Element, t: tuple) -> Iterator[tuple[tuple, int]]:
@@ -148,106 +147,6 @@ def normalize_coinvariant(section: CosetSection, t: tuple) -> tuple:
 
 def translate_tuple(model: GroupModel, z: Element, t: tuple) -> tuple:
     return tuple(model.mul(z, x) for x in t)
-
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-def _e_generators(model: GroupModel, degree: int,
-                  sample: int, radius: int, rng: random.Random) -> list[tuple]:
-    if model.is_finite and model.order ** (degree + 1) <= max(sample, 1):
-        return list(itertools.product(model.elements(), repeat=degree + 1))
-    ball = model.metric.ball(radius)
-    return [tuple(rng.choice(ball) for _ in range(degree + 1)) for _ in range(sample)]
-
-
-def verify_homotopy_square(model: GroupModel, h: Element, n_max: int,
-                           samples: int = 50, radius: int = 2,
-                           seed: int = 0) -> dict:
-    """Check the commuting square for theta_h and the transferred homotopy.
-
-    Identities checked exactly, per degree n <= n_max, on quotient
-    representatives (plus the E-level homotopy identity on raw generators):
-
-        theta_h . p^E = pi_h . theta_h
-        theta_h . i^E = iota_h . theta_h
-        id - i^E p^E  = D d + d D           (on E_.(G))
-        id - iota pi  = b Dbar + Dbar b     (on C_.(QG)_x)
-        pi_h . iota_h = id
-
-    Any failure is reported with the offending generator.
-    """
-    rng = random.Random(seed)
-    section = coset_section(model, h)
-    m = model
-    checks: list[dict] = []
-
-    def record(name: str, degree: int, count: int, failures: list[str]):
-        checks.append({"identity_name": name, "degree": degree,
-                       "samples": count, "failures": failures})
-
-    for n in range(n_max + 1):
-        gens = _e_generators(m, n, samples, radius, rng)
-        reps = sorted({normalize_coinvariant(section, t) for t in gens},
-                      key=lambda t: tuple(m.element_key(x) for x in t))
-
-        failures = []
-        for t in reps:
-            c = Chain.basis("e", n, t)
-            lhs = theta_h(m, h, p_e(section, c))
-            rhs = pi_h(section, theta_h(m, h, c))
-            if lhs != rhs:
-                failures.append(tuple_str(m, t))
-        record("theta.pE == pi.theta", n, len(reps), failures)
-
-        z_gens = [tuple(section.retract(x) for x in t) for t in reps]
-        failures = []
-        for t in z_gens:
-            c = Chain.basis("e", n, t)
-            lhs = theta_h(m, h, iota_h(m, h, c))
-            rhs = iota_h(m, h, theta_h(m, h, c))
-            if lhs != rhs:
-                failures.append(tuple_str(m, t))
-        record("theta.iE == iota.theta", n, len(z_gens), failures)
-
-        failures = []
-        for t in gens:
-            c = Chain.basis("e", n, t)
-            lhs = c - _ip(section, c)
-            # the D(d c) addend is the zero map in degree 0
-            rhs = boundary_e(homotopy_d(section, c))
-            if n > 0:
-                rhs = rhs + homotopy_d(section, boundary_e(c))
-            if lhs != rhs:
-                failures.append(tuple_str(m, t))
-        record("id - iE.pE == D.d + d.D", n, len(gens), failures)
-
-        failures = []
-        for t in reps:
-            hh = theta_h(m, h, Chain.basis("e", n, t))
-            lhs = hh - iota_h(m, h, pi_h(section, hh))
-            rhs = hochschild_boundary(m, dbar(section, hh))
-            if n > 0:
-                rhs = rhs + dbar(section, hochschild_boundary(m, hh))
-            if lhs != rhs:
-                failures.append(tuple_str(m, t))
-        record("id - iota.pi == b.Dbar + Dbar.b", n, len(reps), failures)
-
-        failures = []
-        for t in z_gens:
-            zc = theta_h(m, h, Chain.basis("e", n, t))
-            if pi_h(section, iota_h(m, h, zc)) != zc:
-                failures.append(tuple_str(m, t))
-        record("pi.iota == id", n, len(z_gens), failures)
-
-    return {
-        "model": m.name,
-        "h": m.element_str(h),
-        "n_max": n_max,
-        "checks": checks,
-        "all_passed": all(not c["failures"] for c in checks),
-    }
 
 
 def theta_quotient_dims(model: GroupModel, h: Element, degree: int) -> dict:

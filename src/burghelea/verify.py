@@ -2,13 +2,26 @@
 together.
 
 Every check is an exact equality of chains (or of integers, for the metric
-estimates); a failing check is reported with the offending generator so a
-run can name its counterexample.
+estimates).  One helper, ``check_identity``, builds every report entry: it
+tests each case on each side of the identity and names every failing case,
+so a run can name its counterexample.
+
+Each suite takes the coset section of its class, which carries the model, h,
+the retraction p_h and the memoized minimal conjugators.
+``run_identity_suite`` builds one section per class representative and hands
+it to every suite.
+
+The order of the drawn cases is part of the report contract.  Each suite
+draws from its own rng, seeded with the run's seed; a check draws all its
+cases, in a fixed order, before it evaluates any, and evaluating a case never
+touches the rng.
 """
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional
+from functools import partial
+from typing import Any, Callable, Iterable, Optional
 
 from .bar_complexes import (
     boundary_cbar,
@@ -21,18 +34,16 @@ from .bar_complexes import (
     psi_inv,
 )
 from .chains import Chain, tuple_str
-from .errors import NotConjugateError, NotConjugateWithinError
 from .groups import Element, GroupModel
 from .hochschild import (
     hochschild_boundary,
+    iota_h,
     pi_h,
     sample_component_tuple,
     split_by_class,
 )
-from .homotopy import boundary_e, theta_h, verify_homotopy_square
-from .metric import conjugacy_class, coset_section, find_conjugator
-
-DEFAULT_RADIUS = 2
+from .homotopy import boundary_e, dbar, homotopy_d, normalize_coinvariant, p_e, theta_h
+from .metric import CosetSection, conjugacy_class, coset_section, find_conjugator
 
 
 def default_class_reps(model: GroupModel, limit: int = 3,
@@ -50,9 +61,31 @@ def default_class_reps(model: GroupModel, limit: int = 3,
     return reps
 
 
-def chain_map_suite(model: GroupModel, h: Element, max_degree: int = 3,
-                    samples: int = 200, seed: int = 0,
-                    radius: int = DEFAULT_RADIUS) -> list[dict]:
+def check_identity(name: str, degree: int, cases: Iterable,
+                   text: Callable[[Any], str],
+                   *sides: tuple[str, Callable[[Any], bool]]) -> dict:
+    """One report entry: each case is tested on every ``(prefix, holds)``
+    side in turn, and a side that does not hold records ``prefix + text(case)``.
+    ``samples`` counts the cases."""
+    failures = []
+    samples = 0
+    for case in cases:
+        samples += 1
+        for prefix, holds in sides:
+            if not holds(case):
+                failures.append(prefix + text(case))
+    return {"identity_name": name, "degree": degree, "samples": samples,
+            "failures": failures}
+
+
+def _basis_str(model: GroupModel, c: Chain) -> str:
+    """The generator of a basis chain, as a report names it."""
+    [t] = c.terms
+    return tuple_str(model, t)
+
+
+def chain_map_suite(section: CosetSection, max_degree: int, samples: int,
+                    seed: int, radius: int) -> list[dict]:
     """Exact chain-map identities on seeded random generators:
 
         b . pi_h   = pi_h . b      (class component; the last Hochschild face
@@ -62,198 +95,213 @@ def chain_map_suite(model: GroupModel, h: Element, max_degree: int = 3,
         b . phi_g  = phi_g . d
         b . theta  = theta . d
     """
+    m, h = section.model, section.h
     rng = random.Random(seed)
-    section = coset_section(model, h)
-    ball = model.metric.ball(radius)
-    z_ball = [g for g in ball if model.commutes(g, h)]
+    ball = m.metric.ball(radius)
+    z_ball = [g for g in ball if m.commutes(g, h)]
+    b = partial(hochschild_boundary, m)
+    text = partial(_basis_str, m)
+
+    def component(n):
+        return Chain.basis("hochschild", n, sample_component_tuple(m, rng, ball, h, n))
+
+    def basis(kind, n, pool, length):
+        return [Chain.basis(kind, n, tuple(rng.choice(pool) for _ in range(length)))
+                for _ in range(samples)]
+
     checks = []
-
     for n in range(max_degree + 1):
-        failures = []
-        for _ in range(samples):
-            t = sample_component_tuple(model, rng, ball, h, n)
-            c = Chain.basis("hochschild", n, t)
-            lhs = hochschild_boundary(model, pi_h(section, c))
-            rhs = pi_h(section, hochschild_boundary(model, c))
-            if lhs != rhs:
-                failures.append(tuple_str(model, t))
-        checks.append({"identity_name": "b.pi == pi.b", "degree": n,
-                       "samples": samples, "failures": failures})
+        checks += [
+            check_identity(
+                "b.pi == pi.b", n, [component(n) for _ in range(samples)], text,
+                ("", lambda c: b(pi_h(section, c)) == pi_h(section, b(c)))),
+            check_identity(
+                "d.psi == psi.d (and psi_inv.psi == id)", n, basis("cprime", n, ball, n), text,
+                ("", lambda c: boundary_cbar(m, psi(m, c)) == psi(m, boundary_cprime(m, c))),
+                ("round trip: ", lambda c: psi_inv(m, psi(m, c)) == c)),
+            check_identity(
+                "b.phi == phi.d (and phi_inv.phi == id)", n, basis("cprime", n, z_ball, n), text,
+                ("", lambda c: b(phi_g(m, h, c)) == phi_g(m, h, boundary_cprime(m, c))),
+                ("round trip: ", lambda c: phi_g_inv(phi_g(m, h, c)) == c)),
+            check_identity(
+                "b.theta == theta.d", n, basis("e", n, ball, n + 1), text,
+                ("", lambda c: b(theta_h(m, h, c)) == theta_h(m, h, boundary_e(c)))),
+            check_identity(
+                "localize == psi.phi_inv.pi", n, [component(n) for _ in range(samples)], text,
+                ("", lambda c: localize_to_equivariant(section, c)
+                 == composed_localization(section, c))),
+        ]
 
-        failures = []
-        for _ in range(samples):
-            t = tuple(rng.choice(ball) for _ in range(n))
-            c = Chain.basis("cprime", n, t)
-            if boundary_cbar(model, psi(model, c)) != psi(model, boundary_cprime(model, c)):
-                failures.append(tuple_str(model, t))
-            if psi_inv(model, psi(model, c)) != c:
-                failures.append("round trip: " + tuple_str(model, t))
-        checks.append({"identity_name": "d.psi == psi.d (and psi_inv.psi == id)",
-                       "degree": n, "samples": samples, "failures": failures})
+    def parts(c):
+        return split_by_class(m, c).values()
 
-        failures = []
-        for _ in range(samples):
-            t = tuple(rng.choice(z_ball) for _ in range(n))
-            c = Chain.basis("cprime", n, t)
-            lhs = hochschild_boundary(model, phi_g(model, h, c))
-            rhs = phi_g(model, h, boundary_cprime(model, c))
-            if lhs != rhs:
-                failures.append(tuple_str(model, t))
-            if phi_g_inv(phi_g(model, h, c)) != c:
-                failures.append("round trip: " + tuple_str(model, t))
-        checks.append({"identity_name": "b.phi == phi.d (and phi_inv.phi == id)",
-                       "degree": n, "samples": samples, "failures": failures})
+    def total(chains, degree):
+        return sum(chains, Chain.zero("hochschild", degree))
 
-        failures = []
-        for _ in range(samples):
-            t = tuple(rng.choice(ball) for _ in range(n + 1))
-            c = Chain.basis("e", n, t)
-            if hochschild_boundary(model, theta_h(model, h, c)) != theta_h(model, h, boundary_e(c)):
-                failures.append(tuple_str(model, t))
-        checks.append({"identity_name": "b.theta == theta.d", "degree": n,
-                       "samples": samples, "failures": failures})
-
-        failures = []
-        for _ in range(samples):
-            t = sample_component_tuple(model, rng, ball, h, n)
-            c = Chain.basis("hochschild", n, t)
-            direct = localize_to_equivariant(section, c)
-            composed = composed_localization(section, c)
-            if direct != composed:
-                failures.append(tuple_str(model, t))
-        checks.append({"identity_name": "localize == psi.phi_inv.pi", "degree": n,
-                       "samples": samples, "failures": failures})
-
-    failures = []
-    for _ in range(samples):
-        n = rng.randrange(0, max_degree + 1)
-        t = sample_component_tuple(model, rng, ball, h, n)
-        c = Chain.basis("hochschild", n, t)
-        parts = split_by_class(model, c)
-        total = Chain.zero("hochschild", n)
-        for part in parts.values():
-            total = total + part
-        if total != c:
-            failures.append("sum: " + tuple_str(model, t))
-        bc = hochschild_boundary(model, c)
-        summed = Chain.zero("hochschild", max(n - 1, 0))
-        for part in parts.values():
-            summed = summed + hochschild_boundary(model, part)
-        if summed != bc:
-            failures.append("boundary: " + tuple_str(model, t))
-    checks.append({"identity_name": "split_by_class respects b and sums to id",
-                   "degree": max_degree, "samples": samples, "failures": failures})
+    checks.append(check_identity(
+        "split_by_class respects b and sums to id", max_degree,
+        [component(rng.randrange(0, max_degree + 1)) for _ in range(samples)], text,
+        ("sum: ", lambda c: total(parts(c), c.degree) == c),
+        ("boundary: ", lambda c: total(map(b, parts(c)), max(c.degree - 1, 0)) == b(c))))
     return checks
 
 
-def well_definedness_suite(model: GroupModel, h: Element, trials: int = 100,
-                           max_degree: int = 2, seed: int = 0,
-                           radius: int = DEFAULT_RADIUS) -> list[dict]:
+def well_definedness_suite(section: CosetSection, trials: int, max_degree: int,
+                           seed: int, radius: int) -> list[dict]:
     """pi_h is independent of the conjugator choice: replacing r by a*r for
     a in Z_h leaves the output unchanged."""
+    m = section.model
     rng = random.Random(seed)
-    section = coset_section(model, h)
-    ball = model.metric.ball(radius)
-    z_ball = [g for g in ball if model.commutes(g, h)]
-    failures = []
-    for _ in range(trials):
+    ball = m.metric.ball(radius)
+    z_ball = [g for g in ball if m.commutes(g, section.h)]
+
+    def draw():
         n = rng.randrange(0, max_degree + 1)
-        t = sample_component_tuple(model, rng, ball, h, n)
-        c = Chain.basis("hochschild", n, t)
-        a = rng.choice(z_ball)
+        c = Chain.basis("hochschild", n, sample_component_tuple(m, rng, ball, section.h, n))
+        return c, rng.choice(z_ball)
 
-        def alternative(product):
-            return model.mul(a, section.conjugator(product))
+    def holds(case):
+        c, a = case
+        return pi_h(section, c) == pi_h(
+            section, c, conjugator=lambda product: m.mul(a, section.conjugator(product)))
 
-        if pi_h(section, c) != pi_h(section, c, conjugator=alternative):
-            failures.append(tuple_str(model, t) + f" with a={model.element_str(a)}")
-    return [{"identity_name": "pi_h invariant under r -> a r", "degree": max_degree,
-             "samples": trials, "failures": failures}]
+    return [check_identity(
+        "pi_h invariant under r -> a r", max_degree, [draw() for _ in range(trials)],
+        lambda case: f"{_basis_str(m, case[0])} with a={m.element_str(case[1])}", ("", holds))]
 
 
-def metric_suite(model: GroupModel, h: Element, radius: int = 4) -> list[dict]:
+def metric_suite(section: CosetSection, radius: int) -> list[dict]:
     """Exhaustive window checks: |p_h(g)| <= 2|g| and p_h(ag) = a p_h(g)."""
-    wm = model.metric
-    section = coset_section(model, h)
-    ball = wm.ball(radius)
-    z_ball = [a for a in ball if model.commutes(a, h)]
-
-    failures = []
-    for g in ball:
-        if wm.length(section.retract(g)) > 2 * wm.length(g):
-            failures.append(model.element_str(g))
-    lip = {"identity_name": "|p_h(g)| <= 2|g|", "degree": radius,
-           "samples": len(ball), "failures": failures}
-
-    failures = []
-    mul = model._mul  # ball elements are valid
-    for a in z_ball:
-        for g in ball:
-            if section.retract(mul(a, g)) != mul(a, section.retract(g)):
-                failures.append(f"a={model.element_str(a)} g={model.element_str(g)}")
-    eq = {"identity_name": "p_h(ag) == a p_h(g)", "degree": radius,
-          "samples": len(z_ball) * len(ball), "failures": failures}
-
-    failures = []
-    for g in ball:
-        s = section.section(g)
-        if wm.length(s) > wm.length(g):
-            failures.append(model.element_str(g))
-    sec = {"identity_name": "|s(Z_h g)| <= |g|", "degree": radius,
-           "samples": len(ball), "failures": failures}
-    return [lip, eq, sec]
+    m = section.model
+    length, p, es = m.metric.length, section.retract, m.element_str
+    ball = m.metric.ball(radius)
+    z_ball = [a for a in ball if m.commutes(a, section.h)]
+    mul = m._mul  # ball elements are valid
+    return [
+        check_identity("|p_h(g)| <= 2|g|", radius, ball, es,
+                       ("", lambda g: length(p(g)) <= 2 * length(g))),
+        check_identity("p_h(ag) == a p_h(g)", radius, itertools.product(z_ball, ball),
+                       lambda ag: f"a={es(ag[0])} g={es(ag[1])}",
+                       ("", lambda ag: p(mul(*ag)) == mul(ag[0], p(ag[1])))),
+        check_identity("|s(Z_h g)| <= |g|", radius, ball, es,
+                       ("", lambda g: length(section.section(g)) <= length(g))),
+    ]
 
 
-def conjugator_cross_check(model: GroupModel, h: Element, samples: int = 30,
-                           radius: int = 2, seed: int = 0,
-                           max_radius: int = 8) -> list[dict]:
-    """The constructive minimal conjugator agrees with breadth-first search."""
+def conjugator_cross_check(section: CosetSection, samples: int, radius: int,
+                           seed: int) -> list[dict]:
+    """The constructive minimal conjugator agrees with breadth-first search.
+
+    Each product is y^-1 h y with |y| <= radius, so y is a conjugator and the
+    search window ``radius`` always holds the minimal one."""
+    m, h = section.model, section.h
     rng = random.Random(seed)
-    section = coset_section(model, h)
-    ball = model.metric.ball(radius)
-    failures = []
-    tried = 0
-    for _ in range(samples):
-        y = rng.choice(ball)
-        product = model.conj(y, h)
-        try:
-            bfs = find_conjugator(model, h, product, max_radius)
-        except (NotConjugateError, NotConjugateWithinError) as exc:
-            failures.append(f"{model.element_str(product)}: {exc}")
-            continue
-        tried += 1
-        fast = section.conjugator(product)
-        if fast != bfs:
-            failures.append(
-                f"{model.element_str(product)}: bfs={model.element_str(bfs)} "
-                f"fast={model.element_str(fast)}")
-    return [{"identity_name": "minimal_conjugator == bfs find_conjugator",
-             "degree": radius, "samples": tried, "failures": failures}]
+    ball = m.metric.ball(radius)
+    es = m.element_str
+
+    def bfs(product):
+        return find_conjugator(m, h, product, radius)
+
+    return [check_identity(
+        "minimal_conjugator == bfs find_conjugator", radius,
+        [m.conj(rng.choice(ball), h) for _ in range(samples)],
+        lambda y: f"{es(y)}: bfs={es(bfs(y))} fast={es(section.conjugator(y))}",
+        ("", lambda y: section.conjugator(y) == bfs(y)))]
 
 
-def run_identity_suite(model: GroupModel, h: Optional[Element] = None,
-                       max_degree: int = 2, samples: int = 50, seed: int = 0,
-                       radius: int = DEFAULT_RADIUS) -> dict:
+def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
+                           radius: int, seed: int) -> dict:
+    """Check the commuting square for theta_h and the transferred homotopy.
+
+    Identities checked exactly, per degree n <= n_max, on quotient
+    representatives (plus the E-level homotopy identity on raw generators):
+
+        theta_h . p^E = pi_h . theta_h
+        theta_h . i^E = iota_h . theta_h
+        id - i^E p^E  = D d + d D           (on E_.(G))
+        id - iota pi  = b Dbar + Dbar b     (on C_.(QG)_x)
+        pi_h . iota_h = id
+
+    Any failure is reported with the offending generator.
+    """
+    m, h = section.model, section.h
+    rng = random.Random(seed)
+    b = partial(hochschild_boundary, m)
+    theta = partial(theta_h, m, h)
+    text = partial(_basis_str, m)
+    checks: list[dict] = []
+
+    for n in range(n_max + 1):
+        e = partial(Chain.basis, "e", n)
+        # a finite group whose E_n basis fits in the sample is checked on all of it
+        if m.is_finite and m.order ** (n + 1) <= max(samples, 1):
+            gens = list(itertools.product(m.elements(), repeat=n + 1))
+        else:
+            ball = m.metric.ball(radius)
+            gens = [tuple(rng.choice(ball) for _ in range(n + 1)) for _ in range(samples)]
+        reps = sorted({normalize_coinvariant(section, t) for t in gens},
+                      key=lambda t: tuple(m.element_key(x) for x in t))
+        z_gens = [e(tuple(section.retract(x) for x in t)) for t in reps]
+        gens, reps = list(map(e, gens)), list(map(e, reps))
+
+        def homotopy(c):
+            lhs = c - iota_h(m, h, p_e(section, c))
+            # the D(d c) addend is the zero map in degree 0
+            rhs = boundary_e(homotopy_d(section, c))
+            if n > 0:
+                rhs = rhs + homotopy_d(section, boundary_e(c))
+            return lhs == rhs
+
+        def transferred(c):
+            hh = theta(c)
+            lhs = hh - iota_h(m, h, pi_h(section, hh))
+            rhs = b(dbar(section, hh))
+            if n > 0:
+                rhs = rhs + dbar(section, b(hh))
+            return lhs == rhs
+
+        def retraction(c):
+            zc = theta(c)
+            return pi_h(section, iota_h(m, h, zc)) == zc
+
+        checks += [
+            check_identity("theta.pE == pi.theta", n, reps, text,
+                           ("", lambda c: theta(p_e(section, c)) == pi_h(section, theta(c)))),
+            check_identity("theta.iE == iota.theta", n, z_gens, text,
+                           ("", lambda c: theta(iota_h(m, h, c)) == iota_h(m, h, theta(c)))),
+            check_identity("id - iE.pE == D.d + d.D", n, gens, text, ("", homotopy)),
+            check_identity("id - iota.pi == b.Dbar + Dbar.b", n, reps, text, ("", transferred)),
+            check_identity("pi.iota == id", n, z_gens, text, ("", retraction)),
+        ]
+
+    return {
+        "model": m.name,
+        "h": m.element_str(h),
+        "n_max": n_max,
+        "checks": checks,
+        "all_passed": all(not c["failures"] for c in checks),
+    }
+
+
+def run_identity_suite(model: GroupModel, h: Optional[Element], max_degree: int,
+                       samples: int, seed: int, radius: int) -> dict:
     """The full battery for one model; the CLI maps failures to exit code 2."""
     reps = [h] if h is not None else default_class_reps(model)
     all_checks = []
     for rep in reps:
+        section = coset_section(model, rep)
         prefix = f"[h={model.element_str(rep)}] "
         batteries = [
-            chain_map_suite(model, rep, max_degree, samples, seed, radius),
-            well_definedness_suite(model, rep, max(samples, 100) if samples else 0,
+            chain_map_suite(section, max_degree, samples, seed, radius),
+            well_definedness_suite(section, max(samples, 100) if samples else 0,
                                    min(max_degree, 2), seed, radius),
-            metric_suite(model, rep, radius=min(radius + 2, 4)),
-            conjugator_cross_check(model, rep, samples=min(samples, 30),
-                                   radius=radius, seed=seed),
-            verify_homotopy_square(model, rep, n_max=min(max_degree, 2),
-                                   samples=samples, radius=radius, seed=seed)["checks"],
+            metric_suite(section, min(radius + 2, 4)),
+            conjugator_cross_check(section, min(samples, 30), radius, seed),
+            verify_homotopy_square(section, min(max_degree, 2), samples, radius,
+                                   seed)["checks"],
         ]
-        for battery in batteries:
-            for check in battery:
-                check = dict(check)
-                check["identity_name"] = prefix + check["identity_name"]
-                all_checks.append(check)
+        all_checks += [dict(check, identity_name=prefix + check["identity_name"])
+                       for battery in batteries for check in battery]
     return {
         "model": model.name,
         "checks": all_checks,

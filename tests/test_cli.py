@@ -76,6 +76,19 @@ def test_verify_identities_s3(tmp_path):
     assert rep["results"]["all_passed"] is True
 
 
+def test_conjugator_cross_check_searches_within_the_radius(tmp_path):
+    # the products are y^-1 a y with |y| <= 9; at seed 0 one of them has a
+    # minimal conjugator of length 9, longer than any fixed window of 8
+    out = tmp_path / "verify.json"
+    code = run_cli("verify-identities", "--group", str(fixture_path("f2.json")),
+                   "--class", "a", "--radius", "9", "--samples", "2", "--degree", "0",
+                   "--out", str(out))
+    assert code == 0
+    [check] = [c for c in json.loads(out.read_text())["results"]["checks"]
+               if c["identity_name"].endswith("minimal_conjugator == bfs find_conjugator")]
+    assert check["failures"] == [] and check["samples"] == 2
+
+
 def test_conj_bound_csv(tmp_path):
     out = tmp_path / "conj.csv"
     code = run_cli("conj-bound", "--group", str(fixture_path("f2.json")),

@@ -202,13 +202,13 @@ def test_dbar_homotopy_on_s3_component(s3):
 
 def test_verify_homotopy_square_abelian_trivial(zz, z4):
     for m, h in ((zz, (1, 0)), (z4, 1)):
-        report = verify_homotopy_square(m, h, n_max=2,
+        report = verify_homotopy_square(coset_section(m, h), n_max=2,
                                         samples=10, radius=2, seed=1)
         assert report["all_passed"]
 
 
 def test_verify_homotopy_square_s3_exhaustive(s3):
-    report = verify_homotopy_square(s3, (0, 2, 1), n_max=2,
+    report = verify_homotopy_square(coset_section(s3, (0, 2, 1)), n_max=2,
                                     samples=10 ** 6, radius=2, seed=0)
     assert report["all_passed"]
     # degree-2 checks on quotient representatives cover all 108 of them

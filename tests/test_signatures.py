@@ -8,7 +8,10 @@ import inspect
 import pkgutil
 import typing
 
+import pytest
+
 import burghelea
+from burghelea import metric, verify
 from burghelea.groups import GroupModel
 from burghelea.metric import CosetSection, WordMetric
 
@@ -89,3 +92,29 @@ def test_each_kind_with_a_kernel_defines_its_checked_law():
     for cls in kinds:
         if "_mul" in vars(cls):
             assert law <= set(vars(cls)), cls.__name__
+
+
+@pytest.mark.parametrize("suite", ["chain_map_suite", "well_definedness_suite", "metric_suite",
+                                   "conjugator_cross_check", "verify_homotopy_square"])
+def test_each_identity_suite_takes_a_section_and_no_model(suite):
+    classes = _parameter_classes(getattr(verify, suite))
+    assert CosetSection in classes
+    assert not any(issubclass(c, GroupModel) for c in classes)
+
+
+def test_an_identity_run_builds_one_section_per_class(f2xz, monkeypatch):
+    # every module that builds sections does it through coset_section
+    build, calls = metric.coset_section, []
+
+    def counting(model, h):
+        calls.append(h)
+        return build(model, h)
+
+    for info in pkgutil.iter_modules(burghelea.__path__):
+        module = importlib.import_module(f"burghelea.{info.name}")
+        if hasattr(module, "coset_section"):
+            monkeypatch.setattr(module, "coset_section", counting)
+    # the count does not depend on the sizes, so they are small here
+    report = verify.run_identity_suite(f2xz, None, max_degree=1, samples=3, seed=0, radius=1)
+    assert report["all_passed"]
+    assert calls == verify.default_class_reps(f2xz) and len(calls) == 3
