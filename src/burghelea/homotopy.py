@@ -26,8 +26,8 @@ p^E, D, Dbar and the lift of theta_h take the coset section of h alone: the
 section owns the model, h, the retraction p_h and the memoized minimal
 conjugators.  A model's word metric is ``model.metric``.
 
-This module holds the maps only.  The identities they satisfy are checked by
-``verify.verify_homotopy_square``.
+This module holds the maps and their rank data only.  The identities the
+maps satisfy are checked by ``verify.verify_homotopy_square``.
 """
 from __future__ import annotations
 
