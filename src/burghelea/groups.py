@@ -247,7 +247,10 @@ class FiniteGroup(GroupModel):
 
     def check_element(self, a):
         try:
-            if type(a) is self._encoding and a in self._inverses:
+            # a perm entry must be an int proper: (False, 3, 2, True) hashes
+            # and compares equal to (0, 3, 2, 1)
+            if (type(a) is self._encoding and a in self._inverses
+                    and (type(a) is int or all(type(v) is int for v in a))):
                 return
         except TypeError:  # unhashable, e.g. a tuple holding a list
             pass

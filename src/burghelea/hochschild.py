@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 from .chains import Chain, check_chain, linear_extend
 from .errors import GroupMismatchError, ResourceCapError
 from .groups import Element, GroupModel, class_members
-from .linalg import boundary_ranks
+from .linalg import boundary_ranks, coboundary_ranks
 from .metric import ConjugacyClass, CosetSection, conjugacy_class, conjugacy_classes
 
 ONE = Fraction(1)
@@ -166,30 +166,32 @@ def class_component_basis(model: GroupModel, degree: int,
     """Basis tuples of C_degree(QG)_x: entry product lies in x."""
     members = class_members(model, x.rep)
     elems = model.elements()
-    basis = []
 
-    def rec(prefix: tuple, prod: Element, remaining: int):
+    # the basis is yielded, not captured: rec refers to itself, and a list
+    # in that cycle would outlive the call until the cyclic collector runs
+    def rec(prefix: tuple, prod: Element, remaining: int) -> Iterator[tuple]:
         if remaining == 0:
             for target in members:
-                basis.append(prefix + (model.mul(model.inv(prod), target),))
+                yield prefix + (model.mul(model.inv(prod), target),)
             return
         for g in elems:
-            rec(prefix + (g,), model.mul(prod, g), remaining - 1)
+            yield from rec(prefix + (g,), model.mul(prod, g), remaining - 1)
 
-    rec((), model.identity, degree)
-    basis.sort(key=lambda t: tuple(model.element_key(g) for g in t))
-    return basis
+    return sorted(rec((), model.identity, degree),
+                  key=lambda t: tuple(model.element_key(g) for g in t))
 
 
-def _check_space_cap(model: GroupModel, max_degree: int, class_size: int) -> None:
-    order = model.order
-    per_tuple_bytes = 80 + 16 * (max_degree + 2)
-    total = sum(class_size * order ** n * per_tuple_bytes for n in range(max_degree + 2))
-    cap = memory_cap_mb() * 1024 * 1024
-    if total > cap:
+def _check_space_cap(model: GroupModel, max_degree: int, class_size: int) -> int:
+    """Estimated bytes of one class component's ranks, checked against the
+    cap: its bases, and the top coboundary (N + 1 entries per basis tuple of
+    degree N = max_degree + 1) with its echelon, about 100 bytes per entry."""
+    dims = [class_size * model.order ** n for n in range(max_degree + 2)]
+    total = sum(dims) * (80 + 16 * (max_degree + 2)) + (max_degree + 2) * dims[-1] * 100
+    if total > memory_cap_mb() * 1024 * 1024:
         raise ResourceCapError(
-            f"chain spaces need about {total // (1024 * 1024)} MB, cap is {memory_cap_mb()} MB "
-            "(set BURGHELEA_CAP_MB to override)")
+            f"chain spaces and the top coboundary need about {total // (1024 * 1024)} MB, "
+            f"cap is {memory_cap_mb()} MB (set BURGHELEA_CAP_MB to override)")
+    return total
 
 
 def homology_ranks(model: GroupModel, max_degree: int,
@@ -201,7 +203,10 @@ def homology_ranks(model: GroupModel, max_degree: int,
     where rank_boundary_out is the rank of b_n out of degree n and
     rank_boundary_in the rank of b_{n+1} into it.  The computation runs per
     class component (only x's, when given) and aggregates: the splitting is
-    a direct sum of subcomplexes.
+    a direct sum of subcomplexes.  Each component's ranks come from its
+    coboundary with clearing (``linalg.coboundary_ranks``), the faces on the
+    kernel law, since every basis tuple is built from ``model.elements()``;
+    ``homology_ranks_unsplit`` is the column-reduction reference.
     """
     if not model.is_finite:
         raise GroupMismatchError("homology ranks need a finite model")
@@ -209,7 +214,8 @@ def homology_ranks(model: GroupModel, max_degree: int,
     for cls in [x] if x is not None else conjugacy_classes(model):
         _check_space_cap(model, max_degree, len(class_members(model, cls.rep)))
         bases = [class_component_basis(model, n, cls) for n in range(max_degree + 2)]
-        _add_ranks(model, bases, per_degree)
+        _add_ranks(bases, coboundary_ranks(bases, partial(hochschild_faces, model._mul)),
+                   per_degree)
     return per_degree
 
 
@@ -222,7 +228,7 @@ def homology_ranks_unsplit(model: GroupModel, max_degree: int) -> list[dict]:
                     key=lambda t: tuple(model.element_key(g) for g in t))
              for n in range(max_degree + 2)]
     per_degree = _empty_reports(max_degree)
-    _add_ranks(model, bases, per_degree)
+    _add_ranks(bases, boundary_ranks(bases, partial(hochschild_faces, model.mul)), per_degree)
     return per_degree
 
 
@@ -232,10 +238,10 @@ def _empty_reports(max_degree: int) -> list[dict]:
             for n in range(max_degree + 1)]
 
 
-def _add_ranks(model: GroupModel, bases: list[list[tuple]], per_degree: list[dict]) -> None:
+def _add_ranks(bases: list[list[tuple]], ranks: list[int], per_degree: list[dict]) -> None:
     """Add the dimensions, boundary ranks and Betti numbers of the complex
-    spanned by ``bases`` (one basis per degree, up to max_degree + 1)."""
-    ranks = boundary_ranks(bases, partial(hochschild_faces, model.mul))
+    spanned by ``bases`` (one basis per degree, up to max_degree + 1), whose
+    boundary out of degree n has rank ranks[n]."""
     for n, rec in enumerate(per_degree):
         rec["dim_chain_space"] += len(bases[n])
         rec["rank_boundary_out"] += ranks[n]

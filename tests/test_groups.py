@@ -220,16 +220,20 @@ def test_membership_validation(f2, zz, z4, d4, f2xz):
             m.parse_element(text)
 
 
-def test_bool_is_not_an_element(f2, zz, z4, f2xz):
-    # True == 1 and hashes alike, but a letter, coordinate or table index is
-    # an int proper, as in descriptors; element_str would print it as True
+def test_bool_is_not_an_element(f2, zz, z4, d4, f2xz):
+    # True == 1 and hashes alike, but a letter, coordinate, table index or
+    # permutation entry is an int proper, as in descriptors; element_str
+    # would print it as True
     bad = [(f2, (True,)), (f2, (2, True)), (zz, (True, 0)), (zz, (0, False)),
-           (z4, True), (z4, False), (f2xz, ((False,), (0,))), (f2xz, ((), (True,)))]
+           (z4, True), (z4, False), (d4, (False, 3, 2, True)), (d4, (0, 3, 2, True)),
+           (f2xz, ((False,), (0,))), (f2xz, ((), (True,)))]
     for m, a in bad:
         with pytest.raises(GroupMismatchError):
             m.check_element(a)
         with pytest.raises(GroupMismatchError):
             m.mul(a, m.identity)
+        with pytest.raises(GroupMismatchError):
+            m.mul(m.identity, a)
         with pytest.raises(GroupMismatchError):
             m.inv(a)
 

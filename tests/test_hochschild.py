@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,15 @@ from burghelea import (
     pi_h,
     split_by_class,
 )
+from burghelea import hochschild
 from burghelea.chains import Chain
-from burghelea.hochschild import class_component_basis, entry_product, sample_component_tuple
+from burghelea.groups import class_members
+from burghelea.hochschild import (
+    _check_space_cap,
+    class_component_basis,
+    entry_product,
+    sample_component_tuple,
+)
 
 
 def test_boundary_degree_one_commutator(s3):
@@ -217,11 +225,13 @@ def test_ranks_d4_rotation_class(d4):
 
 
 def test_ranks_split_agrees_with_monolithic(z4, s3):
-    for m, deg in ((z4, 1), (s3, 1)):
-        split = homology_ranks(m, deg)
-        full = homology_ranks_unsplit(m, deg)
-        assert [r["betti"] for r in split] == [r["betti"] for r in full]
-        assert [r["dim_chain_space"] for r in split] == [r["dim_chain_space"] for r in full]
+    # the split ranks come from cleared coboundaries, the unsplit ones from
+    # column reduction; degree 2 has two cleared degrees below the top
+    for m in (z4, s3):
+        split = homology_ranks(m, 2)
+        full = homology_ranks_unsplit(m, 2)
+        for key in ("betti", "dim_chain_space", "rank_boundary_in", "rank_boundary_out"):
+            assert [r[key] for r in split] == [r[key] for r in full], key
 
 
 def test_ranks_equal_class_count(z2, z4, s3):
@@ -246,10 +256,29 @@ def test_ranks_infinite_model_rejected(f2):
 
 def test_resource_cap(z4, monkeypatch):
     monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
-    # the least cap, 1 MB; the degree-6 spaces of Z/4 need ~4.5 MB, so the
-    # cap trips before any basis is built
+    monkeypatch.setattr(hochschild, "class_component_basis",
+                        lambda *args: pytest.fail("a basis was built"))
+    # the least cap, 1 MB; the degree-6 ranks of a class of Z/4 need ~17 MB
+    # (4.5 MB of bases), so the cap trips before any basis is built
     with pytest.raises(ResourceCapError, match="cap is 1 MB"):
         homology_ranks(z4, 6)
+
+
+@pytest.mark.parametrize("name, max_degree, rep", [("d4", 3, (1, 2, 3, 0)), ("s3", 2, None)])
+def test_space_estimate_covers_traced_peak(name, max_degree, rep, request):
+    # the cap's estimate counts what the ranks hold: the bases, and the top
+    # coboundary with its echelon
+    m = request.getfixturevalue(name)
+    x = conjugacy_class(m, rep) if rep else None
+    estimate = max(_check_space_cap(m, max_degree, len(class_members(m, c.rep)))
+                   for c in ([x] if x else conjugacy_classes(m)))
+    tracemalloc.start()
+    try:
+        homology_ranks(m, max_degree, x=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate >= peak
 
 
 def test_invalid_cap_is_an_error(z4, monkeypatch):

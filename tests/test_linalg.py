@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from burghelea.linalg import RationalEchelon, rank_of_columns
+from burghelea.chains import simplex_faces
+from burghelea.linalg import RationalEchelon, boundary_ranks, coboundary_ranks, rank_of_columns
 
 
 def dense_rank_oracle(rows):
@@ -100,3 +102,22 @@ def test_reduced_rows_common_pivot():
     assert lcm == 2
     assert rows == {1: {0: 2, 1: 2}, 2: {0: -1, 2: 2}}
     assert RationalEchelon().reduced_rows() == (1, {})
+
+
+@st.composite
+def simplicial_bases(draw):
+    """A random simplicial complex on up to 7 vertices, closed under faces,
+    as one basis per degree in a random order."""
+    facets = draw(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5),
+                           min_size=1, max_size=8))
+    simplices = {s for f in facets for k in range(1, len(f) + 1)
+                 for s in itertools.combinations(sorted(f), k)}
+    top = max(map(len, simplices))
+    return [draw(st.permutations(sorted(s for s in simplices if len(s) == n + 1)))
+            for n in range(top)]
+
+
+@settings(max_examples=200)
+@given(simplicial_bases())
+def test_cleared_coboundary_ranks_match_column_reduction(bases):
+    assert coboundary_ranks(bases, simplex_faces) == boundary_ranks(bases, simplex_faces)
