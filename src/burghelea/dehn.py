@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bar_complexes import boundary_cbar, cbar_faces
 from .chains import Chain, simplex_faces, tuple_diameter
@@ -155,8 +154,7 @@ def _assert_dd_zero(cols_high, cols_low):
             raise DescriptorError("boundary matrices do not compose to zero")
 
 
-@dataclass
-class FillingResult:
+class FillingResult(NamedTuple):
     value: Fraction              # minimal weighted l1 norm of a filling
     witness: dict[int, Fraction]  # filling chain over (N+1)-simplex indices
 

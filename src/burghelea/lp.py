@@ -29,18 +29,16 @@ and the value become ``Fraction`` only in the ``LPResult``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CertificateError
 
 ZERO = Fraction(0)
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str                     # optimal | infeasible
     value: Optional[Fraction]
     x: Optional[list[Fraction]]

@@ -19,9 +19,8 @@ is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     GroupMismatchError,
@@ -73,8 +72,7 @@ class WordMetric:
 # conjugacy classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     """Canonical class representative: shortlex-least among length-minimal
     members of the class."""
     rep: Element
