@@ -3,28 +3,23 @@
 Rank computations use an incremental row-echelon structure whose rows are
 kept as gcd-normalized integer sparse vectors; all pivoting is fraction-free,
 so results are exact.  Rows are keyed by their largest index, the "lowest
-one" rule of persistence reduction.  There are two rank paths.
+one" rule of persistence reduction.
 
-``boundary_ranks``, the reference path, eliminates the columns of each
-boundary d_n.  Faces of later basis tuples land on later rows, so fill-in
-stays low: on the D4 rotation class, b_4 (8192 columns, rank 911) stores
-5,183 nonzeros instead of 15,436 with smallest-index pivots.  But 7,281 of
-its 8,192 inserts reduce to zero.  ``coboundary_ranks`` eliminates the
-coboundary with clearing (Chen & Kerber, "Persistent homology computation
-with a twist", EuroCG 2011; de Silva, Morozov & Vejdemo-Johansson, "Dualities
-in persistent (co)homology", Inverse Problems 2011): the same rank takes 911
-inserts, none zero, and stores 59,037 nonzeros.  ``hochschild.homology_ranks``
+``boundary_ranks`` eliminates the columns of each boundary d_n: on the D4
+rotation class, b_4 (8192 columns, rank 911) stores 5,183 nonzeros (15,436
+with smallest-index pivots), but 7,281 of its inserts reduce to zero.
+``coboundary_ranks`` eliminates the coboundary with clearing (Chen & Kerber,
+EuroCG 2011; de Silva, Morozov & Vejdemo-Johansson, Inverse Problems 2011):
+911 inserts, none zero, storing 59,037 nonzeros.  ``hochschild.homology_ranks``
 takes the coboundary path; ``homology_ranks_unsplit`` and
-``bar_complexes.bar_homology_ranks`` stay on the reference path, so the split
-and unsplit ranks, and the two sides of ``burghelea-check --class``, come
-from different eliminations.
+``bar_complexes.bar_homology_ranks`` stay on column reduction, the reference.
 
 Every boundary matrix in the workbench is built here.  Each complex defines
 its face map once, as a function from a basis tuple to ``(face, +-1)`` pairs
 (``hochschild.hochschild_faces``, ``bar_complexes.cprime_faces`` and
 ``cbar_faces``, ``chains.simplex_faces`` for the E complex and simplicial
-complexes), and ``boundary_columns`` turns it into sparse integer columns;
-both rank paths read their matrices from it.
+complexes), and ``boundary_columns`` turns it into sparse integer columns,
+which both rank paths read.
 """
 from __future__ import annotations
 
