@@ -152,7 +152,7 @@ def coboundary_ranks(bases: Sequence[Sequence[tuple]], faces: Faces) -> list[int
     the skipped one.  Each column is dropped once inserted."""
     ranks, pivots = [0], set()
     for n in range(1, len(bases)):
-        ech = RationalEchelon()
+        ech = RationalEchelon()  # first, so the previous degree's echelon is freed
         index = {t: i for i, t in enumerate(reversed(bases[n - 1]))}
         cob: dict[int, SparseVec] = {i: {} for i in index.values() if i not in pivots}
         for r, col in enumerate(boundary_columns(reversed(bases[n]), index, faces)):
