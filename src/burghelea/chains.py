@@ -11,7 +11,10 @@ complex-kind tag plus a degree; the tag fixes the tuple arity:
 Zero coefficients are never stored, so equality of chains is equality of
 their term maps.
 
-A boundary is its complex's face map extended by ``linear_extend``.  The
+A boundary is its complex's face map extended by ``linear_extend``, which
+builds its result in one pass: each image term is checked for arity and added
+straight into the result's term map, as ``Chain.__add__`` builds its sum, with
+no intermediate list and no second validation by the constructor.  The
 face map of the standard simplex, ``simplex_faces``, lives here because the
 E complex (``homotopy``), the C-bar complex (``bar_complexes``) and
 simplicial complexes (``dehn``) all use it; the same face functions feed the
@@ -43,6 +46,12 @@ def arity(kind: str, degree: int) -> int:
     return degree if kind == "cprime" else degree + 1
 
 
+def _arity_error(t, kind: str, degree: int, n: int) -> KindMismatchError:
+    return KindMismatchError(
+        f"tuple {t!r} has arity {len(t) if isinstance(t, tuple) else '?'}, "
+        f"kind {kind!r} degree {degree} needs {n}")
+
+
 class Chain:
     """Immutable finitely supported chain with Fraction coefficients."""
 
@@ -55,9 +64,7 @@ class Chain:
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for t, q in items:
             if not (isinstance(t, tuple) and len(t) == n):
-                raise KindMismatchError(
-                    f"tuple {t!r} has arity {len(t) if isinstance(t, tuple) else '?'}, "
-                    f"kind {kind!r} degree {degree} needs {n}")
+                raise _arity_error(t, kind, degree, n)
             if type(q) is not Fraction:
                 q = Fraction(q)
             if q:
@@ -137,13 +144,39 @@ class Chain:
 
 def linear_extend(c: Chain, kind: str, degree: int,
                   on_basis: Callable[[BasisTuple], Iterable[tuple[BasisTuple, Fraction]]]) -> Chain:
-    """Extend a map given on basis tuples linearly over a chain."""
-    items: list[tuple[BasisTuple, Fraction]] = []
+    """Extend a map given on basis tuples linearly over a chain.
+
+    One pass: each output term goes straight into the result's term map,
+    after the same arity check as the constructor's, and a coefficient that
+    cancels to zero (or a zero coefficient r) is never stored."""
+    n = arity(kind, degree)
+    acc: dict[BasisTuple, Fraction] = {}
+    get = acc.get
     for t, q in c.terms.items():
         for u, r in on_basis(t):
+            if not (isinstance(u, tuple) and len(u) == n):
+                raise _arity_error(u, kind, degree, n)
             # face signs are +-1: no Fraction product for them
-            items.append((u, q if r == 1 else -q if r == -1 else q * r))
-    return Chain(kind, degree, items)
+            if r == 1:
+                v = q
+            elif r == -1:
+                v = -q
+            else:
+                v = q * r
+                if not v:
+                    continue
+            s = get(u)
+            if s is None:
+                acc[u] = v
+            else:
+                s += v
+                if s:
+                    acc[u] = s
+                else:
+                    del acc[u]
+    out = Chain.__new__(Chain)
+    out.kind, out.degree, out.terms = kind, degree, acc
+    return out
 
 
 def check_chain(model: GroupModel, c: Chain) -> None:
@@ -167,13 +200,17 @@ def tuple_str(model: GroupModel, t: BasisTuple) -> str:
 
 def tuple_diameter(model: GroupModel, t: BasisTuple) -> int:
     """diam of a tuple of group elements: max over pairs i, j of |t_i^-1 t_j|,
-    in the model's word metric."""
-    length = model.metric.length
+    in the model's word metric.  Each entry is checked once; the pairs run on
+    the kernel."""
+    check = model.check_element
+    for x in t:
+        check(x)
+    mul, inv, length = model._mul, model._inv, model.length
     best = 0
     for i in range(len(t)):
-        inv_i = model.inv(t[i])
+        inv_i = inv(t[i])
         for j in range(i + 1, len(t)):
-            d = length(model.mul(inv_i, t[j]))
+            d = length(mul(inv_i, t[j]))
             if d > best:
                 best = d
     return best

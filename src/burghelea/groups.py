@@ -25,7 +25,9 @@ check each operand once with ``check_element`` and call the kernel, as
 ``FiniteGroup``'s law: its constructor tabulates products and inverses of
 the enumerated elements, and ``check_element`` is membership (the exact
 encoding type and a table lookup).  A product binds its factors' kernels and
-checks in its constructor.  Elements are checked at the edges
+checks in its constructor; with two factors, as every fixture has, its kernel
+indexes the two components directly, and any other factor count runs the
+general comprehension over the factors.  Elements are checked at the edges
 (``parse_group``, ``parse_element``, the public chain maps, a coset section
 on a cache miss), which then run the kernel.  A letter, coordinate or table
 index is an ``int``, never a ``bool``.
@@ -54,6 +56,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -538,7 +541,7 @@ class FreeAbelianGroup(GroupModel):
         return self._inv(a)
 
     def _mul(self, a, b):
-        return tuple([x + y for x, y in zip(a, b)])
+        return tuple(map(operator.add, a, b))
 
     def _inv(self, a):
         return tuple([-x for x in a])
@@ -603,6 +606,8 @@ class ProductGroup(GroupModel):
         self._muls = [f._mul for f in self.factors]
         self._invs = [f._inv for f in self.factors]
         self._checks = [f.check_element for f in self.factors]
+        # every fixture's product has two factors: its kernel indexes them
+        self._pair = len(self.factors) == 2
 
     def mul(self, a, b):
         self.check_element(a)
@@ -614,9 +619,18 @@ class ProductGroup(GroupModel):
         return self._inv(a)
 
     def _mul(self, a, b):
+        if self._pair:
+            m0, m1 = self._muls
+            a0, a1 = a
+            b0, b1 = b
+            return (m0(a0, b0), m1(a1, b1))
         return tuple([m(x, y) for m, x, y in zip(self._muls, a, b)])
 
     def _inv(self, a):
+        if self._pair:
+            i0, i1 = self._invs
+            a0, a1 = a
+            return (i0(a0), i1(a1))
         return tuple([i(x) for i, x in zip(self._invs, a)])
 
     def check_element(self, a):

@@ -11,10 +11,10 @@ once however many searches use them.
 The coset section s(y) picks, for every right coset y of a centralizer, a
 length-minimal representative (shortlex tie-break), and the retraction
 p_h(g) = g * s(Z_h g)^-1 is the induced 2-Lipschitz map onto the centralizer.
-The section is the one handle of a class component: it owns h, p_h and the
-memoized minimal conjugators ``conjugator(product)``.  All minimal choices
-in this module break ties by shortlex so that every downstream computation
-is reproducible.
+The section is the one handle of a class component: it owns h, the memoized
+p_h and the memoized minimal conjugators ``conjugator(product)``.  All
+minimal choices in this module break ties by shortlex so that every
+downstream computation is reproducible.
 """
 from __future__ import annotations
 
@@ -281,6 +281,14 @@ class CosetSection:
     representative of the coset of g; ``retract(g)`` is p_h(g) = g s(...)^-1;
     ``conjugator(product)`` is the memoized minimal conjugator from h to a
     member of its class.
+
+    All three are memoized per element.  The memo of p_h sits inside
+    ``retract`` itself, beside the section cache: the identity suites reach
+    p_h only through that one method (the window check p_h(ag) = a p_h(g)
+    calls it on every pair of its window), so a hit costs one dict lookup
+    and skips ``section``, and code that replaces ``retract`` still sees
+    every call.  Where p_h(g) equals g (s = e, as for every central h) the
+    memo stores g itself, so it holds no second copy of the element.
     """
 
     def __init__(self, cz: CentralizerModel):
@@ -288,6 +296,7 @@ class CosetSection:
         self.model = cz.model
         self.h = cz.h
         self._cache: dict[Element, Element] = {}
+        self._retracts: dict[Element, Element] = {}
         self._conjugators: dict[Element, Element] = {}
 
     def section(self, g: Element) -> Element:
@@ -298,9 +307,14 @@ class CosetSection:
         return cached
 
     def retract(self, g: Element) -> Element:
-        """p_h(g) = g * s(Z_h g)^-1, a point of Z_h.  ``section`` checks g on
-        a cache miss, so the product runs on the kernel."""
-        return self.model._mul(g, self.model._inv(self.section(g)))
+        """p_h(g) = g * s(Z_h g)^-1, a point of Z_h, memoized.  On a miss
+        ``section`` checks g (on its own cache miss), so the product runs on
+        the kernel."""
+        p = self._retracts.get(g)
+        if p is None:
+            p = self.model._mul(g, self.model._inv(self.section(g)))
+            self._retracts[g] = p = g if p == g else p
+        return p
 
     def conjugator(self, product: Element) -> Element:
         """Shortest r (shortlex tie-break) with product = r^-1 h r.

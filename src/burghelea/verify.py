@@ -34,6 +34,7 @@ from .bar_complexes import (
     psi_inv,
 )
 from .chains import Chain, tuple_str
+from .errors import GroupMismatchError
 from .groups import Element, GroupModel
 from .hochschild import (
     hochschild_boundary,
@@ -66,14 +67,20 @@ def check_identity(name: str, degree: int, cases: Iterable,
                    *sides: tuple[str, Callable[[Any], bool]]) -> dict:
     """One report entry: each case is tested on every ``(prefix, holds)``
     side in turn, and a side that does not hold records ``prefix + text(case)``.
-    ``samples`` counts the cases."""
+    A side that raises GroupMismatchError (a map handed a point outside its
+    domain, say a retraction that left Z_h) fails that case too, with the
+    error appended.  ``samples`` counts the cases."""
     failures = []
     samples = 0
     for case in cases:
         samples += 1
         for prefix, holds in sides:
-            if not holds(case):
-                failures.append(prefix + text(case))
+            try:
+                ok, error = holds(case), ""
+            except GroupMismatchError as exc:
+                ok, error = False, f": {exc}"
+            if not ok:
+                failures.append(prefix + text(case) + error)
     return {"identity_name": name, "degree": degree, "samples": samples,
             "failures": failures}
 

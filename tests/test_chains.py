@@ -84,6 +84,14 @@ def test_support_diameter(f2):
     assert support_diameter(f2, c) == {(e, a): 1, (a, ab): 1}
 
 
+def test_tuple_diameter_checks_each_entry(f2, f2xz):
+    # the pairs run on the unchecked kernel, so each entry is checked first
+    for m, t in ((f2, ((), (True,))), (f2, ((1,), (2,), (1, -1))), (f2, ((True,),)),
+                 (f2xz, (((), (0,)), ((), (False,))))):
+        with pytest.raises(GroupMismatchError):
+            tuple_diameter(m, t)
+
+
 def test_serialization_round_trip_and_determinism(f2):
     c = Chain("hochschild", 1, [
         (((1,), (2,)), Fraction(3, 2)),
@@ -122,6 +130,13 @@ def test_linear_extend_signs_match_products(c, signs):
                                         for u, r in on_basis(t)])
     assert out == reference
     assert all(type(q) is Fraction for q in out.terms.values())
+
+
+def test_linear_extend_checks_arity():
+    c = Chain.basis("hochschild", 1, ((1,), (2,)))
+    for image in (((1,),), ((1,), (2,), ()), [(1,), (2,)]):
+        with pytest.raises(KindMismatchError):
+            linear_extend(c, "hochschild", 1, lambda t: [(t, 1), (image, -1)])
 
 
 def test_chain_maps_reject_non_members(f2xz, z4):

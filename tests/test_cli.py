@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burghelea.cli import main
+from burghelea.metric import CosetSection
 
 from conftest import MALFORMED_COMPLEXES, fixture_path
 
@@ -87,6 +88,26 @@ def test_conjugator_cross_check_searches_within_the_radius(tmp_path):
     [check] = [c for c in json.loads(out.read_text())["results"]["checks"]
                if c["identity_name"].endswith("minimal_conjugator == bfs find_conjugator")]
     assert check["failures"] == [] and check["samples"] == 2
+
+
+def test_retraction_leaving_the_centralizer_fails_its_cases(tmp_path, monkeypatch):
+    # on s3 a retraction shifted by a generator leaves Z_h, and iota_h refuses
+    # its value: that is a failed identity (exit 2) naming the case, not a
+    # usage error
+    retract = CosetSection.retract
+
+    def shifted(self, g):
+        return self.model.mul(self.model.generators[0], retract(self, g))
+
+    monkeypatch.setattr(CosetSection, "retract", shifted)
+    out = tmp_path / "verify.json"
+    code = run_cli("verify-identities", "--group", str(fixture_path("s3.json")),
+                   "--degree", "2", "--samples", "6", "--radius", "1", "--seed", "3",
+                   "--out", str(out))
+    assert code == 2
+    [check] = [c for c in json.loads(out.read_text())["results"]["checks"]
+               if c["identity_name"] == "[h=[0,2,1]] pi.iota == id" and c["degree"] == 0]
+    assert check["failures"][0] == "([1,0,2]): entry [2,1,0] lies outside the centralizer"
 
 
 def test_conj_bound_csv(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import tracemalloc
@@ -250,10 +251,16 @@ def _elements(m):
     return st.tuples(*[st.integers(-9, 9)] * m.rank)
 
 
+# z4 x F2 x Z: three factors, so its kernel takes the general path
+_THREE_FACTORS = parse_group({"type": "product", "factors": [
+    load_complex_obj("z4.json"), {"type": "free", "rank": 2},
+    {"type": "free_abelian", "rank": 1}]})
+
 # every kind: finite_table, finite_perm, free, free_abelian, a product of
-# infinite factors, a product with a finite factor and a nested product
+# infinite factors, a product with a finite factor, a nested product and a
+# product of three factors
 _KERNEL_MODELS = _MODELS + [parse_group({"type": "product", "factors": [
-    load_complex_obj("f2xz.json"), load_complex_obj("z4.json")]})]
+    load_complex_obj("f2xz.json"), load_complex_obj("z4.json")]}), _THREE_FACTORS]
 
 
 @given(st.data())
@@ -269,6 +276,30 @@ def test_kernel_matches_public_law(data):
             assert ab == tuple(f.mul(x, y) for f, x, y in zip(m.factors, a, b))
         elif m.kind == "free":
             assert ab == reduce_word(a + b)
+
+
+def _on_general_path(m):
+    """A copy of the two-factor product m whose kernel takes the comprehension
+    path of every other factor count: the reference for m's own kernel."""
+    ref = copy.copy(m)
+    ref._pair = False
+    return ref
+
+
+@given(st.data())
+def test_two_factor_kernel_matches_comprehension(data):
+    f2xz = load_model("f2xz.json")
+    assert f2xz._pair and not _THREE_FACTORS._pair
+    ref = _on_general_path(f2xz)
+    for _ in range(10):
+        a, b = data.draw(_elements(f2xz)), data.draw(_elements(f2xz))
+        assert f2xz._mul(a, b) == ref._mul(a, b)
+        assert f2xz._inv(a) == ref._inv(a)
+    a, b = data.draw(_elements(_THREE_FACTORS)), data.draw(_elements(_THREE_FACTORS))
+    assert _THREE_FACTORS._mul(a, b) == tuple(
+        f._mul(x, y) for f, x, y in zip(_THREE_FACTORS.factors, a, b))
+    assert _THREE_FACTORS._inv(a) == tuple(
+        f._inv(x) for f, x in zip(_THREE_FACTORS.factors, a))
 
 
 def test_element_strings_round_trip(s3, f2, zz, f2xz):

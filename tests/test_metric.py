@@ -4,6 +4,7 @@ import random
 import pytest
 
 from burghelea import (
+    GroupMismatchError,
     NotConjugateError,
     NotConjugateWithinError,
     WordMetric,
@@ -245,6 +246,18 @@ def test_section_minimality_and_equivariance(f2, s3, z4, f2xz, s3xz):
         for a in z_ball:
             for g in ball:
                 assert sec.retract(m.mul(a, g)) == m.mul(a, sec.retract(g))
+
+
+def test_memoized_retract_matches_its_formula(f2, zz, s3, f2xz):
+    # p_h is memoized inside retract: a hit must give the value a miss
+    # computed, and a miss still checks g
+    for m, h, bad in ((f2, (1,), (1, -1)), (zz, (1, 0), (1, 2, 3)), (s3, (0, 2, 1), (0, 0, 1)),
+                      (f2xz, ((1,), (1,)), ((1, -1), (0,))), (f2xz, ((), (1,)), ((), ()))):
+        sec = coset_section(m, h)
+        for g in m.metric.ball(3) * 2:
+            assert sec.retract(g) == m.mul(g, m.inv(sec.section(g)))
+        with pytest.raises(GroupMismatchError):
+            sec.retract(bad)
 
 
 def test_section_deterministic(f2):

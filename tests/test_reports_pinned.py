@@ -113,8 +113,10 @@ def test_report_file_matches_pin(name, tmp_path, monkeypatch):
 # on every drawn case, so the report lists each case in the order it was
 # drawn and the digest pins that order.  On f2xz the retraction is also made
 # wrong (its value is multiplied on the left by a generator), which pins the
-# failure texts of the metric checks.  s3 keeps its retraction: a wrong one
-# leaves Z_h there, and iota_h refuses it.
+# failure texts of the metric checks.  s3 keeps its retraction, so its digest
+# pins the drawn cases of the chain checks alone: a wrong retraction leaves Z_h
+# there, iota_h refuses its value, and each refusal is a failure text of its
+# own (``test_cli.test_retraction_leaving_the_centralizer_fails_its_cases``).
 SABOTAGED = {
     "f2xz": (True, "68df2779b31bf346b1b64b3b8fcbc08496d6abd3bb28a02b9d47fa5fea2101d3"),
     "s3": (False, "a298062ab20860c3e0e46ae7813c01a05dbdf01a798fe32251b73f81447ff8a8"),
