@@ -26,8 +26,8 @@ check each operand once with ``check_element`` and call the kernel, as
 the enumerated elements, and ``check_element`` is membership (the exact
 encoding type and a table lookup).  A product binds its factors' kernels and
 checks in its constructor; with two factors, as every fixture has, its kernel
-indexes the two components directly, and any other factor count runs the
-general comprehension over the factors.  Elements are checked at the edges
+and ``check_element`` index the two components directly, and any other factor
+count runs the general loop over the factors.  Elements are checked at the edges
 (``parse_group``, ``parse_element``, the public chain maps, a coset section
 on a cache miss), which then run the kernel.  A letter, coordinate or table
 index is an ``int``, never a ``bool``.
@@ -606,7 +606,8 @@ class ProductGroup(GroupModel):
         self._muls = [f._mul for f in self.factors]
         self._invs = [f._inv for f in self.factors]
         self._checks = [f.check_element for f in self.factors]
-        # every fixture's product has two factors: its kernel indexes them
+        # every fixture's product has two factors: its kernel and check
+        # index them
         self._pair = len(self.factors) == 2
 
     def mul(self, a, b):
@@ -636,6 +637,12 @@ class ProductGroup(GroupModel):
     def check_element(self, a):
         if not (isinstance(a, tuple) and len(a) == len(self._checks)):
             raise GroupMismatchError(f"{a!r} has wrong number of components")
+        if self._pair:
+            c0, c1 = self._checks
+            a0, a1 = a
+            c0(a0)
+            c1(a1)
+            return
         for check, x in zip(self._checks, a):
             check(x)
 

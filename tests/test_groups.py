@@ -287,7 +287,7 @@ def _on_general_path(m):
 
 
 @given(st.data())
-def test_two_factor_kernel_matches_comprehension(data):
+def test_two_factor_path_matches_general_path(data):
     f2xz = load_model("f2xz.json")
     assert f2xz._pair and not _THREE_FACTORS._pair
     ref = _on_general_path(f2xz)
@@ -300,6 +300,12 @@ def test_two_factor_kernel_matches_comprehension(data):
         f._mul(x, y) for f, x, y in zip(_THREE_FACTORS.factors, a, b))
     assert _THREE_FACTORS._inv(a) == tuple(
         f._inv(x) for f, x in zip(_THREE_FACTORS.factors, a))
+    # the checks agree too: each path rejects a bad component in either place
+    for m, bad in ((f2xz, ((1, -1), (0,))), (ref, ((1, -1), (0,))), (f2xz, ((), (0, 0))),
+                   (ref, ((), (0, 0))), (_THREE_FACTORS, (0, (), (True,))),
+                   (_THREE_FACTORS, (4, (), (0,)))):
+        with pytest.raises(GroupMismatchError):
+            m.check_element(bad)
 
 
 def test_element_strings_round_trip(s3, f2, zz, f2xz):
