@@ -27,9 +27,9 @@ the enumerated elements, and ``check_element`` is membership (the exact
 encoding type and a table lookup).  A product binds its factors' kernels and
 checks in its constructor; with two factors, as every fixture has, its kernel
 and ``check_element`` index the two components directly, and any other factor
-count runs the general loop over the factors.  Elements are checked at the edges
-(``parse_group``, ``parse_element``, the public chain maps, a coset section
-on a cache miss), which then run the kernel.  A letter, coordinate or table
+count runs the general loop over the factors.  Elements are checked at the
+edges (``parse_group``, ``parse_element``, the public chain maps, a coset
+section on a cache miss), which then run the kernel.  A letter, coordinate or table
 index is an ``int``, never a ``bool``.
 
 Behaviour that depends on the kind lives on the model class as well.  On
