@@ -29,7 +29,6 @@ from .metric import (
     ConjugacyClass,
     CosetSection,
     WordMetric,
-    centralizer,
     conjugacy_bound_profile,
     conjugacy_class,
     conjugacy_classes,

@@ -22,7 +22,7 @@ from .bar_complexes import bar_homology_ranks
 from .errors import DescriptorError, WorkbenchError
 from .groups import parse_group
 from .hochschild import homology_ranks
-from .metric import centralizer, conjugacy_bound_profile, conjugacy_class, conjugacy_classes
+from .metric import conjugacy_bound_profile, conjugacy_class, conjugacy_classes, coset_section
 from .norms import INTRINSIC_MAPS, PROFILE_MAPS, operator_growth_profile
 from .verify import default_class_reps, run_identity_suite
 
@@ -179,14 +179,14 @@ def _cmd_burghelea_check(args) -> int:
         h = model.parse_element(args.class_rep)
         x = conjugacy_class(model, h)
         hochschild_side = [r["betti"] for r in homology_ranks(model, max_degree, x=x)]
-        cz = centralizer(model, h)
+        realization = coset_section(model, h).realization
         z_elems = [g for g in model.elements() if model.commutes(g, h)]
         bar_side = bar_homology_ranks(z_elems, model.mul, max_degree)
         mismatches = [n for n in range(max_degree + 1)
                       if hochschild_side[n] != bar_side[n]]
         payload = {
             "class_rep": model.element_str(x.rep),
-            "centralizer_realization": cz.realization,
+            "centralizer_realization": realization,
             "hochschild_component_betti": hochschild_side,
             "bar_complex_betti": bar_side,
             "mismatched_degrees": mismatches,

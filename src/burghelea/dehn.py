@@ -110,10 +110,13 @@ class SimplicialComplex:
             raise DescriptorError("complex descriptor needs a vertices list")
         simplices = {}
         for key, ss in _checked(obj.get("simplices", {}), "simplices", dict).items():
+            # one spelling per dimension: "01", " 1", "+1" or "1_0" is not 1
             try:
                 dim = int(key)
             except ValueError:
-                raise DescriptorError(f"bad dimension key {key!r}") from None
+                dim = None
+            if dim is None or str(dim) != key:
+                raise DescriptorError(f"bad dimension key {key!r}")
             simplices[dim] = [tuple(_vertex_list(s, f"each {key}-simplex"))
                               for s in _checked(ss, f"simplices {key!r}", list)]
         return cls(_vertex_list(obj["vertices"], "vertices"), simplices)
@@ -465,7 +468,7 @@ class BarTruncation:
 
 
 def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
-                           p_grid: Iterable[int], samples: int = 10, seed: int = 0) -> dict:
+                           p_grid: Iterable[int], samples: int, seed: int) -> dict:
     """Sample boundaries c = d(b0) in the truncated bar complex, fill them by
     LP with the |.|_{k,1} objective, and tabulate |b|_{k,1} / |c|_{k+p,1}
     over the p grid.

@@ -34,7 +34,8 @@ index is an ``int``, never a ``bool``.
 
 Behaviour that depends on the kind lives on the model class as well.  On
 valid elements each kind implements (the realizations of the centralizer
-Z_h are in ``metric``; every kind uses ``whole_group`` where h is central):
+Z_h are in ``metric``, each one the ``CosetSection`` of Z_h, which
+``centralizer`` returns; every kind uses ``whole_group`` where h is central):
 
 ==============  ====================  ===================================
 kind            length                class_rep / centralizer
@@ -166,6 +167,7 @@ class GroupModel:
         raise NotImplementedError
 
     def centralizer(self, h: Element):
+        """Z_h, realized for this kind, as its ``metric.CosetSection``."""
         raise NotImplementedError
 
     def search_conjugator(self, g: Element, h: Element, bfs: Callable) -> Element:

@@ -11,10 +11,12 @@ once however many searches use them.
 The coset section s(y) picks, for every right coset y of a centralizer, a
 length-minimal representative (shortlex tie-break), and the retraction
 p_h(g) = g * s(Z_h g)^-1 is the induced 2-Lipschitz map onto the centralizer.
-The section is the one handle of a class component: it owns h, the memoized
-p_h and the memoized minimal conjugators ``conjugator(product)``.  All
-minimal choices in this module break ties by shortlex so that every
-downstream computation is reproducible.
+Each realization of Z_h (whole_group, finite_list, cyclic, product) is a
+``CosetSection``, the one handle of a class component: it owns h, the
+memoized sections, the memoized p_h and the memoized minimal conjugators
+``conjugator(product)``.  A product's components are its factors' own
+sections.  All minimal choices in this module break ties by shortlex so that
+every downstream computation is reproducible.
 """
 from __future__ import annotations
 
@@ -30,7 +32,8 @@ from .errors import (
 )
 from .groups import Element, GroupModel, bfs_distances
 
-DEFAULT_BALL_CAP = 1_000_000
+# Balls are materialized and sorted: one past this size is a ResourceCapError.
+BALL_CAP = 1_000_000
 
 
 class WordMetric:
@@ -41,9 +44,8 @@ class WordMetric:
     is the model's own instance.
     """
 
-    def __init__(self, model: GroupModel, ball_cap: int = DEFAULT_BALL_CAP):
+    def __init__(self, model: GroupModel):
         self.model = model
-        self.ball_cap = ball_cap
         self._ball_cache: dict[int, list[Element]] = {}
 
     def length(self, g: Element) -> int:
@@ -62,7 +64,7 @@ class WordMetric:
             raise ValueError("radius must be nonnegative")
         cached = self._ball_cache.get(radius)
         if cached is None:
-            elems = list(self.model.ball_elements(radius, self.ball_cap))
+            elems = list(self.model.ball_elements(radius, BALL_CAP))
             elems.sort(key=self.sort_key)
             cached = self._ball_cache[radius] = elems
         return list(cached)
@@ -92,18 +94,39 @@ def conjugacy_classes(model: GroupModel) -> list[ConjugacyClass]:
 
 
 # ---------------------------------------------------------------------------
-# centralizers
+# centralizers: each realization is a coset section
 # ---------------------------------------------------------------------------
 
-class CentralizerModel:
-    """Z_h inside an ambient model; ``GroupModel.centralizer`` picks the
-    realization for its kind."""
+class CosetSection:
+    """Z_h inside an ambient model, with a deterministic length-minimal
+    section of Z_h \\ G; ``GroupModel.centralizer`` picks the realization for
+    its kind.
+
+    A realization implements ``contains``, ``intrinsic_length``,
+    ``coset_rep`` and ``some_conjugator``.  This class defines the three
+    memoized maps on top of them: ``section(g)`` returns s(Z_h g), the
+    shortlex-least length-minimal representative of the coset of g;
+    ``retract(g)`` is p_h(g) = g s(...)^-1; ``conjugator(product)`` is the
+    minimal conjugator from h to a member of its class.
+
+    The memo of p_h sits inside ``retract`` itself, beside the section cache:
+    the identity suites reach p_h only through that one method (the window
+    check p_h(ag) = a p_h(g) calls it on every pair of its window), so a hit
+    costs one dict lookup and skips ``section``, and code that replaces
+    ``retract`` still sees every call.  Where p_h(g) equals g (s = e, as for
+    every central h) the memo stores g itself, so it holds no second copy of
+    the element.  No realization overrides the three: ``perfbench/tracer.py``
+    times ``section`` and ``retract`` by wrapping this class's own.
+    """
 
     realization: str
 
     def __init__(self, model: GroupModel, h: Element):
         self.model = model
         self.h = h
+        self._cache: dict[Element, Element] = {}
+        self._retracts: dict[Element, Element] = {}
+        self._conjugators: dict[Element, Element] = {}
 
     def contains(self, g: Element) -> bool:
         return self.model.commutes(g, self.h)
@@ -117,13 +140,46 @@ class CentralizerModel:
         """The shortlex-least length-minimal element of the coset Z_h g."""
         raise NotImplementedError
 
-    def conjugator(self, product: Element) -> Element:
+    def some_conjugator(self, product: Element) -> Element:
         """Some r with product = r^-1 h r, for product != h; raises
         NotConjugateError when product is not conjugate to h."""
         raise NotImplementedError
 
+    def section(self, g: Element) -> Element:
+        cached = self._cache.get(g)
+        if cached is None:
+            self.model.check_element(g)
+            cached = self._cache[g] = self.coset_rep(g)
+        return cached
 
-class WholeGroupCentralizer(CentralizerModel):
+    def retract(self, g: Element) -> Element:
+        """p_h(g) = g * s(Z_h g)^-1, a point of Z_h, memoized.  On a miss
+        ``section`` checks g (on its own cache miss), so the product runs on
+        the kernel."""
+        p = self._retracts.get(g)
+        if p is None:
+            p = self.model._mul(g, self.model._inv(self.section(g)))
+            self._retracts[g] = p = g if p == g else p
+        return p
+
+    def conjugator(self, product: Element) -> Element:
+        """Shortest r (shortlex tie-break) with product = r^-1 h r.
+
+        All conjugators form the coset Z_h r0, so the certified coset-section
+        minimum applied to any single conjugator r0 yields the global
+        minimum.  The realization's ``some_conjugator`` constructs r0: the
+        cyclic one from cyclic-reduction canonical forms, the finite one by
+        scanning the group, the product one componentwise; the class of a
+        central h is {h}.
+        """
+        r = self._conjugators.get(product)
+        if r is None:
+            r0 = self.model.identity if product == self.h else self.some_conjugator(product)
+            r = self._conjugators[product] = self.section(r0)
+        return r
+
+
+class WholeGroupCentralizer(CosetSection):
     realization = "whole_group"
 
     def intrinsic_length(self, g):
@@ -132,12 +188,12 @@ class WholeGroupCentralizer(CentralizerModel):
     def coset_rep(self, g):
         return self.model.identity
 
-    def conjugator(self, product):
+    def some_conjugator(self, product):
         # h is central, so its class is {h}
         raise NotConjugateError(f"{self.model.name}: product differs from h")
 
 
-class FiniteCentralizer(CentralizerModel):
+class FiniteCentralizer(CosetSection):
     realization = "finite_list"
 
     def __init__(self, model, h, elements: tuple[Element, ...]):
@@ -163,7 +219,7 @@ class FiniteCentralizer(CentralizerModel):
         m = self.model
         return min((m.mul(a, g) for a in self.elements), key=m.shortlex_key)
 
-    def conjugator(self, product):
+    def some_conjugator(self, product):
         m = self.model
         for r in m.elements():
             if m.conj(r, self.h) == product:
@@ -171,7 +227,7 @@ class FiniteCentralizer(CentralizerModel):
         raise NotConjugateError("exhaustive scan excludes the product from [h]")
 
 
-class CyclicCentralizer(CentralizerModel):
+class CyclicCentralizer(CosetSection):
     """Free-group centralizer <w> of h != e, with w the maximal root of h."""
 
     realization = "cyclic"
@@ -226,7 +282,7 @@ class CyclicCentralizer(CentralizerModel):
                 f"coset minimum not certified within window {window}")
         return min(orbit, key=m.shortlex_key)
 
-    def conjugator(self, product):
+    def some_conjugator(self, product):
         m = self.model
         if m.class_rep(self.h) != m.class_rep(product):
             raise NotConjugateError("distinct cyclic-reduction canonical forms")
@@ -244,97 +300,32 @@ class CyclicCentralizer(CentralizerModel):
         raise AssertionError("rotation search cannot fail")
 
 
-class ProductCentralizer(CentralizerModel):
-    """Z_h of a product: the product of the factors' centralizers, with one
-    coset section per factor, shared by sections and conjugators."""
+class ProductCentralizer(CosetSection):
+    """Z_h of a product: the product of the factors' centralizers.  Each
+    component is its factor's own coset section, so sections and
+    conjugators of the product share the factors' memos."""
 
     realization = "product"
 
     def __init__(self, model, h):
         super().__init__(model, h)
         self.components = tuple(f.centralizer(x) for f, x in zip(model.factors, h))
-        self.sections = tuple(CosetSection(c) for c in self.components)
 
     def intrinsic_length(self, g):
         return sum(c.intrinsic_length(x) for c, x in zip(self.components, g))
 
     def coset_rep(self, g):
-        return tuple(s.section(x) for s, x in zip(self.sections, g))
+        return tuple(c.section(x) for c, x in zip(self.components, g))
 
-    def conjugator(self, product):
-        return tuple(s.conjugator(x) for s, x in zip(self.sections, product))
-
-
-def centralizer(model: GroupModel, h: Element) -> CentralizerModel:
-    model.check_element(h)
-    return model.centralizer(h)
-
-
-# ---------------------------------------------------------------------------
-# coset sections and the retraction p_h
-# ---------------------------------------------------------------------------
-
-class CosetSection:
-    """Deterministic length-minimal section of Z_h \\ G.
-
-    ``section(g)`` returns s(Z_h g), the shortlex-least length-minimal
-    representative of the coset of g; ``retract(g)`` is p_h(g) = g s(...)^-1;
-    ``conjugator(product)`` is the memoized minimal conjugator from h to a
-    member of its class.
-
-    All three are memoized per element.  The memo of p_h sits inside
-    ``retract`` itself, beside the section cache: the identity suites reach
-    p_h only through that one method (the window check p_h(ag) = a p_h(g)
-    calls it on every pair of its window), so a hit costs one dict lookup
-    and skips ``section``, and code that replaces ``retract`` still sees
-    every call.  Where p_h(g) equals g (s = e, as for every central h) the
-    memo stores g itself, so it holds no second copy of the element.
-    """
-
-    def __init__(self, cz: CentralizerModel):
-        self.cz = cz
-        self.model = cz.model
-        self.h = cz.h
-        self._cache: dict[Element, Element] = {}
-        self._retracts: dict[Element, Element] = {}
-        self._conjugators: dict[Element, Element] = {}
-
-    def section(self, g: Element) -> Element:
-        cached = self._cache.get(g)
-        if cached is None:
-            self.model.check_element(g)
-            cached = self._cache[g] = self.cz.coset_rep(g)
-        return cached
-
-    def retract(self, g: Element) -> Element:
-        """p_h(g) = g * s(Z_h g)^-1, a point of Z_h, memoized.  On a miss
-        ``section`` checks g (on its own cache miss), so the product runs on
-        the kernel."""
-        p = self._retracts.get(g)
-        if p is None:
-            p = self.model._mul(g, self.model._inv(self.section(g)))
-            self._retracts[g] = p = g if p == g else p
-        return p
-
-    def conjugator(self, product: Element) -> Element:
-        """Shortest r (shortlex tie-break) with product = r^-1 h r.
-
-        All conjugators form the coset Z_h r0, so the certified coset-section
-        minimum applied to any single conjugator r0 yields the global
-        minimum.  The centralizer realization constructs r0: the cyclic one
-        from cyclic-reduction canonical forms, the finite one by scanning the
-        group, the product one componentwise; the class of a central h is
-        {h}.
-        """
-        r = self._conjugators.get(product)
-        if r is None:
-            r0 = self.model.identity if product == self.h else self.cz.conjugator(product)
-            r = self._conjugators[product] = self.section(r0)
-        return r
+    def some_conjugator(self, product):
+        return tuple(c.conjugator(x) for c, x in zip(self.components, product))
 
 
 def coset_section(model: GroupModel, h: Element) -> CosetSection:
-    return CosetSection(centralizer(model, h))
+    """The centralizer of h, realized for the model's kind, as its coset
+    section; the one constructor."""
+    model.check_element(h)
+    return model.centralizer(h)
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,8 @@ INTRINSIC_MAPS = ("pi_h", "iota_h")
 
 def operator_growth_profile(map_id: str, model: GroupModel,
                             h_sample: Iterable[Element], degree: int, radius: int,
-                            k_grid: Iterable[int], samples: int = 25, seed: int = 0,
-                            metric_variant: str = "induced") -> dict:
+                            k_grid: Iterable[int], samples: int, seed: int,
+                            metric_variant: str) -> dict:
     """Max ratios |map(c)|_{k,1} / |c|_{k',1} over sampled generators, per
     class representative, with a log-log growth fit against |h_x|.
 
@@ -160,7 +160,7 @@ def operator_growth_profile(map_id: str, model: GroupModel,
 def _profile_setup(map_id: str, section: CosetSection, metric_variant: str):
     """(domain (NormFamily, chain kind), codomain NormFamily, map, sampler)."""
     model, h = section.model, section.h
-    z_length = section.cz.intrinsic_length if metric_variant == "intrinsic" else None
+    z_length = section.intrinsic_length if metric_variant == "intrinsic" else None
     tensor_g = NormFamily(model, "hochschild-tensor")
     tensor_z = NormFamily(model, "hochschild-tensor", length_fn=z_length)
     rd = NormFamily(model, "rd-chain")

@@ -217,7 +217,7 @@ def conjugator_cross_check(section: CosetSection, samples: int, radius: int,
 
 
 def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
-                           radius: int, seed: int) -> dict:
+                           radius: int, seed: int) -> list[dict]:
     """Check the commuting square for theta_h and the transferred homotopy.
 
     Identities checked exactly, per degree n <= n_max, on quotient
@@ -229,7 +229,8 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
         id - iota pi  = b Dbar + Dbar b     (on C_.(QG)_x)
         pi_h . iota_h = id
 
-    Any failure is reported with the offending generator.
+    Returns the list of checks, as every suite does; each failure names the
+    offending generator.
     """
     m, h = section.model, section.h
     rng = random.Random(seed)
@@ -281,13 +282,7 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
             check_identity("pi.iota == id", n, z_gens, text, ("", retraction)),
         ]
 
-    return {
-        "model": m.name,
-        "h": m.element_str(h),
-        "n_max": n_max,
-        "checks": checks,
-        "all_passed": all(not c["failures"] for c in checks),
-    }
+    return checks
 
 
 def run_identity_suite(model: GroupModel, h: Optional[Element], max_degree: int,
@@ -304,8 +299,7 @@ def run_identity_suite(model: GroupModel, h: Optional[Element], max_degree: int,
                                    min(max_degree, 2), seed, radius),
             metric_suite(section, min(radius + 2, 4)),
             conjugator_cross_check(section, min(samples, 30), radius, seed),
-            verify_homotopy_square(section, min(max_degree, 2), samples, radius,
-                                   seed)["checks"],
+            verify_homotopy_square(section, min(max_degree, 2), samples, radius, seed),
         ]
         all_checks += [dict(check, identity_name=prefix + check["identity_name"])
                        for battery in batteries for check in battery]

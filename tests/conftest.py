@@ -37,6 +37,13 @@ MALFORMED_COMPLEXES = [
     {"vertices": [[0], 1]},
     {"vertices": [0, 1, 2], "simplices": {"1": [[0, [1]]]}},
     {"vertices": [0, True]},
+    # a dimension key is its canonical decimal spelling, so no two keys name
+    # one dimension
+    {"vertices": [0, 1, 2], "simplices": {"1": [[0, 1], [1, 2], [0, 2]], "01": [[0, 1]]}},
+    {"vertices": [0, 1], "simplices": {" 1": [[0, 1]]}},
+    {"vertices": [0, 1], "simplices": {"+1": [[0, 1]]}},
+    {"vertices": [0, 1], "simplices": {"1_0": []}},
+    {"vertices": [0, 1], "simplices": {"\u0661": [[0, 1]]}},  # Arabic-Indic one
 ]
 
 

@@ -11,11 +11,11 @@ from burghelea import (
     conjugacy_bound_profile,
     conjugacy_class,
     conjugacy_classes,
-    centralizer,
     coset_section,
     find_conjugator,
     parse_group,
 )
+from burghelea import metric
 from burghelea.groups import FreeGroup, class_members
 from conftest import load_complex_obj, load_model
 
@@ -88,7 +88,7 @@ def test_ball_counts_and_determinism(f2, zz):
     assert len(wf.ball(2)) == 17
     assert len(zz.metric.ball(1)) == 5
     b1 = wf.ball(2)
-    b2 = WordMetric(f2.__class__(2) if False else f2).ball(2)
+    b2 = WordMetric(FreeGroup(2)).ball(2)
     assert b1 == b2
     assert len(set(b1)) == len(b1)
 
@@ -100,13 +100,11 @@ def test_model_carries_one_metric(f2, f2xz):
         assert m.metric.model is m
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
     from burghelea import ResourceCapError
-    from conftest import load_model
-    f2 = load_model("f2.json")
-    wm = WordMetric(f2, ball_cap=10)
+    monkeypatch.setattr(metric, "BALL_CAP", 10)
     with pytest.raises(ResourceCapError):
-        wm.ball(3)
+        WordMetric(FreeGroup(2)).ball(3)
 
 
 # -- conjugacy classes --------------------------------------------------------
@@ -162,40 +160,40 @@ def test_product_class_componentwise(f2xz):
 # -- centralizers --------------------------------------------------------------
 
 def test_centralizer_whole_group_abelian(zz):
-    cz = centralizer(zz, (1, 0))
-    assert cz.realization == "whole_group"
+    sec = coset_section(zz, (1, 0))
+    assert sec.realization == "whole_group"
 
 
 def test_centralizer_free_maximal_root(f2):
     wm = f2.metric
-    cz = centralizer(f2, (1, 1))  # a^2
-    assert cz.realization == "cyclic"
-    assert cz.root == (1,)
+    sec = coset_section(f2, (1, 1))  # a^2
+    assert sec.realization == "cyclic"
+    assert sec.root == (1,)
     # brute-force commutation on the radius-4 ball agrees with membership
     for g in wm.ball(4):
-        assert cz.contains(g) == f2.commutes(g, (1, 1))
+        assert sec.contains(g) == f2.commutes(g, (1, 1))
 
 
 def test_centralizer_conjugated_root(f2):
     # h = b a^2 b^-1 has maximal root b a b^-1
     h = f2.mul(f2.mul((2,), (1, 1)), (-2,))
-    cz = centralizer(f2, h)
-    assert cz.root == (2, 1, -2)
+    sec = coset_section(f2, h)
+    assert sec.root == (2, 1, -2)
 
 
 def test_centralizer_finite_exhaustive(s3):
-    cz = centralizer(s3, (1, 0, 2))
-    assert cz.realization == "finite_list"
-    assert set(cz.elements) == {g for g in s3.elements() if s3.commutes(g, (1, 0, 2))}
-    assert len(cz.elements) == 2
+    sec = coset_section(s3, (1, 0, 2))
+    assert sec.realization == "finite_list"
+    assert set(sec.elements) == {g for g in s3.elements() if s3.commutes(g, (1, 0, 2))}
+    assert len(sec.elements) == 2
 
 
 def test_centralizer_stored_elements_commute(d4, f2xz, s3xz):
     cases = [(d4, h) for h in d4.elements()]
     cases += [(m, h) for m in (f2xz, s3xz) for h in m.metric.ball(2)]
     for m, h in cases:
-        cz = centralizer(m, h)
-        for part in (cz.components if cz.realization == "product" else (cz,)):
+        sec = coset_section(m, h)
+        for part in (sec.components if sec.realization == "product" else (sec,)):
             f = part.model
             if part.realization == "finite_list":
                 elems = part.elements
@@ -241,7 +239,7 @@ def test_section_minimality_and_equivariance(f2, s3, z4, f2xz, s3xz):
             s = sec.section(g)
             assert wm.length(s) <= wm.length(g)
             # the coset of the section matches the coset of g
-            assert sec.cz.contains(m.mul(g, m.inv(s)))
+            assert sec.contains(m.mul(g, m.inv(s)))
             assert wm.length(sec.retract(g)) <= 2 * wm.length(g)
         for a in z_ball:
             for g in ball:
@@ -324,13 +322,13 @@ def test_minimal_conjugator_matches_bfs(f2, s3, f2xz, s3xz):
         for h in (ball[1], ball[3]):
             sec = coset_section(m, h)
             built = []
-            realize = sec.cz.conjugator
+            realize = sec.some_conjugator
 
             def counting(product):
                 built.append(product)
                 return realize(product)
 
-            sec.cz.conjugator = counting
+            sec.some_conjugator = counting
             products = set()
             for _ in range(25):
                 y = rng.choice(ball)
@@ -342,6 +340,18 @@ def test_minimal_conjugator_matches_bfs(f2, s3, f2xz, s3xz):
                 products.add(product)
             # memoized: each product's conjugator is constructed once
             assert sorted(built, key=m.shortlex_key) == sorted(products - {h}, key=m.shortlex_key)
+
+
+def test_product_section_shares_its_factors_memos(f2xz):
+    # a product's components are its factors' own coset sections, so the
+    # product's minimal conjugator is assembled from, and left in, their memos
+    h = ((1, 2), (1,))
+    sec = coset_section(f2xz, h)
+    products = {f2xz.conj(y, h) for y in f2xz.metric.ball(2)} - {h}
+    assert len(products) > 1
+    for p in sorted(products, key=f2xz.shortlex_key):
+        r = sec.conjugator(p)
+        assert r == tuple(c._conjugators[x] for c, x in zip(sec.components, p))
 
 
 def test_find_conjugator_builds_factor_balls_once(monkeypatch):

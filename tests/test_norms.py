@@ -119,7 +119,7 @@ def test_pi_h_degree_zero_norm_bound(s3, f2):
 def test_profile_abelian_pi_ratios_one(zz, z4):
     for m in (zz, z4):
         prof = operator_growth_profile("pi_h", m, m.metric.ball(2), 1, 2, [0, 1, 2],
-                                       samples=8, seed=5)
+                                       samples=8, seed=5, metric_variant="induced")
         matching = [r for r in prof["rows"] if r["k"] == r["k_prime"]]
         assert matching
         assert all(r["max_ratio_num"] == r["max_ratio_den"] for r in matching)
@@ -138,7 +138,7 @@ def test_profile_iota_isometric_on_induced(s3, f2):
 def test_profile_f2_pi_finite_ratios_with_fit(f2):
     h_sample = f2.metric.ball(3)
     prof = operator_growth_profile("pi_h", f2, h_sample, 1, 2, [0, 1],
-                                   samples=6, seed=7)
+                                   samples=6, seed=7, metric_variant="induced")
     assert prof["rows"]
     assert all(r["max_ratio_den"] > 0 for r in prof["rows"])
     assert prof["fits"] and all("slope" in f for f in prof["fits"])
@@ -147,7 +147,7 @@ def test_profile_f2_pi_finite_ratios_with_fit(f2):
 def test_profile_all_maps_run(s3):
     for map_id in PROFILE_MAPS:
         prof = operator_growth_profile(map_id, s3, [(0, 2, 1)], 1, 2, [0, 1],
-                                       samples=5, seed=8)
+                                       samples=5, seed=8, metric_variant="induced")
         assert prof["rows"], map_id
 
 

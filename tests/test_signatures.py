@@ -68,9 +68,9 @@ def test_only_pi_h_takes_a_conjugator():
 
 
 def test_no_removed_switch_or_knob_returns():
-    # every LP optimum is certified; the order cap and the fill report's
-    # ratio bound are module constants
-    banned = {"check_duality", "max_order", "ratio_bound"}
+    # every LP optimum is certified; the order cap, the ball cap and the fill
+    # report's ratio bound are module constants
+    banned = {"check_duality", "max_order", "ratio_bound", "ball_cap"}
     takers = [name for name, fn in _callables()
               if banned & set(inspect.signature(fn).parameters)]
     assert takers == []
