@@ -20,10 +20,13 @@ E complex (``homotopy``), the C-bar complex (``bar_complexes``) and
 simplicial complexes (``dehn``) all use it; the same face functions feed the
 sparse boundary matrices of ``linalg.boundary_columns``.
 
-Elements are checked at the edge.  A public chain map that touches the group
-law checks every entry of its input chain once, with ``check_chain``, and
+Elements are checked at the edge, once per chain and model.  A public chain
+map that touches the group law passes its input to ``check_chain``, which
+checks every entry and records the model in the chain's ``checked`` slot;
 its face and on-basis functions then run the model's unchecked kernel
-(``_mul``/``_inv``) on those entries and on the products they make.
+(``_mul``/``_inv``).  ``linear_extend`` copies the mark to its result (every
+on-basis map sends valid entries to valid entries), and a sum, difference or
+multiple keeps the mark its operands share.
 """
 from __future__ import annotations
 
@@ -55,7 +58,7 @@ def _arity_error(t, kind: str, degree: int, n: int) -> KindMismatchError:
 class Chain:
     """Immutable finitely supported chain with Fraction coefficients."""
 
-    __slots__ = ("kind", "degree", "terms")
+    __slots__ = ("kind", "degree", "terms", "checked")
 
     def __init__(self, kind: str, degree: int,
                  terms: Mapping[BasisTuple, Fraction] | Iterable[tuple[BasisTuple, Fraction]] = ()):
@@ -80,6 +83,15 @@ class Chain:
         self.kind = kind
         self.degree = degree
         self.terms = acc
+        self.checked = None
+
+    @staticmethod
+    def _of(kind: str, degree: int, terms: dict[BasisTuple, Fraction],
+            checked: GroupModel | None) -> "Chain":
+        """A chain on a term map that already has the right arity and no zero."""
+        out = Chain.__new__(Chain)
+        out.kind, out.degree, out.terms, out.checked = kind, degree, terms, checked
+        return out
 
     @classmethod
     def zero(cls, kind: str, degree: int) -> "Chain":
@@ -97,11 +109,14 @@ class Chain:
             raise KindMismatchError(
                 f"cannot combine {self.kind}/{self.degree} with {other.kind}/{other.degree}")
 
-    def __add__(self, other: "Chain") -> "Chain":
+    def _merge(self, other: "Chain", negate: bool) -> "Chain":
         self._check_compatible(other)
         acc = dict(self.terms)
+        get = acc.get
         for t, q in other.terms.items():
-            s = acc.get(t)
+            if negate:
+                q = -q
+            s = get(t)
             if s is None:
                 acc[t] = q
             else:
@@ -110,22 +125,23 @@ class Chain:
                     acc[t] = s
                 else:
                     del acc[t]
-        out = Chain.__new__(Chain)
-        out.kind, out.degree, out.terms = self.kind, self.degree, acc
-        return out
+        return Chain._of(self.kind, self.degree, acc,
+                         self.checked if self.checked is other.checked else None)
+
+    def __add__(self, other: "Chain") -> "Chain":
+        return self._merge(other, False)
 
     def __sub__(self, other: "Chain") -> "Chain":
-        return self + other.scale(Fraction(-1))
+        return self._merge(other, True)
 
     def __neg__(self) -> "Chain":
         return self.scale(Fraction(-1))
 
     def scale(self, q) -> "Chain":
         q = Fraction(q)
-        out = Chain.__new__(Chain)
-        out.kind, out.degree = self.kind, self.degree
-        out.terms = {} if not q else {t: c * q for t, c in self.terms.items()}
-        return out
+        return Chain._of(self.kind, self.degree,
+                         {t: c * q for t, c in self.terms.items()} if q else {},
+                         self.checked)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Chain) and self.kind == other.kind
@@ -148,7 +164,8 @@ def linear_extend(c: Chain, kind: str, degree: int,
 
     One pass: each output term goes straight into the result's term map,
     after the same arity check as the constructor's, and a coefficient that
-    cancels to zero (or a zero coefficient r) is never stored."""
+    cancels to zero (or a zero coefficient r) is never stored.  The result
+    keeps c's ``checked`` mark: ``on_basis`` must keep entries valid."""
     n = arity(kind, degree)
     acc: dict[BasisTuple, Fraction] = {}
     get = acc.get
@@ -174,18 +191,20 @@ def linear_extend(c: Chain, kind: str, degree: int,
                     acc[u] = s
                 else:
                     del acc[u]
-    out = Chain.__new__(Chain)
-    out.kind, out.degree, out.terms = kind, degree, acc
-    return out
+    return Chain._of(kind, degree, acc, c.checked)
 
 
 def check_chain(model: GroupModel, c: Chain) -> None:
     """Raise GroupMismatchError unless every entry of every basis tuple of c
-    is an element of ``model``: the edge check of a public chain map."""
+    is an element of ``model``: the edge check of a public chain map.  A chain
+    already marked ``checked`` with this very model passes at once."""
+    if c.checked is model:
+        return
     check = model.check_element
     for t in c.terms:
         for x in t:
             check(x)
+    c.checked = model
 
 
 def simplex_faces(t: BasisTuple) -> Iterator[tuple[BasisTuple, int]]:

@@ -91,12 +91,14 @@ class SimplicialComplex:
         for dim, ss in self.simplices.items():
             if dim == 0:
                 continue
+            if dim - 1 not in self._index:
+                raise DescriptorError(f"dimension {dim} is listed without dimension {dim - 1}")
             for s in ss:
                 for f, _ in simplex_faces(s):
-                    if f not in self._index.get(dim - 1, {}):
+                    if f not in self._index[dim - 1]:
                         raise DescriptorError(f"face {f!r} of {s!r} is missing")
         self._columns = {
-            dim: list(boundary_columns(ss, self._index.get(dim - 1, {}), simplex_faces))
+            dim: list(boundary_columns(ss, self._index[dim - 1], simplex_faces))
             for dim, ss in self.simplices.items() if dim >= 1}
         for dim in self.simplices:
             if dim >= 2:

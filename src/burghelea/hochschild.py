@@ -14,7 +14,8 @@ finite models are computed by exact rational elimination.
 
 A model's word metric is ``model.metric``.  The class-component map pi_h
 takes the coset section of h alone: the section owns h, the retraction p_h
-and the memoized minimal conjugators.
+and the memoized minimal conjugators, and pi_h memoizes its image of each
+generator there too.
 """
 from __future__ import annotations
 
@@ -114,12 +115,16 @@ def pi_h(section: CosetSection, c: Chain,
 
     with p = p_h; the output does not depend on the choice of r, so any
     conjugator map into the model may replace the section's minimal
-    ``section.conjugator``.
+    ``section.conjugator``.  With that default the image of each generator is
+    memoized on the section (``section._pi``); a caller-supplied conjugator
+    neither reads nor fills that memo, so it computes its own image.
     """
     if c.kind != "hochschild":
         raise GroupMismatchError("pi_h needs a hochschild chain")
     if conjugator is None:
-        conjugator = section.conjugator
+        conjugator, memo = section.conjugator, section._pi
+    else:
+        memo = {}
     m = section.model
     check_chain(m, c)
     mul, inv = m._mul, m._inv
@@ -127,18 +132,21 @@ def pi_h(section: CosetSection, c: Chain,
     p = section.retract
 
     def on_basis(t):
-        r = conjugator(entry_product(m, t))
-        prefixes = []
-        acc = r
-        for x in t:
-            acc = mul(acc, x)
-            prefixes.append(acc)
-        retracts = [p(x) for x in prefixes]
-        first = mul(mul(inv(retracts[-1]), h), retracts[0])
-        entries = [first]
-        for i in range(len(t) - 1):
-            entries.append(mul(inv(retracts[i]), retracts[i + 1]))
-        yield tuple(entries), ONE
+        u = memo.get(t)
+        if u is None:
+            r = conjugator(entry_product(m, t))
+            prefixes = []
+            acc = r
+            for x in t:
+                acc = mul(acc, x)
+                prefixes.append(acc)
+            retracts = [p(x) for x in prefixes]
+            first = mul(mul(inv(retracts[-1]), h), retracts[0])
+            entries = [first]
+            for i in range(len(t) - 1):
+                entries.append(mul(inv(retracts[i]), retracts[i + 1]))
+            u = memo[t] = tuple(entries)
+        return ((u, ONE),)
 
     return linear_extend(c, "hochschild", c.degree, on_basis)
 
@@ -154,7 +162,7 @@ def iota_h(model: GroupModel, h: Element, c: Chain) -> Chain:
             if mul(x, h) != mul(h, x):
                 raise GroupMismatchError(
                     f"entry {model.element_str(x)} lies outside the centralizer")
-    return Chain(c.kind, c.degree, c.terms)
+    return Chain._of(c.kind, c.degree, dict(c.terms), c.checked)
 
 
 # ---------------------------------------------------------------------------

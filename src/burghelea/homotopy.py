@@ -24,7 +24,8 @@ map ``theta_tuple`` and from the translation differences.
 
 p^E, D, Dbar and the lift of theta_h take the coset section of h alone: the
 section owns the model, h, the retraction p_h and the memoized minimal
-conjugators.  A model's word metric is ``model.metric``.
+conjugators, and D memoizes its terms on each generator there too.  A
+model's word metric is ``model.metric``.
 
 This module holds the maps and their rank data only.  The identities the
 maps satisfy are checked by ``verify.verify_homotopy_square``.
@@ -70,27 +71,31 @@ def p_e(section: CosetSection, c: Chain) -> Chain:
 def homotopy_d(section: CosetSection, c: Chain) -> Chain:
     """The chain homotopy D_n : E_n(G) -> E_{n+1}(G) for id - i^E p^E.
 
-    The inductive prepend is extended linearly over the inner chain.
+    The inductive prepend is extended linearly over the inner chain.  D's
+    terms on each generator are memoized on the section
+    (``section._homotopy``); the recursion goes through this function.
     """
     if c.kind != "e":
         raise GroupMismatchError("homotopy_d needs an e-complex chain")
-    check_chain(section.model, c)
+    m = section.model
+    check_chain(m, c)
     n = c.degree
-    p = section.retract
+    p, memo = section.retract, section._homotopy
 
-    if n == 0:
-        def d0(t):
-            yield (p(t[0]), t[0]), ONE
-        return linear_extend(c, "e", 1, d0)
+    def on_basis(t):
+        terms = memo.get(t)
+        if terms is None:
+            if n == 0:
+                terms = [((p(t[0]), t[0]), ONE)]
+            else:
+                gen = Chain._of("e", n, {t: ONE}, c.checked)
+                inner = (gen - iota_h(m, section.h, p_e(section, gen))
+                         - homotopy_d(section, boundary_e(gen)))
+                terms = [((t[0],) + u, q) for u, q in inner.terms.items()]
+            memo[t] = terms
+        return terms
 
-    def dn(t):
-        gen = Chain.basis("e", n, t)
-        ip = iota_h(section.model, section.h, p_e(section, gen))
-        inner = gen - ip - homotopy_d(section, boundary_e(gen))
-        for u, q in inner.terms.items():
-            yield (t[0],) + u, q
-
-    return linear_extend(c, "e", n + 1, dn)
+    return linear_extend(c, "e", n + 1, on_basis)
 
 
 def theta_tuple(model: GroupModel, h: Element, t: tuple) -> Iterator[tuple[tuple, int]]:

@@ -117,6 +117,10 @@ class CosetSection:
     every central h) the memo stores g itself, so it holds no second copy of
     the element.  No realization overrides the three: ``perfbench/tracer.py``
     times ``section`` and ``retract`` by wrapping this class's own.
+
+    The chain maps keep two memos here: ``_pi``, a generator's image under
+    ``pi_h`` with the minimal conjugator (a caller-supplied conjugator
+    bypasses it), and ``_homotopy``, the terms of D on an E generator.
     """
 
     realization: str
@@ -127,6 +131,8 @@ class CosetSection:
         self._cache: dict[Element, Element] = {}
         self._retracts: dict[Element, Element] = {}
         self._conjugators: dict[Element, Element] = {}
+        self._pi: dict[tuple, tuple] = {}
+        self._homotopy: dict[tuple, list] = {}
 
     def contains(self, g: Element) -> bool:
         return self.model.commutes(g, self.h)

@@ -44,6 +44,8 @@ MALFORMED_COMPLEXES = [
     {"vertices": [0, 1], "simplices": {"+1": [[0, 1]]}},
     {"vertices": [0, 1], "simplices": {"1_0": []}},
     {"vertices": [0, 1], "simplices": {"\u0661": [[0, 1]]}},  # Arabic-Indic one
+    # an empty dimension over an absent one
+    {"vertices": [0, 1], "simplices": {"3": []}},
 ]
 
 

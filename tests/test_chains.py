@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import load_model
+
 from burghelea import (
     GroupMismatchError,
     KindMismatchError,
@@ -171,3 +173,33 @@ def test_chain_maps_reject_non_members(f2xz, z4):
         for call in calls:
             with pytest.raises(GroupMismatchError):
                 call()
+
+
+def test_a_chain_is_checked_once_per_model(z2, z4):
+    # the mark is the model object: a chain checked against Z4 is checked
+    # again against Z2, where 3 is no element, and against a second Z4
+    c = Chain.basis("hochschild", 1, (3, 1))
+    assert c.checked is None
+    assert chain_from_obj(z4, "hochschild", 1, [{"tuple": ["g", "e"], "coeff": "1"}]).checked is None
+    b = hochschild_boundary(z4, c)
+    assert c.checked is z4 and b.checked is z4
+    assert (c + c).checked is z4 and (c - c.scale(2)).checked is z4
+    assert (c + Chain.basis("hochschild", 1, (3, 1))).checked is None
+    for chain in (c, c + c, c.scale(3)):
+        with pytest.raises(GroupMismatchError):
+            hochschild_boundary(z2, chain)
+    other = load_model("z4.json")
+    seen = []
+    other.check_element = seen.append
+    for _ in range(3):
+        hochschild_boundary(other, c)
+    assert seen == [3, 1] and c.checked is other
+
+
+def test_sub_merges_in_one_pass():
+    t, u = ((1,), (2,)), ((2,), (1,))
+    c = Chain("hochschild", 1, [(t, Fraction(3, 2)), (u, Fraction(1))])
+    d = Chain("hochschild", 1, [(t, Fraction(3, 2)), (u, Fraction(-2, 3)), (t[::-1] + (), 0)])
+    assert (c - d).terms == {u: Fraction(5, 3)}
+    assert c - d == c + d.scale(-1) == -(d - c)
+    assert (c - c).is_zero()

@@ -3,6 +3,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+
+from conftest import load_model
 
 from burghelea import (
     GroupMismatchError,
@@ -170,6 +173,53 @@ def test_pi_h_well_defined_under_conjugator_change(s3, f2):
             alt = lambda product: m.mul(a, base(product))
             c = Chain.basis("hochschild", n, t)
             assert pi_h(sec, c, conjugator=base) == pi_h(sec, c, conjugator=alt)
+
+
+# f2, s3 and a non-central h of f2xz; one section each is shared by every
+# example, so later examples read its memo warm
+_PI_CASES = [(load_model("f2.json"), (1,)), (load_model("s3.json"), (0, 2, 1)),
+             (load_model("f2xz.json"), ((1,), (1,)))]
+_WARM = [coset_section(m, h) for m, h in _PI_CASES]
+
+
+@given(st.data())
+def test_memoized_pi_h_matches_the_memo_free_path(data):
+    # pi_h with the section's own conjugator passed in reads and fills no memo
+    for (m, h), warm in zip(_PI_CASES, _WARM):
+        n = data.draw(st.integers(0, 3))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        ball = m.metric.ball(2)
+        c = Chain("hochschild", n, [(sample_component_tuple(m, rng, ball, h, n), Fraction(k))
+                                    for k in range(1, data.draw(st.integers(1, 4)) + 1)])
+        cold = coset_section(m, h)
+        reference = pi_h(cold, c, conjugator=cold.conjugator)
+        assert not cold._pi
+        for sec in (cold, warm, cold):
+            assert pi_h(sec, c) == reference
+        assert set(cold._pi) == set(c.terms)
+        assert pi_h(warm, c, conjugator=warm.conjugator) == reference
+
+
+def test_pi_h_with_a_wrong_conjugator_bypasses_a_warm_memo(f2, f2xz):
+    # g r is no conjugator for g outside Z_h, and pi_h's image changes; after
+    # the memo holds the right image it must still return the one g r gives
+    rng = random.Random(3)
+    for m, h, g in ((f2, (1,), (2,)), (f2xz, ((1,), (1,)), ((2,), (0,)))):
+        sec = coset_section(m, h)
+        ball = m.metric.ball(2)
+        cases = [Chain.basis("hochschild", n, sample_component_tuple(m, rng, ball, h, n))
+                 for n in (1, 2, 3) for _ in range(5)]
+        right = [pi_h(sec, c) for c in cases]
+        memo = dict(sec._pi)
+        differ = 0
+        for c, image in zip(cases, right):
+            fresh = coset_section(m, h)
+            wrong = pi_h(sec, c, conjugator=lambda p: m.mul(g, sec.conjugator(p)))
+            assert wrong == pi_h(fresh, c, conjugator=lambda p: m.mul(g, fresh.conjugator(p)))
+            assert not fresh._pi
+            differ += wrong != image
+        assert sec._pi == memo
+        assert differ, "every image agreed: the test could not tell a memo read"
 
 
 def test_iota_round_trip_and_validation(s3):

@@ -101,6 +101,23 @@ def test_homotopy_identity_degrees_up_to_three(fixture, h, request):
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("fixture,h", [("s3", (0, 2, 1)), ("f2", (1,)), ("zz", (1, 0)),
+                                       ("f2xz", ((1,), (1,)))])
+def test_memoized_homotopy_matches_a_fresh_section(fixture, h, request):
+    # D memoizes its terms per generator on the section; degree 2 runs first,
+    # so degrees 1 and 0 then hit what its recursion stored
+    m = request.getfixturevalue(fixture)
+    rng = random.Random(11)
+    ball = m.metric.ball(2)
+    warm = coset_section(m, h)
+    for n in (2, 1, 0, 2):
+        for _ in range(10):
+            c = Chain("e", n, [(tuple(rng.choice(ball) for _ in range(n + 1)),
+                                Fraction(rng.randint(1, 3))) for _ in range(3)])
+            assert homotopy_d(warm, c) == homotopy_d(coset_section(m, h), c)
+    assert {len(t) for t in warm._homotopy} == {1, 2, 3}
+
+
 def test_equivariance_exhaustive_s3(s3):
     h = (0, 2, 1)
     sec = coset_section(s3, h)
