@@ -56,7 +56,8 @@ def _arity_error(t, kind: str, degree: int, n: int) -> KindMismatchError:
 
 
 class Chain:
-    """Immutable finitely supported chain with Fraction coefficients."""
+    """Immutable finitely supported chain with Fraction coefficients; only
+    its ``checked`` mark is set later, by ``check_chain``."""
 
     __slots__ = ("kind", "degree", "terms", "checked")
 

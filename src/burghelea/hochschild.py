@@ -115,9 +115,8 @@ def pi_h(section: CosetSection, c: Chain,
 
     with p = p_h; the output does not depend on the choice of r, so any
     conjugator map into the model may replace the section's minimal
-    ``section.conjugator``.  With that default the image of each generator is
-    memoized on the section (``section._pi``); a caller-supplied conjugator
-    neither reads nor fills that memo, so it computes its own image.
+    ``section.conjugator``.  With that default each generator's image is
+    memoized in ``section._pi``, which a caller-supplied conjugator bypasses.
     """
     if c.kind != "hochschild":
         raise GroupMismatchError("pi_h needs a hochschild chain")
