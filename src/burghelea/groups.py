@@ -24,12 +24,19 @@ check each operand once with ``check_element`` and call the kernel, as
 ``conj``, ``commutes`` and ``power`` do.  The two finite kinds share
 ``FiniteGroup``'s law: its constructor tabulates products and inverses of
 the enumerated elements, and ``check_element`` is membership (the exact
-encoding type and a table lookup).  A product binds its factors' kernels and
-checks in its constructor; with two factors, as every fixture has, its kernel
-and ``check_element`` index the two components directly, and any other factor
-count runs the general loop over the factors.  Elements are checked at the
-edges (``parse_group``, ``parse_element``, the public chain maps, a coset
-section on a cache miss), which then run the kernel.  A letter, coordinate or table
+encoding type and a table lookup).  A free kernel returns ``a + b`` at once
+when nothing cancels at the junction, as in most products, and otherwise
+counts the cancelled letters; a free ``check_element`` is one pass over the
+letters carrying the previous one.  Free-abelian rank 1 adds, negates and
+checks its one coordinate directly; any other rank maps over the
+coordinates.  A product binds its factors' kernels and checks in its
+constructor; with two factors, as every fixture has, its kernel and
+``check_element`` index the two components directly, and any other factor
+count runs the general loop over the factors.  Kernels are methods of each
+kind's class body, not closures bound per instance, so a profiler or tracer
+can wrap them on the class.  Elements are checked at the edges
+(``parse_group``, ``parse_element``, the public chain maps, a coset section
+on a cache miss), which then run the kernel.  A letter, coordinate or table
 index is an ``int``, never a ``bool``.
 
 Behaviour that depends on the kind lives on the model class as well.  On
@@ -426,8 +433,11 @@ class FreeGroup(GroupModel):
         return self._inv(a)
 
     def _mul(self, a, b):
-        # only the junction can cancel when both factors are reduced
-        k = 0
+        # only the junction can cancel when both factors are reduced, and
+        # most products cancel nothing there
+        if not a or not b or a[-1] != -b[0]:
+            return a + b
+        k = 1
         while k < len(a) and k < len(b) and a[len(a) - 1 - k] == -b[k]:
             k += 1
         return a[:len(a) - k] + b[k:]
@@ -438,11 +448,14 @@ class FreeGroup(GroupModel):
     def check_element(self, a):
         if not isinstance(a, tuple):
             raise GroupMismatchError(f"{a!r} is not a word tuple")
-        for i, x in enumerate(a):
-            if type(x) is not int or x == 0 or abs(x) > self.rank:
+        rank = self.rank
+        prev = 0  # no letter is 0, so the first letter passes the second test
+        for x in a:
+            if type(x) is not int or not x or not -rank <= x <= rank:
                 raise GroupMismatchError(f"letter {x!r} outside alphabet of {self.name}")
-            if i and a[i - 1] == -x:
+            if x == -prev:
                 raise GroupMismatchError(f"word {a!r} is not freely reduced")
+            prev = x
 
     def element_key(self, a):
         return tuple(letter_rank(x) for x in a)
@@ -470,10 +483,14 @@ class FreeGroup(GroupModel):
         return len(a)
 
     def ball_elements(self, radius, cap):
-        k = 2 * self.rank - 1
-        expected = 1 + 2 * radius if k == 1 else 1 + (k + 1) * (k ** radius - 1) // (k - 1)
-        if expected > cap:
-            raise ResourceCapError(f"ball of size {expected} exceeds cap {cap}")
+        # count sphere by sphere and stop past the cap: the exact size has
+        # about radius * log10(2 * rank - 1) digits
+        size, sphere = 1, 2 * self.rank
+        for _ in range(radius):
+            size += sphere
+            if size > cap:
+                raise ResourceCapError(f"ball of radius {radius} exceeds cap {cap}")
+            sphere *= 2 * self.rank - 1
         stack = [()]
         yield ()
         for _ in range(radius):
@@ -543,15 +560,23 @@ class FreeAbelianGroup(GroupModel):
         return self._inv(a)
 
     def _mul(self, a, b):
+        if self.rank == 1:
+            return (a[0] + b[0],)
         return tuple(map(operator.add, a, b))
 
     def _inv(self, a):
+        if self.rank == 1:
+            return (-a[0],)
         return tuple([-x for x in a])
 
     def check_element(self, a):
-        if not (isinstance(a, tuple) and len(a) == self.rank
-                and all(type(x) is int for x in a)):
-            raise GroupMismatchError(f"{a!r} is not a rank-{self.rank} vector")
+        if self.rank == 1:
+            if isinstance(a, tuple) and len(a) == 1 and type(a[0]) is int:
+                return
+        elif (isinstance(a, tuple) and len(a) == self.rank
+              and all(type(x) is int for x in a)):
+            return
+        raise GroupMismatchError(f"{a!r} is not a rank-{self.rank} vector")
 
     def element_key(self, a):
         return a
@@ -571,6 +596,10 @@ class FreeAbelianGroup(GroupModel):
         return sum(abs(x) for x in a)
 
     def ball_elements(self, radius, cap):
+        # the ball holds the 2 * radius + 1 points of one axis: past the cap,
+        # stop before building a table of radius coordinates
+        if 2 * radius + 1 > cap:
+            raise ResourceCapError(f"ball of radius {radius} exceeds cap {cap}")
         coordinate = {0: [0], **{l: [l, -l] for l in range(1, radius + 1)}}
         return _capped(_combinations([coordinate] * self.rank, radius), cap)
 
@@ -624,16 +653,13 @@ class ProductGroup(GroupModel):
     def _mul(self, a, b):
         if self._pair:
             m0, m1 = self._muls
-            a0, a1 = a
-            b0, b1 = b
-            return (m0(a0, b0), m1(a1, b1))
+            return (m0(a[0], b[0]), m1(a[1], b[1]))
         return tuple([m(x, y) for m, x, y in zip(self._muls, a, b)])
 
     def _inv(self, a):
         if self._pair:
             i0, i1 = self._invs
-            a0, a1 = a
-            return (i0(a0), i1(a1))
+            return (i0(a[0]), i1(a[1]))
         return tuple([i(x) for i, x in zip(self._invs, a)])
 
     def check_element(self, a):
@@ -641,9 +667,8 @@ class ProductGroup(GroupModel):
             raise GroupMismatchError(f"{a!r} has wrong number of components")
         if self._pair:
             c0, c1 = self._checks
-            a0, a1 = a
-            c0(a0)
-            c1(a1)
+            c0(a[0])
+            c1(a[1])
             return
         for check, x in zip(self._checks, a):
             check(x)

@@ -192,12 +192,24 @@ def _check_space_cap(model: GroupModel, max_degree: int, class_size: int) -> int
     """Estimated bytes of one class component's ranks, checked against the
     cap: its bases, and the top coboundary (N + 1 entries per basis tuple of
     degree N = max_degree + 1) with its echelon, about 100 bytes per entry."""
-    dims = [class_size * model.order ** n for n in range(max_degree + 2)]
-    total = sum(dims) * (80 + 16 * (max_degree + 2)) + (max_degree + 2) * dims[-1] * 100
-    if total > memory_cap_mb() * 1024 * 1024:
+    cap_mb = memory_cap_mb()
+    cap = cap_mb * 1024 * 1024
+    per_tuple = 80 + 16 * (max_degree + 2)
+    total, dim = 0, class_size
+    for n in range(max_degree + 2):
+        if n:
+            dim *= model.order
+        total += dim * per_tuple
+        if total > cap:
+            # stop counting: the whole estimate can run to thousands of digits
+            raise ResourceCapError(
+                f"chain spaces up to degree {n} need more than {cap_mb} MB, "
+                f"cap is {cap_mb} MB (set BURGHELEA_CAP_MB to override)")
+    total += (max_degree + 2) * dim * 100
+    if total > cap:
         raise ResourceCapError(
             f"chain spaces and the top coboundary need about {total // (1024 * 1024)} MB, "
-            f"cap is {memory_cap_mb()} MB (set BURGHELEA_CAP_MB to override)")
+            f"cap is {cap_mb} MB (set BURGHELEA_CAP_MB to override)")
     return total
 
 

@@ -357,6 +357,24 @@ def test_deeply_nested_group_file_exits_one(content, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    (command, "--group", "f2.json", "--radius", "20000")
+    for command in ("conj-bound", "fill", "verify-identities", "norm-profile")
+] + [("hh-ranks", "--group", "d4.json", "--max-degree", "10000"),
+     ("burghelea-check", "--group", "s3.json", "--max-degree", "10000")],
+    ids=lambda argv: argv[0])
+def test_huge_size_flag_exits_one(argv, tmp_path):
+    # the ball or chain spaces these ask for have sizes of thousands of
+    # digits: the cap stops counting before it formats one
+    command, flag, group, *rest = argv
+    proc = run_subprocess(command, flag, str(fixture_path(group)), *rest,
+                          "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr) < 200
+
+
 def _is_nonnegative_int(text):
     try:
         return int(text) >= 0

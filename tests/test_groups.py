@@ -2,12 +2,14 @@ import copy
 import itertools
 import random
 import tracemalloc
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burghelea import DescriptorError, GroupMismatchError, WorkbenchError, parse_group
-from burghelea.groups import FreeGroup, reduce_word
+from burghelea import (DescriptorError, GroupMismatchError, ResourceCapError, WorkbenchError,
+                       parse_group)
+from burghelea.groups import FreeAbelianGroup, FreeGroup, reduce_word
 
 from conftest import load_complex_obj, load_model
 
@@ -258,9 +260,11 @@ _THREE_FACTORS = parse_group({"type": "product", "factors": [
 
 # every kind: finite_table, finite_perm, free, free_abelian, a product of
 # infinite factors, a product with a finite factor, a nested product and a
-# product of three factors
+# product of three factors; free and free-abelian ranks 1, 2 and 3, since
+# rank 1 has its own free-abelian path
 _KERNEL_MODELS = _MODELS + [parse_group({"type": "product", "factors": [
-    load_complex_obj("f2xz.json"), load_complex_obj("z4.json")]}), _THREE_FACTORS]
+    load_complex_obj("f2xz.json"), load_complex_obj("z4.json")]}), _THREE_FACTORS,
+    FreeGroup(1), FreeGroup(3), FreeAbelianGroup(1), FreeAbelianGroup(3)]
 
 
 @given(st.data())
@@ -276,6 +280,24 @@ def test_kernel_matches_public_law(data):
             assert ab == tuple(f.mul(x, y) for f, x, y in zip(m.factors, a, b))
         elif m.kind == "free":
             assert ab == reduce_word(a + b)
+        elif m.kind == "free_abelian":
+            assert ab == tuple(x + y for x, y in zip(a, b))
+            assert m._inv(a) == tuple(-x for x in a)
+
+
+@given(st.data())
+def test_free_kernel_cancels_at_the_junction(data):
+    # random reduced words seldom cancel where they meet: b = inv(a[k:]) w
+    # cancels at least the last len(a) - k letters of a (all of a when
+    # b = inv(a)), so the early return and the loop both run
+    for m in [m for m in _KERNEL_MODELS if m.kind == "free"]:
+        a = data.draw(_elements(m))
+        k = data.draw(st.integers(0, len(a)))
+        w = data.draw(_elements(m))
+        b = reduce_word(m._inv(a[k:]) + w)
+        for x, y in ((a, b), (a, m._inv(a)), (b, a), (m._inv(b), b)):
+            assert m._mul(x, y) == reduce_word(x + y) == m.mul(x, y)
+        assert m._mul(a, m._inv(a)) == m.identity
 
 
 @given(st.data())
@@ -297,6 +319,59 @@ def test_two_factor_path_matches_general_path(data):
                    (_THREE_FACTORS, (4, (), (0,)))):
         with pytest.raises(GroupMismatchError):
             m.check_element(bad)
+
+
+_F2XZ = load_model("f2xz.json")
+
+
+@pytest.mark.parametrize("m, a, text", [
+    (FreeGroup(2), (1, 3), "letter 3 outside alphabet of F2"),
+    (FreeGroup(2), (1, -1), "word (1, -1) is not freely reduced"),
+    (FreeGroup(2), (True,), "letter True outside alphabet of F2"),
+    (FreeGroup(2), [1], "[1] is not a word tuple"),
+    (FreeGroup(2), (0,), "letter 0 outside alphabet of F2"),
+    (FreeGroup(2), (-3,), "letter -3 outside alphabet of F2"),
+    # the letters are checked in order, each before its junction
+    (FreeGroup(2), (1, -1, 3), "word (1, -1, 3) is not freely reduced"),
+    (FreeGroup(2), (3, -3), "letter 3 outside alphabet of F2"),
+    (FreeAbelianGroup(1), (1, 2), "(1, 2) is not a rank-1 vector"),
+    (FreeAbelianGroup(1), (), "() is not a rank-1 vector"),
+    (FreeAbelianGroup(1), (True,), "(True,) is not a rank-1 vector"),
+    (FreeAbelianGroup(1), [1], "[1] is not a rank-1 vector"),
+    (FreeAbelianGroup(2), (1,), "(1,) is not a rank-2 vector"),
+    (FreeAbelianGroup(2), (1, False), "(1, False) is not a rank-2 vector"),
+    (_F2XZ, ((1,),), "((1,),) has wrong number of components"),
+    (_F2XZ, ((1,), (0,), (0,)), "((1,), (0,), (0,)) has wrong number of components"),
+    (_F2XZ, [(1,), (0,)], "[(1,), (0,)] has wrong number of components"),
+    (_F2XZ, ((1, -1), (0,)), "word (1, -1) is not freely reduced"),
+    (_F2XZ, ((1,), (0, 0)), "(0, 0) is not a rank-1 vector"),
+])
+def test_check_element_error_texts(m, a, text):
+    with pytest.raises(GroupMismatchError) as err:
+        m.check_element(a)
+    assert str(err.value) == text
+
+
+def test_tuple_subclasses_are_elements():
+    # membership is isinstance(a, tuple), so a namedtuple encoding passes
+    Pair = namedtuple("Pair", "x y")
+    One = namedtuple("One", "x")
+    FreeGroup(2).check_element(Pair(1, 2))
+    FreeAbelianGroup(2).check_element(Pair(1, -2))
+    FreeAbelianGroup(1).check_element(One(5))
+    _F2XZ.check_element(Pair(Pair(1, 2), One(5)))
+
+
+@pytest.mark.parametrize("m, radius", [(FreeGroup(2), 100), (FreeGroup(2), 10 ** 12),
+                                       (FreeGroup(1), 10 ** 12), (FreeAbelianGroup(2), 10 ** 12)])
+def test_ball_past_the_cap_names_the_radius(m, radius):
+    # the exact size of the F2 ball of radius 100 has 49 digits: the message
+    # gives the radius instead, and a huge radius fails before any table or
+    # count of its size is built
+    with pytest.raises(ResourceCapError) as err:
+        list(m.ball_elements(radius, 1000))
+    assert str(err.value) == f"ball of radius {radius} exceeds cap 1000"
+    assert len(list(m.ball_elements(2, 1000))) == len(m.metric.ball(2))
 
 
 def test_element_strings_round_trip(s3, f2, zz, f2xz):

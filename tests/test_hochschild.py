@@ -314,6 +314,24 @@ def test_resource_cap(z4, monkeypatch):
         homology_ranks(z4, 6)
 
 
+def test_space_cap_stops_counting_past_the_cap(d4, monkeypatch):
+    monkeypatch.delenv("BURGHELEA_CAP_MB", raising=False)
+    # the whole estimate at degree 10000 has thousands of digits
+    with pytest.raises(ResourceCapError,
+                       match=r"^chain spaces up to degree 4 need more than 512 MB, cap is 512 MB"):
+        homology_ranks(d4, 10000)
+    # under the cap the estimate is the closed form
+    for max_degree in range(4):
+        dims = [2 * 8 ** n for n in range(max_degree + 2)]
+        assert _check_space_cap(d4, max_degree, 2) == (
+            sum(dims) * (80 + 16 * (max_degree + 2)) + (max_degree + 2) * dims[-1] * 100)
+    # bases within the cap, the top coboundary past it: the exact estimate
+    monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
+    with pytest.raises(ResourceCapError, match=r"^chain spaces and the top coboundary "
+                                               r"need about 2 MB, cap is 1 MB"):
+        _check_space_cap(d4, 2, 8)
+
+
 @pytest.mark.parametrize("name, max_degree, rep", [("d4", 3, (1, 2, 3, 0)), ("s3", 2, None)])
 def test_space_estimate_covers_traced_peak(name, max_degree, rep, request):
     # the cap's estimate counts what the ranks hold: the bases, and the top
