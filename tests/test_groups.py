@@ -288,8 +288,8 @@ def test_kernel_matches_public_law(data):
 @given(st.data())
 def test_free_kernel_cancels_at_the_junction(data):
     # random reduced words seldom cancel where they meet: b = inv(a[k:]) w
-    # cancels at least the last len(a) - k letters of a (all of a when
-    # b = inv(a)), so the early return and the loop both run
+    # cancels against the tail of a unless w first cancels inv(a[k:]), and
+    # inv(a) cancels all of a, so the early return and the loop both run
     for m in [m for m in _KERNEL_MODELS if m.kind == "free"]:
         a = data.draw(_elements(m))
         k = data.draw(st.integers(0, len(a)))
