@@ -18,10 +18,10 @@ The face maps are ``cprime_faces`` and ``cbar_faces`` (the latter is
 ``linalg.boundary_columns``.
 
 psi / psi_inv translate between the two; phi_g embeds C'_n(Z_g) into the
-Hochschild component at the class of g.  The localizations onto C_.(Z_h)
-take the coset section of h alone: it owns the model, h, the retraction p_h
-and the memoized minimal conjugators.  A model's word metric is
-``model.metric``.
+Hochschild component at the class of g.  phi_g and the localizations onto
+C_.(Z_h) take the coset section of g or h alone: it owns the model, h
+(already checked), the retraction p_h and the memoized minimal conjugators.
+A model's word metric is ``model.metric``.
 """
 from __future__ import annotations
 
@@ -121,14 +121,15 @@ def psi_inv(model: GroupModel, c: Chain) -> Chain:
     return linear_extend(c, "cprime", c.degree, on_basis)
 
 
-def phi_g(model: GroupModel, g: Element, c: Chain) -> Chain:
-    """C'_n(Z_g) -> C_n(QZ_g)_[g]: prepend (g_1...g_n)^-1 g.
+def phi_g(section: CosetSection, c: Chain) -> Chain:
+    """C'_n(Z_g) -> C_n(QZ_g)_[g] for g = section.h: prepend
+    (g_1...g_n)^-1 g.
 
     Entries must centralize g; the image tuple then has entry product g.
     """
     if c.kind != "cprime":
         raise GroupMismatchError("phi_g needs a cprime chain")
-    model.check_element(g)
+    model, g = section.model, section.h
     check_chain(model, c)
     mul = model._mul
 

@@ -6,9 +6,9 @@ whose optimum ``lp.solve_min_lp`` certifies against its dual.
 Its reference is ``integer_min_filling``, an exhaustive integer search with
 pruning: the LP value never exceeds the oracle value, and any strict gap is
 surfaced, not hidden.  All LPs of a run share the objective and the matrix,
-so ``solve_min_lp`` builds one tableau for them and solves each by a dual
-simplex from the basis the one before left.  d^N(k) is the sup of l_f over
-integer N-boundaries of l1-norm at most k.
+so a run hands them to ``min_l1_fillings`` at once: one tableau for all of
+them, each solved by a dual simplex from the basis the one before left.
+d^N(k) is the sup of l_f over integer N-boundaries of l1-norm at most k.
 
 Those boundaries are enumerated on their parametrization, not over the l1
 ball: in the reduced column space of d_{N+1} a boundary is fixed by its
@@ -164,31 +164,33 @@ class FillingResult(NamedTuple):
     witness: dict[int, Fraction]  # filling chain over (N+1)-simplex indices
 
 
-def min_l1_filling_vec(columns: list[dict[int, int]], n_rows: int,
-                       target: dict[int, Fraction],
-                       weights: Optional[Sequence[Fraction]] = None) -> FillingResult:
-    """Minimal (weighted) l1 filling of a target vector by the given columns,
-    by exact rational LP."""
+def min_l1_fillings(columns: list[dict[int, int]], n_rows: int,
+                    targets: Sequence[dict[int, Fraction]],
+                    weights: Optional[Sequence[Fraction]] = None) -> list[FillingResult]:
+    """Minimal (weighted) l1 filling of each target vector by the given
+    columns, in order, by one exact rational LP over all of them.  Raises
+    NotABoundaryError if a target does not bound."""
     ncols = len(columns)
     w = [Fraction(x) for x in weights] if weights is not None else [Fraction(1)] * ncols
     # variables a+ then a-: min w.(a+ + a-), d(a+ - a-) = target
-    cost = w + w
     A = [[0] * (2 * ncols) for _ in range(n_rows)]
-    b = [target.get(i, ZERO) for i in range(n_rows)]
     for j, col in enumerate(columns):
         for i, s in col.items():
             A[i][j] = s
             A[i][ncols + j] = -s
-    res = solve_min_lp(cost, A, b)
-    if res.status == "infeasible":
-        raise NotABoundaryError("the target chain is not a boundary")
-    assert res.status == "optimal" and res.x is not None
-    witness = {}
-    for j in range(ncols):
-        v = res.x[j] - res.x[ncols + j]
-        if v:
-            witness[j] = v
-    return FillingResult(res.value, witness)
+    out = []
+    for res in solve_min_lp(w + w, A, [[t.get(i, ZERO) for i in range(n_rows)]
+                                       for t in targets]):
+        if res.status == "infeasible":
+            raise NotABoundaryError("the target chain is not a boundary")
+        assert res.status == "optimal" and res.x is not None
+        witness = {}
+        for j in range(ncols):
+            v = res.x[j] - res.x[ncols + j]
+            if v:
+                witness[j] = v
+        out.append(FillingResult(res.value, witness))
+    return out
 
 
 def _integer_min_filling(columns, n_rows, target: dict[int, int], cap: int):
@@ -259,8 +261,9 @@ def _coefficient_order(budget: int):
 def min_l1_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int) -> FillingResult:
     """l_f(b) for an N-chain b given over simplex tuples; fills with
     (N+1)-chains."""
-    return min_l1_filling_vec(X.boundary_columns(dim + 1), X.dimension_size(dim),
-                              _target_vec(X, b, dim))
+    [res] = min_l1_fillings(X.boundary_columns(dim + 1), X.dimension_size(dim),
+                            [_target_vec(X, b, dim)])
+    return res
 
 
 def integer_min_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int,
@@ -390,17 +393,16 @@ def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
     Past ``enumeration_cap`` steps of the boundary walk the table covers the
     boundaries found so far and is marked partial.
     """
-    cols = X.boundary_columns(dim + 1)
-    n_rows = X.dimension_size(dim)
-    rows = []
+    boundaries = []
     partial = False
-    fillings = []
     try:
-        for b in enumerate_boundaries(X, dim, k_max, cap=enumeration_cap):
-            res = min_l1_filling_vec(cols, n_rows, {i: Fraction(v) for i, v in b.items()})
-            fillings.append((sum(abs(v) for v in b.values()), b, res))
-    except ResourceCapError:
+        boundaries.extend(enumerate_boundaries(X, dim, k_max, cap=enumeration_cap))
+    except ResourceCapError:  # the boundaries found before the cap stay
         partial = True
+    results = min_l1_fillings(X.boundary_columns(dim + 1), X.dimension_size(dim), boundaries)
+    fillings = [(sum(abs(v) for v in b.values()), b, res)
+                for b, res in zip(boundaries, results)]
+    rows = []
     best: Optional[tuple] = None
     for k in range(0, k_max + 1):
         candidates = [(res.value, b) for norm, b, res in fillings if norm <= k]
@@ -477,7 +479,9 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
 
     Reports the least p in the grid whose max ratio is at most
     ``RATIO_BOUND`` (a diagnostic, not a determination of the paper-level
-    filling exponent).  Unfillable samples are recorded as truncation errors.
+    filling exponent).  Every sample fills inside the window: b0 is a
+    multiple of a basis tuple, so c is that multiple of the tuple's boundary
+    column, whose faces all lie in the window, and b0 itself fills c.
     """
     rng = random.Random(seed)
     ps = sorted(set(p_grid))
@@ -489,27 +493,26 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
     upper_basis = trunc.bases[degree + 1]
 
     rows = []
-    max_ratio: dict[int, Fraction] = {}
-    unbounded_ps: set[int] = set()
+    to_fill = []  # (report entry, c) of each sample with a nonzero boundary
     for s in range(samples):
         t = upper_basis[rng.randrange(len(upper_basis))]
         coeff = rng.choice([1, -1, 2])
         b0 = Chain.basis("cbar", degree + 1, t).scale(coeff)
         c = boundary_cbar(model, b0)
         entry = {"sample": s, "source_norm_k": str(nf.norm(b0, k))}
+        rows.append(entry)
         if c.is_zero():
             entry.update(status="zero_boundary", fill_norm_k="0")
             for p in ps:
                 entry[f"ratio_p{p}"] = "0"
-            rows.append(entry)
-            continue
-        try:
-            target = trunc.chain_to_vec(c, degree)
-            res = min_l1_filling_vec(cols, n_rows, target, weights=weights)
-        except (NotABoundaryError, ResourceCapError) as exc:
-            entry.update(status=f"truncation_error: {exc}", fill_norm_k="")
-            rows.append(entry)
-            continue
+        else:
+            to_fill.append((entry, c))
+    fillings = min_l1_fillings(cols, n_rows, [trunc.chain_to_vec(c, degree) for _, c in to_fill],
+                               weights=weights)
+
+    max_ratio: dict[int, Fraction] = {}
+    unbounded_ps: set[int] = set()
+    for (entry, c), res in zip(to_fill, fillings):
         entry["status"] = "ok"
         entry["fill_norm_k"] = str(res.value)
         for p in ps:
@@ -525,7 +528,6 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
             entry[f"ratio_p{p}"] = str(ratio)
             if p not in max_ratio or ratio > max_ratio[p]:
                 max_ratio[p] = ratio
-        rows.append(entry)
 
     least_p = None
     for p in ps:

@@ -13,9 +13,9 @@ localizes a class component into the centralizer of h, and homology ranks of
 finite models are computed by exact rational elimination.
 
 A model's word metric is ``model.metric``.  The class-component map pi_h
-takes the coset section of h alone: the section owns h, the retraction p_h
-and the memoized minimal conjugators, and pi_h memoizes its image of each
-generator there too.
+and the inclusion iota_h take the coset section of h alone: the section owns
+h (already checked), the retraction p_h and the memoized minimal
+conjugators, and pi_h memoizes its image of each generator there too.
 """
 from __future__ import annotations
 
@@ -150,10 +150,10 @@ def pi_h(section: CosetSection, c: Chain,
     return linear_extend(c, "hochschild", c.degree, on_basis)
 
 
-def iota_h(model: GroupModel, h: Element, c: Chain) -> Chain:
+def iota_h(section: CosetSection, c: Chain) -> Chain:
     """Inclusion C_n(QZ_h)_[h] -> C_n(QG)_x; identity on terms after
     checking that every entry centralizes h."""
-    model.check_element(h)
+    model, h = section.model, section.h
     check_chain(model, c)
     mul = model._mul
     for t in c.terms:
@@ -229,9 +229,11 @@ def homology_ranks(model: GroupModel, max_degree: int,
     """
     if not model.is_finite:
         raise GroupMismatchError("homology ranks need a finite model")
-    per_degree = _empty_reports(max_degree)
-    for cls in [x] if x is not None else conjugacy_classes(model):
+    classes = [x] if x is not None else conjugacy_classes(model)
+    for cls in classes:  # every class, before any basis is built
         _check_space_cap(model, max_degree, len(class_members(model, cls.rep)))
+    per_degree = _empty_reports(max_degree)
+    for cls in classes:
         bases = [class_component_basis(model, n, cls) for n in range(max_degree + 2)]
         _add_ranks(bases, coboundary_ranks(bases, partial(hochschild_faces, model._mul)),
                    per_degree)

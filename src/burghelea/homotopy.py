@@ -22,10 +22,10 @@ after checking that every entry centralizes h.  ``theta_quotient_dims``
 builds its matrices with ``linalg.boundary_columns`` from theta's on-basis
 map ``theta_tuple`` and from the translation differences.
 
-p^E, D, Dbar and the lift of theta_h take the coset section of h alone: the
-section owns the model, h, the retraction p_h and the memoized minimal
-conjugators, and D memoizes its terms on each generator there too.  A
-model's word metric is ``model.metric``.
+p^E, D, Dbar, theta_h and its lift take the coset section of h alone: the
+section owns the model, h (already checked), the retraction p_h and the
+memoized minimal conjugators, and D memoizes its terms on each generator
+there too.  A model's word metric is ``model.metric``.
 
 This module holds the maps and their rank data only.  The identities the
 maps satisfy are checked by ``verify.verify_homotopy_square``.
@@ -89,7 +89,7 @@ def homotopy_d(section: CosetSection, c: Chain) -> Chain:
                 terms = [((p(t[0]), t[0]), ONE)]
             else:
                 gen = Chain._of("e", n, {t: ONE}, c.checked)
-                inner = (gen - iota_h(m, section.h, p_e(section, gen))
+                inner = (gen - iota_h(section, p_e(section, gen))
                          - homotopy_d(section, boundary_e(gen)))
                 terms = [((t[0],) + u, q) for u, q in inner.terms.items()]
             memo[t] = terms
@@ -107,13 +107,14 @@ def theta_tuple(model: GroupModel, h: Element, t: tuple) -> Iterator[tuple[tuple
     yield (first, *rest), 1
 
 
-def theta_h(model: GroupModel, h: Element, c: Chain) -> Chain:
-    """E_n(G) -> C_n(QG)_x, extended linearly from ``theta_tuple``."""
+def theta_h(section: CosetSection, c: Chain) -> Chain:
+    """E_n(G) -> C_n(QG)_x for x the class of section.h, extended linearly
+    from ``theta_tuple``."""
     if c.kind != "e":
         raise GroupMismatchError("theta_h needs an e-complex chain")
-    model.check_element(h)
-    check_chain(model, c)
-    return linear_extend(c, "hochschild", c.degree, partial(theta_tuple, model, h))
+    check_chain(section.model, c)
+    return linear_extend(c, "hochschild", c.degree,
+                         partial(theta_tuple, section.model, section.h))
 
 
 def theta_lift(section: CosetSection, c: Chain) -> Chain:
@@ -140,7 +141,7 @@ def theta_lift(section: CosetSection, c: Chain) -> Chain:
 def dbar(section: CosetSection, c: Chain) -> Chain:
     """The homotopy D pushed through theta_h onto the Hochschild side."""
     lifted = theta_lift(section, c)
-    return theta_h(section.model, section.h, homotopy_d(section, lifted))
+    return theta_h(section, homotopy_d(section, lifted))
 
 
 def normalize_coinvariant(section: CosetSection, t: tuple) -> tuple:

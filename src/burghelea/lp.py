@@ -7,8 +7,8 @@ basis.  With c >= 0 that basis is dual feasible for every b, so each solve,
 the first included, sets rhs = B^-1 b from the artificial block and runs one
 dual simplex (Koberstein, PhD thesis, 2005) by Bland's rule.  An artificial
 is fixed at 0: it never enters, and a basic one with a nonzero rhs is
-infeasible like a negative rhs.  ``solve_min_lp(c, A, b)`` reuses the
-``MinLP`` of its previous call when c and A are equal by value.
+infeasible like a negative rhs.  ``solve_min_lp(c, A, bs)`` builds one
+``MinLP`` and solves every b of bs on it in turn; no LP outlives the call.
 
 Each tableau row is a list R of ints over its own denominator d > 0, in
 lowest terms (gcd(*R, d) = 1); c and each row of A are scaled by their lcm
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CertificateError
 
@@ -103,17 +103,12 @@ class MinLP:
                         [Fraction(v, dy) if v else ZERO for v in Y])
 
 
-_last: Optional[tuple[tuple[list, list[list]], MinLP]] = None
-
-
-def solve_min_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
-    """min c.x subject to A x = b, x >= 0, for c >= 0; warm from the previous
-    call's ``MinLP`` when c and A are equal by value to its c and A."""
-    global _last
-    given = (list(c), [list(row) for row in A])
-    if _last is None or _last[0] != given:
-        _last = (given, MinLP(c, A))
-    return _last[1].solve(b)
+def solve_min_lp(c: Sequence, A: Sequence[Sequence],
+                 bs: Iterable[Sequence]) -> list[LPResult]:
+    """min c.x subject to A x = b, x >= 0, for c >= 0 and each b of bs, in
+    order; each solve starts warm from the basis the one before left."""
+    lp = MinLP(c, A)
+    return [lp.solve(b) for b in bs]
 
 
 def _certify(c, A, b, x, y) -> None:

@@ -159,7 +159,7 @@ def operator_growth_profile(map_id: str, model: GroupModel,
 
 def _profile_setup(map_id: str, section: CosetSection, metric_variant: str):
     """(domain (NormFamily, chain kind), codomain NormFamily, map, sampler)."""
-    model, h = section.model, section.h
+    model = section.model
     z_length = section.intrinsic_length if metric_variant == "intrinsic" else None
     tensor_g = NormFamily(model, "hochschild-tensor")
     tensor_z = NormFamily(model, "hochschild-tensor", length_fn=z_length)
@@ -171,7 +171,7 @@ def _profile_setup(map_id: str, section: CosetSection, metric_variant: str):
                 lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, ball, rep, n))
     if map_id == "iota_h":
         return ((tensor_z, "hochschild"), tensor_g,
-                lambda c: iota_h(model, h, c),
+                lambda c: iota_h(section, c),
                 lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, zball, rep, n))
     if map_id == "psi_phi_inv":
         return ((tensor_z, "hochschild"), rd,
@@ -179,7 +179,7 @@ def _profile_setup(map_id: str, section: CosetSection, metric_variant: str):
                 lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, zball, rep, n))
     if map_id == "phi_psi_inv":
         def backward(c):
-            return phi_g(model, h, psi_inv(model, c))
+            return phi_g(section, psi_inv(model, c))
 
         def sample_cbar(rng, ball, zball, rep, n):
             t = (model.identity,) + tuple(rng.choice(zball) for _ in range(n))

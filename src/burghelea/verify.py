@@ -128,11 +128,11 @@ def chain_map_suite(section: CosetSection, max_degree: int, samples: int,
                 ("round trip: ", lambda c: psi_inv(m, psi(m, c)) == c)),
             check_identity(
                 "b.phi == phi.d (and phi_inv.phi == id)", n, basis("cprime", n, z_ball, n), text,
-                ("", lambda c: b(phi_g(m, h, c)) == phi_g(m, h, boundary_cprime(m, c))),
-                ("round trip: ", lambda c: phi_g_inv(phi_g(m, h, c)) == c)),
+                ("", lambda c: b(phi_g(section, c)) == phi_g(section, boundary_cprime(m, c))),
+                ("round trip: ", lambda c: phi_g_inv(phi_g(section, c)) == c)),
             check_identity(
                 "b.theta == theta.d", n, basis("e", n, ball, n + 1), text,
-                ("", lambda c: b(theta_h(m, h, c)) == theta_h(m, h, boundary_e(c)))),
+                ("", lambda c: b(theta_h(section, c)) == theta_h(section, boundary_e(c)))),
             check_identity(
                 "localize == psi.phi_inv.pi", n, [component(n) for _ in range(samples)], text,
                 ("", lambda c: localize_to_equivariant(section, c)
@@ -232,10 +232,10 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
     Returns the list of checks, as every suite does; each failure names the
     offending generator.
     """
-    m, h = section.model, section.h
+    m = section.model
     rng = random.Random(seed)
     b = partial(hochschild_boundary, m)
-    theta = partial(theta_h, m, h)
+    theta = partial(theta_h, section)
     text = partial(_basis_str, m)
     checks: list[dict] = []
 
@@ -253,7 +253,7 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
         gens, reps = list(map(e, gens)), list(map(e, reps))
 
         def homotopy(c):
-            lhs = c - iota_h(m, h, p_e(section, c))
+            lhs = c - iota_h(section, p_e(section, c))
             # the D(d c) addend is the zero map in degree 0
             rhs = boundary_e(homotopy_d(section, c))
             if n > 0:
@@ -262,7 +262,7 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
 
         def transferred(c):
             hh = theta(c)
-            lhs = hh - iota_h(m, h, pi_h(section, hh))
+            lhs = hh - iota_h(section, pi_h(section, hh))
             rhs = b(dbar(section, hh))
             if n > 0:
                 rhs = rhs + dbar(section, b(hh))
@@ -270,13 +270,13 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
 
         def retraction(c):
             zc = theta(c)
-            return pi_h(section, iota_h(m, h, zc)) == zc
+            return pi_h(section, iota_h(section, zc)) == zc
 
         checks += [
             check_identity("theta.pE == pi.theta", n, reps, text,
                            ("", lambda c: theta(p_e(section, c)) == pi_h(section, theta(c)))),
             check_identity("theta.iE == iota.theta", n, z_gens, text,
-                           ("", lambda c: theta(iota_h(m, h, c)) == iota_h(m, h, theta(c)))),
+                           ("", lambda c: theta(iota_h(section, c)) == iota_h(section, theta(c)))),
             check_identity("id - iE.pE == D.d + d.D", n, gens, text, ("", homotopy)),
             check_identity("id - iota.pi == b.Dbar + Dbar.b", n, reps, text, ("", transferred)),
             check_identity("pi.iota == id", n, z_gens, text, ("", retraction)),

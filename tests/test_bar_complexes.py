@@ -89,25 +89,27 @@ def test_psi_chain_map_degree_three(s3, f2):
 
 def test_phi_examples(zz):
     g = (1, 0)
+    sec = coset_section(zz, g)
     # degree 0: empty tuple maps to (g)
-    out = phi_g(zz, g, Chain.basis("cprime", 0, ()))
+    out = phi_g(sec, Chain.basis("cprime", 0, ()))
     assert out == Chain.basis("hochschild", 0, (g,))
     # Z^2 instance in additive notation
-    out = phi_g(zz, g, Chain.basis("cprime", 1, ((0, 1),)))
+    out = phi_g(sec, Chain.basis("cprime", 1, ((0, 1),)))
     assert out == Chain.basis("hochschild", 1, ((1, -1), (0, 1)))
 
 
 def test_phi_chain_map_and_inverse(s3):
     h = (0, 2, 1)
+    sec = coset_section(s3, h)
     z = [g for g in s3.elements() if s3.commutes(g, h)]
     rng = random.Random(29)
     for n in (0, 1, 2, 3):
         for _ in range(15):
             t = tuple(rng.choice(z) for _ in range(n))
             c = Chain.basis("cprime", n, t)
-            image = phi_g(s3, h, c)
+            image = phi_g(sec, c)
             from burghelea import hochschild_boundary
-            assert hochschild_boundary(s3, image) == phi_g(s3, h, boundary_cprime(s3, c))
+            assert hochschild_boundary(s3, image) == phi_g(sec, boundary_cprime(s3, c))
             assert phi_g_inv(image) == c
             # image tuples multiply to h since all entries centralize h
             for u in image.terms:
@@ -117,7 +119,7 @@ def test_phi_chain_map_and_inverse(s3):
 
 def test_phi_rejects_noncentral_entries(s3):
     with pytest.raises(GroupMismatchError):
-        phi_g(s3, (0, 2, 1), Chain.basis("cprime", 1, ((1, 2, 0),)))
+        phi_g(coset_section(s3, (0, 2, 1)), Chain.basis("cprime", 1, ((1, 2, 0),)))
 
 
 def test_localize_composition_equality(s3, f2, zz):

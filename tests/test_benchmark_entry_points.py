@@ -6,12 +6,20 @@ of them, or renames an argument the tracer reads, breaks
 names without running the benchmark."""
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import burghelea
 import burghelea.lp
+from burghelea import cli
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -42,3 +50,23 @@ def test_lp_shape_reads_c_and_a_by_position_and_name():
     # arguments 0 ("c") and 1 ("A")
     params = list(inspect.signature(burghelea.lp.solve_min_lp).parameters)
     assert params[:2] == ["c", "A"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dehn", "--complex", "tests/fixtures/octahedron.json", "--degree", "1", "--k", "3"],
+    ["fill", "--group", "tests/fixtures/zz.json", "--radius", "1"],
+], ids=["dehn-octahedron", "fill-zz"])
+def test_traced_run_sees_one_lp(argv, capsys, monkeypatch):
+    # every LP of a run shares one matrix and is one solve_min_lp call, which
+    # the tracer times as the lp.solve span; tracing leaves the report as is
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, str(TRACER), *argv], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    traced = json.loads(out.stdout)
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == 0
+    assert traced["exit"] == 0
+    assert traced["report"] == capsys.readouterr().out
+    assert traced["spans"]["lp.solve"]["calls"] == 1

@@ -157,16 +157,16 @@ def test_chain_maps_reject_non_members(f2xz, z4):
             lambda: hochschild_boundary(m, hh),
             lambda: pi_h(section, hh),
             lambda: split_by_class(m, hh),
-            lambda: iota_h(m, h, hh),
+            lambda: iota_h(section, hh),
             lambda: boundary_cprime(m, cprime),
             lambda: boundary_cbar(m, cbar),
             lambda: psi(m, cprime),
             lambda: psi_inv(m, cbar),
-            lambda: phi_g(m, h, cprime),
+            lambda: phi_g(section, cprime),
             lambda: localize_to_equivariant(section, hh),
             lambda: p_e(section, ec),
             lambda: homotopy_d(section, ec),
-            lambda: theta_h(m, h, ec),
+            lambda: theta_h(section, ec),
             lambda: theta_lift(section, hh),
             lambda: dbar(section, hh),
         ]

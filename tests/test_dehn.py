@@ -16,7 +16,7 @@ from burghelea import (
     min_l1_filling,
 )
 from burghelea import dehn
-from burghelea.dehn import BarTruncation, enumerate_boundaries, min_l1_filling_vec
+from burghelea.dehn import BarTruncation, enumerate_boundaries, min_l1_fillings
 from burghelea.linalg import RationalEchelon
 from burghelea.lp import solve_min_lp
 
@@ -106,14 +106,14 @@ def test_octahedron_pentagon_certifies(octahedron, monkeypatch):
     # were dropped, and this optimum went uncertified
     lps = []
 
-    def recording(c, A, b):
-        lps.append((c, A, b, solve_min_lp(c, A, b)))
+    def recording(c, A, bs):
+        lps.append((c, A, bs, solve_min_lp(c, A, bs)))
         return lps[-1][-1]
 
     monkeypatch.setattr(dehn, "solve_min_lp", recording)
     b = {(1, 2): F(1), (1, 4): F(-1), (2, 3): F(1), (3, 5): F(1), (4, 5): F(-1)}
     assert min_l1_filling(octahedron, b, 1).value == 3
-    ((c, A, b_vec, res),) = lps
+    ((c, A, [b_vec], [res]),) = lps
     assert_certified(c, A, b_vec, res)
 
 
@@ -142,11 +142,12 @@ def _over_simplices(X, vec):
 
 
 def test_lp_matches_oracle_small_boundaries(triangle, tetrahedron, fan6):
+    # one LP for all the boundaries of a complex, each solved warm from the last
     for X in (triangle, tetrahedron, fan6):
-        for b in enumerate_boundaries(X, 1, 3):
-            target = {i: F(v) for i, v in b.items()}
-            cols = X.boundary_columns(2)
-            lp = min_l1_filling_vec(cols, X.dimension_size(1), target)
+        targets = [{i: F(v) for i, v in b.items()} for b in enumerate_boundaries(X, 1, 3)]
+        fillings = min_l1_fillings(X.boundary_columns(2), X.dimension_size(1), targets)
+        assert len(fillings) == len(targets)
+        for target, lp in zip(targets, fillings):
             oracle = integer_min_filling(X, _over_simplices(X, target), 1, 10)
             assert lp.value <= oracle.value
             assert lp.value == oracle.value
@@ -298,7 +299,7 @@ def test_random_complexes_lp_le_oracle(faces):
     cols = X.boundary_columns(2)
     face0 = X.simplices[2][0]
     b = {i: F(v) for i, v in X.boundary_columns(2)[0].items()}
-    lp = min_l1_filling_vec(cols, X.dimension_size(1), b)
+    [lp] = min_l1_fillings(cols, X.dimension_size(1), [b])
     oracle = integer_min_filling(X, _over_simplices(X, b), 1, 6)
     assert lp.value <= oracle.value <= 1  # the face itself is a filling
 
@@ -341,12 +342,53 @@ def test_ratio_bound_is_exact(monkeypatch):
 
 
 def test_filling_estimate_truncation_error():
-    # delta_(e, e1) generates H_1(Z^2) rationally, so it cannot bound:
-    # the truncation reports it, without claiming a refutation
+    # delta_(e, e1) generates H_1(Z^2) rationally, so it cannot bound in the
+    # truncation: the LP proves it infeasible, also after a target that fills
     from burghelea.chains import Chain
     zz = load_model("zz.json")
     trunc = BarTruncation(zz, 2, 1)
     cols = trunc.boundary_columns(2)
     target = trunc.chain_to_vec(Chain.basis("cbar", 1, ((0, 0), (1, 0))), 1)
     with pytest.raises(NotABoundaryError):
-        min_l1_filling_vec(cols, len(trunc.bases[1]), target)
+        min_l1_fillings(cols, len(trunc.bases[1]), [target])
+    with pytest.raises(NotABoundaryError):
+        min_l1_fillings(cols, len(trunc.bases[1]), [{i: F(s) for i, s in cols[0].items()},
+                                                    target])
+
+
+def _lp_calls(monkeypatch):
+    """The number of right-hand sides of each solve_min_lp call dehn makes."""
+    calls = []
+
+    def counting(c, A, bs):
+        bs = list(bs)
+        calls.append(len(bs))
+        return solve_min_lp(c, A, bs)
+
+    monkeypatch.setattr(dehn, "solve_min_lp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [2_000_000, 50])
+def test_dehn_run_is_one_lp(octahedron, cap, monkeypatch):
+    # every boundary of the run, also of a partial run, is a right-hand side
+    # of one LP on d_2
+    calls = _lp_calls(monkeypatch)
+    table = dehn_function(octahedron, 1, 4, enumeration_cap=cap)
+    assert table["partial"] == (cap == 50)
+    found = []
+    try:
+        found.extend(enumerate_boundaries(octahedron, 1, 4, cap=cap))
+    except ResourceCapError:
+        pass
+    assert calls == [len(found)] and len(found) > 1
+
+
+def test_fill_run_is_one_lp(monkeypatch):
+    # every sample with a nonzero boundary is a right-hand side of one LP
+    calls = _lp_calls(monkeypatch)
+    zz = load_model("zz.json")
+    report = filling_estimate_check(zz, degree=1, radius=2, k=0,
+                                    p_grid=[0, 1], samples=8, seed=4)
+    ok = [row for row in report["rows"] if row["status"] == "ok"]
+    assert calls == [len(ok)] and len(ok) > 1

@@ -235,15 +235,15 @@ def test_iota_round_trip_and_validation(s3):
             first = s3.mul(target, s3.inv(entry_product(s3, rest)))
             t = (first, *rest)
             c = Chain.basis("hochschild", n, t)
-            inc = iota_h(s3, h, c)
+            inc = iota_h(sec, c)
             assert inc == c
             assert pi_h(sec, inc) == c
     with pytest.raises(GroupMismatchError):
-        iota_h(s3, h, Chain.basis("hochschild", 0, ((1, 2, 0),)))
+        iota_h(sec, Chain.basis("hochschild", 0, ((1, 2, 0),)))
 
 
 def test_iota_of_zero(s3):
-    assert iota_h(s3, (0, 2, 1), Chain.zero("hochschild", 2)).is_zero()
+    assert iota_h(coset_section(s3, (0, 2, 1)), Chain.zero("hochschild", 2)).is_zero()
 
 
 # -- homology ranks -----------------------------------------------------------
@@ -312,6 +312,19 @@ def test_resource_cap(z4, monkeypatch):
     # (4.5 MB of bases), so the cap trips before any basis is built
     with pytest.raises(ResourceCapError, match="cap is 1 MB"):
         homology_ranks(z4, 6)
+
+
+def test_space_cap_checks_every_class_before_any_basis(s3, monkeypatch):
+    # at degree 3 under 1 MB the identity class (about 0.86 MB) passes and the
+    # transposition class (about 2.6 MB) does not: no class is computed first
+    monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
+    first = conjugacy_classes(s3)[0]
+    assert len(class_members(s3, first.rep)) == 1
+    _check_space_cap(s3, 3, 1)
+    monkeypatch.setattr(hochschild, "class_component_basis",
+                        lambda *args: pytest.fail("a basis was built"))
+    with pytest.raises(ResourceCapError, match="cap is 1 MB"):
+        homology_ranks(s3, 3)
 
 
 def test_space_cap_stops_counting_past_the_cap(d4, monkeypatch):

@@ -44,7 +44,7 @@ def test_p_e_and_i_e(f2, zz):
     # all entries in Z_h stay put
     c = Chain.basis("e", 1, ((1, 1), (1,)))
     assert p_e(sec, c) == c
-    assert iota_h(f2, h, c) == c
+    assert iota_h(sec, c) == c
     # p_h(a^3 b) = a^3 entrywise
     c2 = Chain.basis("e", 1, ((1, 1, 1, 2), (1,)))
     assert p_e(sec, c2) == Chain.basis("e", 1, ((1, 1, 1), (1,)))
@@ -53,7 +53,7 @@ def test_p_e_and_i_e(f2, zz):
     c3 = Chain.basis("e", 1, ((3, -1), (0, 2)))
     assert p_e(zsec, c3) == c3
     with pytest.raises(GroupMismatchError):
-        iota_h(f2, h, Chain.basis("e", 0, ((2,),)))
+        iota_h(sec, Chain.basis("e", 0, ((2,),)))
 
 
 def test_d0_examples(f2, zz):
@@ -77,7 +77,7 @@ def test_d0_examples(f2, zz):
 
 
 def _ip(sec, c):
-    return iota_h(sec.model, sec.h, p_e(sec, c))
+    return iota_h(sec, p_e(sec, c))
 
 
 @pytest.mark.parametrize("fixture,h", [("s3", (0, 2, 1)), ("z4", 1), ("f2", (1,)), ("zz", (1, 0))])
@@ -140,28 +140,30 @@ def test_equivariance_exhaustive_s3(s3):
 
 def test_theta_examples(s3):
     h = (0, 2, 1)
+    sec = coset_section(s3, h)
     g0 = (1, 2, 0)
-    out = theta_h(s3, h, Chain.basis("e", 0, (g0,)))
+    out = theta_h(sec, Chain.basis("e", 0, (g0,)))
     assert out == Chain.basis("hochschild", 0, (s3.conj(g0, h),))
     # invariance under left Z_h translation
     t = ((1, 0, 2), (2, 1, 0))
     for z in s3.elements():
         if s3.commutes(z, h) :
             zt = translate_tuple(s3, z, t)
-            assert theta_h(s3, h, Chain.basis("e", 1, zt)) == \
-                theta_h(s3, h, Chain.basis("e", 1, t))
+            assert theta_h(sec, Chain.basis("e", 1, zt)) == \
+                theta_h(sec, Chain.basis("e", 1, t))
 
 
 def test_theta_chain_map(s3, f2):
     rng = random.Random(41)
     for m, h in ((s3, (0, 2, 1)), (f2, (1, 2))):
+        sec = coset_section(m, h)
         ball = m.metric.ball(2)
         for n in (1, 2, 3):
             for _ in range(20):
                 t = tuple(rng.choice(ball) for _ in range(n + 1))
                 c = Chain.basis("e", n, t)
-                assert hochschild_boundary(m, theta_h(m, h, c)) == \
-                    theta_h(m, h, boundary_e(c))
+                assert hochschild_boundary(m, theta_h(sec, c)) == \
+                    theta_h(sec, boundary_e(c))
 
 
 def test_theta_lands_in_component_and_lift_sections(s3):
@@ -172,11 +174,11 @@ def test_theta_lands_in_component_and_lift_sections(s3):
     for n in (0, 1, 2):
         for _ in range(25):
             t = tuple(rng.choice(s3.elements()) for _ in range(n + 1))
-            out = theta_h(s3, h, Chain.basis("e", n, t))
+            out = theta_h(sec, Chain.basis("e", n, t))
             for u in out.terms:
                 assert conjugacy_class(s3, entry_product(s3, u)) == x
             # lift is a section of theta
-            assert theta_h(s3, h, theta_lift(sec, out)) == out
+            assert theta_h(sec, theta_lift(sec, out)) == out
 
 
 def test_theta_surjectivity_rank(s3):
@@ -211,7 +213,7 @@ def test_dbar_homotopy_on_s3_component(s3):
         basis = class_component_basis(s3, n, x)
         for t in basis[::7]:
             c = Chain.basis("hochschild", n, t)
-            lhs = c - iota_h(s3, h, pi_h(sec, c))
+            lhs = c - iota_h(sec, pi_h(sec, c))
             rhs = hochschild_boundary(s3, dbar(sec, c)) \
                 + dbar(sec, hochschild_boundary(s3, c))
             assert lhs == rhs

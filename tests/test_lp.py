@@ -76,14 +76,14 @@ def brute_force_vertex_optimum(c, A, b):
 
 def test_simple_optimum():
     # min x0 + x1 s.t. x0 + x1 = 1 -> 1
-    res = solve_min_lp([1, 1], [[1, 1]], [1])
+    [res] = solve_min_lp([1, 1], [[1, 1]], [[1]])
     assert res.value == 1
     assert_certified([1, 1], [[1, 1]], [1], res)
 
 
 def test_infeasible():
     # x0 = -1 with x0 >= 0
-    res = solve_min_lp([1], [[1]], [-1])
+    [res] = solve_min_lp([1], [[1]], [[-1]])
     assert res.status == "infeasible"
 
 
@@ -91,7 +91,7 @@ def test_negative_cost_is_rejected():
     # the artificial basis is dual feasible only for c >= 0; min -x0 with
     # x0 - x1 = 0 would be unbounded
     with pytest.raises(ValueError, match="negative cost"):
-        solve_min_lp([-1, 0], [[1, -1]], [0])
+        solve_min_lp([-1, 0], [[1, -1]], [[0]])
 
 
 def test_wrong_length_rhs_is_rejected():
@@ -106,13 +106,13 @@ def test_degenerate_redundant_rows():
     # artificials stay basic at 0; in the second LP the redundant row is the
     # first one negated
     for A, b in [([[1, 1], [1, 1], [2, 2]], [1, 1, 2]), ([[1, 1], [-1, -1]], [1, -1])]:
-        res = solve_min_lp([2, 3], A, b)
+        [res] = solve_min_lp([2, 3], A, [b])
         assert res.value == 2
         assert_certified([2, 3], A, b, res)
 
 
 def test_negative_rhs_normalization():
-    res = solve_min_lp([1, 1], [[-1, 0]], [-2])
+    [res] = solve_min_lp([1, 1], [[-1, 0]], [[-2]])
     assert res.value == 2 and res.x[0] == 2
     # the negative rhs makes the basic artificial infeasible; the dual is
     # for the row as given
@@ -129,7 +129,7 @@ def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
 
     monkeypatch.setattr(lp, "_dual_simplex", wrong_column)
     with pytest.raises(CertificateError, match="c - A\\^T y"):
-        solve_min_lp([2, 1], [[1, 1]], [1])
+        solve_min_lp([2, 1], [[1, 1]], [[1]])
     # stopped after zero pivots, the dual simplex leaves the artificial
     # basis, which is not primal feasible for a dehn run's boundaries
     monkeypatch.setattr(lp, "_dual_simplex", lambda tab, den, basis, n: None)
@@ -160,7 +160,7 @@ def test_inputs_and_certified_lp_unmutated(monkeypatch):
         certified.append((values(c_), [values(row) for row in A_], values(b_)))
 
     monkeypatch.setattr(lp, "_certify", recording)
-    res = solve_min_lp(c, A, b)
+    [res] = solve_min_lp(c, A, [b])
     assert res.status == "optimal"
     assert_certified(c, A, b, res)
     assert (c, A, b) == given_lp
@@ -179,8 +179,10 @@ def test_inputs_and_certified_lp_unmutated(monkeypatch):
 )
 def test_against_vertex_enumeration(mab, c):
     m, A, b = mab
-    res = solve_min_lp(c, A, b)
-    assert_lowest_terms(lp._last[1])
+    held = lp.MinLP(c, A)
+    res = held.solve(b)
+    assert_lowest_terms(held)
+    assert solve_min_lp(c, A, [b]) == [res]
     reference = brute_force_vertex_optimum(c, A, b)
     if res.status == "optimal":
         # nonnegative costs: bounded; value matches the best vertex, and the
@@ -223,38 +225,28 @@ def lp_runs(draw):
 @settings(max_examples=60)
 @given(lp_runs())
 def test_warm_solves_match_cold(run):
-    # consecutive solves on one (c, A) reuse one MinLP; each verdict equals
-    # the one of a fresh MinLP, and each optimum is certified
+    # consecutive solves on one held MinLP start from the basis the one
+    # before left; each verdict equals the one of a fresh MinLP, each
+    # optimum is certified, and the batch call gives the held LP's results
     c, A, bs, middle = run
-    lp._last = None
-    verdicts = []
+    warm = lp.MinLP(c, A)
+    results = []
     for k, b in enumerate(bs):
-        res = solve_min_lp(c, A, b)
-        assert_lowest_terms(lp._last[1])
+        res = warm.solve(b)
+        assert_lowest_terms(warm)
         if k == 0:
             # b = 0 needs no pivot: the next solve starts from the artificial basis
             assert res.value == 0
-            assert lp._last[1]._basis == list(range(len(c), len(c) + len(A)))
+            assert warm._basis == list(range(len(c), len(c) + len(A)))
         cold_lp = lp.MinLP(c, A)
         cold = cold_lp.solve(b)
         assert_lowest_terms(cold_lp)
         assert (res.status, res.value) == (cold.status, cold.value)
         if res.status == "optimal":
             assert_certified(c, A, b, res)
-        verdicts.append((res.status, lp._last[1]))
-    assert len({id(memo) for _, memo in verdicts}) == 1
-    assert verdicts[middle][0] == "infeasible"
-
-
-def test_mutated_matrix_is_solved_cold():
-    # the memo compares c and A by value: a caller that changes A in place
-    # between calls gets the new LP's optimum, not the kept tableau's
-    c, A = [2, 1], [[1, 1]]
-    assert solve_min_lp(c, A, [1]).value == 1
-    A[0][1] = 2
-    res = solve_min_lp(c, A, [1])
-    assert res.value == F(1, 2) == lp.MinLP(c, A).solve([1]).value
-    assert_certified(c, A, [1], res)
+        results.append(res)
+    assert results[middle].status == "infeasible"
+    assert solve_min_lp(c, A, bs) == results
 
 
 def test_unproven_infeasibility_is_an_error(monkeypatch):

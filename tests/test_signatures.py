@@ -95,8 +95,11 @@ def test_each_kind_with_a_kernel_defines_its_checked_law():
 
 
 @pytest.mark.parametrize("suite", ["chain_map_suite", "well_definedness_suite", "metric_suite",
-                                   "conjugator_cross_check", "verify_homotopy_square"])
+                                   "conjugator_cross_check", "verify_homotopy_square",
+                                   "theta_h", "phi_g", "iota_h"])
 def test_each_identity_suite_takes_a_section_and_no_model(suite):
+    # the suites, and the maps on one class component that they check (as
+    # verify imports them): coset_section has checked h, so no map re-checks it
     classes = _parameter_classes(getattr(verify, suite))
     assert CosetSection in classes
     assert not any(issubclass(c, GroupModel) for c in classes)
