@@ -30,7 +30,6 @@ truncation with ``bar_complexes.cbar_faces``.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from functools import partial
@@ -434,20 +433,20 @@ class BarTruncation:
     """Span of equivariant bar tuples (e, g_1, ..., g_n) of diameter <= R.
 
     The diameter of a tuple is invariant under left translation and can only
-    shrink on faces, so these spans form a subcomplex.
+    shrink on faces, so these spans form a subcomplex.  A prefix of a tuple
+    has at most its diameter, so degree n grows from degree n - 1 by one
+    ball element, and only the pairs with the new entry are measured.
     """
 
     def __init__(self, model: GroupModel, max_degree: int, radius: int):
         self.model = model
         self.radius = radius
         ball = model.metric.ball(radius)
+        mul, inv, length = model._mul, model._inv, model.length
         self.bases: dict[int, list[tuple]] = {0: [(model.identity,)]}
         for n in range(1, max_degree + 1):
-            basis = []
-            for rest in itertools.product(ball, repeat=n):
-                t = (model.identity,) + rest
-                if tuple_diameter(model, t) <= radius:
-                    basis.append(t)
+            basis = [t + (g,) for t in self.bases[n - 1] for g in ball
+                     if all(length(mul(inv(x), g)) <= radius for x in t[1:])]
             basis.sort(key=lambda t: tuple(model.element_key(x) for x in t))
             self.bases[n] = basis
         self._index = {n: {t: i for i, t in enumerate(b)} for n, b in self.bases.items()}

@@ -8,9 +8,11 @@ Degree-n chains live on (n+1)-tuples of group elements; the boundary is
 The face map is ``hochschild_faces``; the chain boundary
 ``hochschild_boundary`` and the boundary matrices of ``homology_ranks`` both
 use it (matrices through ``linalg.boundary_columns``).  The complex splits
-over conjugacy classes of the product of entries, the retraction pi_h
-localizes a class component into the centralizer of h, and homology ranks of
-finite models are computed by exact rational elimination.
+over conjugacy classes of the product of entries, and the retraction pi_h
+localizes a class component into the centralizer of h.  Homology ranks of
+finite models are computed by exact rational elimination, per class on the
+normalized complex C-bar (g_1, ..., g_n != e), which has the same homology;
+the full complex's boundary ranks follow from its Betti numbers.
 
 A model's word metric is ``model.metric``.  The class-component map pi_h
 and the inclusion iota_h take the coset section of h alone: the section owns
@@ -170,35 +172,30 @@ def iota_h(section: CosetSection, c: Chain) -> Chain:
 
 def class_component_basis(model: GroupModel, degree: int,
                           x: ConjugacyClass) -> list[tuple]:
-    """Basis tuples of C_degree(QG)_x: entry product lies in x."""
+    """Basis tuples of the normalized C-bar_degree(QG)_x: entry product in x
+    and g_1, ..., g_n != e.  g_0 is forced as in ``sample_component_tuple``;
+    the order is fixed by ``model.elements()``."""
     members = class_members(model, x.rep)
-    elems = model.elements()
-
-    # the basis is yielded, not captured: rec refers to itself, and a list
-    # in that cycle would outlive the call until the cyclic collector runs
-    def rec(prefix: tuple, prod: Element, remaining: int) -> Iterator[tuple]:
-        if remaining == 0:
-            for target in members:
-                yield prefix + (model.mul(model.inv(prod), target),)
-            return
-        for g in elems:
-            yield from rec(prefix + (g,), model.mul(prod, g), remaining - 1)
-
-    return sorted(rec((), model.identity, degree),
-                  key=lambda t: tuple(model.element_key(g) for g in t))
+    rest = [(g, model.inv(g)) for g in model.elements() if g != model.identity]
+    # (g_1, ..., g_k) with (g_1...g_k)^-1, grown one entry at a time
+    tails = [((), model.identity)]
+    for _ in range(degree):
+        tails = [(t + (g,), model.mul(g_inv, q)) for t, q in tails for g, g_inv in rest]
+    return [(model.mul(target, q),) + t for t, q in tails for target in members]
 
 
 def _check_space_cap(model: GroupModel, max_degree: int, class_size: int) -> int:
     """Estimated bytes of one class component's ranks, checked against the
-    cap: its bases, and the top coboundary (N + 1 entries per basis tuple of
-    degree N = max_degree + 1) with its echelon, about 100 bytes per entry."""
+    cap: its normalized bases, |x| (|G| - 1)^n tuples in degree n, and the top
+    coboundary (N + 1 entries per basis tuple of degree N = max_degree + 1)
+    with its echelon, about 100 bytes per entry."""
     cap_mb = memory_cap_mb()
     cap = cap_mb * 1024 * 1024
     per_tuple = 80 + 16 * (max_degree + 2)
     total, dim = 0, class_size
     for n in range(max_degree + 2):
         if n:
-            dim *= model.order
+            dim *= model.order - 1
         total += dim * per_tuple
         if total > cap:
             # stop counting: the whole estimate can run to thousands of digits
@@ -222,21 +219,37 @@ def homology_ranks(model: GroupModel, max_degree: int,
     where rank_boundary_out is the rank of b_n out of degree n and
     rank_boundary_in the rank of b_{n+1} into it.  The computation runs per
     class component (only x's, when given) and aggregates: the splitting is
-    a direct sum of subcomplexes.  Each component's ranks come from its
-    coboundary with clearing (``linalg.coboundary_ranks``), the faces on the
-    kernel law, since every basis tuple is built from ``model.elements()``;
-    ``homology_ranks_unsplit`` is the column-reduction reference.
+    a direct sum of subcomplexes.  Each component's Betti numbers betti_n come
+    from its normalized complex C-bar (``class_component_basis``): the
+    tuples with some g_i = e, i >= 1, span an acyclic subcomplex (Loday,
+    Cyclic Homology, 1.1), so C-bar has the homology of the full component.
+    Its faces are ``hochschild_faces`` on the kernel law less the ones with
+    a merged entry g_j g_{j+1} = e, j >= 1, and its ranks come from the
+    coboundary with clearing (``linalg.coboundary_ranks``).  The report is
+    the full component's: dim C_n = |x| |G|^n, rank b_0 = 0 and
+    rank b_{n+1} = dim C_n - rank b_n - betti_n.  ``homology_ranks_unsplit`` is
+    the reference, by column reduction on the full complex.
     """
     if not model.is_finite:
         raise GroupMismatchError("homology ranks need a finite model")
     classes = [x] if x is not None else conjugacy_classes(model)
-    for cls in classes:  # every class, before any basis is built
-        _check_space_cap(model, max_degree, len(class_members(model, cls.rep)))
+    sizes = [len(class_members(model, cls.rep)) for cls in classes]
+    for size in sizes:  # every class, before any basis is built
+        _check_space_cap(model, max_degree, size)
+    mul, e = model._mul, model.identity
+
+    def faces(t):  # the faces that stay in C-bar
+        return ((u, s) for u, s in hochschild_faces(mul, t) if e not in u[1:])
+
     per_degree = _empty_reports(max_degree)
-    for cls in classes:
+    for cls, size in zip(classes, sizes):
         bases = [class_component_basis(model, n, cls) for n in range(max_degree + 2)]
-        _add_ranks(bases, coboundary_ranks(bases, partial(hochschild_faces, model._mul)),
-                   per_degree)
+        ranks = coboundary_ranks(bases, faces)
+        dims = [size * model.order ** n for n in range(max_degree + 2)]
+        full = [0]
+        for n in range(max_degree + 1):
+            full.append(dims[n] - full[n] - (len(bases[n]) - ranks[n] - ranks[n + 1]))
+        _add_ranks(dims, full, per_degree)
     return per_degree
 
 
@@ -248,8 +261,9 @@ def homology_ranks_unsplit(model: GroupModel, max_degree: int) -> list[dict]:
     bases = [sorted(itertools.product(elems, repeat=n + 1),
                     key=lambda t: tuple(model.element_key(g) for g in t))
              for n in range(max_degree + 2)]
+    ranks = boundary_ranks(bases, partial(hochschild_faces, model.mul))
     per_degree = _empty_reports(max_degree)
-    _add_ranks(bases, boundary_ranks(bases, partial(hochschild_faces, model.mul)), per_degree)
+    _add_ranks([len(b) for b in bases], ranks, per_degree)
     return per_degree
 
 
@@ -259,12 +273,12 @@ def _empty_reports(max_degree: int) -> list[dict]:
             for n in range(max_degree + 1)]
 
 
-def _add_ranks(bases: list[list[tuple]], ranks: list[int], per_degree: list[dict]) -> None:
-    """Add the dimensions, boundary ranks and Betti numbers of the complex
-    spanned by ``bases`` (one basis per degree, up to max_degree + 1), whose
-    boundary out of degree n has rank ranks[n]."""
+def _add_ranks(dims: list[int], ranks: list[int], per_degree: list[dict]) -> None:
+    """Add the dimensions, boundary ranks and Betti numbers of a complex with
+    dims[n] generators in degree n (up to max_degree + 1), whose boundary out
+    of degree n has rank ranks[n]."""
     for n, rec in enumerate(per_degree):
-        rec["dim_chain_space"] += len(bases[n])
+        rec["dim_chain_space"] += dims[n]
         rec["rank_boundary_out"] += ranks[n]
         rec["rank_boundary_in"] += ranks[n + 1]
-        rec["betti"] += len(bases[n]) - ranks[n] - ranks[n + 1]
+        rec["betti"] += dims[n] - ranks[n] - ranks[n + 1]

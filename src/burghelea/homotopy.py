@@ -39,10 +39,10 @@ from typing import Iterator
 
 from .chains import Chain, check_chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
-from .groups import Element, GroupModel
-from .hochschild import class_component_basis, entry_product, iota_h
+from .groups import Element, GroupModel, class_members
+from .hochschild import entry_product, iota_h
 from .linalg import boundary_columns, rank_of_columns
-from .metric import CosetSection, conjugacy_class, coset_section
+from .metric import CosetSection, coset_section
 
 ONE = Fraction(1)
 
@@ -161,9 +161,10 @@ def theta_quotient_dims(model: GroupModel, h: Element, degree: int) -> dict:
     if not model.is_finite:
         raise GroupMismatchError("theta rank checks need a finite model")
     section = coset_section(model, h)
-    target = class_component_basis(model, degree, conjugacy_class(model, h))
-    index = {t: i for i, t in enumerate(target)}
     tuples = list(itertools.product(model.elements(), repeat=degree + 1))
+    members = set(class_members(model, h))
+    target = [t for t in tuples if entry_product(model, t) in members]
+    index = {t: i for i, t in enumerate(target)}
     image_rank = rank_of_columns(
         boundary_columns(tuples, index, partial(theta_tuple, model, h)))
 

@@ -11,8 +11,10 @@ with smallest-index pivots), but 7,281 of its inserts reduce to zero.
 ``coboundary_ranks`` eliminates the coboundary with clearing (Chen & Kerber,
 EuroCG 2011; de Silva, Morozov & Vejdemo-Johansson, Inverse Problems 2011):
 911 inserts, none zero, storing 59,037 nonzeros.  ``hochschild.homology_ranks``
-takes the coboundary path; ``homology_ranks_unsplit`` and
-``bar_complexes.bar_homology_ranks`` stay on column reduction, the reference.
+takes the coboundary path on the normalized complex, where b_4 has 4,802
+columns and rank 601: 601 inserts, none zero, storing 34,804 nonzeros.
+``homology_ranks_unsplit`` and ``bar_complexes.bar_homology_ranks`` stay on
+column reduction, the reference.
 
 Every boundary matrix in the workbench is built here.  Each complex defines
 its face map once, as a function from a basis tuple to ``(face, +-1)`` pairs

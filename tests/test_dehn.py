@@ -16,6 +16,7 @@ from burghelea import (
     min_l1_filling,
 )
 from burghelea import dehn
+from burghelea.chains import tuple_diameter
 from burghelea.dehn import BarTruncation, enumerate_boundaries, min_l1_fillings
 from burghelea.linalg import RationalEchelon
 from burghelea.lp import solve_min_lp
@@ -314,6 +315,21 @@ def test_bar_truncation_is_subcomplex():
     cols = trunc.boundary_columns(2)
     assert cols and all(isinstance(c, dict) for c in cols)
     assert len(trunc.bases[1]) == len(wm.ball(2))
+
+
+@pytest.mark.parametrize("name, max_degree, radius",
+                         [("f2", 4, 1), ("f2", 3, 2), ("zz", 4, 1), ("zz", 3, 2)])
+def test_bar_truncation_grown_bases_equal_product_filter(name, max_degree, radius, request):
+    # each degree grows from the one below; the reference filters every
+    # tuple of ball elements by its diameter, in the same order
+    m = request.getfixturevalue(name)
+    trunc = BarTruncation(m, max_degree, radius)
+    ball = m.metric.ball(radius)
+    for n in range(max_degree + 1):
+        ref = sorted(((m.identity,) + rest for rest in itertools.product(ball, repeat=n)
+                      if tuple_diameter(m, (m.identity,) + rest) <= radius),
+                     key=lambda t: tuple(m.element_key(x) for x in t))
+        assert trunc.bases[n] == ref
 
 
 def test_filling_estimate_boundaries_fill():

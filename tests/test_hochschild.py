@@ -1,6 +1,8 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,8 +29,10 @@ from burghelea.hochschild import (
     _check_space_cap,
     class_component_basis,
     entry_product,
+    hochschild_faces,
     sample_component_tuple,
 )
+from burghelea.linalg import boundary_ranks
 
 
 def test_boundary_degree_one_commutator(s3):
@@ -267,7 +271,8 @@ def test_ranks_s3_transposition_class(s3):
 
 
 def test_ranks_d4_rotation_class(d4):
-    # the class of the benchmarked hh-ranks run; b_4 has 8192 columns
+    # the class of the benchmarked hh-ranks run; b_4 has 8192 columns, and
+    # 4802 in the normalized complex
     report = homology_ranks(d4, 3, x=conjugacy_class(d4, (1, 2, 3, 0)))
     assert [r["dim_chain_space"] for r in report] == [2, 16, 128, 1024]
     assert [r["rank_boundary_in"] for r in report] == [1, 15, 113, 911]
@@ -292,11 +297,37 @@ def test_ranks_equal_class_count(z2, z4, s3):
 
 
 def test_class_component_basis_dimension(s3):
+    # the normalized component: |x| (|G| - 1)^n tuples, none with e after g_0
     x = conjugacy_class(s3, (0, 2, 1))
     for n in range(3):
         basis = class_component_basis(s3, n, x)
-        assert len(basis) == 3 * 6 ** n
+        assert len(basis) == len(set(basis)) == 3 * 5 ** n
         assert all(conjugacy_class(s3, entry_product(s3, t)) == x for t in basis)
+        assert all(s3.identity not in t[1:] for t in basis)
+
+
+def _full_component_report(m, max_degree, x):
+    """The report of x's full component, G^(n+1) filtered by class, by column
+    reduction."""
+    bases = [[t for t in itertools.product(m.elements(), repeat=n + 1)
+              if conjugacy_class(m, entry_product(m, t)) == x]
+             for n in range(max_degree + 2)]
+    report = hochschild._empty_reports(max_degree)
+    hochschild._add_ranks([len(b) for b in bases],
+                          boundary_ranks(bases, partial(hochschild_faces, m.mul)), report)
+    return report
+
+
+@pytest.mark.parametrize("name, rep", [("z2", None), ("z4", None), ("s3", None),
+                                       ("d4", (1, 2, 3, 0))])
+def test_normalized_betti_equal_full_component(name, rep, request):
+    # per class, the Betti numbers from the normalized complex, and the ranks
+    # derived from them, equal the full component's; all of d4's classes
+    # take about 4 s, so d4 covers its rotation class
+    m = request.getfixturevalue(name)
+    classes = [conjugacy_class(m, rep)] if rep else conjugacy_classes(m)
+    for x in classes:
+        assert homology_ranks(m, 3, x=x) == _full_component_report(m, 3, x), x
 
 
 def test_ranks_infinite_model_rejected(f2):
@@ -308,15 +339,15 @@ def test_resource_cap(z4, monkeypatch):
     monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
     monkeypatch.setattr(hochschild, "class_component_basis",
                         lambda *args: pytest.fail("a basis was built"))
-    # the least cap, 1 MB; the degree-6 ranks of a class of Z/4 need ~17 MB
-    # (4.5 MB of bases), so the cap trips before any basis is built
+    # the least cap, 1 MB; the degree-6 ranks of a class of Z/4 need ~2.3 MB
+    # (0.65 MB of normalized bases), so the cap trips before any basis is built
     with pytest.raises(ResourceCapError, match="cap is 1 MB"):
         homology_ranks(z4, 6)
 
 
 def test_space_cap_checks_every_class_before_any_basis(s3, monkeypatch):
-    # at degree 3 under 1 MB the identity class (about 0.86 MB) passes and the
-    # transposition class (about 2.6 MB) does not: no class is computed first
+    # at degree 3 under 1 MB the identity class (about 0.42 MB) passes and the
+    # transposition class (about 1.25 MB) does not: no class is computed first
     monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
     first = conjugacy_classes(s3)[0]
     assert len(class_members(s3, first.rep)) == 1
@@ -331,18 +362,18 @@ def test_space_cap_stops_counting_past_the_cap(d4, monkeypatch):
     monkeypatch.delenv("BURGHELEA_CAP_MB", raising=False)
     # the whole estimate at degree 10000 has thousands of digits
     with pytest.raises(ResourceCapError,
-                       match=r"^chain spaces up to degree 4 need more than 512 MB, cap is 512 MB"):
+                       match=r"^chain spaces up to degree 5 need more than 512 MB, cap is 512 MB"):
         homology_ranks(d4, 10000)
     # under the cap the estimate is the closed form
     for max_degree in range(4):
-        dims = [2 * 8 ** n for n in range(max_degree + 2)]
+        dims = [2 * 7 ** n for n in range(max_degree + 2)]
         assert _check_space_cap(d4, max_degree, 2) == (
             sum(dims) * (80 + 16 * (max_degree + 2)) + (max_degree + 2) * dims[-1] * 100)
     # bases within the cap, the top coboundary past it: the exact estimate
     monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
     with pytest.raises(ResourceCapError, match=r"^chain spaces and the top coboundary "
-                                               r"need about 2 MB, cap is 1 MB"):
-        _check_space_cap(d4, 2, 8)
+                                               r"need about 3 MB, cap is 1 MB"):
+        _check_space_cap(d4, 3, 2)
 
 
 @pytest.mark.parametrize("name, max_degree, rep", [("d4", 3, (1, 2, 3, 0)), ("s3", 2, None)])
