@@ -26,7 +26,6 @@ A model's word metric is ``model.metric``.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator
 
@@ -36,8 +35,6 @@ from .groups import Element, GroupModel
 from .hochschild import entry_product, pi_h
 from .linalg import boundary_ranks
 from .metric import CosetSection
-
-ONE = Fraction(1)
 
 
 def cprime_faces(mul: Callable[[Element, Element], Element],
@@ -100,7 +97,7 @@ def psi(model: GroupModel, c: Chain) -> Chain:
         for x in t:
             acc = mul(acc, x)
             out.append(acc)
-        yield tuple(out), ONE
+        yield tuple(out), 1
 
     return linear_extend(c, "cbar", c.degree, on_basis)
 
@@ -116,7 +113,7 @@ def psi_inv(model: GroupModel, c: Chain) -> Chain:
         if t[0] != model.identity:
             raise GroupMismatchError("cbar tuples must have leading identity")
         out = [mul(inv(t[i]), t[i + 1]) for i in range(len(t) - 1)]
-        yield tuple(out), ONE
+        yield tuple(out), 1
 
     return linear_extend(c, "cprime", c.degree, on_basis)
 
@@ -139,7 +136,7 @@ def phi_g(section: CosetSection, c: Chain) -> Chain:
                 raise GroupMismatchError(
                     f"entry {model.element_str(x)} does not centralize g")
         lead = mul(model._inv(entry_product(model, t)), g)
-        yield (lead,) + t, ONE
+        yield (lead,) + t, 1
 
     return linear_extend(c, "hochschild", c.degree, on_basis)
 
@@ -150,7 +147,7 @@ def phi_g_inv(c: Chain) -> Chain:
         raise GroupMismatchError("phi_g_inv needs a hochschild chain")
 
     def on_basis(t):
-        yield t[1:], ONE
+        yield t[1:], 1
 
     return linear_extend(c, "cprime", c.degree, on_basis)
 
@@ -176,7 +173,7 @@ def localize_to_equivariant(section: CosetSection, c: Chain) -> Chain:
         for x in t:
             acc = mul(acc, x)
             out.append(p(acc))
-        yield normalize_cbar_tuple(m, tuple(out)), ONE
+        yield normalize_cbar_tuple(m, tuple(out)), 1
 
     return linear_extend(c, "cbar", c.degree, on_basis)
 

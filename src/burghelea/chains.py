@@ -1,7 +1,7 @@
 """Sparse formal linear combinations over tuples of group elements.
 
-A Chain maps basis tuples to exact rational coefficients and carries a
-complex-kind tag plus a degree; the tag fixes the tuple arity:
+A Chain maps basis tuples to exact coefficients and carries a complex-kind
+tag plus a degree; the tag fixes the tuple arity:
 
     hochschild  degree n, arity n+1   (tensor generators)
     cprime      degree n, arity n     (inhomogeneous bar generators)
@@ -10,6 +10,11 @@ complex-kind tag plus a degree; the tag fixes the tuple arity:
 
 Zero coefficients are never stored, so equality of chains is equality of
 their term maps.
+
+A coefficient is an exact ``int`` where integral as built, else a
+``Fraction``, never a float: every comparison map and boundary has
+coefficients +-1, so chains built from basis chains stay in ints.  An int
+and a Fraction of equal value compare and hash equal and print alike.
 
 A boundary is its complex's face map extended by ``linear_extend``, which
 builds its result in one pass: each image term is checked for arity and added
@@ -39,6 +44,7 @@ from .groups import Element, GroupModel
 KINDS = ("hochschild", "cprime", "cbar", "e")
 
 BasisTuple = tuple  # tuple of Element
+Coefficient = int | Fraction  # never a float
 
 
 def arity(kind: str, degree: int) -> int:
@@ -56,20 +62,21 @@ def _arity_error(t, kind: str, degree: int, n: int) -> KindMismatchError:
 
 
 class Chain:
-    """Immutable finitely supported chain with Fraction coefficients; only
-    its ``checked`` mark is set later, by ``check_chain``."""
+    """Immutable finitely supported chain with int coefficients where
+    integral as given, else Fraction ones; only its ``checked`` mark is set
+    later, by ``check_chain``."""
 
     __slots__ = ("kind", "degree", "terms", "checked")
 
     def __init__(self, kind: str, degree: int,
-                 terms: Mapping[BasisTuple, Fraction] | Iterable[tuple[BasisTuple, Fraction]] = ()):
+                 terms: Mapping[BasisTuple, Coefficient] | Iterable[tuple[BasisTuple, Coefficient]] = ()):
         n = arity(kind, degree)
-        acc: dict[BasisTuple, Fraction] = {}
+        acc: dict[BasisTuple, Coefficient] = {}
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for t, q in items:
             if not (isinstance(t, tuple) and len(t) == n):
                 raise _arity_error(t, kind, degree, n)
-            if type(q) is not Fraction:
+            if type(q) is not int and type(q) is not Fraction:
                 q = Fraction(q)
             if q:
                 s = acc.get(t)
@@ -87,7 +94,7 @@ class Chain:
         self.checked = None
 
     @staticmethod
-    def _of(kind: str, degree: int, terms: dict[BasisTuple, Fraction],
+    def _of(kind: str, degree: int, terms: dict[BasisTuple, Coefficient],
             checked: GroupModel | None) -> "Chain":
         """A chain on a term map that already has the right arity and no zero."""
         out = Chain.__new__(Chain)
@@ -100,7 +107,7 @@ class Chain:
 
     @classmethod
     def basis(cls, kind: str, degree: int, t: BasisTuple) -> "Chain":
-        return cls(kind, degree, [(t, Fraction(1))])
+        return cls(kind, degree, [(t, 1)])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -136,10 +143,11 @@ class Chain:
         return self._merge(other, True)
 
     def __neg__(self) -> "Chain":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
-    def scale(self, q) -> "Chain":
-        q = Fraction(q)
+    def scale(self, q: Coefficient) -> "Chain":
+        if type(q) is not int:
+            q = Fraction(q)
         return Chain._of(self.kind, self.degree,
                          {t: c * q for t, c in self.terms.items()} if q else {},
                          self.checked)
@@ -151,7 +159,7 @@ class Chain:
     def __repr__(self) -> str:
         return f"Chain({self.kind}, deg={self.degree}, {len(self.terms)} terms)"
 
-    def sorted_terms(self, model: GroupModel) -> list[tuple[BasisTuple, Fraction]]:
+    def sorted_terms(self, model: GroupModel) -> list[tuple[BasisTuple, Coefficient]]:
         """Terms in the canonical (elementwise encoding-key) order."""
         def key(item):
             t, _ = item
@@ -160,7 +168,7 @@ class Chain:
 
 
 def linear_extend(c: Chain, kind: str, degree: int,
-                  on_basis: Callable[[BasisTuple], Iterable[tuple[BasisTuple, Fraction]]]) -> Chain:
+                  on_basis: Callable[[BasisTuple], Iterable[tuple[BasisTuple, Coefficient]]]) -> Chain:
     """Extend a map given on basis tuples linearly over a chain.
 
     One pass: each output term goes straight into the result's term map,
@@ -168,21 +176,15 @@ def linear_extend(c: Chain, kind: str, degree: int,
     cancels to zero (or a zero coefficient r) is never stored.  The result
     keeps c's ``checked`` mark: ``on_basis`` must keep entries valid."""
     n = arity(kind, degree)
-    acc: dict[BasisTuple, Fraction] = {}
+    acc: dict[BasisTuple, Coefficient] = {}
     get = acc.get
     for t, q in c.terms.items():
         for u, r in on_basis(t):
             if not (isinstance(u, tuple) and len(u) == n):
                 raise _arity_error(u, kind, degree, n)
-            # face signs are +-1: no Fraction product for them
-            if r == 1:
-                v = q
-            elif r == -1:
-                v = -q
-            else:
-                v = q * r
-                if not v:
-                    continue
+            v = q * r
+            if not v:
+                continue
             s = get(u)
             if s is None:
                 acc[u] = v

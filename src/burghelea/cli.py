@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import dehn as dehn_mod

@@ -44,11 +44,11 @@ from .errors import (
     ResourceCapError,
 )
 from .groups import GroupModel, _checked
+from .hochschild import check_memory
 from .linalg import RationalEchelon, boundary_columns
 from .lp import solve_min_lp
 from .norms import NormFamily
 
-ZERO = Fraction(0)
 # the fill report's least bounded p is the least whose max ratio is at most this
 RATIO_BOUND = 10.0
 
@@ -163,13 +163,23 @@ class FillingResult(NamedTuple):
     witness: dict[int, Fraction]  # filling chain over (N+1)-simplex indices
 
 
+def check_tableau_space(n_rows: int, ncols: int) -> None:
+    """Raise ResourceCapError if the dense tableau of a filling LP, n_rows x
+    (2 ncols + n_rows + 1) entries, passes the memory cap: about 24 bytes an
+    entry with its share of A as given and as scaled (21-22 measured on zz)."""
+    check_memory(n_rows * (2 * ncols + n_rows + 1) * 24,
+                 f"the filling LP, {n_rows} rows by {2 * ncols} columns, needs")
+
+
 def min_l1_fillings(columns: list[dict[int, int]], n_rows: int,
                     targets: Sequence[dict[int, Fraction]],
                     weights: Optional[Sequence[Fraction]] = None) -> list[FillingResult]:
     """Minimal (weighted) l1 filling of each target vector by the given
     columns, in order, by one exact rational LP over all of them.  Raises
-    NotABoundaryError if a target does not bound."""
+    NotABoundaryError if a target does not bound, and ResourceCapError
+    before any matrix is built if the tableau passes the memory cap."""
     ncols = len(columns)
+    check_tableau_space(n_rows, ncols)
     w = [Fraction(x) for x in weights] if weights is not None else [Fraction(1)] * ncols
     # variables a+ then a-: min w.(a+ + a-), d(a+ - a-) = target
     A = [[0] * (2 * ncols) for _ in range(n_rows)]
@@ -178,7 +188,7 @@ def min_l1_fillings(columns: list[dict[int, int]], n_rows: int,
             A[i][j] = s
             A[i][ncols + j] = -s
     out = []
-    for res in solve_min_lp(w + w, A, [[t.get(i, ZERO) for i in range(n_rows)]
+    for res in solve_min_lp(w + w, A, [[t.get(i, 0) for i in range(n_rows)]
                                        for t in targets]):
         if res.status == "infeasible":
             raise NotABoundaryError("the target chain is not a boundary")
@@ -485,9 +495,11 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
     rng = random.Random(seed)
     ps = sorted(set(p_grid))
     trunc = BarTruncation(model, degree + 1, radius)
+    n_rows = len(trunc.bases[degree])
+    # refuse before the columns and weights, which cost more than the bases
+    check_tableau_space(n_rows, len(trunc.bases[degree + 1]))
     nf = NormFamily(model, "rd-chain")
     cols = trunc.boundary_columns(degree + 1)
-    n_rows = len(trunc.bases[degree])
     weights = trunc.weights(degree + 1, k)
     upper_basis = trunc.bases[degree + 1]
 

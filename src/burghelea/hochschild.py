@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Optional
 
@@ -33,8 +32,6 @@ from .errors import GroupMismatchError, ResourceCapError
 from .groups import Element, GroupModel, class_members
 from .linalg import boundary_ranks, coboundary_ranks
 from .metric import ConjugacyClass, CosetSection, conjugacy_class, conjugacy_classes
-
-ONE = Fraction(1)
 
 DEFAULT_CAP_MB = 512
 
@@ -52,6 +49,18 @@ def memory_cap_mb() -> int:
         raise ResourceCapError(
             f"BURGHELEA_CAP_MB must be a positive integer number of megabytes, got {env!r}")
     return cap
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ResourceCapError when an estimate of ``need`` bytes passes the
+    cap; the message rounds the need up to a tenth of a MB, so that it always
+    reads above the cap.  ``what`` names the need and ends in its verb."""
+    cap_mb = memory_cap_mb()
+    if need > cap_mb * 1024 * 1024:
+        tenths = -(-need * 10 // (1024 * 1024))
+        raise ResourceCapError(
+            f"{what} about {tenths // 10}.{tenths % 10} MB, "
+            f"cap is {cap_mb} MB (set BURGHELEA_CAP_MB to override)")
 
 
 def hochschild_faces(mul: Callable[[Element, Element], Element],
@@ -147,7 +156,7 @@ def pi_h(section: CosetSection, c: Chain,
             for i in range(len(t) - 1):
                 entries.append(mul(inv(retracts[i]), retracts[i + 1]))
             u = memo[t] = tuple(entries)
-        return ((u, ONE),)
+        return ((u, 1),)
 
     return linear_extend(c, "hochschild", c.degree, on_basis)
 
@@ -203,10 +212,7 @@ def _check_space_cap(model: GroupModel, max_degree: int, class_size: int) -> int
                 f"chain spaces up to degree {n} need more than {cap_mb} MB, "
                 f"cap is {cap_mb} MB (set BURGHELEA_CAP_MB to override)")
     total += (max_degree + 2) * dim * 100
-    if total > cap:
-        raise ResourceCapError(
-            f"chain spaces and the top coboundary need about {total // (1024 * 1024)} MB, "
-            f"cap is {cap_mb} MB (set BURGHELEA_CAP_MB to override)")
+    check_memory(total, "chain spaces and the top coboundary need")
     return total
 
 

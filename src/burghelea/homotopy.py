@@ -33,7 +33,6 @@ maps satisfy are checked by ``verify.verify_homotopy_square``.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
 from typing import Iterator
 
@@ -43,8 +42,6 @@ from .groups import Element, GroupModel, class_members
 from .hochschild import entry_product, iota_h
 from .linalg import boundary_columns, rank_of_columns
 from .metric import CosetSection, coset_section
-
-ONE = Fraction(1)
 
 
 def boundary_e(c: Chain) -> Chain:
@@ -63,7 +60,7 @@ def p_e(section: CosetSection, c: Chain) -> Chain:
     p = section.retract
 
     def on_basis(t):
-        yield tuple(p(x) for x in t), ONE
+        yield tuple(p(x) for x in t), 1
 
     return linear_extend(c, "e", c.degree, on_basis)
 
@@ -86,9 +83,9 @@ def homotopy_d(section: CosetSection, c: Chain) -> Chain:
         terms = memo.get(t)
         if terms is None:
             if n == 0:
-                terms = [((p(t[0]), t[0]), ONE)]
+                terms = [((p(t[0]), t[0]), 1)]
             else:
-                gen = Chain._of("e", n, {t: ONE}, c.checked)
+                gen = Chain._of("e", n, {t: 1}, c.checked)
                 inner = (gen - iota_h(section, p_e(section, gen))
                          - homotopy_d(section, boundary_e(gen)))
                 terms = [((t[0],) + u, q) for u, q in inner.terms.items()]
@@ -133,7 +130,7 @@ def theta_lift(section: CosetSection, c: Chain) -> Chain:
         for x in t:
             acc = mul(acc, x)
             out.append(acc)
-        yield tuple(out), ONE
+        yield tuple(out), 1
 
     return linear_extend(c, "e", c.degree, on_basis)
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import load_model
 from burghelea import (
     GroupMismatchError,
     KindMismatchError,
+    NormFamily,
     chain_from_obj,
     chain_to_obj,
     coset_section,
@@ -18,11 +20,18 @@ from burghelea.bar_complexes import (
     boundary_cprime,
     localize_to_equivariant,
     phi_g,
+    phi_g_inv,
     psi,
     psi_inv,
 )
 from burghelea.chains import Chain, convolve, linear_extend, tuple_diameter
-from burghelea.hochschild import hochschild_boundary, iota_h, pi_h, split_by_class
+from burghelea.hochschild import (
+    hochschild_boundary,
+    iota_h,
+    pi_h,
+    sample_component_tuple,
+    split_by_class,
+)
 from burghelea.homotopy import dbar, homotopy_d, p_e, theta_h, theta_lift
 
 
@@ -203,3 +212,59 @@ def test_sub_cancels_and_matches_adding_the_negative():
     assert (c - d).terms == {u: Fraction(5, 3)}
     assert c - d == c + d.scale(-1) == -(d - c)
     assert (c - c).is_zero()
+
+
+# a class rep off the centre, so that p_h, pi_h and D do real work
+_INT_CASES = {"s3.json": "[1,0,2]", "f2xz.json": "(a; (0))"}
+
+
+@pytest.mark.parametrize("name", sorted(_INT_CASES))
+@given(data=st.data())
+def test_int_coefficients_match_fraction_coefficients(name, data):
+    # the chain maps run on int coefficients as built; the same chains with
+    # Fraction coefficients are the reference they replace
+    m = load_model(name)
+    h = m.parse_element(_INT_CASES[name])
+    pool = m.elements() if m.is_finite else m.metric.ball(1)
+    z_pool = [g for g in pool if m.commutes(g, h)]
+    n = data.draw(st.integers(0, 2), label="degree")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    coeffs = st.integers(-3, 3)
+
+    def chains(kind, make_tuple):
+        items = [(make_tuple(), q) for q in data.draw(st.lists(coeffs, min_size=1, max_size=4))]
+        return Chain(kind, n, items), Chain(kind, n, [(t, Fraction(q)) for t, q in items])
+
+    def tuples(p, length):
+        return lambda: tuple(rng.choice(p) for _ in range(length))
+
+    def component():
+        return sample_component_tuple(m, rng, pool, h, n)
+
+    e = m.identity
+    maps = [
+        (chains("hochschild", tuples(pool, n + 1)), lambda c: hochschild_boundary(m, c)),
+        (chains("hochschild", tuples(pool, n + 1)), lambda c: split_by_class(m, c)),
+        (chains("hochschild", component), lambda c: pi_h(coset_section(m, h), c)),
+        (chains("hochschild", tuples(z_pool, n + 1)), lambda c: iota_h(coset_section(m, h), c)),
+        (chains("hochschild", tuples(pool, n + 1)), phi_g_inv),
+        (chains("hochschild", component), lambda c: dbar(coset_section(m, h), c)),
+        (chains("cprime", tuples(pool, n)), lambda c: psi(m, c)),
+        (chains("cprime", tuples(pool, n)), lambda c: boundary_cprime(m, c)),
+        (chains("cprime", tuples(z_pool, n)), lambda c: phi_g(coset_section(m, h), c)),
+        (chains("cbar", lambda: (e,) + tuples(pool, n)()), lambda c: psi_inv(m, c)),
+        (chains("cbar", lambda: (e,) + tuples(pool, n)()), lambda c: boundary_cbar(m, c)),
+        (chains("e", tuples(pool, n + 1)), lambda c: theta_h(coset_section(m, h), c)),
+        (chains("e", tuples(pool, n + 1)), lambda c: homotopy_d(coset_section(m, h), c)),
+    ]
+    for (as_int, as_fraction), f in maps:
+        got, want = f(as_int), f(as_fraction)
+        assert got == want
+        for out, kind in ((got, int), (want, Fraction)):
+            parts = out.values() if isinstance(out, dict) else [out]
+            assert all(type(q) is kind for c in parts for q in c.terms.values())
+    tensor = NormFamily(m, "hochschild-tensor")
+    as_int, as_fraction = chains("hochschild", tuples(pool, n + 1))
+    for k in range(3):
+        value = tensor.norm(as_int, k)
+        assert type(value) is Fraction and value == tensor.norm(as_fraction, k)

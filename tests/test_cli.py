@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burghelea import dehn as dehn_mod
 from burghelea.cli import main
 from burghelea.metric import CosetSection
 
@@ -178,6 +179,20 @@ def test_fill_cli(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())["results"]
     assert rep["rows"]
+
+
+def test_fill_past_the_space_cap_exits_one_before_any_matrix(monkeypatch, capsys):
+    # degree 9 at radius 1 on Z^2: a 2,045 x 8,186 filling LP, about 479 MB
+    # of tableau; the refusal comes before the columns and the weights
+    monkeypatch.setenv("BURGHELEA_CAP_MB", "64")
+    for name in ("boundary_columns", "weights"):
+        monkeypatch.setattr(dehn_mod.BarTruncation, name,
+                            lambda *args: pytest.fail("a matrix was built"))
+    assert run_cli("fill", "--group", str(fixture_path("zz.json")),
+                   "--radius", "1", "--degree", "9") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the filling LP, 2045 rows by 8186 columns, needs about")
+    assert "cap is 64 MB" in err and "BURGHELEA_CAP_MB" in err
 
 
 def test_usage_errors_exit_one():

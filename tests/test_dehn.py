@@ -372,6 +372,15 @@ def test_filling_estimate_truncation_error():
                                                     target])
 
 
+def test_min_l1_fillings_checks_the_space_cap_first(monkeypatch):
+    # 300 x (600 + 301) tableau entries at 24 bytes: about 6.2 MB
+    monkeypatch.setenv("BURGHELEA_CAP_MB", "6")
+    monkeypatch.setattr(dehn, "solve_min_lp", lambda *args: pytest.fail("an LP was built"))
+    with pytest.raises(ResourceCapError, match=r"300 rows by 600 columns, needs about 6\.2 MB, "
+                                               r"cap is 6 MB"):
+        min_l1_fillings([{}] * 300, 300, [{}])
+
+
 def _lp_calls(monkeypatch):
     """The number of right-hand sides of each solve_min_lp call dehn makes."""
     calls = []

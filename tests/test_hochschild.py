@@ -369,11 +369,14 @@ def test_space_cap_stops_counting_past_the_cap(d4, monkeypatch):
         dims = [2 * 7 ** n for n in range(max_degree + 2)]
         assert _check_space_cap(d4, max_degree, 2) == (
             sum(dims) * (80 + 16 * (max_degree + 2)) + (max_degree + 2) * dims[-1] * 100)
-    # bases within the cap, the top coboundary past it: the exact estimate
+    # bases within the cap, the top coboundary past it: the exact estimate,
+    # rounded up to a tenth of a MB, so that the need printed exceeds the cap
+    # (a class of 8 at degree 2 needs 1,558,400 bytes, which floored to "1 MB")
     monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
-    with pytest.raises(ResourceCapError, match=r"^chain spaces and the top coboundary "
-                                               r"need about 3 MB, cap is 1 MB"):
-        _check_space_cap(d4, 3, 2)
+    for max_degree, size, need in ((3, 2, r"3\.2"), (2, 8, r"1\.5")):
+        with pytest.raises(ResourceCapError, match=rf"^chain spaces and the top coboundary "
+                                                   rf"need about {need} MB, cap is 1 MB"):
+            _check_space_cap(d4, max_degree, size)
 
 
 @pytest.mark.parametrize("name, max_degree, rep", [("d4", 3, (1, 2, 3, 0)), ("s3", 2, None)])

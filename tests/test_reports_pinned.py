@@ -36,6 +36,11 @@ PINNED = {
         ["verify-identities", "--group", "s3.json", "--degree", "2", "--samples", "15",
          "--seed", "7"],
         "f5a5d202823cc3c37153489166f51953937cb860a099d142bcf4da65df8a2521"),
+    # a product group: the infinite kinds' coset sections and the chain maps
+    "verify-identities-f2xz": (
+        ["verify-identities", "--group", "f2xz.json", "--degree", "2", "--samples", "10",
+         "--radius", "1"],
+        "52368711127056a74845ca2d2e9402b4e74b257714817f01b91e2ac5bcb45879"),
     "conj-bound": (
         ["conj-bound", "--group", "f2.json", "--radius", "2", "--cap", "6"],
         "d7197b6464a8f32bc661b4c6baee7421a45f720283fde73610848fc189dcca7c"),
@@ -47,6 +52,9 @@ PINNED = {
         ["norm-profile", "--group", "f2.json", "--degree", "1", "--radius", "2",
          "--k-grid", "1..1", "--samples", "3", "--seed", "1"],
         "4f1d229eccbb0e1eaeb132ddde5eb989c73f6a516dd5832f2ebfc71ae096c218"),
+    "norm-profile-f2xz": (
+        ["norm-profile", "--group", "f2xz.json"],
+        "42f37feddd1a86a54d3d3b69861611ebee73b5c7339f031f3f866cfe74d49746"),
     "dehn": (
         ["dehn", "--complex", "octahedron.json", "--degree", "1", "--k", "4"],
         "ca368e2cf0b7b4d6af65f4e10da57c74d9efaa1558fdf8cdc1dcc383b58b7113"),
@@ -79,8 +87,12 @@ FILE_PINNED = {
         "f68c94e8e37ee54c5e4c6da8ee151285978cb791c5d4fe635ac4e0f1f1b11734",
     "norm-profile-f2":
         "b9d09b379bb299c52e80b5fe0323cae77cd4b689207a5661aae8903859e0b160",
+    "norm-profile-f2xz":
+        "88d7e97414c7efb9b8159996d75426daca219ff3ec503a3d6398b21eb0993a1a",
     "verify-identities":
         "7d5ab38fcbd4d0bae62f31b4516728d1cd7bc1ef9477d35d1f85a284cae18cdf",
+    "verify-identities-f2xz":
+        "cb8a3e4f4425cae1bc585f1f02c569d4e013d3b96ccb631eaf2287c2d95da111",
 }
 
 
