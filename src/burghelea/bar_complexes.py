@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 from .chains import Chain, check_chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
-from .hochschild import entry_product, pi_h
+from .hochschild import entry_product, pi_h, prefix_products
 from .linalg import boundary_ranks
 from .metric import CosetSection
 
@@ -89,15 +89,10 @@ def psi(model: GroupModel, c: Chain) -> Chain:
     if c.kind != "cprime":
         raise GroupMismatchError("psi needs a cprime chain")
     check_chain(model, c)
-    mul = model._mul
+    e = model.identity
 
     def on_basis(t):
-        out = [model.identity]
-        acc = model.identity
-        for x in t:
-            acc = mul(acc, x)
-            out.append(acc)
-        yield tuple(out), 1
+        yield (e,) + prefix_products(model, e, t), 1
 
     return linear_extend(c, "cbar", c.degree, on_basis)
 
@@ -163,17 +158,11 @@ def localize_to_equivariant(section: CosetSection, c: Chain) -> Chain:
         raise GroupMismatchError("localize_to_equivariant needs a hochschild chain")
     m = section.model
     check_chain(m, c)
-    mul = m._mul
     p = section.retract
 
     def on_basis(t):
-        r = section.conjugator(entry_product(m, t))
-        out = []
-        acc = r
-        for x in t:
-            acc = mul(acc, x)
-            out.append(p(acc))
-        yield normalize_cbar_tuple(m, tuple(out)), 1
+        lift = prefix_products(m, section.conjugator(entry_product(m, t)), t)
+        yield normalize_cbar_tuple(m, tuple([p(x) for x in lift])), 1
 
     return linear_extend(c, "cbar", c.degree, on_basis)
 

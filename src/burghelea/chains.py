@@ -39,7 +39,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 
 from .errors import KindMismatchError
-from .groups import Element, GroupModel
+from .groups import GroupModel
 
 KINDS = ("hochschild", "cprime", "cbar", "e")
 

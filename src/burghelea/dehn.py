@@ -301,7 +301,7 @@ def _target_vec(X: SimplicialComplex, b: dict[tuple, Fraction],
 
 
 def enumerate_boundaries(X: SimplicialComplex, dim: int, k: int,
-                         cap: int = 2_000_000) -> Iterable[dict[int, int]]:
+                         cap: int) -> Iterable[dict[int, int]]:
     """All integer dim-chains b with l1(b) <= k that are boundaries, one
     representative per +-b pair (l_f is symmetric under negation): the one
     whose first nonzero entry is positive.
@@ -394,7 +394,7 @@ def _boundary_leaves(lcm: int, rows: dict[int, dict[int, int]], size: int, k: in
 
 
 def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
-                  enumeration_cap: int = 2_000_000) -> dict:
+                  enumeration_cap: int) -> dict:
     """Table of d^N(k) = sup over boundaries of l1 <= k of l_f(b).
 
     Exact over the finite enumeration; monotone nondecreasing in k by
@@ -446,6 +446,10 @@ class BarTruncation:
     shrink on faces, so these spans form a subcomplex.  A prefix of a tuple
     has at most its diameter, so degree n grows from degree n - 1 by one
     ball element, and only the pairs with the new entry are measured.
+
+    |B_n| >= |B_{n-1}| (repeating the last entry keeps the diameter), so a
+    filling LP of |B_{n-1}| rows and columns bounds the top degree's from
+    below, and one past the memory cap refuses before degree n is built.
     """
 
     def __init__(self, model: GroupModel, max_degree: int, radius: int):
@@ -455,6 +459,11 @@ class BarTruncation:
         mul, inv, length = model._mul, model._inv, model.length
         self.bases: dict[int, list[tuple]] = {0: [(model.identity,)]}
         for n in range(1, max_degree + 1):
+            size = len(self.bases[n - 1])
+            try:
+                check_tableau_space(size, size)
+            except ResourceCapError as err:
+                raise ResourceCapError(f"a lower bound, before degree {n} is built: {err}") from None
             basis = [t + (g,) for t in self.bases[n - 1] for g in ball
                      if all(length(mul(inv(x), g)) <= radius for x in t[1:])]
             basis.sort(key=lambda t: tuple(model.element_key(x) for x in t))

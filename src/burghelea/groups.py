@@ -53,8 +53,10 @@ free_abelian    l1 norm               the element itself / whole_group
 product         sum over factors      componentwise / product
 ==============  ====================  ===================================
 
-``search_conjugator`` raises NotConjugateError where the kind proves it, and
-otherwise runs the breadth-first search of ``metric``; products split it.
+``class_rep`` is an exact canonical form for every kind, so
+``search_conjugator`` raises NotConjugateError when the class
+representatives differ, and otherwise runs the breadth-first search of
+``metric``; products split it into their components.
 
 Each model carries its word metric as ``model.metric``, built once, so every
 length and ball of the model goes through one cache of balls.
@@ -178,9 +180,12 @@ class GroupModel:
         raise NotImplementedError
 
     def search_conjugator(self, g: Element, h: Element, bfs: Callable) -> Element:
-        """An r with h = r^-1 g r, for g != h: NotConjugateError where the
-        kind proves there is none, else ``bfs(model, g, h)``."""
-        raise NotImplementedError
+        """An r with h = r^-1 g r, for g != h: NotConjugateError when the
+        class representatives differ (``class_rep`` is exact for every kind),
+        else ``bfs(model, g, h)``."""
+        if self.class_rep(g) != self.class_rep(h):
+            raise NotConjugateError("distinct class representatives")
+        return bfs(self, g, h)
 
     # -- ordering ------------------------------------------------------------
 
@@ -287,11 +292,6 @@ class FiniteGroup(GroupModel):
         if len(elements) == len(self._elements):
             return WholeGroupCentralizer(self, h)
         return FiniteCentralizer(self, h, elements)
-
-    def search_conjugator(self, g, h, bfs):
-        if h not in class_members(self, g):
-            raise NotConjugateError("exhaustive class enumeration excludes h")
-        return bfs(self, g, h)
 
     @property
     def is_finite(self):
@@ -524,11 +524,6 @@ class FreeGroup(GroupModel):
             return WholeGroupCentralizer(self, h)
         return CyclicCentralizer(self, h)
 
-    def search_conjugator(self, g, h, bfs):
-        if self.class_rep(g) != self.class_rep(h):
-            raise NotConjugateError("distinct cyclic-reduction canonical forms")
-        return bfs(self, g, h)
-
 
 class FreeAbelianGroup(GroupModel):
     """Z^rank with generating set {±e_i}; elements are integer vectors."""
@@ -609,9 +604,6 @@ class FreeAbelianGroup(GroupModel):
     def centralizer(self, h):
         from .metric import WholeGroupCentralizer
         return WholeGroupCentralizer(self, h)
-
-    def search_conjugator(self, g, h, bfs):
-        raise NotConjugateError(f"distinct elements of {self.name} are non-conjugate")
 
 
 class ProductGroup(GroupModel):
@@ -719,9 +711,11 @@ class ProductGroup(GroupModel):
         return ProductCentralizer(self, h)
 
     def search_conjugator(self, g, h, bfs):
-        # componentwise, each component in its own factor's balls
-        return tuple(f.identity if x == y else f.search_conjugator(x, y, bfs)
-                     for f, x, y in zip(self.factors, g, h))
+        # decided on the whole class rep before any component is searched,
+        # then componentwise, each component in its own factor's balls
+        return super().search_conjugator(g, h, lambda _, a, b: tuple(
+            f.identity if x == y else f.search_conjugator(x, y, bfs)
+            for f, x, y in zip(self.factors, a, b)))
 
 
 def class_members(model: GroupModel, g: Element) -> list[Element]:

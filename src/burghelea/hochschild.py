@@ -25,7 +25,7 @@ import itertools
 import os
 import random
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .chains import Chain, check_chain, linear_extend
 from .errors import GroupMismatchError, ResourceCapError
@@ -90,6 +90,20 @@ def entry_product(model: GroupModel, t: tuple) -> Element:
     return p
 
 
+def prefix_products(model: GroupModel, r: Element, t: tuple) -> tuple:
+    """(r g_0, r g_0 g_1, ..., r g_0...g_n), by the kernel: the lift of the
+    generator t along r."""
+    return tuple(itertools.accumulate(t, model._mul, initial=r))[1:]
+
+
+def theta_entries(model: GroupModel, h: Element, s: Sequence) -> tuple:
+    """(s_n^-1 h s_0, s_0^-1 s_1, ..., s_{n-1}^-1 s_n), by the kernel: theta_h
+    on the generator s."""
+    mul, inv = model._mul, model._inv
+    return (mul(mul(inv(s[-1]), h), s[0]),
+            *(mul(inv(s[i]), s[i + 1]) for i in range(len(s) - 1)))
+
+
 def sample_component_tuple(model: GroupModel, rng: random.Random, pool: list,
                            h: Element, degree: int) -> tuple:
     """Random generator of C_degree(QG)_x: entries drawn from the pool except
@@ -119,15 +133,17 @@ def pi_h(section: CosetSection, c: Chain,
          conjugator: Optional[Callable[[Element], Element]] = None) -> Chain:
     """Localization C_n(QG)_x -> C_n(QZ_h)_[h] along the coset section of h.
 
-    On a generator with entry product r^-1 h r the image is
+    pi_h = theta_h . p^E . lift through E_.(G) (``homotopy``): a generator
+    with entry product r^-1 h r lifts to its ``prefix_products`` along r,
+    p^E applies p = p_h entrywise and ``theta_entries`` gives the image
 
         (p(r g_0...g_n)^-1 h p(r g_0), p(r g_0)^-1 p(r g_0 g_1), ...,
-         p(r g_0...g_{n-1})^-1 p(r g_0...g_n))
+         p(r g_0...g_{n-1})^-1 p(r g_0...g_n));
 
-    with p = p_h; the output does not depend on the choice of r, so any
-    conjugator map into the model may replace the section's minimal
-    ``section.conjugator``.  With that default each generator's image is
-    memoized in ``section._pi``, which a caller-supplied conjugator bypasses.
+    it does not depend on the choice of r, so any conjugator map into the
+    model may replace the section's minimal ``section.conjugator``.  With
+    that default each generator's image is memoized in ``section._pi``,
+    which a caller-supplied conjugator bypasses.
     """
     if c.kind != "hochschild":
         raise GroupMismatchError("pi_h needs a hochschild chain")
@@ -137,25 +153,14 @@ def pi_h(section: CosetSection, c: Chain,
         memo = {}
     m = section.model
     check_chain(m, c)
-    mul, inv = m._mul, m._inv
     h = section.h
     p = section.retract
 
     def on_basis(t):
         u = memo.get(t)
         if u is None:
-            r = conjugator(entry_product(m, t))
-            prefixes = []
-            acc = r
-            for x in t:
-                acc = mul(acc, x)
-                prefixes.append(acc)
-            retracts = [p(x) for x in prefixes]
-            first = mul(mul(inv(retracts[-1]), h), retracts[0])
-            entries = [first]
-            for i in range(len(t) - 1):
-                entries.append(mul(inv(retracts[i]), retracts[i + 1]))
-            u = memo[t] = tuple(entries)
+            lift = prefix_products(m, conjugator(entry_product(m, t)), t)
+            u = memo[t] = theta_entries(m, h, [p(x) for x in lift])
         return ((u, 1),)
 
     return linear_extend(c, "hochschild", c.degree, on_basis)

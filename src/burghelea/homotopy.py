@@ -18,9 +18,10 @@ Z_h-coinvariants of E_.(G) with the class component of h.
 
 The face map of E_.(G) is ``chains.simplex_faces``, shared with simplicial
 complexes.  i^E is ``hochschild.iota_h``: both are the identity on terms
-after checking that every entry centralizes h.  ``theta_quotient_dims``
-builds its matrices with ``linalg.boundary_columns`` from theta's on-basis
-map ``theta_tuple`` and from the translation differences.
+after checking that every entry centralizes h.  theta_h and its lift are
+``hochschild.theta_entries`` and ``hochschild.prefix_products`` on one
+generator, as in ``hochschild.pi_h``; ``theta_quotient_dims`` builds its
+matrices from theta_entries and the translation differences.
 
 p^E, D, Dbar, theta_h and its lift take the coset section of h alone: the
 section owns the model, h (already checked), the retraction p_h and the
@@ -33,13 +34,11 @@ maps satisfy are checked by ``verify.verify_homotopy_square``.
 from __future__ import annotations
 
 import itertools
-from functools import partial
-from typing import Iterator
 
 from .chains import Chain, check_chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel, class_members
-from .hochschild import entry_product, iota_h
+from .hochschild import entry_product, iota_h, prefix_products, theta_entries
 from .linalg import boundary_columns, rank_of_columns
 from .metric import CosetSection, coset_section
 
@@ -95,23 +94,15 @@ def homotopy_d(section: CosetSection, c: Chain) -> Chain:
     return linear_extend(c, "e", n + 1, on_basis)
 
 
-def theta_tuple(model: GroupModel, h: Element, t: tuple) -> Iterator[tuple[tuple, int]]:
-    """theta_h on one generator of valid elements:
-    (g_0,...,g_n) -> (g_n^-1 h g_0, g_0^-1 g_1, ..., g_{n-1}^-1 g_n)."""
-    mul, inv = model._mul, model._inv
-    first = mul(mul(inv(t[-1]), h), t[0])
-    rest = [mul(inv(t[i]), t[i + 1]) for i in range(len(t) - 1)]
-    yield (first, *rest), 1
-
-
 def theta_h(section: CosetSection, c: Chain) -> Chain:
     """E_n(G) -> C_n(QG)_x for x the class of section.h, extended linearly
-    from ``theta_tuple``."""
+    from ``hochschild.theta_entries``."""
     if c.kind != "e":
         raise GroupMismatchError("theta_h needs an e-complex chain")
-    check_chain(section.model, c)
+    m, h = section.model, section.h
+    check_chain(m, c)
     return linear_extend(c, "hochschild", c.degree,
-                         partial(theta_tuple, section.model, section.h))
+                         lambda t: ((theta_entries(m, h, t), 1),))
 
 
 def theta_lift(section: CosetSection, c: Chain) -> Chain:
@@ -121,16 +112,9 @@ def theta_lift(section: CosetSection, c: Chain) -> Chain:
         raise GroupMismatchError("theta_lift needs a hochschild chain")
     m = section.model
     check_chain(m, c)
-    mul = m._mul
 
     def on_basis(t):
-        r = section.conjugator(entry_product(m, t))
-        out = []
-        acc = r
-        for x in t:
-            acc = mul(acc, x)
-            out.append(acc)
-        yield tuple(out), 1
+        yield prefix_products(m, section.conjugator(entry_product(m, t)), t), 1
 
     return linear_extend(c, "e", c.degree, on_basis)
 
@@ -163,7 +147,7 @@ def theta_quotient_dims(model: GroupModel, h: Element, degree: int) -> dict:
     target = [t for t in tuples if entry_product(model, t) in members]
     index = {t: i for i, t in enumerate(target)}
     image_rank = rank_of_columns(
-        boundary_columns(tuples, index, partial(theta_tuple, model, h)))
+        boundary_columns(tuples, index, lambda t: ((theta_entries(model, h, t), 1),)))
 
     zs = [z for z in model.elements() if model.commutes(z, h) and z != model.identity]
     tindex = {t: i for i, t in enumerate(tuples)}

@@ -52,10 +52,6 @@ class WordMetric:
         self.model.check_element(g)
         return self.model.length(g)
 
-    def sort_key(self, g: Element):
-        """Shortlex key: (word length, canonical encoding key)."""
-        return (self.length(g), self.model.element_key(g))
-
     # -- balls ---------------------------------------------------------------
 
     def ball(self, radius: int) -> list[Element]:
@@ -65,7 +61,7 @@ class WordMetric:
         cached = self._ball_cache.get(radius)
         if cached is None:
             elems = list(self.model.ball_elements(radius, BALL_CAP))
-            elems.sort(key=self.sort_key)
+            elems.sort(key=self.model.shortlex_key)
             cached = self._ball_cache[radius] = elems
         return list(cached)
 
@@ -90,7 +86,7 @@ def conjugacy_class(model: GroupModel, g: Element) -> ConjugacyClass:
 def conjugacy_classes(model: GroupModel) -> list[ConjugacyClass]:
     """All conjugacy classes of a finite model, sorted by their reps."""
     reps = {model.class_rep(g) for g in model.elements()}
-    return [ConjugacyClass(rep) for rep in sorted(reps, key=model.metric.sort_key)]
+    return [ConjugacyClass(rep) for rep in sorted(reps, key=model.shortlex_key)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +143,7 @@ class CosetSection:
         raise NotImplementedError
 
     def some_conjugator(self, product: Element) -> Element:
-        """Some r with product = r^-1 h r, for product != h; raises
-        NotConjugateError when product is not conjugate to h."""
+        """Some r with product = r^-1 h r, for a product != h of h's class."""
         raise NotImplementedError
 
     def section(self, g: Element) -> Element:
@@ -173,14 +168,18 @@ class CosetSection:
 
         All conjugators form the coset Z_h r0, so the certified coset-section
         minimum applied to any single conjugator r0 yields the global
-        minimum.  The realization's ``some_conjugator`` constructs r0: the
+        minimum.  NotConjugateError when the class representatives differ;
+        otherwise the realization's ``some_conjugator`` constructs r0: the
         cyclic one from cyclic-reduction canonical forms, the finite one by
-        scanning the group, the product one componentwise; the class of a
-        central h is {h}.
+        scanning the group, the product one componentwise.  The class of a
+        central h is {h}, so its realization constructs none.
         """
         r = self._conjugators.get(product)
         if r is None:
-            r0 = self.model.identity if product == self.h else self.some_conjugator(product)
+            m = self.model
+            if m.class_rep(product) != m.class_rep(self.h):
+                raise NotConjugateError("distinct class representatives")
+            r0 = m.identity if product == self.h else self.some_conjugator(product)
             r = self._conjugators[product] = self.section(r0)
         return r
 
@@ -193,10 +192,6 @@ class WholeGroupCentralizer(CosetSection):
 
     def coset_rep(self, g):
         return self.model.identity
-
-    def some_conjugator(self, product):
-        # h is central, so its class is {h}
-        raise NotConjugateError(f"{self.model.name}: product differs from h")
 
 
 class FiniteCentralizer(CosetSection):
@@ -227,10 +222,7 @@ class FiniteCentralizer(CosetSection):
 
     def some_conjugator(self, product):
         m = self.model
-        for r in m.elements():
-            if m.conj(r, self.h) == product:
-                return r
-        raise NotConjugateError("exhaustive scan excludes the product from [h]")
+        return next(r for r in m.elements() if m.conj(r, self.h) == product)
 
 
 class CyclicCentralizer(CosetSection):
@@ -290,8 +282,6 @@ class CyclicCentralizer(CosetSection):
 
     def some_conjugator(self, product):
         m = self.model
-        if m.class_rep(self.h) != m.class_rep(product):
-            raise NotConjugateError("distinct cyclic-reduction canonical forms")
         return m.mul(m.inv(self._to_class_rep(self.h)), self._to_class_rep(product))
 
     def _to_class_rep(self, w: Element) -> Element:
@@ -343,10 +333,10 @@ def find_conjugator(model: GroupModel, g: Element, h: Element,
     """Shortest r (shortlex tie-break) with h = r^-1 g r, by breadth-first
     search over balls of increasing radius.
 
-    Raises NotConjugateError when non-conjugacy is proven (finite kinds by
-    exhaustion, free kind by cyclic-reduction canonical forms, abelian
-    trivially, products componentwise) and NotConjugateWithinError when the
-    search window is exhausted without a decision.
+    Raises NotConjugateError when g and h have distinct class
+    representatives (``GroupModel.class_rep`` is exact for every kind, so
+    that decides conjugacy before any search), and NotConjugateWithinError
+    when a conjugate pair has no conjugator within the window.
     """
     model.check_element(g)
     model.check_element(h)
@@ -355,14 +345,8 @@ def find_conjugator(model: GroupModel, g: Element, h: Element,
 
     def bfs(m: GroupModel, x: Element, y: Element) -> Element:
         # the components of a product are searched in their factor's balls
-        prev_size = -1
         for radius in range(max_radius + 1):
-            ball = m.metric.ball(radius)
-            if m.is_finite and len(ball) == prev_size:
-                # ball stopped growing: the whole group has been searched
-                raise NotConjugateError("search exhausted the finite group")
-            prev_size = len(ball)
-            for r in ball:
+            for r in m.metric.ball(radius):
                 if m.length(r) >= radius and m.conj(r, x) == y:
                     return r
         raise NotConjugateWithinError(max_radius)

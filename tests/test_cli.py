@@ -183,16 +183,42 @@ def test_fill_cli(tmp_path):
 
 def test_fill_past_the_space_cap_exits_one_before_any_matrix(monkeypatch, capsys):
     # degree 9 at radius 1 on Z^2: a 2,045 x 8,186 filling LP, about 479 MB
-    # of tableau; the refusal comes before the columns and the weights
-    monkeypatch.setenv("BURGHELEA_CAP_MB", "64")
+    # of tableau.  Under a 64 MB cap the truncation refuses before it builds
+    # degree 9, from |B_8| = 1,021 rows and columns; under 400 MB the bases
+    # pass and the exact tableau refuses.  Both come before the columns and
+    # the weights.
     for name in ("boundary_columns", "weights"):
         monkeypatch.setattr(dehn_mod.BarTruncation, name,
                             lambda *args: pytest.fail("a matrix was built"))
-    assert run_cli("fill", "--group", str(fixture_path("zz.json")),
-                   "--radius", "1", "--degree", "9") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: the filling LP, 2045 rows by 8186 columns, needs about")
-    assert "cap is 64 MB" in err and "BURGHELEA_CAP_MB" in err
+    for cap, line in (
+            ("64", "error: a lower bound, before degree 9 is built: "
+                   "the filling LP, 1021 rows by 2042 columns, needs about 71.7 MB, "
+                   "cap is 64 MB (set BURGHELEA_CAP_MB to override)\n"),
+            ("400", "error: the filling LP, 2045 rows by 8186 columns, needs about 479.0 MB, "
+                    "cap is 400 MB (set BURGHELEA_CAP_MB to override)\n")):
+        monkeypatch.setenv("BURGHELEA_CAP_MB", cap)
+        assert run_cli("fill", "--group", str(fixture_path("zz.json")),
+                       "--radius", "1", "--degree", "9") == 1
+        assert capsys.readouterr().err == line
+
+
+def test_fill_past_the_space_cap_refuses_before_the_top_basis(monkeypatch, capsys):
+    # F2 at radius 3: fill --degree 4 needs the degree-5 basis, about a
+    # million tuples; the lower bound refuses while the bases are small
+    built = []
+    real_init = dehn_mod.BarTruncation.__init__
+
+    def keeping(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(dehn_mod.BarTruncation, "__init__", keeping)
+    monkeypatch.setenv("BURGHELEA_CAP_MB", "64")
+    assert run_cli("fill", "--group", str(fixture_path("f2.json")),
+                   "--radius", "3", "--degree", "4") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    [trunc] = built
+    assert sorted(trunc.bases) == [0, 1, 2, 3]
 
 
 def test_usage_errors_exit_one():

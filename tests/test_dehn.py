@@ -17,6 +17,7 @@ from burghelea import (
 )
 from burghelea import dehn
 from burghelea.chains import tuple_diameter
+from burghelea.cli import _SUBCOMMANDS
 from burghelea.dehn import BarTruncation, enumerate_boundaries, min_l1_fillings
 from burghelea.linalg import RationalEchelon
 from burghelea.lp import solve_min_lp
@@ -24,6 +25,8 @@ from burghelea.lp import solve_min_lp
 from conftest import MALFORMED_COMPLEXES, assert_certified, load_complex_obj, load_model
 
 F = Fraction
+# the boundary walk's cap is the dehn subcommand's --cap default
+CAP = _SUBCOMMANDS["dehn"][2]["--cap"]
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +148,7 @@ def _over_simplices(X, vec):
 def test_lp_matches_oracle_small_boundaries(triangle, tetrahedron, fan6):
     # one LP for all the boundaries of a complex, each solved warm from the last
     for X in (triangle, tetrahedron, fan6):
-        targets = [{i: F(v) for i, v in b.items()} for b in enumerate_boundaries(X, 1, 3)]
+        targets = [{i: F(v) for i, v in b.items()} for b in enumerate_boundaries(X, 1, 3, CAP)]
         fillings = min_l1_fillings(X.boundary_columns(2), X.dimension_size(1), targets)
         assert len(fillings) == len(targets)
         for target, lp in zip(targets, fillings):
@@ -187,7 +190,7 @@ def test_enumeration_matches_ball_walk(name):
         for k in range(5):
             expected = list(_ball_boundaries(X.boundary_columns(dim + 1),
                                              X.dimension_size(dim), k))
-            got = list(enumerate_boundaries(X, dim, k))
+            got = list(enumerate_boundaries(X, dim, k, CAP))
             assert got == expected
             assert [list(v) for v in got] == [list(v) for v in expected]
 
@@ -217,13 +220,13 @@ def test_enumeration_matches_ball_walk_any_matrix(size_columns_k):
     # columns give a common pivot L > 1, so the divisibility pruning counts
     size, columns, k = size_columns_k
     expected = list(_ball_boundaries(columns, size, k))
-    assert list(enumerate_boundaries(_OneMatrix(columns, size), 0, k)) == expected
+    assert list(enumerate_boundaries(_OneMatrix(columns, size), 0, k, CAP)) == expected
 
 
 def test_enumeration_cap_counts_steps(octahedron):
     # the walk to the 259 boundaries of l1 <= 7 takes 13,823 steps; a cap
     # below that yields what was found, in order, then raises
-    full = list(enumerate_boundaries(octahedron, 1, 7))
+    full = list(enumerate_boundaries(octahedron, 1, 7, CAP))
     assert len(full) == 259
     assert len(list(enumerate_boundaries(octahedron, 1, 7, cap=13_823))) == 259
     for cap in (0, 100, 13_822):
@@ -238,7 +241,7 @@ def test_enumeration_cap_counts_steps(octahedron):
 
 def test_dehn_table_monotone(triangle, tetrahedron, fan6):
     for X, kmax in ((triangle, 3), (tetrahedron, 4), (fan6, 4)):
-        table = dehn_function(X, 1, kmax)
+        table = dehn_function(X, 1, kmax, CAP)
         values = [F(r["dehn_value"]) for r in table["rows"]]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[0] == 0
@@ -255,14 +258,14 @@ def test_dehn_builds_each_boundary_matrix_once(monkeypatch):
 
     monkeypatch.setattr(dehn, "boundary_columns", counting)
     X = SimplicialComplex.from_obj(load_complex_obj("octahedron.json"))
-    dehn_function(X, 1, 3)
+    dehn_function(X, 1, 3, CAP)
     # d_1 and d_2, each once: the dd = 0 check, the LP and the boundary
     # enumeration share the columns
     assert built == [X.dimension_size(1), X.dimension_size(2)]
 
 
 def test_dehn_tetrahedron_triangle_fills(tetrahedron):
-    table = dehn_function(tetrahedron, 1, 3)
+    table = dehn_function(tetrahedron, 1, 3, CAP)
     # a 3-cycle boundary fills with a single face
     assert F(table["rows"][3]["dehn_value"]) >= 1
     assert table["rows"][3]["witness_boundary"]
@@ -394,7 +397,7 @@ def _lp_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("cap", [2_000_000, 50])
+@pytest.mark.parametrize("cap", [CAP, 50])
 def test_dehn_run_is_one_lp(octahedron, cap, monkeypatch):
     # every boundary of the run, also of a partial run, is a right-hand side
     # of one LP on d_2

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from burghelea import (
     GroupMismatchError,
@@ -13,13 +14,15 @@ from burghelea import (
     hochschild_boundary,
     homotopy_d,
     iota_h,
+    localize_to_equivariant,
     p_e,
     pi_h,
     theta_h,
     verify_homotopy_square,
 )
+from burghelea.bar_complexes import normalize_cbar_tuple
 from burghelea.chains import Chain
-from burghelea.hochschild import entry_product
+from burghelea.hochschild import entry_product, sample_component_tuple
 from burghelea.homotopy import (
     normalize_coinvariant,
     theta_lift,
@@ -179,6 +182,25 @@ def test_theta_lands_in_component_and_lift_sections(s3):
                 assert conjugacy_class(s3, entry_product(s3, u)) == x
             # lift is a section of theta
             assert theta_h(sec, theta_lift(sec, out)) == out
+
+
+@given(st.data())
+def test_pi_h_and_the_localization_factor_through_the_lift(s3, f2, f2xz, data):
+    # pi_h = theta_h . p^E . lift, and localize_to_equivariant is p^E . lift
+    # stored by leading-e representatives; each h is non-central
+    for m, h in ((s3, (0, 2, 1)), (f2, (1,)), (f2xz, ((1,), (0,)))):
+        sec = coset_section(m, h)
+        n = data.draw(st.integers(0, 3))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        ball = m.metric.ball(2)
+        c = Chain("hochschild", n,
+                  [(sample_component_tuple(m, rng, ball, h, n), data.draw(st.integers(-3, 3)))
+                   for _ in range(data.draw(st.integers(1, 4)))])
+        retracted = p_e(sec, theta_lift(sec, c))
+        assert pi_h(sec, c) == theta_h(sec, retracted)
+        normalized = Chain("cbar", n, [(normalize_cbar_tuple(m, u), q)
+                                       for u, q in retracted.terms.items()])
+        assert localize_to_equivariant(sec, c) == normalized
 
 
 def test_theta_surjectivity_rank(s3):

@@ -207,17 +207,16 @@ def test_centralizer_stored_elements_commute(d4, f2xz, s3xz):
 
 # -- coset sections and p_h ----------------------------------------------------
 
-def bruteforce_cyclic_section(model, wm, root, g, window=12):
+def bruteforce_cyclic_section(model, root, g, window=12):
     candidates = [model.mul(model.power(root, m), g) for m in range(-window, window + 1)]
-    return min(candidates, key=wm.sort_key)
+    return min(candidates, key=model.shortlex_key)
 
 
 def test_section_examples(f2, zz, s3):
-    wm = f2.metric
     sec = coset_section(f2, (1,))  # h = a
     g = (1, 1, 1, 2)  # a^3 b
     assert sec.section(g) == (2,)  # frozen from the window oracle
-    assert bruteforce_cyclic_section(f2, wm, (1,), g) == (2,)
+    assert bruteforce_cyclic_section(f2, (1,), g) == (2,)
     assert sec.retract(g) == (1, 1, 1)  # p_h(a^3 b) = a^3
     # elements of Z_h map to themselves
     assert sec.retract((1, 1)) == (1, 1)
@@ -298,21 +297,36 @@ def test_find_conjugator_minimal_and_exact(s3, f2):
                     assert m.conj(cand, g) != h
 
 
-def test_not_conjugate_proven(zz, f2, s3):
-    with pytest.raises(NotConjugateError):
-        find_conjugator(zz, (1, 0), (0, 1), 8)
-    with pytest.raises(NotConjugateError):
-        find_conjugator(f2, (1,), (2,), 8)
-    with pytest.raises(NotConjugateError):
-        find_conjugator(s3, (1, 0, 2), (1, 2, 0), 8)
+def test_not_conjugate_proven(zz, f2, s3, z4, d4, f2xz):
+    # every kind decides by its class representatives, before any search,
+    # and so does the coset section of each centralizer realization
+    long_a = f2.conj((2, 2, 2), (1,))  # conjugate to a, but only past radius 1
+    for m, g, h in ((zz, (1, 0), (0, 1)), (f2, (1,), (2,)), (s3, (1, 0, 2), (1, 2, 0)),
+                    (z4, 1, 2),
+                    # a rotation and a reflection; two reflections of two classes
+                    (d4, (1, 2, 3, 0), (0, 3, 2, 1)), (d4, (0, 3, 2, 1), (1, 0, 3, 2)),
+                    # one conjugate and one non-conjugate component, either way round
+                    (f2xz, ((1,), (0,)), ((2, 1, -2), (1,))),
+                    (f2xz, ((1,), (0,)), ((2,), (0,))),
+                    (f2xz, ((1,), (0,)), (long_a, (1,)))):
+        assert m.class_rep(g) != m.class_rep(h)
+        for radius in (0, 1, 8):
+            with pytest.raises(NotConjugateError):
+                find_conjugator(m, g, h, radius)
+        with pytest.raises(NotConjugateError):  # each centralizer realization
+            coset_section(m, g).conjugator(h)
 
 
-def test_not_conjugate_within_window(f2):
-    # conjugate pair whose shortest conjugator exceeds the window
-    long_r = (2, 2, 2)
-    h = f2.conj(long_r, (1,))
-    with pytest.raises(NotConjugateWithinError):
-        find_conjugator(f2, (1,), h, 1)
+def test_not_conjugate_within_window(f2, s3, d4):
+    # conjugate pairs whose shortest conjugator exceeds the window, in a free
+    # and in finite groups: no window short of the conjugator decides them
+    for m, g, h, radius in ((f2, (1,), f2.conj((2, 2, 2), (1,)), 1),
+                            (s3, (1, 0, 2), (0, 2, 1), 1),
+                            (d4, (0, 3, 2, 1), (2, 1, 0, 3), 0)):
+        with pytest.raises(NotConjugateWithinError):
+            find_conjugator(m, g, h, radius)
+        r = find_conjugator(m, g, h, 8)
+        assert m.conj(r, g) == h and m.metric.length(r) > radius
 
 
 def test_minimal_conjugator_matches_bfs(f2, s3, f2xz, s3xz):

@@ -32,6 +32,16 @@ def _callables():
                         yield f"{module.__name__}.{name}.{attr}", fn
 
 
+def _kinds() -> list[type]:
+    """Every subclass of GroupModel, at any depth."""
+    kinds, stack = [], list(GroupModel.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        kinds.append(cls)
+        stack.extend(cls.__subclasses__())
+    return kinds
+
+
 def _classes(hint) -> set:
     """The classes a type hint names, through Optional, unions and generics."""
     if isinstance(hint, type):
@@ -80,18 +90,21 @@ def test_each_kind_with_a_kernel_defines_its_checked_law():
     # perfbench/tracer.py times the group law by wrapping mul, inv and
     # check_element where a class body defines them, so a kind whose kernel
     # (_mul/_inv) is its own defines its public law beside it
-    kinds, stack = [], list(GroupModel.__subclasses__())
-    while stack:
-        cls = stack.pop()
-        kinds.append(cls)
-        stack.extend(cls.__subclasses__())
     law = {"mul", "inv", "check_element", "_mul", "_inv"}
     assert not law & set(vars(GroupModel))
-    with_kernel = {cls.__name__ for cls in kinds if "_mul" in vars(cls)}
+    with_kernel = {cls.__name__ for cls in _kinds() if "_mul" in vars(cls)}
     assert with_kernel == {"FiniteGroup", "FreeGroup", "FreeAbelianGroup", "ProductGroup"}
-    for cls in kinds:
+    for cls in _kinds():
         if "_mul" in vars(cls):
             assert law <= set(vars(cls)), cls.__name__
+
+
+def test_only_a_product_overrides_the_conjugator_search():
+    # class_rep is exact for every kind, so GroupModel.search_conjugator
+    # decides conjugacy for all of them; a product only splits the search
+    assert "search_conjugator" in vars(GroupModel)
+    overriding = {cls.__name__ for cls in _kinds() if "search_conjugator" in vars(cls)}
+    assert overriding == {"ProductGroup"}
 
 
 @pytest.mark.parametrize("suite", ["chain_map_suite", "well_definedness_suite", "metric_suite",
