@@ -22,7 +22,7 @@ from .errors import DescriptorError, WorkbenchError
 from .groups import parse_group
 from .hochschild import homology_ranks
 from .metric import conjugacy_bound_profile, conjugacy_class, conjugacy_classes, coset_section
-from .norms import INTRINSIC_MAPS, PROFILE_MAPS, operator_growth_profile
+from .norms import operator_growth_profile
 from .verify import default_class_reps, run_identity_suite
 
 EXIT_OK = 0
@@ -247,17 +247,10 @@ def _cmd_norm_profile(args) -> int:
     else:
         h_sample = default_class_reps(model, limit=4, radius=args.radius)
 
-    all_rows, all_fits = [], []
-    for map_id in PROFILE_MAPS:
-        variants = ("induced", "intrinsic") if map_id in INTRINSIC_MAPS else ("induced",)
-        for metric_variant in variants:
-            result = operator_growth_profile(
-                map_id, model, h_sample, args.degree, args.radius, k_grid,
-                samples=args.samples, seed=args.seed, metric_variant=metric_variant)
-            all_rows.extend(result["rows"])
-            all_fits.extend(result["fits"])
-    payload = {"rows": all_rows, "fits": all_fits, "csv_trailer": {"fits": all_fits}}
-    _emit(args, payload, csv_rows=all_rows,
+    result = operator_growth_profile(model, h_sample, args.degree, args.radius, k_grid,
+                                     args.samples, args.seed)
+    payload = {**result, "csv_trailer": {"fits": result["fits"]}}
+    _emit(args, payload, csv_rows=result["rows"],
           csv_fields=["map", "metric", "h_rep", "length_h", "k", "k_prime",
                       "max_ratio_num", "max_ratio_den", "ratio_float"])
     return EXIT_OK

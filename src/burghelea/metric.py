@@ -291,8 +291,8 @@ class CyclicCentralizer(CosetSection):
         canon = m.class_rep(c)
         for k in range(max(len(c), 1)):
             if c[k:] + c[:k] == canon:
-                # c = p^-1 canon p with p the length-k prefix of canon
-                return m.mul(canon[:k], m.inv(u))
+                # canon = c[k:] c[:k], so c = q^-1 canon q with q = c[k:]
+                return m.mul(c[k:], m.inv(u))
         raise AssertionError("rotation search cannot fail")
 
 

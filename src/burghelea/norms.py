@@ -11,6 +11,15 @@ chains:
 The tensor-space weight is the product weight, the concrete realization of
 the projective tensor norm of weighted l1 spaces.  diam is the max pairwise
 distance.
+
+``operator_growth_profile`` estimates the polynomial norm bounds of the
+comparison maps.  Its table ``PROFILES`` has one entry per (map, metric)
+profile, in report order: pi_h and iota_h under the induced and the
+intrinsic metric, then psi phi^-1, phi psi^-1 and the homotopy D-bar under
+the induced one.  Each entry declares its domain norm and chain kind, its
+codomain norm, its map on one class component and the ball its generators
+are drawn from.  One run builds one coset section and one Z_h ball per
+class, which all seven profiles share.
 """
 from __future__ import annotations
 
@@ -20,11 +29,11 @@ from typing import Callable, Iterable, Optional
 
 from .bar_complexes import boundary_cbar, phi_g, phi_g_inv, psi, psi_inv
 from .chains import Chain, tuple_diameter
-from .errors import GroupMismatchError
+from .errors import GroupMismatchError, WorkbenchError
 from .groups import Element, GroupModel
 from .hochschild import iota_h, pi_h, sample_component_tuple
 from .homotopy import dbar
-from .metric import CosetSection, conjugacy_class, coset_section, ols_loglog_fit
+from .metric import conjugacy_class, coset_section, ols_loglog_fit
 
 NORM_KINDS = ("group-algebra", "hochschild-tensor", "rd-chain")
 
@@ -77,115 +86,97 @@ def rd_chain_seminorm_pair(nf: NormFamily, c: Chain, k: int) -> tuple[Fraction, 
 # operator growth profiles
 # ---------------------------------------------------------------------------
 
-PROFILE_MAPS = ("pi_h", "iota_h", "psi_phi_inv", "phi_psi_inv", "homotopy")
-# the maps whose norms read the Z_h side's word length, so the only ones with
-# an intrinsic variant
-INTRINSIC_MAPS = ("pi_h", "iota_h")
+# (map, metric, domain norm, domain chain kind, codomain norm, map on one class
+# component, ball the domain generators are drawn from), in report order.  A
+# norm is "G" (the tensor norm of G's word length), "Z" (the tensor norm on
+# the Z_h side: G's word length under the induced metric, Z_h's intrinsic
+# length under the intrinsic one) or "rd"; a ball is G's ("G") or Z_h's
+# ("Z").  pi_h and iota_h are the maps whose norms read the Z_h side's word
+# length, so the only ones with an intrinsic profile.
+PROFILES = (
+    ("pi_h", "induced", "G", "hochschild", "Z", pi_h, "G"),
+    ("pi_h", "intrinsic", "G", "hochschild", "Z", pi_h, "G"),
+    ("iota_h", "induced", "Z", "hochschild", "G", iota_h, "Z"),
+    ("iota_h", "intrinsic", "Z", "hochschild", "G", iota_h, "Z"),
+    ("psi_phi_inv", "induced", "Z", "hochschild", "rd",
+     lambda section, c: psi(section.model, phi_g_inv(c)), "Z"),
+    ("phi_psi_inv", "induced", "rd", "cbar", "Z",
+     lambda section, c: phi_g(section, psi_inv(section.model, c)), "Z"),
+    ("homotopy", "induced", "G", "hochschild", "G", dbar, "G"),
+)
 
 
-def operator_growth_profile(map_id: str, model: GroupModel,
-                            h_sample: Iterable[Element], degree: int, radius: int,
-                            k_grid: Iterable[int], samples: int, seed: int,
-                            metric_variant: str) -> dict:
+def operator_growth_profile(model: GroupModel, h_sample: Iterable[Element], degree: int,
+                            radius: int, k_grid: Iterable[int], samples: int,
+                            seed: int) -> dict:
     """Max ratios |map(c)|_{k,1} / |c|_{k',1} over sampled generators, per
-    class representative, with a log-log growth fit against |h_x|.
+    entry of ``PROFILES`` and class representative, with a log-log growth fit
+    against |h_x|.
 
-    metric_variant selects the induced subspace norm or the intrinsic
-    centralizer norm on the Z_h side of one of ``INTRINSIC_MAPS``; the profile
-    is a diagnostic, never a certified bound.
+    Each class has one coset section and one Z_h ball, which all profiles
+    share; each profile draws its generators from its own
+    ``random.Random(seed)``.  The profile is a diagnostic, never a certified
+    bound.
     """
-    if map_id not in PROFILE_MAPS:
-        raise GroupMismatchError(f"unknown map id {map_id!r}")
-    if metric_variant not in ("induced", "intrinsic"):
-        raise GroupMismatchError(f"unknown metric variant {metric_variant!r}")
-    if metric_variant == "intrinsic" and map_id not in INTRINSIC_MAPS:
-        raise GroupMismatchError(f"{map_id} has no intrinsic variant")
-    rng = random.Random(seed)
     ks = list(k_grid)
     wm = model.metric
     ball = wm.ball(radius)
-    rows: list[dict] = []
-    per_pair_points: dict[tuple[int, int], list[tuple[float, float]]] = {}
-
-    reps = []
-    seen = set()
-    for h in h_sample:
-        rep = conjugacy_class(model, h).rep
-        if rep not in seen:
-            seen.add(rep)
-            reps.append(rep)
-
-    for rep in reps:
+    tensor, rd = NormFamily(model, "hochschild-tensor"), NormFamily(model, "rd-chain")
+    classes = []
+    for rep in dict.fromkeys(conjugacy_class(model, h).rep for h in h_sample):
         section = coset_section(model, rep)
-        z_ball = [g for g in ball if model.commutes(g, rep)]
-        dom_nf, cod_nf, apply_map, sampler = _profile_setup(map_id, section, metric_variant)
-        gens = [sampler(rng, ball, z_ball, rep, degree) for _ in range(samples)]
-        for k in ks:
-            for kp in ks:
-                best: Optional[Fraction] = None
-                skipped = 0
-                for t in gens:
-                    c = Chain.basis(dom_nf[1], degree, t)
-                    denom = dom_nf[0].norm(c, kp)
-                    if denom == 0:
-                        skipped += 1
-                        continue
-                    num = cod_nf.norm(apply_map(c), k)
-                    ratio = num / denom
-                    if best is None or ratio > best:
-                        best = ratio
-                if best is None:
-                    continue
-                rows.append({
-                    "map": map_id,
-                    "metric": metric_variant,
-                    "h_rep": model.element_str(rep),
-                    "length_h": wm.length(rep),
-                    "k": k,
-                    "k_prime": kp,
-                    "max_ratio_num": best.numerator,
-                    "max_ratio_den": best.denominator,
-                    "ratio_float": float(best),
-                    "samples": len(gens) - skipped,
-                })
-                per_pair_points.setdefault((k, kp), []).append(
-                    (float(wm.length(rep)), float(best)))
+        balls = {"G": ball, "Z": [g for g in ball if model.commutes(g, rep)]}
+        intrinsic = NormFamily(model, "hochschild-tensor", length_fn=section.intrinsic_length)
+        classes.append((rep, section, balls, intrinsic))
 
-    fits = [{"map": map_id, "metric": metric_variant, "k": k, "k_prime": kp,
-             **ols_loglog_fit(points)}
-            for (k, kp), points in sorted(per_pair_points.items())]
+    rows: list[dict] = []
+    fits: list[dict] = []
+    for map_id, metric, dom, kind, cod, apply_map, pool in PROFILES:
+        rng = random.Random(seed)
+        per_pair_points: dict[tuple[int, int], list[tuple[float, float]]] = {}
+        for rep, section, balls, intrinsic in classes:
+            norms = {"G": tensor, "Z": intrinsic if metric == "intrinsic" else tensor, "rd": rd}
+            chains = [Chain.basis(kind, degree, _draw(model, rng, kind, balls[pool], rep, degree))
+                      for _ in range(samples)]
+            images = [apply_map(section, c) for c in chains]
+            for k in ks:
+                for kp in ks:
+                    ratios = [norms[cod].norm(image, k) / denom
+                              for c, image in zip(chains, images)
+                              if (denom := norms[dom].norm(c, kp)) != 0]
+                    if not ratios:
+                        continue
+                    best = max(ratios)
+                    try:
+                        ratio_float = float(best)
+                    except OverflowError:
+                        raise WorkbenchError(
+                            f"{map_id} ({metric}) at h = {model.element_str(rep)}, k = {k}, "
+                            f"k' = {kp}: the max ratio passes the float range") from None
+                    rows.append({
+                        "map": map_id,
+                        "metric": metric,
+                        "h_rep": model.element_str(rep),
+                        "length_h": wm.length(rep),
+                        "k": k,
+                        "k_prime": kp,
+                        "max_ratio_num": best.numerator,
+                        "max_ratio_den": best.denominator,
+                        "ratio_float": ratio_float,
+                        "samples": len(ratios),
+                    })
+                    per_pair_points.setdefault((k, kp), []).append(
+                        (float(wm.length(rep)), ratio_float))
+        fits += [{"map": map_id, "metric": metric, "k": k, "k_prime": kp,
+                  **ols_loglog_fit(points)}
+                 for (k, kp), points in sorted(per_pair_points.items())]
     return {"rows": rows, "fits": fits}
 
 
-def _profile_setup(map_id: str, section: CosetSection, metric_variant: str):
-    """(domain (NormFamily, chain kind), codomain NormFamily, map, sampler)."""
-    model = section.model
-    z_length = section.intrinsic_length if metric_variant == "intrinsic" else None
-    tensor_g = NormFamily(model, "hochschild-tensor")
-    tensor_z = NormFamily(model, "hochschild-tensor", length_fn=z_length)
-    rd = NormFamily(model, "rd-chain")
-
-    if map_id == "pi_h":
-        return ((tensor_g, "hochschild"), tensor_z,
-                lambda c: pi_h(section, c),
-                lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, ball, rep, n))
-    if map_id == "iota_h":
-        return ((tensor_z, "hochschild"), tensor_g,
-                lambda c: iota_h(section, c),
-                lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, zball, rep, n))
-    if map_id == "psi_phi_inv":
-        return ((tensor_z, "hochschild"), rd,
-                lambda c: psi(model, phi_g_inv(c)),
-                lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, zball, rep, n))
-    if map_id == "phi_psi_inv":
-        def backward(c):
-            return phi_g(section, psi_inv(model, c))
-
-        def sample_cbar(rng, ball, zball, rep, n):
-            t = (model.identity,) + tuple(rng.choice(zball) for _ in range(n))
-            return t
-        return ((rd, "cbar"), tensor_z, backward, sample_cbar)
-    assert map_id == "homotopy"
-    return ((tensor_g, "hochschild"), tensor_g,
-            lambda c: dbar(section, c),
-            lambda rng, ball, zball, rep, n: sample_component_tuple(model, rng, ball, rep, n))
+def _draw(model: GroupModel, rng: random.Random, kind: str, pool: list, rep: Element,
+          degree: int) -> tuple:
+    """A random domain generator: a Hochschild tuple of rep's class, or an
+    equivariant bar tuple (e, z_1, ..., z_n)."""
+    if kind == "cbar":
+        return (model.identity,) + tuple(rng.choice(pool) for _ in range(degree))
+    return sample_component_tuple(model, rng, pool, rep, degree)

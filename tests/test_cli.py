@@ -91,6 +91,15 @@ def test_conjugator_cross_check_searches_within_the_radius(tmp_path):
     assert check["failures"] == [] and check["samples"] == 2
 
 
+@pytest.mark.parametrize("group, rep", [("f2.json", "aab"), ("f2.json", "abAB"),
+                                        ("f2xz.json", "(aab; (1))")])
+def test_verify_identities_on_long_cyclic_cores(group, rep):
+    # free classes whose cyclic core has length >= 3: their conjugators come
+    # from the rotation that makes the core canonical
+    assert run_cli("verify-identities", "--group", str(fixture_path(group)),
+                   "--class", rep, "--out", os.devnull) == 0
+
+
 def test_retraction_leaving_the_centralizer_fails_its_cases(tmp_path, monkeypatch):
     # on s3 a retraction shifted by a generator leaves Z_h, and iota_h refuses
     # its value: that is a failed identity (exit 2) naming the case, not a
@@ -299,6 +308,15 @@ def test_help_lists_own_flags_with_defaults(command, capsys):
 def test_bad_k_grid_exits_one():
     assert run_cli("norm-profile", "--group", str(fixture_path("z4.json")),
                    "--k-grid", "oops") == 1
+
+
+def test_norm_profile_ratio_past_the_float_range_exits_one(capsys):
+    # (1+|g|)^500 ratios have exact values but no float
+    assert run_cli("norm-profile", "--group", str(fixture_path("z4.json")),
+                   "--k-grid", "500..500", "--samples", "2") == 1
+    assert capsys.readouterr().err == (
+        "error: phi_psi_inv (induced) at h = e, k = 500, k' = 500: "
+        "the max ratio passes the float range\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -331,9 +331,12 @@ def test_not_conjugate_within_window(f2, s3, d4):
 
 def test_minimal_conjugator_matches_bfs(f2, s3, f2xz, s3xz):
     rng = random.Random(4)
-    for m, radius in ((f2, 2), (s3, 3), (f2xz, 2), (s3xz, 2)):
+    # aab, aba, abAB and abAb have cyclic cores of length >= 3, where the
+    # cyclic realization's conjugator depends on which rotation is canonical
+    long_cores = [f2.parse_element(w) for w in ("aab", "aba", "abAB", "abAb")]
+    for m, radius, extra in ((f2, 2, long_cores), (s3, 3, []), (f2xz, 2, []), (s3xz, 2, [])):
         ball = m.metric.ball(radius)
-        for h in (ball[1], ball[3]):
+        for h in [ball[1], ball[3]] + extra:
             sec = coset_section(m, h)
             built = []
             realize = sec.some_conjugator

@@ -9,7 +9,7 @@ from burghelea.chains import Chain, convolve
 from burghelea.groups import reduce_word
 from burghelea.metric import coset_section
 from burghelea.errors import GroupMismatchError
-from burghelea.norms import PROFILE_MAPS
+from burghelea.norms import PROFILES
 
 
 def delta(g):
@@ -116,20 +116,22 @@ def test_pi_h_degree_zero_norm_bound(s3, f2):
             assert nf.norm(pi_h(sec, c), k) <= (1 + wm.length(h)) ** k * mass
 
 
+def profile_rows(prof, map_id, metric="induced"):
+    return [r for r in prof["rows"] if (r["map"], r["metric"]) == (map_id, metric)]
+
+
 def test_profile_abelian_pi_ratios_one(zz, z4):
     for m in (zz, z4):
-        prof = operator_growth_profile("pi_h", m, m.metric.ball(2), 1, 2, [0, 1, 2],
-                                       samples=8, seed=5, metric_variant="induced")
-        matching = [r for r in prof["rows"] if r["k"] == r["k_prime"]]
+        prof = operator_growth_profile(m, m.metric.ball(2), 1, 2, [0, 1, 2], samples=8, seed=5)
+        matching = [r for r in profile_rows(prof, "pi_h") if r["k"] == r["k_prime"]]
         assert matching
         assert all(r["max_ratio_num"] == r["max_ratio_den"] for r in matching)
 
 
 def test_profile_iota_isometric_on_induced(s3, f2):
     for m in (s3, f2):
-        prof = operator_growth_profile("iota_h", m, m.metric.ball(2), 1, 2, [0, 1],
-                                       samples=8, seed=6, metric_variant="induced")
-        matching = [r for r in prof["rows"] if r["k"] == r["k_prime"]]
+        prof = operator_growth_profile(m, m.metric.ball(2), 1, 2, [0, 1], samples=8, seed=6)
+        matching = [r for r in profile_rows(prof, "iota_h") if r["k"] == r["k_prime"]]
         assert matching
         for r in matching:
             assert Fraction(r["max_ratio_num"], r["max_ratio_den"]) <= 1
@@ -137,25 +139,31 @@ def test_profile_iota_isometric_on_induced(s3, f2):
 
 def test_profile_f2_pi_finite_ratios_with_fit(f2):
     h_sample = f2.metric.ball(3)
-    prof = operator_growth_profile("pi_h", f2, h_sample, 1, 2, [0, 1],
-                                   samples=6, seed=7, metric_variant="induced")
-    assert prof["rows"]
-    assert all(r["max_ratio_den"] > 0 for r in prof["rows"])
-    assert prof["fits"] and all("slope" in f for f in prof["fits"])
+    prof = operator_growth_profile(f2, h_sample, 1, 2, [0, 1], samples=6, seed=7)
+    rows = profile_rows(prof, "pi_h")
+    assert rows
+    assert all(r["max_ratio_den"] > 0 for r in rows)
+    fits = [f for f in prof["fits"] if (f["map"], f["metric"]) == ("pi_h", "induced")]
+    assert fits and all("slope" in f for f in fits)
 
 
 def test_profile_all_maps_run(s3):
-    for map_id in PROFILE_MAPS:
-        prof = operator_growth_profile(map_id, s3, [(0, 2, 1)], 1, 2, [0, 1],
-                                       samples=5, seed=8, metric_variant="induced")
-        assert prof["rows"], map_id
+    prof = operator_growth_profile(s3, [(0, 2, 1)], 1, 2, [0, 1], samples=5, seed=8)
+    for map_id, metric, *_ in PROFILES:
+        assert profile_rows(prof, map_id, metric), (map_id, metric)
 
 
 def test_profile_intrinsic_variant(f2):
-    prof = operator_growth_profile("pi_h", f2, [(1,)], 1, 2, [0, 1],
-                                   samples=5, seed=9, metric_variant="intrinsic")
-    assert prof["rows"]
-    assert all(r["metric"] == "intrinsic" for r in prof["rows"])
+    # Z_a = <a>, where |a^m| = |m| is also the intrinsic length, so at h = a
+    # the intrinsic rows repeat the induced ones (each profile draws from its
+    # own Random(seed)); at h = ab, |(ab)^m| = 2|m| is twice it
+    prof = operator_growth_profile(f2, [(1,), (1, 2)], 1, 2, [0, 1], samples=5, seed=9)
+    for map_id in ("pi_h", "iota_h"):
+        induced, intrinsic = profile_rows(prof, map_id), profile_rows(prof, map_id, "intrinsic")
+        assert intrinsic
+        at_a = [(r, s) for r, s in zip(induced, intrinsic) if r["h_rep"] == "a"]
+        assert at_a and all({**r, "metric": "intrinsic"} == s for r, s in at_a)
+        assert induced != [{**s, "metric": "induced"} for s in intrinsic]
 
 
 def test_rd_chain_norm_takes_no_length_fn(f2):
@@ -168,7 +176,9 @@ def test_rd_chain_norm_takes_no_length_fn(f2):
 
 
 def test_intrinsic_variant_only_for_maps_that_read_lengths(f2):
-    for map_id in ("psi_phi_inv", "phi_psi_inv", "homotopy"):
-        with pytest.raises(GroupMismatchError):
-            operator_growth_profile(map_id, f2, [(1,)], 1, 2, [0, 1],
-                                    samples=2, seed=9, metric_variant="intrinsic")
+    # the report's (map, metric) pairs are PROFILES' in order, and only the
+    # maps that read the Z_h side's word length have an intrinsic profile
+    prof = operator_growth_profile(f2, [(1,)], 1, 2, [0, 1], samples=2, seed=9)
+    pairs = list(dict.fromkeys((r["map"], r["metric"]) for r in prof["rows"]))
+    assert pairs == [(map_id, metric) for map_id, metric, *_ in PROFILES]
+    assert {m for m, metric in pairs if metric == "intrinsic"} == {"pi_h", "iota_h"}

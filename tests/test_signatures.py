@@ -12,8 +12,10 @@ import pytest
 
 import burghelea
 from burghelea import metric, verify
+from burghelea.cli import main
 from burghelea.groups import GroupModel
 from burghelea.metric import CosetSection, WordMetric
+from conftest import fixture_path
 
 
 def _callables():
@@ -79,8 +81,10 @@ def test_only_pi_h_takes_a_conjugator():
 
 def test_no_removed_switch_or_knob_returns():
     # every LP optimum is certified; the order cap, the ball cap and the fill
-    # report's ratio bound are module constants
-    banned = {"check_duality", "max_order", "ratio_bound", "ball_cap"}
+    # report's ratio bound are module constants; norm-profile runs every entry
+    # of norms.PROFILES in one call
+    banned = {"check_duality", "max_order", "ratio_bound", "ball_cap", "map_id",
+              "metric_variant"}
     takers = [name for name, fn in _callables()
               if banned & set(inspect.signature(fn).parameters)]
     assert takers == []
@@ -118,8 +122,10 @@ def test_each_identity_suite_takes_a_section_and_no_model(suite):
     assert not any(issubclass(c, GroupModel) for c in classes)
 
 
-def test_an_identity_run_builds_one_section_per_class(f2xz, monkeypatch):
-    # every module that builds sections does it through coset_section
+@pytest.fixture
+def section_calls(monkeypatch):
+    """The h of every coset section built; every module that builds sections
+    does it through coset_section."""
     build, calls = metric.coset_section, []
 
     def counting(model, h):
@@ -130,7 +136,19 @@ def test_an_identity_run_builds_one_section_per_class(f2xz, monkeypatch):
         module = importlib.import_module(f"burghelea.{info.name}")
         if hasattr(module, "coset_section"):
             monkeypatch.setattr(module, "coset_section", counting)
+    return calls
+
+
+def test_an_identity_run_builds_one_section_per_class(f2xz, section_calls):
     # the count does not depend on the sizes, so they are small here
     report = verify.run_identity_suite(f2xz, None, max_degree=1, samples=3, seed=0, radius=1)
     assert report["all_passed"]
-    assert calls == verify.default_class_reps(f2xz) and len(calls) == 3
+    assert section_calls == verify.default_class_reps(f2xz) and len(section_calls) == 3
+
+
+def test_a_norm_profile_run_builds_one_section_per_class(section_calls, tmp_path):
+    # at the defaults on f2xz: four classes, each shared by the seven profiles
+    out = tmp_path / "norm.json"
+    assert main(["norm-profile", "--group", str(fixture_path("f2xz.json")),
+                 "--out", str(out)]) == 0
+    assert len(section_calls) == len(set(section_calls)) == 4
