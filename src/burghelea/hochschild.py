@@ -6,13 +6,23 @@ Degree-n chains live on (n+1)-tuples of group elements; the boundary is
                      + (-1)^n (g_n g_0, g_1,...,g_{n-1}).
 
 The face map is ``hochschild_faces``; the chain boundary
-``hochschild_boundary`` and the boundary matrices of ``homology_ranks`` both
-use it (matrices through ``linalg.boundary_columns``).  The complex splits
-over conjugacy classes of the product of entries, and the retraction pi_h
-localizes a class component into the centralizer of h.  Homology ranks of
-finite models are computed by exact rational elimination, per class on the
-normalized complex C-bar (g_1, ..., g_n != e), which has the same homology;
-the full complex's boundary ranks follow from its Betti numbers.
+``hochschild_boundary`` and the unsplit reference
+``homology_ranks_unsplit`` use it (matrices through
+``linalg.boundary_columns``).  The complex splits over conjugacy classes of
+the product of entries, and the retraction pi_h localizes a class component
+into the centralizer of h.
+
+Homology ranks of finite models are computed by exact rational elimination,
+per class, on the conjugation-coinvariant complex of the normalized complex
+C-bar (g_1, ..., g_n != e).  It has the same Betti numbers: C-bar has the
+homology of the full complex (Loday, Cyclic Homology, 1.1), inner
+automorphisms act as the identity on Hochschild homology (Loday, ch. 1),
+and over Q the coinvariants of a finite group commute with homology,
+H(C_G) = H(C)_G.  Its generators are the orbits of
+simultaneous conjugation on C-bar's tuples, which are indexed
+arithmetically over an int multiplication table (``MulTable``,
+``OrbitComplex``); the full complex's boundary ranks follow from its Betti
+numbers.
 
 A model's word metric is ``model.metric``.  The class-component map pi_h
 and the inclusion iota_h take the coset section of h alone: the section owns
@@ -184,18 +194,121 @@ def iota_h(section: CosetSection, c: Chain) -> Chain:
 # homology ranks of finite models
 # ---------------------------------------------------------------------------
 
-def class_component_basis(model: GroupModel, degree: int,
-                          x: ConjugacyClass) -> list[tuple]:
-    """Basis tuples of the normalized C-bar_degree(QG)_x: entry product in x
-    and g_1, ..., g_n != e.  g_0 is forced as in ``sample_component_tuple``;
-    the order is fixed by ``model.elements()``."""
-    members = class_members(model, x.rep)
-    rest = [(g, model.inv(g)) for g in model.elements() if g != model.identity]
-    # (g_1, ..., g_k) with (g_1...g_k)^-1, grown one entry at a time
-    tails = [((), model.identity)]
-    for _ in range(degree):
-        tails = [(t + (g,), model.mul(g_inv, q)) for t, q in tails for g, g_inv in rest]
-    return [(model.mul(target, q),) + t for t, q in tails for target in members]
+class MulTable:
+    """A finite model's law on ints: element i is ``model.elements()[i]``.
+
+    It is built with the public, checked law, |G|^2 products and |G|
+    inverses, so every element is checked there and the orbit complexes run
+    on unchecked int arithmetic.  ``conj`` holds, for one representative c
+    of each coset of the centre Z(G) other than Z(G) itself, the
+    permutation g -> c g c^-1: conjugation by cz is conjugation by c, so
+    these and the identity give every simultaneous conjugate."""
+
+    def __init__(self, model: GroupModel):
+        elems = model.elements()
+        index = {g: i for i, g in enumerate(elems)}
+        self.index = index
+        self.mul = mul = [[index[model.mul(a, b)] for b in elems] for a in elems]
+        self.inv = inv = [index[model.inv(a)] for a in elems]
+        self.e = index[model.identity]
+        order = range(len(elems))
+        center = [z for z in order if all(mul[z][g] == mul[g][z] for g in order)]
+        covered = set(center)
+        self.conj: list[list[int]] = []
+        for c in order:
+            if c not in covered:
+                covered.update(mul[c][z] for z in center)
+                self.conj.append([mul[mul[c][g]][inv[c]] for g in order])
+
+
+class OrbitComplex:
+    """The conjugation-coinvariant complex of the normalized C-bar_*(QG)_x.
+
+    A C-bar tuple (g_0, ..., g_n), with entry product p in x and g_1, ...,
+    g_n != e, has index t |x| + q: t is its tail (g_1, ..., g_n) in mixed
+    radix over ``rest`` = G minus e (the digit of g is its position there,
+    g_1 most significant), q is the position of p in ``members``, and g_0 =
+    p (g_1...g_n)^-1.  ``class_component_basis`` adds one degree at a time:
+    one generator per orbit of simultaneous conjugation, labelled by
+    consecutive ints across degrees.  Generator g's least tuple has index
+    ``reps[g]`` in degree ``degrees[g]``, and ``labels[n][i]`` is the label
+    of the orbit of index i in degree n."""
+
+    def __init__(self, table: MulTable, members: list[int]):
+        self.members = members
+        self.rest = [g for g in range(len(table.mul)) if g != table.e]
+        digit = {g: d for d, g in enumerate(self.rest)}
+        position = {p: q for q, p in enumerate(members)}
+        mul, inv = table.mul, table.inv
+        # merge[d][d']: the digit of g g', or -1 when g g' = e
+        self.merge = [[digit.get(mul[g][h], -1) for h in self.rest] for g in self.rest]
+        # turn[d][q]: the position of g p g^-1, the last face's entry product
+        self.turn = [[position[mul[mul[g][p]][inv[g]]] for p in members] for g in self.rest]
+        # each nontrivial conjugation, on the digits and on the positions in x
+        self.conj = [([digit[c[g]] for g in self.rest], [position[c[p]] for p in members])
+                     for c in table.conj]
+        self.reps: list[int] = []
+        self.degrees: list[int] = []
+        self.labels: list[Sequence[int]] = []
+
+    def faces(self, g: int) -> list[tuple[int, int]]:
+        """The faces of generator g (degree n >= 1) that stay in C-bar, each
+        sent to its orbit's label: ``hochschild_faces`` on the least tuple,
+        less the merges g_j g_{j+1} = e, j >= 1."""
+        n = self.degrees[g]
+        s, b = len(self.members), len(self.rest)
+        below, merge = self.labels[n - 1], self.merge
+        t, q = divmod(self.reps[g], s)
+        head, last = divmod(t, b)
+        # (g_n g_0, g_1, ..., g_{n-1}), entry product g_n p g_n^-1
+        out = [(below[head * s + self.turn[last][q]], -1 if n % 2 else 1)]
+        # (..., g_j g_{j+1}, ...) for j = n-1 down to 1: head holds the digits
+        # before g_j, low the value of the digits after g_{j+1}, w = b^(n-j-1)
+        low, w, right = 0, 1, last
+        for j in range(n - 1, 0, -1):
+            head, left = divmod(head, b)
+            m = merge[left][right]
+            if m >= 0:
+                out.append((below[((head * b + m) * w + low) * s + q], -1 if j % 2 else 1))
+            low += right * w
+            w *= b
+            right = left
+        out.append((below[low * s + q], 1))  # (g_0 g_1, g_2, ..., g_n)
+        return out
+
+
+def class_component_basis(component: OrbitComplex, degree: int) -> range:
+    """The orbit basis of C-bar_degree(QG)_x: labels each of its |x| (|G| - 1)^n
+    tuples in ``component`` with its orbit under simultaneous conjugation
+    and returns the new orbits' labels, in the order of their least index.
+    Degrees are added in order, from 0.  When G/Z(G) is trivial every orbit
+    is one tuple and the labels are a range."""
+    c = component
+    s, b = len(c.members), len(c.rest)
+    size, first = s * b ** degree, len(c.reps)
+    if not c.conj:
+        labels: Sequence[int] = range(first, first + size)
+        c.reps.extend(range(size))
+    else:
+        labels = [-1] * size
+        digits = [0] * degree
+        for i in range(size):
+            if labels[i] >= 0:
+                continue
+            g = len(c.reps)
+            c.reps.append(i)
+            labels[i] = g
+            t, q = divmod(i, s)
+            for k in range(degree - 1, -1, -1):
+                t, digits[k] = divmod(t, b)
+            for on_digits, on_members in c.conj:
+                u = 0
+                for d in digits:
+                    u = u * b + on_digits[d]
+                labels[u * s + on_members[q]] = g
+    c.degrees.extend([degree] * (len(c.reps) - first))
+    c.labels.append(labels)
+    return range(first, len(c.reps))
 
 
 def _check_space_cap(model: GroupModel, max_degree: int, class_size: int) -> int:
@@ -230,33 +343,41 @@ def homology_ranks(model: GroupModel, max_degree: int,
     where rank_boundary_out is the rank of b_n out of degree n and
     rank_boundary_in the rank of b_{n+1} into it.  The computation runs per
     class component (only x's, when given) and aggregates: the splitting is
-    a direct sum of subcomplexes.  Each component's Betti numbers betti_n come
-    from its normalized complex C-bar (``class_component_basis``): the
-    tuples with some g_i = e, i >= 1, span an acyclic subcomplex (Loday,
-    Cyclic Homology, 1.1), so C-bar has the homology of the full component.
-    Its faces are ``hochschild_faces`` on the kernel law less the ones with
-    a merged entry g_j g_{j+1} = e, j >= 1, and its ranks come from the
-    coboundary with clearing (``linalg.coboundary_ranks``).  The report is
-    the full component's: dim C_n = |x| |G|^n, rank b_0 = 0 and
-    rank b_{n+1} = dim C_n - rank b_n - betti_n.  ``homology_ranks_unsplit`` is
-    the reference, by column reduction on the full complex.
+    a direct sum of subcomplexes.
+
+    Each component's Betti numbers betti_n are those of the
+    conjugation-coinvariant complex of its normalized complex C-bar
+    (``OrbitComplex``), and both steps keep the homology (Loday, Cyclic
+    Homology, ch. 1):
+    - the tuples with some g_i = e, i >= 1, span an acyclic subcomplex
+      (1.1), so C-bar has the homology of the full component;
+    - conjugating every entry by one g is a chain automorphism of C-bar that
+      keeps e and the class, and an inner automorphism acts as the identity
+      on Hochschild homology, also per class: the standard homotopy keeps
+      the entry product.  Over Q, and for a finite G, coinvariants commute
+      with homology, so H(C_G) = H(C)_G = H(C).
+    The coinvariant complex has one generator per orbit of simultaneous
+    conjugation (``class_component_basis``), its boundary is C-bar's on the
+    orbit's least tuple with each face sent to its orbit, and its ranks come
+    from the coboundary with clearing (``linalg.coboundary_ranks``).  All of
+    it runs on the int ``MulTable``, built once per call.  The report is the
+    full component's: dim C_n = |x| |G|^n, rank b_0 = 0 and
+    rank b_{n+1} = dim C_n - rank b_n - betti_n.  ``homology_ranks_unsplit``
+    is the reference, by column reduction on the full complex.
     """
     if not model.is_finite:
         raise GroupMismatchError("homology ranks need a finite model")
     classes = [x] if x is not None else conjugacy_classes(model)
-    sizes = [len(class_members(model, cls.rep)) for cls in classes]
-    for size in sizes:  # every class, before any basis is built
-        _check_space_cap(model, max_degree, size)
-    mul, e = model._mul, model.identity
-
-    def faces(t):  # the faces that stay in C-bar
-        return ((u, s) for u, s in hochschild_faces(mul, t) if e not in u[1:])
-
+    members = [class_members(model, cls.rep) for cls in classes]
+    for ms in members:  # every class, before any basis is built
+        _check_space_cap(model, max_degree, len(ms))
+    table = MulTable(model)
     per_degree = _empty_reports(max_degree)
-    for cls, size in zip(classes, sizes):
-        bases = [class_component_basis(model, n, cls) for n in range(max_degree + 2)]
-        ranks = coboundary_ranks(bases, faces)
-        dims = [size * model.order ** n for n in range(max_degree + 2)]
+    for ms in members:
+        component = OrbitComplex(table, [table.index[g] for g in ms])
+        bases = [class_component_basis(component, n) for n in range(max_degree + 2)]
+        ranks = coboundary_ranks(bases, component.faces)
+        dims = [len(ms) * model.order ** n for n in range(max_degree + 2)]
         full = [0]
         for n in range(max_degree + 1):
             full.append(dims[n] - full[n] - (len(bases[n]) - ranks[n] - ranks[n + 1]))

@@ -24,8 +24,10 @@ from burghelea import (
 )
 from burghelea import hochschild
 from burghelea.chains import Chain
-from burghelea.groups import class_members
+from burghelea.groups import ProductGroup, class_members
 from burghelea.hochschild import (
+    MulTable,
+    OrbitComplex,
     _check_space_cap,
     class_component_basis,
     entry_product,
@@ -271,8 +273,8 @@ def test_ranks_s3_transposition_class(s3):
 
 
 def test_ranks_d4_rotation_class(d4):
-    # the class of the benchmarked hh-ranks run; b_4 has 8192 columns, and
-    # 4802 in the normalized complex
+    # the class of the benchmarked hh-ranks run; b_4 has 8192 columns, 4802
+    # in the normalized complex and 1241 in its orbit complex
     report = homology_ranks(d4, 3, x=conjugacy_class(d4, (1, 2, 3, 0)))
     assert [r["dim_chain_space"] for r in report] == [2, 16, 128, 1024]
     assert [r["rank_boundary_in"] for r in report] == [1, 15, 113, 911]
@@ -296,21 +298,101 @@ def test_ranks_equal_class_count(z2, z4, s3):
         assert report[1]["betti"] == 0
 
 
-def test_class_component_basis_dimension(s3):
-    # the normalized component: |x| (|G| - 1)^n tuples, none with e after g_0
-    x = conjugacy_class(s3, (0, 2, 1))
-    for n in range(3):
-        basis = class_component_basis(s3, n, x)
-        assert len(basis) == len(set(basis)) == 3 * 5 ** n
-        assert all(conjugacy_class(s3, entry_product(s3, t)) == x for t in basis)
-        assert all(s3.identity not in t[1:] for t in basis)
+def _tuple_at(m, component, n, i):
+    """The C-bar tuple of index i in degree n of ``component``, by its
+    documented encoding: i = t |x| + q, t the tail's digits over G minus e."""
+    elems = m.elements()
+    t, q = divmod(i, len(component.members))
+    digits = []
+    for _ in range(n):
+        t, d = divmod(t, len(component.rest))
+        digits.append(d)
+    tail = tuple(elems[component.rest[d]] for d in reversed(digits))
+    p = elems[component.members[q]]
+    return (m.mul(p, m.inv(entry_product(m, tail))),) + tail
+
+
+def _orbit_key(m, t):
+    """The least simultaneous conjugate of t: equal keys iff conjugate."""
+    return min(tuple(m.element_key(m.conj(y, g)) for g in t) for y in m.elements())
+
+
+def test_class_component_basis_dimension(d4):
+    # the orbit basis of the normalized component: one least tuple per orbit
+    # of simultaneous conjugation on its |x| 7^n tuples, none with e after
+    # g_0, and each index labelled with the orbit of its tuple
+    table = MulTable(d4)
+    for rep, counts in (((0, 1, 2, 3), [1, 4, 19, 106, 661]),
+                        ((1, 2, 3, 0), [1, 5, 29, 185, 1241])):
+        x = conjugacy_class(d4, rep)
+        members = class_members(d4, x.rep)
+        component = OrbitComplex(table, [table.index[g] for g in members])
+        for n, count in enumerate(counts):
+            basis = class_component_basis(component, n)
+            assert len(basis) == count
+            keys = {}
+            for g in basis:
+                assert component.degrees[g] == n
+                t = _tuple_at(d4, component, n, component.reps[g])
+                assert conjugacy_class(d4, entry_product(d4, t)) == x
+                assert d4.identity not in t[1:]
+                keys[_orbit_key(d4, t)] = g
+            assert len(keys) == count  # no two representatives are conjugate
+            labels = component.labels[n]
+            assert len(labels) == len(members) * 7 ** n
+            for i, g in enumerate(labels):
+                assert keys[_orbit_key(d4, _tuple_at(d4, component, n, i))] == g
+
+
+@pytest.mark.parametrize("names, rep, max_degree", [
+    pytest.param(["s3"], (0, 2, 1), 4, id="s3"),
+    pytest.param(["d4"], (0, 1, 2, 3), 3, id="d4-e"),
+    pytest.param(["d4"], (1, 2, 3, 0), 3, id="d4-rotation"),
+    pytest.param(["z2", "s3"], (1, (1, 2, 0)), 2, id="z2xs3")])
+def test_orbit_faces_are_the_faces_of_the_least_tuple(names, rep, max_degree, request):
+    # each generator's column is hochschild_faces on its least tuple, less
+    # the faces with e after g_0, each face sent to the label of its orbit
+    factors = [request.getfixturevalue(name) for name in names]
+    m = factors[0] if len(factors) == 1 else ProductGroup(factors)
+    table = MulTable(m)
+    x = conjugacy_class(m, rep)
+    component = OrbitComplex(table, [table.index[g] for g in class_members(m, x.rep)])
+    label_of = {}
+    for n in range(max_degree + 1):
+        for g in class_component_basis(component, n):
+            t = _tuple_at(m, component, n, component.reps[g])
+            label_of[_orbit_key(m, t)] = g
+            if n == 0:
+                continue
+            expected = {}
+            for u, sign in hochschild_faces(m.mul, t):
+                if m.identity not in u[1:]:
+                    k = label_of[_orbit_key(m, u)]
+                    expected[k] = expected.get(k, 0) + sign
+            got = {}
+            for k, sign in component.faces(g):
+                got[k] = got.get(k, 0) + sign
+            assert {k: v for k, v in got.items() if v} == {
+                k: v for k, v in expected.items() if v}, t
+
+
+def test_orbit_labels_of_an_abelian_group_are_the_indices(z4):
+    # Z(G) = G: every orbit is one tuple, and the labels are a range
+    table = MulTable(z4)
+    assert table.conj == []
+    component = OrbitComplex(table, [table.index[z4.parse_element("g")]])
+    assert [class_component_basis(component, n) for n in range(3)] == [
+        range(0, 1), range(1, 4), range(4, 13)]
+    assert component.labels == [range(0, 1), range(1, 4), range(4, 13)]
+    assert component.reps == [0, 0, 1, 2, *range(9)]
 
 
 def _full_component_report(m, max_degree, x):
     """The report of x's full component, G^(n+1) filtered by class, by column
     reduction."""
+    classes = {g: conjugacy_class(m, g) for g in m.elements()}
     bases = [[t for t in itertools.product(m.elements(), repeat=n + 1)
-              if conjugacy_class(m, entry_product(m, t)) == x]
+              if classes[entry_product(m, t)] == x]
              for n in range(max_degree + 2)]
     report = hochschild._empty_reports(max_degree)
     hochschild._add_ranks([len(b) for b in bases],
@@ -318,16 +400,23 @@ def _full_component_report(m, max_degree, x):
     return report
 
 
-@pytest.mark.parametrize("name, rep", [("z2", None), ("z4", None), ("s3", None),
-                                       ("d4", (1, 2, 3, 0))])
-def test_normalized_betti_equal_full_component(name, rep, request):
-    # per class, the Betti numbers from the normalized complex, and the ranks
-    # derived from them, equal the full component's; all of d4's classes
-    # take about 4 s, so d4 covers its rotation class
-    m = request.getfixturevalue(name)
+@pytest.mark.parametrize("names, rep, max_degree", [
+    pytest.param(["z2"], None, 3, id="z2-None"),
+    pytest.param(["z4"], None, 3, id="z4-None"),
+    pytest.param(["s3"], None, 3, id="s3-None"),
+    pytest.param(["d4"], None, 2, id="d4-None"),
+    pytest.param(["d4"], (1, 2, 3, 0), 3, id="d4-rep3"),
+    pytest.param(["z2", "s3"], None, 2, id="z2xs3-None")])
+def test_normalized_betti_equal_full_component(names, rep, max_degree, request):
+    # per class, the Betti numbers from the orbit complex, and the ranks
+    # derived from them, equal the full component's; all of d4's classes at
+    # degree 3 take about 4 s, so d4 covers its rotation class there, and a
+    # finite product covers the ranks on a product's law
+    factors = [request.getfixturevalue(name) for name in names]
+    m = factors[0] if len(factors) == 1 else ProductGroup(factors)
     classes = [conjugacy_class(m, rep)] if rep else conjugacy_classes(m)
     for x in classes:
-        assert homology_ranks(m, 3, x=x) == _full_component_report(m, 3, x), x
+        assert homology_ranks(m, max_degree, x=x) == _full_component_report(m, max_degree, x), x
 
 
 def test_ranks_infinite_model_rejected(f2):

@@ -26,6 +26,10 @@ PINNED = {
     "hh-ranks-class": (
         ["hh-ranks", "--group", "d4.json", "--max-degree", "2", "--class", "[1,2,3,0]"],
         "5016ef5393c297f6b3345e5b3f4668d8fbc20c7e1c64ddcc0ce7771ccfca575e"),
+    # every class of d4 past degree 2: the orbit complexes of all five
+    "hh-ranks-d4": (
+        ["hh-ranks", "--group", "d4.json", "--max-degree", "4"],
+        "4f1af3f18602be795d68824ca56d795500a6effd16f7012d57978cc25f594ea1"),
     "burghelea-check": (
         ["burghelea-check", "--group", "s3.json", "--max-degree", "1"],
         "3af28576fecf7fca4598d934ca4f18e62ae07e430f6307ac879b66cb88e18aab"),
@@ -83,6 +87,8 @@ FILE_PINNED = {
         "d9102b9938587c66f447beebf409d468498133a6cb7a70d347d65784504bd756",
     "hh-ranks-class":
         "3a5742f98786f7d3f5faef63a88575a8a124f60ee35b82e90645b282425a5b11",
+    "hh-ranks-d4":
+        "913a7c603a71feea87fe82146d0cdc471f3dcc084cb6feabde5a59a76aa5c5bf",
     "norm-profile":
         "f68c94e8e37ee54c5e4c6da8ee151285978cb791c5d4fe635ac4e0f1f1b11734",
     "norm-profile-f2":
