@@ -311,25 +311,45 @@ def class_component_basis(component: OrbitComplex, degree: int) -> range:
     return range(first, len(c.reps))
 
 
-def _check_space_cap(model: GroupModel, max_degree: int, class_size: int) -> int:
+def _check_space_cap(table: MulTable, max_degree: int, members: Sequence[int]) -> int:
     """Estimated bytes of one class component's ranks, checked against the
-    cap: its normalized bases, |x| (|G| - 1)^n tuples in degree n, and the top
-    coboundary (N + 1 entries per basis tuple of degree N = max_degree + 1)
-    with its echelon, about 100 bytes per entry."""
+    cap, from what its orbit complex holds up to the top degree
+    N = max_degree + 1.  Degree n has |x| (|G| - 1)^n C-bar tuples, one label
+    slot each (8 bytes), and by Burnside's lemma
+    (1/|G|) sum_c |x & Z(c)| (|Z(c)| - 1)^n orbits, Z(c) the centralizer of
+    c: conjugation by c fixes a tuple iff it fixes every entry.  An orbit
+    costs about 100 bytes (its representative, degree and label, and its
+    entry in the coboundary's index).  The top coboundary has N + 1 entries
+    per top orbit, priced at 142 bytes each with its share of the echelon
+    (108 under tracemalloc on s3 at degree 6), so that the estimate covers
+    the peak RSS of whole runs (MB = 2^20 bytes): d4 at degree 6 is priced
+    at 507.9 MB and peaks at 323, s3 at degree 6 at 49.2 against 49."""
+    mul, order = table.mul, len(table.mul)
+    fixed = [(sum(mul[c][p] == mul[p][c] for p in members),
+              sum(mul[c][g] == mul[g][c] for g in range(order)) - 1) for c in range(order)]
+    top = max_degree + 1
+
+    def orbits(n: int) -> int:
+        return sum(f * z ** n for f, z in fixed) // order
+
+    return _check_counted(
+        (8 * len(members) * (order - 1) ** n + 100 * orbits(n) for n in range(top + 1)),
+        lambda: 142 * (top + 1) * orbits(top))
+
+
+def _check_counted(per_degree: Iterator[int], top: Callable[[], int]) -> int:
+    """Sum the bytes of each degree, then of the top (co)boundary, against
+    the cap.  Past the cap, stop counting: the whole estimate can run to
+    thousands of digits."""
     cap_mb = memory_cap_mb()
-    cap = cap_mb * 1024 * 1024
-    per_tuple = 80 + 16 * (max_degree + 2)
-    total, dim = 0, class_size
-    for n in range(max_degree + 2):
-        if n:
-            dim *= model.order - 1
-        total += dim * per_tuple
-        if total > cap:
-            # stop counting: the whole estimate can run to thousands of digits
+    total = 0
+    for n, need in enumerate(per_degree):
+        total += need
+        if total > cap_mb * 1024 * 1024:
             raise ResourceCapError(
                 f"chain spaces up to degree {n} need more than {cap_mb} MB, "
                 f"cap is {cap_mb} MB (set BURGHELEA_CAP_MB to override)")
-    total += (max_degree + 2) * dim * 100
+    total += top()
     check_memory(total, "chain spaces and the top coboundary need")
     return total
 
@@ -368,13 +388,13 @@ def homology_ranks(model: GroupModel, max_degree: int,
     if not model.is_finite:
         raise GroupMismatchError("homology ranks need a finite model")
     classes = [x] if x is not None else conjugacy_classes(model)
-    members = [class_members(model, cls.rep) for cls in classes]
-    for ms in members:  # every class, before any basis is built
-        _check_space_cap(model, max_degree, len(ms))
     table = MulTable(model)
+    members = [[table.index[g] for g in class_members(model, cls.rep)] for cls in classes]
+    for ms in members:  # every class, before any basis is built
+        _check_space_cap(table, max_degree, ms)
     per_degree = _empty_reports(max_degree)
     for ms in members:
-        component = OrbitComplex(table, [table.index[g] for g in ms])
+        component = OrbitComplex(table, ms)
         bases = [class_component_basis(component, n) for n in range(max_degree + 2)]
         ranks = coboundary_ranks(bases, component.faces)
         dims = [len(ms) * model.order ** n for n in range(max_degree + 2)]
@@ -387,8 +407,11 @@ def homology_ranks(model: GroupModel, max_degree: int,
 
 def homology_ranks_unsplit(model: GroupModel, max_degree: int) -> list[dict]:
     """The unsplit reference for ``homology_ranks``: one elimination over all
-    of G^(n+1)."""
-    _check_space_cap(model, max_degree, model.order)
+    of G^(n+1).  Its cap prices |G|^(n+1) tuples in degree n at
+    80 + 16 (N + 1) bytes each and the top boundary at 100 bytes an entry."""
+    per_tuple, top = 80 + 16 * (max_degree + 2), max_degree + 1
+    _check_counted((model.order ** (n + 1) * per_tuple for n in range(top + 1)),
+                   lambda: (top + 1) * model.order ** (top + 1) * 100)
     elems = model.elements()
     bases = [sorted(itertools.product(elems, repeat=n + 1),
                     key=lambda t: tuple(model.element_key(g) for g in t))

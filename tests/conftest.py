@@ -49,11 +49,17 @@ MALFORMED_COMPLEXES = [
 ]
 
 
+def fractions(pair) -> list[Fraction]:
+    """The values of an LP result's (ints, denominator) pair."""
+    ints, d = pair
+    return [Fraction(v, d) for v in ints]
+
+
 def assert_certified(c, A, b, res):
     """res is an optimum of min c.x s.t. A x = b, x >= 0, and res.dual is a
     dual solution that proves it: x >= 0, A x = b, c - A^T y >= 0, c.x = b.y."""
     F = Fraction
-    x, y = res.x, res.dual
+    x, y = fractions(res.x), fractions(res.dual)
     assert res.status == "optimal" and len(x) == len(c) and len(y) == len(A)
     assert all(v >= 0 for v in x)
     for row, bi in zip(A, b):

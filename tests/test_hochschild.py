@@ -428,53 +428,66 @@ def test_resource_cap(z4, monkeypatch):
     monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
     monkeypatch.setattr(hochschild, "class_component_basis",
                         lambda *args: pytest.fail("a basis was built"))
-    # the least cap, 1 MB; the degree-6 ranks of a class of Z/4 need ~2.3 MB
-    # (0.65 MB of normalized bases), so the cap trips before any basis is built
+    # the least cap, 1 MB; the degree-6 ranks of a class of Z/4 need ~2.7 MB
+    # (0.33 MB of label slots and orbits), so the cap trips before any basis
+    # is built
     with pytest.raises(ResourceCapError, match="cap is 1 MB"):
         homology_ranks(z4, 6)
 
 
 def test_space_cap_checks_every_class_before_any_basis(s3, monkeypatch):
-    # at degree 3 under 1 MB the identity class (about 0.42 MB) passes and the
-    # transposition class (about 1.25 MB) does not: no class is computed first
+    # at degree 4 under 1 MB the identity class (about 0.53 MB) passes and the
+    # transposition class (about 1.6 MB) does not: no class is computed first
     monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
     first = conjugacy_classes(s3)[0]
     assert len(class_members(s3, first.rep)) == 1
-    _check_space_cap(s3, 3, 1)
+    table = MulTable(s3)
+    _check_space_cap(table, 4, [table.index[first.rep]])
     monkeypatch.setattr(hochschild, "class_component_basis",
                         lambda *args: pytest.fail("a basis was built"))
     with pytest.raises(ResourceCapError, match="cap is 1 MB"):
-        homology_ranks(s3, 3)
+        homology_ranks(s3, 4)
 
 
 def test_space_cap_stops_counting_past_the_cap(d4, monkeypatch):
     monkeypatch.delenv("BURGHELEA_CAP_MB", raising=False)
     # the whole estimate at degree 10000 has thousands of digits
     with pytest.raises(ResourceCapError,
-                       match=r"^chain spaces up to degree 5 need more than 512 MB, cap is 512 MB"):
+                       match=r"^chain spaces up to degree 9 need more than 512 MB, cap is 512 MB"):
         homology_ranks(d4, 10000)
-    # under the cap the estimate is the closed form
+    # under the cap the estimate is the closed form: the rotation class
+    # {r, r^3} has 2 * 7^n label slots and (7^n + 3^n) / 2 orbits in degree n
+    # (Burnside: the centre fixes every tuple, r and r^3 fix the tuples of
+    # rotations, the reflections fix none)
+    table = MulTable(d4)
+    rotations = [table.index[g] for g in class_members(d4, (1, 2, 3, 0))]
     for max_degree in range(4):
-        dims = [2 * 7 ** n for n in range(max_degree + 2)]
-        assert _check_space_cap(d4, max_degree, 2) == (
-            sum(dims) * (80 + 16 * (max_degree + 2)) + (max_degree + 2) * dims[-1] * 100)
-    # bases within the cap, the top coboundary past it: the exact estimate,
-    # rounded up to a tenth of a MB, so that the need printed exceeds the cap
-    # (a class of 8 at degree 2 needs 1,558,400 bytes, which floored to "1 MB")
+        top = max_degree + 1
+        orbits = [(7 ** n + 3 ** n) // 2 for n in range(top + 1)]
+        assert _check_space_cap(table, max_degree, rotations) == (
+            sum(8 * 2 * 7 ** n + 100 * orbits[n] for n in range(top + 1))
+            + 142 * (top + 1) * orbits[top])
+    # slots and orbits within the cap, the top coboundary past it: the exact
+    # estimate, rounded up to a tenth of a MB, so that the need printed
+    # exceeds the cap (the rotation class at degree 3 needs 1,072,026 bytes,
+    # which floors to "1.0 MB"; all of d4 as one class needs about 4.2 MB)
     monkeypatch.setenv("BURGHELEA_CAP_MB", "1")
-    for max_degree, size, need in ((3, 2, r"3\.2"), (2, 8, r"1\.5")):
+    for max_degree, members, need in ((3, rotations, r"1\.1"), (3, range(8), r"4\.2")):
         with pytest.raises(ResourceCapError, match=rf"^chain spaces and the top coboundary "
                                                    rf"need about {need} MB, cap is 1 MB"):
-            _check_space_cap(d4, max_degree, size)
+            _check_space_cap(table, max_degree, members)
 
 
-@pytest.mark.parametrize("name, max_degree, rep", [("d4", 3, (1, 2, 3, 0)), ("s3", 2, None)])
+@pytest.mark.parametrize("name, max_degree, rep", [("d4", 3, (1, 2, 3, 0)), ("s3", 2, None),
+                                                    ("d4", 4, None)])
 def test_space_estimate_covers_traced_peak(name, max_degree, rep, request):
-    # the cap's estimate counts what the ranks hold: the bases, and the top
-    # coboundary with its echelon
+    # the cap's estimate counts what the ranks hold: the label slots and
+    # orbits, and the top coboundary with its echelon
     m = request.getfixturevalue(name)
     x = conjugacy_class(m, rep) if rep else None
-    estimate = max(_check_space_cap(m, max_degree, len(class_members(m, c.rep)))
+    table = MulTable(m)
+    estimate = max(_check_space_cap(table, max_degree,
+                                    [table.index[g] for g in class_members(m, c.rep)])
                    for c in ([x] if x else conjugacy_classes(m)))
     tracemalloc.start()
     try:

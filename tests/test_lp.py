@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burghelea import cli, lp
+import oracles
+from burghelea import cli, dehn, lp
 from burghelea.errors import CertificateError
 from burghelea.lp import solve_min_lp
 
-from conftest import assert_certified, fixture_path
+from conftest import assert_certified, fixture_path, fractions
 
 F = Fraction
 
@@ -21,9 +22,10 @@ def rationals(lo: int, hi: int):
 
 
 def assert_lowest_terms(memo: lp.MinLP):
-    # each tableau row is ints over a positive denominator, in lowest terms
-    assert len(memo._den) == len(memo._tab)
-    for row, d in zip(memo._tab, memo._den):
+    # each row of B^-1 with its rhs entry, and the cost row, is ints over a
+    # positive denominator, in lowest terms
+    assert len(memo._den) == len(memo._binv) == len(memo._basis)
+    for row, d in zip(memo._binv + [memo._cost_row], memo._den + [memo._cost_den]):
         assert all(type(v) is int for v in row) and type(d) is int
         assert d > 0 and math.gcd(*row, d) == 1
 
@@ -113,26 +115,27 @@ def test_degenerate_redundant_rows():
 
 def test_negative_rhs_normalization():
     [res] = solve_min_lp([1, 1], [[-1, 0]], [[-2]])
-    assert res.value == 2 and res.x[0] == 2
+    assert res.value == 2 and fractions(res.x)[0] == 2
     # the negative rhs makes the basic artificial infeasible; the dual is
     # for the row as given
-    assert res.dual == [-1]
+    assert fractions(res.dual) == [-1]
     assert_certified([1, 1], [[-1, 0]], [-2], res)
 
 
 def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
-    def wrong_column(tab, den, basis, n):
+    def wrong_column(held):
         # one pivot on row 0 entering the column of the largest ratio, not
         # the least: x = (1, 0) is primal feasible with value 2, but the
         # optimum is x = (0, 1) with value 1
-        lp._pivot(tab, den, basis, 0, max(range(n), key=lambda j: F(tab[-1][j], tab[0][j])))
+        alpha = held._price(0)
+        held._pivot(0, max(alpha, key=lambda j: F(held._cost_row[j], alpha[j])), alpha)
 
-    monkeypatch.setattr(lp, "_dual_simplex", wrong_column)
+    monkeypatch.setattr(lp.MinLP, "_dual_simplex", wrong_column)
     with pytest.raises(CertificateError, match="c - A\\^T y"):
         solve_min_lp([2, 1], [[1, 1]], [[1]])
     # stopped after zero pivots, the dual simplex leaves the artificial
     # basis, which is not primal feasible for a dehn run's boundaries
-    monkeypatch.setattr(lp, "_dual_simplex", lambda tab, den, basis, n: None)
+    monkeypatch.setattr(lp.MinLP, "_dual_simplex", lambda held: None)
     code = cli.main(["dehn", "--complex", str(fixture_path("octahedron.json")),
                      "--degree", "1", "--k", "4"])
     err = capsys.readouterr().err
@@ -141,9 +144,10 @@ def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
 
 
 def test_inputs_and_certified_lp_unmutated(monkeypatch):
-    # _pivot updates the tableau in place: neither the caller's Fraction
-    # lists nor the LP that _certify checks may share a row with it.
-    # _certify gets c, b and each row of A as ints over a denominator.
+    # _pivot updates B^-1 and the cost row in place: neither the caller's
+    # Fraction lists nor the LP that _certify checks may share a row with
+    # them.  _certify gets c and b as ints over a denominator, and A as
+    # sparse int rows over one denominator.
     c = [F(1), F(2), F(0), F(3)]
     A = [[F(1), F(-1), F(2), F(0)], [F(-2), F(1), F(0), F(1)], [F(1), F(0), F(2), F(1)]]
     b = [F(3), F(-1), F(4)]
@@ -155,9 +159,17 @@ def test_inputs_and_certified_lp_unmutated(monkeypatch):
         ints, d = ints_over_d
         return [F(v, d) for v in ints]
 
+    def matrix(rows_over_d):
+        rows, d = rows_over_d
+        dense = [[F(0)] * len(c) for _ in rows]
+        for row, out in zip(rows, dense):
+            for j, a in row:
+                out[j] = F(a, d)
+        return dense
+
     def recording(c_, A_, b_, x, y):
         real(c_, A_, b_, x, y)
-        certified.append((values(c_), [values(row) for row in A_], values(b_)))
+        certified.append((values(c_), matrix(A_), values(b_)))
 
     monkeypatch.setattr(lp, "_certify", recording)
     [res] = solve_min_lp(c, A, [b])
@@ -254,8 +266,66 @@ def test_unproven_infeasibility_is_an_error(monkeypatch):
     # on a first solve or on a later one fails the Farkas check
     warm = lp.MinLP([1, 1], [[1, 1]])
     assert warm.solve([1]).value == 1
-    monkeypatch.setattr(lp, "_dual_simplex", lambda tab, den, basis, n: 0)
+    monkeypatch.setattr(lp.MinLP, "_dual_simplex", lambda held: 0)
     with pytest.raises(CertificateError, match="Farkas"):
         warm.solve([2])
     with pytest.raises(CertificateError, match="Farkas"):
         lp.MinLP([1, 1], [[1, 1]]).solve([1])
+
+
+def assert_pivots_like_the_tableau(c, A, bs) -> int:
+    """Solve each b of bs in turn on one revised MinLP and on one dense
+    tableau (``oracles.MinLP``, the solver before the revised one): every
+    solve makes the same pivots and returns the same status, value, x and
+    y.  Returns the number of pivots."""
+    made: dict[str, list] = {"revised": [], "tableau": []}
+    revised_pivot, tableau_pivot = lp.MinLP._pivot, oracles._pivot
+
+    def on_revised(held, i, j, alpha):
+        made["revised"].append((i, j))
+        revised_pivot(held, i, j, alpha)
+
+    def on_tableau(tab, den, basis, i, j):
+        made["tableau"].append((i, j))
+        tableau_pivot(tab, den, basis, i, j)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp.MinLP, "_pivot", on_revised)
+        mp.setattr(oracles, "_pivot", on_tableau)
+        revised, tableau = lp.MinLP(c, A), oracles.MinLP(c, A)
+        for b in bs:
+            new, old = revised.solve(b), tableau.solve(b)
+            assert made["revised"] == made["tableau"]
+            assert (new.status, new.value) == (old.status, old.value)
+            if new.status == "optimal":
+                assert (fractions(new.x), fractions(new.dual)) == (old.x, old.dual)
+    return len(made["revised"])
+
+
+@settings(max_examples=60)
+@given(lp_runs())
+def test_pivots_match_the_tableau_oracle(run):
+    c, A, bs, _ = run
+    assert_pivots_like_the_tableau(c, A, bs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fill", "--group", "f2.json", "--radius", "2", "--seed", "0"],
+    ["fill", "--group", "f2.json", "--radius", "2", "--seed", "4"],
+    ["dehn", "--complex", "octahedron.json", "--degree", "1", "--k", "7"],
+], ids=["fill-f2-seed0", "fill-f2-seed4", "dehn-octahedron-k7"])
+def test_cli_lps_pivot_like_the_tableau_oracle(argv, monkeypatch, tmp_path):
+    # every LP of the benchmarked fill and dehn runs, solved by both
+    lps = []
+
+    def recording(c, A, bs):
+        bs = list(bs)
+        lps.append((c, A, bs))
+        return solve_min_lp(c, A, bs)
+
+    monkeypatch.setattr(dehn, "solve_min_lp", recording)
+    argv = [str(fixture_path(a)) if prev in ("--group", "--complex") else a
+            for prev, a in zip([None] + argv, argv)]
+    assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert len(lps) == 1
+    assert assert_pivots_like_the_tableau(*lps[0]) > 0

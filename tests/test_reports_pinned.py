@@ -70,6 +70,13 @@ PINNED = {
     "fill-zz-r3": (
         ["fill", "--group", "zz.json", "--radius", "3"],
         "eb8bb4451247fd12ce34d4eeafc35b766176c1f31eccc57b991a374571aafc43"),
+    # larger filling LPs: f2 at radius 3, and a product group at radius 3
+    "fill-f2-r3": (
+        ["fill", "--group", "f2.json", "--radius", "3"],
+        "819af3ba2886e21b8f9cff0d903c6bacd560317893e9ad1ce13a6cf0e310f065"),
+    "fill-f2xz-r3": (
+        ["fill", "--group", "f2xz.json", "--radius", "3"],
+        "4223722c71a383c499a0ae2992c950162c1566b4a76cab39bbb2309cfbeddb87"),
 }
 
 FILE_PINNED = {
