@@ -102,6 +102,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subparsers
 
 
+# the largest --k-grid upper bound: far above every default, and above the
+# exponents at which a norm-profile ratio leaves the float range (500 on z4),
+# but small enough that the grid is never a memory hazard
+K_GRID_MAX = 1000
+
+
 def _parse_k_grid(spec: str) -> list[int]:
     try:
         lo_s, hi_s = spec.split("..")
@@ -112,6 +118,8 @@ def _parse_k_grid(spec: str) -> list[int]:
         raise WorkbenchError("--k-grid bounds must be nonnegative")
     if hi < lo:
         raise WorkbenchError("--k-grid upper bound below lower bound")
+    if hi > K_GRID_MAX:
+        raise WorkbenchError(f"--k-grid upper bound {hi} is above {K_GRID_MAX}")
     return list(range(lo, hi + 1))
 
 

@@ -1,16 +1,17 @@
 """Higher-order Dehn functions of finite simplicial complexes.
 
 l_f(b) is the least l1-norm of a chain a with da = b, computed by an exact
-rational LP (min sum(a+ + a-) subject to d(a+ - a-) = b; ``min_l1_filling``)
-whose optimum ``lp.solve_min_lp`` certifies against its dual.
+LP (min w.(a+ + a-) subject to d(a+ - a-) = b; ``min_l1_filling``) whose
+optimum ``lp.solve_min_lp`` certifies against its dual.
 Its reference is ``integer_min_filling``, an exhaustive integer search with
 pruning: the LP value never exceeds the oracle value, and any strict gap is
 surfaced, not hidden.  All LPs of a run share the objective and the matrix,
-so a run hands them to ``min_l1_fillings`` at once: one ``lp.MinLP`` for all
-of them, which reads the boundary matrix once into sparse rows and columns
-and solves each target by a revised dual simplex from the basis the one
-before left.  Each filling comes back as exact ints over one denominator.
-d^N(k) is the sup of l_f over integer N-boundaries of l1-norm at most k.
+so a run hands them to ``min_l1_fillings`` at once, which builds the sparse
+int rows of [d | -d] straight from the boundary columns and solves every
+target on one ``lp.MinLP``, each by a revised dual simplex from the basis
+the one before left.  Each filling comes back as exact ints over one
+denominator.  d^N(k) is the sup of l_f over integer N-boundaries of l1-norm
+at most k.
 
 Those boundaries are enumerated on their parametrization, not over the l1
 ball: in the reduced column space of d_{N+1} a boundary is fixed by its
@@ -24,7 +25,11 @@ magnitudes and signs, and the enumeration cap counts steps of the walk
 
 The same machinery runs on ball-truncated equivariant bar complexes of a
 group model, with diameter-weighted objectives, to probe the filling-norm
-estimate |b|_{k,1} <= C * |c|_{k+p,1} empirically.
+estimate |b|_{k,1} <= C * |c|_{k+p,1} empirically
+(``filling_estimate_check``).  Each sample is a multiple of one basis tuple,
+so its boundary is that multiple of one boundary column, and both its norms
+are sums over ``BarTruncation.diameters``, the diameters the LP objective
+weighs by: no chain is built.
 
 Both kinds of boundary matrix come from ``linalg.boundary_columns``: a
 simplicial complex with the face map ``chains.simplex_faces``, a bar
@@ -37,8 +42,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .bar_complexes import boundary_cbar, cbar_faces
-from .chains import Chain, simplex_faces, tuple_diameter
+from .bar_complexes import cbar_faces
+from .chains import simplex_faces, tuple_diameter
 from .errors import (
     DescriptorError,
     NotABoundaryError,
@@ -49,7 +54,6 @@ from .groups import GroupModel, _checked
 from .hochschild import check_memory
 from .linalg import RationalEchelon, boundary_columns
 from .lp import solve_min_lp
-from .norms import NormFamily
 
 # the fill report's least bounded p is the least whose max ratio is at most this
 RATIO_BOUND = 10.0
@@ -168,27 +172,27 @@ class FillingResult(NamedTuple):
 def check_tableau_space(n_rows: int, ncols: int) -> None:
     """Raise ResourceCapError if a dense tableau of the filling LP, n_rows x
     (2 ncols + n_rows + 1) entries at about 24 bytes each, passes the memory
-    cap.  The revised simplex holds no tableau, only the dense A that
-    ``min_l1_fillings`` builds (8 bytes an entry), A's sparse rows and
-    columns, B^-1 and the cost row, so the estimate bounds it from above:
-    ``fill f2 --radius 4`` is priced at 29.3 MB, and its whole run peaks at
-    25.4 MB under tracemalloc (41 MB of RSS with the interpreter)."""
+    cap.  The revised simplex holds no tableau and no dense matrix, only
+    A's sparse rows and columns, B^-1 and the cost row, so the estimate
+    bounds it from above: ``fill f2 --radius 4`` is priced at 29.3 MB, and
+    its whole run peaks at 8.0 MB under tracemalloc (24 MB of RSS with the
+    interpreter)."""
     check_memory(n_rows * (2 * ncols + n_rows + 1) * 24,
                  f"the filling LP, {n_rows} rows by {2 * ncols} columns, needs")
 
 
 def min_l1_fillings(columns: list[dict[int, int]], n_rows: int,
                     targets: Sequence[dict[int, Fraction]],
-                    weights: Optional[Sequence[Fraction]] = None) -> list[FillingResult]:
+                    weights: Optional[list[int]] = None) -> list[FillingResult]:
     """Minimal (weighted) l1 filling of each target vector by the given
-    columns, in order, by one exact rational LP over all of them.  Raises
+    columns, in order, by one exact LP over all of them.  Raises
     NotABoundaryError if a target does not bound, and ResourceCapError
     before any matrix is built if ``check_tableau_space`` refuses the LP."""
     ncols = len(columns)
     check_tableau_space(n_rows, ncols)
-    w = [Fraction(x) for x in weights] if weights is not None else [Fraction(1)] * ncols
-    # variables a+ then a-: min w.(a+ + a-), d(a+ - a-) = target
-    A = [[0] * (2 * ncols) for _ in range(n_rows)]
+    w = weights if weights is not None else [1] * ncols
+    # variables a+ then a-: min w.(a+ + a-), d(a+ - a-) = target, A's rows sparse
+    A: list[dict[int, int]] = [{} for _ in range(n_rows)]
     for j, col in enumerate(columns):
         for i, s in col.items():
             A[i][j] = s
@@ -478,19 +482,9 @@ class BarTruncation:
         return list(boundary_columns(self.bases[degree], self._index[degree - 1],
                                      partial(cbar_faces, self.model)))
 
-    def chain_to_vec(self, c: Chain, degree: int) -> dict[int, Fraction]:
-        index = self._index[degree]
-        out = {}
-        for t, q in c.terms.items():
-            if t not in index:
-                raise ResourceCapError(
-                    "chain leaves the truncation window (not a refutation)")
-            out[index[t]] = q
-        return out
-
-    def weights(self, degree: int, k: int) -> list[Fraction]:
-        return [Fraction(tuple_diameter(self.model, t) ** k)
-                for t in self.bases[degree]]
+    def diameters(self, degree: int) -> list[int]:
+        """The diameter of each basis tuple of the degree, in basis order."""
+        return [tuple_diameter(self.model, t) for t in self.bases[degree]]
 
 
 def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
@@ -501,38 +495,37 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
 
     Reports the least p in the grid whose max ratio is at most
     ``RATIO_BOUND`` (a diagnostic, not a determination of the paper-level
-    filling exponent).  Every sample fills inside the window: b0 is a
-    multiple of a basis tuple, so c is that multiple of the tuple's boundary
-    column, whose faces all lie in the window, and b0 itself fills c.
+    filling exponent).  Each sample b0 is coeff times basis tuple j, so c is
+    coeff times boundary column j, |b0|_{k,1} = |coeff| diam_j^k and
+    |c|_{k+p,1} = sum_i |c_i| diam_i^(k+p) over the degree's tuples.  Every
+    sample fills inside the window: the truncation is a subcomplex, and b0
+    itself fills c.
     """
     rng = random.Random(seed)
     ps = sorted(set(p_grid))
     trunc = BarTruncation(model, degree + 1, radius)
     n_rows = len(trunc.bases[degree])
-    # refuse before the columns and weights, which cost more than the bases
+    # refuse before the columns and diameters, which cost more than the bases
     check_tableau_space(n_rows, len(trunc.bases[degree + 1]))
-    nf = NormFamily(model, "rd-chain")
     cols = trunc.boundary_columns(degree + 1)
-    weights = trunc.weights(degree + 1, k)
-    upper_basis = trunc.bases[degree + 1]
+    # the diameters of the tuples of degree + 1, which weigh the LP, and of degree
+    upper, lower = trunc.diameters(degree + 1), trunc.diameters(degree)
 
     rows = []
     to_fill = []  # (report entry, c) of each sample with a nonzero boundary
     for s in range(samples):
-        t = upper_basis[rng.randrange(len(upper_basis))]
+        j = rng.randrange(len(cols))
         coeff = rng.choice([1, -1, 2])
-        b0 = Chain.basis("cbar", degree + 1, t).scale(coeff)
-        c = boundary_cbar(model, b0)
-        entry = {"sample": s, "source_norm_k": str(nf.norm(b0, k))}
+        entry = {"sample": s, "source_norm_k": str(abs(coeff) * upper[j] ** k)}
         rows.append(entry)
-        if c.is_zero():
+        if cols[j]:
+            to_fill.append((entry, {i: coeff * v for i, v in cols[j].items()}))
+        else:
             entry.update(status="zero_boundary", fill_norm_k="0")
             for p in ps:
                 entry[f"ratio_p{p}"] = "0"
-        else:
-            to_fill.append((entry, c))
-    fillings = min_l1_fillings(cols, n_rows, [trunc.chain_to_vec(c, degree) for _, c in to_fill],
-                               weights=weights)
+    fillings = min_l1_fillings(cols, n_rows, [c for _, c in to_fill],
+                               weights=[d ** k for d in upper])
 
     max_ratio: dict[int, Fraction] = {}
     unbounded_ps: set[int] = set()
@@ -540,7 +533,7 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
         entry["status"] = "ok"
         entry["fill_norm_k"] = str(res.value)
         for p in ps:
-            denom = nf.norm(c, k + p)
+            denom = sum(abs(v) * lower[i] ** (k + p) for i, v in c.items())
             if denom == 0:
                 if res.value:
                     entry[f"ratio_p{p}"] = "inf"

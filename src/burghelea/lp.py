@@ -1,15 +1,17 @@
-"""Exact revised dual simplex over the rationals, one basis for every right-hand side.
+"""Exact revised dual simplex over sparse integer rows, one basis for every right-hand side.
 
-Solves   min c.x  subject to  A x = b, x >= 0   in Python ints, for c >= 0
-(every caller minimises a weighted l1 norm).  ``MinLP(c, A)`` reads A once
-into sparse rows and sparse columns, scaled to ints over the lcm of its
-rows' denominators, and starts on the artificial basis.  With c >= 0 that
-basis is dual feasible for every b, so each solve, the first included, sets
-rhs = B^-1 b over b's support and runs one dual simplex (Koberstein, PhD
-thesis, 2005) by Bland's rule.  An artificial is fixed at 0: it never
-enters, and a basic one with a nonzero rhs is infeasible like a negative
-rhs.  ``solve_min_lp(c, A, bs)`` builds one ``MinLP`` and solves every b of
-bs on it in turn; no LP outlives the call.
+Solves   min c.x  subject to  A x = b, x >= 0   in Python ints, for rational
+c >= 0 and b and an integer A (every caller minimises a weighted l1 norm
+over a boundary matrix).  A comes as its rows, one ``dict[int, int]`` each,
+mapping a column index of c to its entry; an entry that is not an int, or an
+index outside c, is a ``ValueError``.  ``MinLP(c, A)`` reads A once into
+sparse rows and sparse columns and starts on the artificial basis.  With
+c >= 0 that basis is dual feasible for every b, so each solve, the first
+included, sets rhs = B^-1 b over b's support and runs one dual simplex
+(Koberstein, PhD thesis, 2005) by Bland's rule.  An artificial is fixed at
+0: it never enters, and a basic one with a nonzero rhs is infeasible like a
+negative rhs.  ``solve_min_lp(c, A, bs)`` builds one ``MinLP`` and solves
+every b of bs on it in turn; no LP outlives the call.
 
 No tableau is kept.  The LP holds the rows of B^-1, each with its rhs entry,
 as ints R over that row's own denominator d > 0, in lowest terms
@@ -78,21 +80,23 @@ class MinLP:
     """min c.x subject to A x = b, x >= 0 for one c >= 0 and A and any b;
     keeps B^-1, the cost row and the basis from one solve to the next."""
 
-    def __init__(self, c: Sequence, A: Sequence[Sequence]):
+    def __init__(self, c: Sequence, A: Sequence[dict[int, int]]):
         self.cost = _scaled(c)
         n, m = len(self.cost[0]), len(A)
-        scaled = [_scaled(row) for row in A]
-        if any(len(row) != n for row, _ in scaled):
-            raise ValueError("ragged constraint matrix")
         if any(v < 0 for v in self.cost[0]):
             raise ValueError("negative cost: the artificial basis is not dual feasible")
-        # A = rows / la: row k as its (j, a) with a != 0, column j as its (k, a)
-        self.la = la = lcm(*(d for _, d in scaled))
-        self.rows = [[(j, v * (la // d)) for j, v in enumerate(row) if v] for row, d in scaled]
+        # row k as its (j, a) with a != 0, column j as its (k, a)
+        self.rows: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         self.cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for k, row in enumerate(self.rows):
-            for j, a in row:
-                self.cols[j].append((k, a))
+        for k, row in enumerate(A):
+            for j, a in row.items():
+                if type(a) is not int:
+                    raise ValueError(f"constraint entry {a!r} is not an int")
+                if type(j) is not int or not 0 <= j < n:
+                    raise ValueError(f"column index {j!r} is outside c")
+                if a:
+                    self.rows[k].append((j, a))
+                    self.cols[j].append((k, a))
         self._binv = [[int(k == i) for k in range(m + 1)] for i in range(m)]
         self._den = [1] * m
         self._cost_row, self._cost_den = self.cost[0] + [0] * (m + 1), self.cost[1]
@@ -122,7 +126,7 @@ class MinLP:
             X[j] = v * (dx // d)
         # the cost row's artificial block is -c_B B^-1 = -y
         Y, dy = [-v for v in self._cost_row[n:-1]], self._cost_den
-        _certify(self.cost, (self.rows, self.la), (B, L), (X, dx), (Y, dy))
+        _certify(self.cost, self.rows, (B, L), (X, dx), (Y, dy))
         value = Fraction(sum(self.cost[0][j] * X[j] for j in xs), self.cost[1] * dx)
         return LPResult("optimal", value, (X, dx), (Y, dy))
 
@@ -154,7 +158,7 @@ class MinLP:
             self._pivot(i, best, alpha)
 
     def _price(self, i: int) -> dict[int, int]:
-        """Row i of B^-1 A times d_i la on its support, from A's sparse rows."""
+        """Row i of B^-1 A times d_i on its support, from A's sparse rows."""
         alpha: dict[int, int] = {}
         get = alpha.get
         for k, w in enumerate(self._binv[i][:-1]):
@@ -165,22 +169,21 @@ class MinLP:
 
     def _pivot(self, i: int, j: int, alpha: dict[int, int]) -> None:
         """Pivot on (i, j), with alpha = ``_price(i)``: row i of B^-1 over
-        the pivot a_ij = alpha_j / (d_i la), then each row r with
+        the pivot a_ij = alpha_j / d_i, then each row r with
         f = (B^-1 A)_rj != 0 becomes R_r - f R_i, and so does the cost row,
         on alpha's support and its last m + 1 entries."""
-        binv, den, la, a = self._binv, self._den, self.la, alpha[j]
-        s = la if a > 0 else -la
-        row_i, p = _lowest([s * v for v in binv[i]], abs(a))
+        binv, den, a = self._binv, self._den, alpha[j]
+        row_i, p = _lowest(binv[i] if a > 0 else [-v for v in binv[i]], abs(a))
         binv[i], den[i] = row_i, p
         pairs = [(k, w) for k, w in enumerate(row_i) if w]
-        col, q = self.cols[j], p * la
+        col = self.cols[j]
         for r, row in enumerate(binv):
-            f = sum(row[k] * v for k, v in col)  # (B^-1 A)_rj = f / (d_r la)
+            f = sum(row[k] * v for k, v in col)  # (B^-1 A)_rj = f / d_r
             if f and r != i:
-                row = [v * q for v in row] if q != 1 else row
+                row = [v * p for v in row] if p != 1 else row
                 for k, w in pairs:
                     row[k] -= f * w
-                binv[r], den[r] = _lowest(row, den[r] * q)
+                binv[r], den[r] = _lowest(row, den[r] * p)
         cost, cj = self._cost_row, self._cost_row[j]
         if cj:
             # less cj times the new row i: alpha / alpha_j on the columns,
@@ -197,7 +200,7 @@ class MinLP:
         self._basis[i] = j
 
 
-def solve_min_lp(c: Sequence, A: Sequence[Sequence],
+def solve_min_lp(c: Sequence, A: Sequence[dict[int, int]],
                  bs: Iterable[Sequence]) -> list[LPResult]:
     """min c.x subject to A x = b, x >= 0, for c >= 0 and each b of bs, in
     order; each solve starts warm from the basis the one before left."""
@@ -205,18 +208,18 @@ def solve_min_lp(c: Sequence, A: Sequence[Sequence],
     return [lp.solve(b) for b in bs]
 
 
-def _certify(c, A, b, x, y) -> None:
+def _certify(c, rows, b, x, y) -> None:
     """Check x >= 0, A x = b, c - A^T y >= 0 and c.x = b.y, each side scaled
-    to ints: c, b, x and y are (ints, denominator) pairs, A is (rows, d) with
-    each row its (j, a) pairs for a != 0.  Each check costs O(n + nnz(A)).
+    to ints: c, b, x and y are (ints, denominator) pairs, and the rows of A
+    are its (j, a) pairs for a != 0.  Each check costs O(n + nnz(A)).
     By weak duality any y that passes proves x optimal, whatever produced it."""
-    (C, dc), (rows, la), (B, db), (X, dx), (Y, dy) = c, A, b, x, y
+    (C, dc), (B, db), (X, dx), (Y, dy) = c, b, x, y
     if any(v < 0 for v in X):
         raise CertificateError("LP certificate failed: x has a negative entry")
     for row, bi in zip(rows, B):
-        if sum(a * X[j] for j, a in row) * db != bi * la * dx:
+        if sum(a * X[j] for j, a in row) * db != bi * dx:
             raise CertificateError("LP certificate failed: A x != b")
-    reduced = [v * dy * la for v in C]  # (c - A^T y) dc dy la
+    reduced = [v * dy for v in C]  # (c - A^T y) dc dy
     for row, yi in zip(rows, Y):
         if yi:
             w = yi * dc

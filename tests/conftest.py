@@ -55,17 +55,28 @@ def fractions(pair) -> list[Fraction]:
     return [Fraction(v, d) for v in ints]
 
 
+def sparse_rows(dense) -> list[dict[int, int]]:
+    """The rows of a dense int matrix as the sparse rows ``lp.MinLP`` takes."""
+    return [{j: a for j, a in enumerate(row) if a} for row in dense]
+
+
+def dense_rows(A, n: int) -> list[list[int]]:
+    """Sparse rows over n columns as the dense rows ``oracles.MinLP`` takes."""
+    return [[row.get(j, 0) for j in range(n)] for row in A]
+
+
 def assert_certified(c, A, b, res):
-    """res is an optimum of min c.x s.t. A x = b, x >= 0, and res.dual is a
-    dual solution that proves it: x >= 0, A x = b, c - A^T y >= 0, c.x = b.y."""
+    """res is an optimum of min c.x s.t. A x = b, x >= 0, for A given as
+    sparse rows, and res.dual is a dual solution that proves it: x >= 0,
+    A x = b, c - A^T y >= 0, c.x = b.y."""
     F = Fraction
     x, y = fractions(res.x), fractions(res.dual)
     assert res.status == "optimal" and len(x) == len(c) and len(y) == len(A)
     assert all(v >= 0 for v in x)
     for row, bi in zip(A, b):
-        assert sum(F(a) * v for a, v in zip(row, x)) == F(bi)
+        assert sum(a * x[j] for j, a in row.items()) == F(bi)
     for j, cj in enumerate(c):
-        assert F(cj) - sum(F(row[j]) * yi for row, yi in zip(A, y)) >= 0
+        assert F(cj) - sum(row.get(j, 0) * yi for row, yi in zip(A, y)) >= 0
     assert sum(F(cj) * v for cj, v in zip(c, x)) == res.value
     assert sum(F(bi) * yi for bi, yi in zip(b, y)) == res.value
 

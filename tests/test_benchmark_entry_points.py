@@ -52,13 +52,16 @@ def test_lp_shape_reads_c_and_a_by_position_and_name():
     assert params[:2] == ["c", "A"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["dehn", "--complex", "tests/fixtures/octahedron.json", "--degree", "1", "--k", "3"],
-    ["fill", "--group", "tests/fixtures/zz.json", "--radius", "1"],
+@pytest.mark.parametrize("argv, rows, cols", [
+    (["dehn", "--complex", "tests/fixtures/octahedron.json", "--degree", "1", "--k", "3"],
+     12, 16),
+    (["fill", "--group", "tests/fixtures/zz.json", "--radius", "1"], 5, 26),
 ], ids=["dehn-octahedron", "fill-zz"])
-def test_traced_run_sees_one_lp(argv, capsys, monkeypatch):
+def test_traced_run_sees_one_lp(argv, rows, cols, capsys, monkeypatch):
     # every LP of a run shares one matrix and is one solve_min_lp call, which
-    # the tracer times as the lp.solve span; tracing leaves the report as is
+    # the tracer times as the lp.solve span and sizes by len(A) and len(c):
+    # the octahedron's 12 edges by 2 x 8 faces, Z^2's 5 radius-1 tuples by
+    # 2 x 13 pairs; tracing leaves the report as is
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, str(TRACER), *argv], cwd=ROOT, env=env,
@@ -70,3 +73,4 @@ def test_traced_run_sees_one_lp(argv, capsys, monkeypatch):
     assert traced["exit"] == 0
     assert traced["report"] == capsys.readouterr().out
     assert traced["spans"]["lp.solve"]["calls"] == 1
+    assert (traced["spans"]["lp.solve"]["rows"], traced["spans"]["lp.solve"]["cols"]) == (rows, cols)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burghelea import dehn as dehn_mod
+from burghelea import cli, dehn as dehn_mod
 from burghelea.cli import main
 from burghelea.metric import CosetSection
 
@@ -195,8 +195,8 @@ def test_fill_past_the_space_cap_exits_one_before_any_matrix(monkeypatch, capsys
     # of tableau.  Under a 64 MB cap the truncation refuses before it builds
     # degree 9, from |B_8| = 1,021 rows and columns; under 400 MB the bases
     # pass and the exact tableau refuses.  Both come before the columns and
-    # the weights.
-    for name in ("boundary_columns", "weights"):
+    # the diameters.
+    for name in ("boundary_columns", "diameters"):
         monkeypatch.setattr(dehn_mod.BarTruncation, name,
                             lambda *args: pytest.fail("a matrix was built"))
     for cap, line in (
@@ -308,6 +308,16 @@ def test_help_lists_own_flags_with_defaults(command, capsys):
 def test_bad_k_grid_exits_one():
     assert run_cli("norm-profile", "--group", str(fixture_path("z4.json")),
                    "--k-grid", "oops") == 1
+
+
+@pytest.mark.parametrize("command, group", [("fill", "f2.json"), ("norm-profile", "z4.json")])
+def test_k_grid_past_the_cap_exits_one(command, group, capsys):
+    # the grid is a list of every k in a..b: an upper bound of 10^12 was a
+    # MemoryError traceback before the cap
+    assert run_cli(command, "--group", str(fixture_path(group)),
+                   "--k-grid", "0..1000000000000") == 1
+    assert capsys.readouterr().err == "error: --k-grid upper bound 1000000000000 is above 1000\n"
+    assert cli._parse_k_grid(f"{cli.K_GRID_MAX}..{cli.K_GRID_MAX}") == [cli.K_GRID_MAX]
 
 
 def test_norm_profile_ratio_past_the_float_range_exits_one(capsys):

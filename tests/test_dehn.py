@@ -16,11 +16,13 @@ from burghelea import (
     min_l1_filling,
 )
 from burghelea import dehn
-from burghelea.chains import tuple_diameter
+from burghelea.bar_complexes import boundary_cbar
+from burghelea.chains import Chain, tuple_diameter
 from burghelea.cli import _SUBCOMMANDS
 from burghelea.dehn import BarTruncation, enumerate_boundaries, min_l1_fillings
 from burghelea.linalg import RationalEchelon
 from burghelea.lp import solve_min_lp
+from burghelea.norms import NormFamily
 
 from conftest import MALFORMED_COMPLEXES, assert_certified, load_complex_obj, load_model
 
@@ -335,6 +337,27 @@ def test_bar_truncation_grown_bases_equal_product_filter(name, max_degree, radiu
         assert trunc.bases[n] == ref
 
 
+@pytest.mark.parametrize("name", ["f2", "zz", "f2xz"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_bar_truncation_columns_and_diameters_match_the_chain_path(name, degree, request):
+    # fill reads each sample off a boundary column and its norms off the
+    # diameters; the reference is the chain path: boundary_cbar of the basis
+    # tuple, mapped through the degree's index, and the rd-chain norm
+    m = request.getfixturevalue(name)
+    trunc = BarTruncation(m, degree + 1, 2)
+    nf = NormFamily(m, "rd-chain")
+    index = {t: i for i, t in enumerate(trunc.bases[degree])}
+    upper, lower = trunc.diameters(degree + 1), trunc.diameters(degree)
+    for j, (t, col) in enumerate(zip(trunc.bases[degree + 1],
+                                     trunc.boundary_columns(degree + 1))):
+        b0 = Chain.basis("cbar", degree + 1, t)
+        c = boundary_cbar(m, b0)
+        assert col == {index[u]: q for u, q in c.terms.items()}
+        for k in range(3):
+            assert upper[j] ** k == nf.norm(b0, k)
+            assert sum(abs(v) * lower[i] ** k for i, v in col.items()) == nf.norm(c, k)
+
+
 def test_filling_estimate_boundaries_fill():
     zz = load_model("zz.json")
     report = filling_estimate_check(zz, degree=1, radius=2, k=0,
@@ -363,11 +386,10 @@ def test_ratio_bound_is_exact(monkeypatch):
 def test_filling_estimate_truncation_error():
     # delta_(e, e1) generates H_1(Z^2) rationally, so it cannot bound in the
     # truncation: the LP proves it infeasible, also after a target that fills
-    from burghelea.chains import Chain
     zz = load_model("zz.json")
     trunc = BarTruncation(zz, 2, 1)
     cols = trunc.boundary_columns(2)
-    target = trunc.chain_to_vec(Chain.basis("cbar", 1, ((0, 0), (1, 0))), 1)
+    target = {trunc.bases[1].index(((0, 0), (1, 0))): 1}
     with pytest.raises(NotABoundaryError):
         min_l1_fillings(cols, len(trunc.bases[1]), [target])
     with pytest.raises(NotABoundaryError):

@@ -11,7 +11,7 @@ from burghelea import cli, dehn, lp
 from burghelea.errors import CertificateError
 from burghelea.lp import solve_min_lp
 
-from conftest import assert_certified, fixture_path, fractions
+from conftest import assert_certified, dense_rows, fixture_path, fractions, sparse_rows
 
 F = Fraction
 
@@ -78,14 +78,14 @@ def brute_force_vertex_optimum(c, A, b):
 
 def test_simple_optimum():
     # min x0 + x1 s.t. x0 + x1 = 1 -> 1
-    [res] = solve_min_lp([1, 1], [[1, 1]], [[1]])
+    [res] = solve_min_lp([1, 1], [{0: 1, 1: 1}], [[1]])
     assert res.value == 1
-    assert_certified([1, 1], [[1, 1]], [1], res)
+    assert_certified([1, 1], [{0: 1, 1: 1}], [1], res)
 
 
 def test_infeasible():
     # x0 = -1 with x0 >= 0
-    [res] = solve_min_lp([1], [[1]], [[-1]])
+    [res] = solve_min_lp([1], [{0: 1}], [[-1]])
     assert res.status == "infeasible"
 
 
@@ -93,33 +93,34 @@ def test_negative_cost_is_rejected():
     # the artificial basis is dual feasible only for c >= 0; min -x0 with
     # x0 - x1 = 0 would be unbounded
     with pytest.raises(ValueError, match="negative cost"):
-        solve_min_lp([-1, 0], [[1, -1]], [[0]])
+        solve_min_lp([-1, 0], [{0: 1, 1: -1}], [[0]])
 
 
 def test_wrong_length_rhs_is_rejected():
     # a b with too few or too many entries is not the LP that A describes
     for b in ([1], [1, 2, 3]):
         with pytest.raises(ValueError, match="length"):
-            lp.MinLP([1, 1], [[1, 0], [0, 1]]).solve(b)
+            lp.MinLP([1, 1], [{0: 1}, {1: 1}]).solve(b)
 
 
 def test_degenerate_redundant_rows():
     # redundant constraint rows must not break the solve or the dual: their
     # artificials stay basic at 0; in the second LP the redundant row is the
     # first one negated
-    for A, b in [([[1, 1], [1, 1], [2, 2]], [1, 1, 2]), ([[1, 1], [-1, -1]], [1, -1])]:
+    for A, b in [([{0: 1, 1: 1}, {0: 1, 1: 1}, {0: 2, 1: 2}], [1, 1, 2]),
+                 ([{0: 1, 1: 1}, {0: -1, 1: -1}], [1, -1])]:
         [res] = solve_min_lp([2, 3], A, [b])
         assert res.value == 2
         assert_certified([2, 3], A, b, res)
 
 
 def test_negative_rhs_normalization():
-    [res] = solve_min_lp([1, 1], [[-1, 0]], [[-2]])
+    [res] = solve_min_lp([1, 1], [{0: -1}], [[-2]])
     assert res.value == 2 and fractions(res.x)[0] == 2
     # the negative rhs makes the basic artificial infeasible; the dual is
     # for the row as given
     assert fractions(res.dual) == [-1]
-    assert_certified([1, 1], [[-1, 0]], [-2], res)
+    assert_certified([1, 1], [{0: -1}], [-2], res)
 
 
 def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
@@ -132,7 +133,7 @@ def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
 
     monkeypatch.setattr(lp.MinLP, "_dual_simplex", wrong_column)
     with pytest.raises(CertificateError, match="c - A\\^T y"):
-        solve_min_lp([2, 1], [[1, 1]], [[1]])
+        solve_min_lp([2, 1], [{0: 1, 1: 1}], [[1]])
     # stopped after zero pivots, the dual simplex leaves the artificial
     # basis, which is not primal feasible for a dehn run's boundaries
     monkeypatch.setattr(lp.MinLP, "_dual_simplex", lambda held: None)
@@ -143,13 +144,23 @@ def test_uncertified_optimum_is_an_error(monkeypatch, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_constraint_rows_are_int_and_inside_c():
+    # A is one dict per row from a column index of c to an int entry; a
+    # Fraction or a bool is no int entry, and an index must be below len(c)
+    for row, message in (({0: F(1)}, "not an int"), ({0: F(2, 1)}, "not an int"),
+                         ({1: True}, "not an int"), ({2: 1}, "outside c"),
+                         ({-1: 1}, "outside c")):
+        with pytest.raises(ValueError, match=message):
+            lp.MinLP([1, 1], [{0: 1}, row])
+
+
 def test_inputs_and_certified_lp_unmutated(monkeypatch):
     # _pivot updates B^-1 and the cost row in place: neither the caller's
-    # Fraction lists nor the LP that _certify checks may share a row with
+    # lists and rows nor the LP that _certify checks may share a row with
     # them.  _certify gets c and b as ints over a denominator, and A as
-    # sparse int rows over one denominator.
+    # its sparse rows of (j, a) pairs.
     c = [F(1), F(2), F(0), F(3)]
-    A = [[F(1), F(-1), F(2), F(0)], [F(-2), F(1), F(0), F(1)], [F(1), F(0), F(2), F(1)]]
+    A = [{0: 1, 1: -1, 2: 2}, {0: -2, 1: 1, 3: 1}, {0: 1, 2: 2, 3: 1}]
     b = [F(3), F(-1), F(4)]
     given_lp = copy.deepcopy((c, A, b))
     certified = []
@@ -159,17 +170,9 @@ def test_inputs_and_certified_lp_unmutated(monkeypatch):
         ints, d = ints_over_d
         return [F(v, d) for v in ints]
 
-    def matrix(rows_over_d):
-        rows, d = rows_over_d
-        dense = [[F(0)] * len(c) for _ in rows]
-        for row, out in zip(rows, dense):
-            for j, a in row:
-                out[j] = F(a, d)
-        return dense
-
     def recording(c_, A_, b_, x, y):
         real(c_, A_, b_, x, y)
-        certified.append((values(c_), matrix(A_), values(b_)))
+        certified.append((values(c_), [dict(row) for row in A_], values(b_)))
 
     monkeypatch.setattr(lp, "_certify", recording)
     [res] = solve_min_lp(c, A, [b])
@@ -183,19 +186,20 @@ def test_inputs_and_certified_lp_unmutated(monkeypatch):
 @given(
     st.integers(1, 3).flatmap(lambda m: st.tuples(
         st.just(m),
-        st.lists(st.lists(rationals(-3, 3), min_size=4, max_size=4),
+        st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
                  min_size=m, max_size=m),
         st.lists(rationals(-4, 4), min_size=m, max_size=m),
     )),
     st.lists(rationals(0, 5), min_size=4, max_size=4),
 )
 def test_against_vertex_enumeration(mab, c):
-    m, A, b = mab
+    m, dense, b = mab
+    A = sparse_rows(dense)
     held = lp.MinLP(c, A)
     res = held.solve(b)
     assert_lowest_terms(held)
     assert solve_min_lp(c, A, [b]) == [res]
-    reference = brute_force_vertex_optimum(c, A, b)
+    reference = brute_force_vertex_optimum(c, dense, b)
     if res.status == "optimal":
         # nonnegative costs: bounded; value matches the best vertex, and the
         # reported x and dual prove it
@@ -209,13 +213,13 @@ def test_against_vertex_enumeration(mab, c):
 
 @st.composite
 def lp_runs(draw):
-    """A small rational A whose last row is the sum of its first and its
-    last-but-one, c >= 0, and 3-7 right-hand sides: first b = 0, which
-    leaves every artificial basic, then each A x for an x >= 0 or any b
-    consistent with the redundant row, and one in the middle that breaks the
-    redundant row, so it is infeasible."""
+    """A small int A, as sparse rows, whose last row is the sum of its first
+    and its last-but-one, rational c >= 0, and 3-7 rational right-hand
+    sides: first b = 0, which leaves every artificial basic, then each A x
+    for an x >= 0 or any b consistent with the redundant row, and one in the
+    middle that breaks the redundant row, so it is infeasible."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    A = draw(st.lists(st.lists(rationals(-3, 3), min_size=n, max_size=n),
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                       min_size=m, max_size=m))
     A.append([u + v for u, v in zip(A[0], A[-1])])
     c = draw(st.lists(rationals(0, 5), min_size=n, max_size=n))
@@ -231,7 +235,7 @@ def lp_runs(draw):
     broken[-1] += 1
     middle = (len(bs) + 1) // 2
     bs.insert(middle, broken)
-    return c, A, bs, middle
+    return c, sparse_rows(A), bs, middle
 
 
 @settings(max_examples=60)
@@ -264,13 +268,13 @@ def test_warm_solves_match_cold(run):
 def test_unproven_infeasibility_is_an_error(monkeypatch):
     # b = 1 and b = 2 are feasible for x0 + x1 = b: a verdict of infeasible
     # on a first solve or on a later one fails the Farkas check
-    warm = lp.MinLP([1, 1], [[1, 1]])
+    warm = lp.MinLP([1, 1], [{0: 1, 1: 1}])
     assert warm.solve([1]).value == 1
     monkeypatch.setattr(lp.MinLP, "_dual_simplex", lambda held: 0)
     with pytest.raises(CertificateError, match="Farkas"):
         warm.solve([2])
     with pytest.raises(CertificateError, match="Farkas"):
-        lp.MinLP([1, 1], [[1, 1]]).solve([1])
+        lp.MinLP([1, 1], [{0: 1, 1: 1}]).solve([1])
 
 
 def assert_pivots_like_the_tableau(c, A, bs) -> int:
@@ -292,7 +296,7 @@ def assert_pivots_like_the_tableau(c, A, bs) -> int:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp.MinLP, "_pivot", on_revised)
         mp.setattr(oracles, "_pivot", on_tableau)
-        revised, tableau = lp.MinLP(c, A), oracles.MinLP(c, A)
+        revised, tableau = lp.MinLP(c, A), oracles.MinLP(c, dense_rows(A, len(c)))
         for b in bs:
             new, old = revised.solve(b), tableau.solve(b)
             assert made["revised"] == made["tableau"]

@@ -70,6 +70,18 @@ PINNED = {
     "fill-zz-r3": (
         ["fill", "--group", "zz.json", "--radius", "3"],
         "eb8bb4451247fd12ce34d4eeafc35b766176c1f31eccc57b991a374571aafc43"),
+    # the weighted objective and norms past k = 0: k = 1 over the p grid
+    # 0..2, then a degree-2 truncation at k = 2
+    "fill-f2-k1": (
+        ["fill", "--group", "f2.json", "--radius", "2", "--k", "1", "--k-grid", "0..2"],
+        "95be5ec57398a2cf62893e942b91e4086d9cd756597a9d002fe120c22bf086ec"),
+    "fill-f2-degree2-k2": (
+        ["fill", "--group", "f2.json", "--radius", "2", "--degree", "2", "--k", "2"],
+        "158f190c8e4c285602937e598943b902391497b9a3d9a4757a1615ddcf683e93"),
+    # degree 0: every boundary column is zero, so every row is zero_boundary
+    "fill-f2-degree0": (
+        ["fill", "--group", "f2.json", "--radius", "2", "--degree", "0"],
+        "dbde0e03f737c6a21b030ca83ba927090e63261b3330c53b0f14e4374a87a26b"),
     # larger filling LPs: f2 at radius 3, and a product group at radius 3
     "fill-f2-r3": (
         ["fill", "--group", "f2.json", "--radius", "3"],
