@@ -15,7 +15,11 @@ The face maps are ``cprime_faces`` and ``cbar_faces`` (the latter is
 ``chains.simplex_faces`` with face 0 renormalized).  ``boundary_cprime`` and
 ``boundary_cbar`` extend them over chains, ``bar_homology_ranks`` and
 ``dehn.BarTruncation`` turn them into matrices through
-``linalg.boundary_columns``.
+``linalg.boundary_columns``.  Each chain map here but the composite
+``composed_localization`` is one ``chains.linear_extend`` call that declares
+its domain and codomain kinds and its degree shift (-1 for the boundaries, 0
+for the rest); that call refuses a chain of another kind and checks the
+input's entries against the model.
 
 psi / psi_inv translate between the two; phi_g embeds C'_n(Z_g) into the
 Hochschild component at the class of g.  phi_g and the localizations onto
@@ -29,7 +33,7 @@ import itertools
 from functools import partial
 from typing import Callable, Iterator
 
-from .chains import Chain, check_chain, linear_extend, simplex_faces
+from .chains import Chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
 from .hochschild import entry_product, pi_h, prefix_products
@@ -48,12 +52,7 @@ def cprime_faces(mul: Callable[[Element, Element], Element],
 
 
 def boundary_cprime(model: GroupModel, c: Chain) -> Chain:
-    if c.kind != "cprime":
-        raise GroupMismatchError("boundary_cprime needs a cprime chain")
-    check_chain(model, c)
-    if c.degree == 0:
-        return Chain.zero("cprime", 0)
-    return linear_extend(c, "cprime", c.degree - 1, partial(cprime_faces, model._mul))
+    return linear_extend(model, c, "cprime", "cprime", -1, partial(cprime_faces, model._mul))
 
 
 def normalize_cbar_tuple(model: GroupModel, t: tuple) -> tuple:
@@ -76,32 +75,21 @@ def cbar_faces(model: GroupModel, t: tuple) -> Iterator[tuple[tuple, int]]:
 
 
 def boundary_cbar(model: GroupModel, c: Chain) -> Chain:
-    if c.kind != "cbar":
-        raise GroupMismatchError("boundary_cbar needs a cbar chain")
-    check_chain(model, c)
-    if c.degree == 0:
-        return Chain.zero("cbar", 0)
-    return linear_extend(c, "cbar", c.degree - 1, partial(cbar_faces, model))
+    return linear_extend(model, c, "cbar", "cbar", -1, partial(cbar_faces, model))
 
 
 def psi(model: GroupModel, c: Chain) -> Chain:
     """C'_n -> C_n: (g_1,...,g_n) -> (1, g_1, g_1 g_2, ..., g_1...g_n)."""
-    if c.kind != "cprime":
-        raise GroupMismatchError("psi needs a cprime chain")
-    check_chain(model, c)
     e = model.identity
 
     def on_basis(t):
         yield (e,) + prefix_products(model, e, t), 1
 
-    return linear_extend(c, "cbar", c.degree, on_basis)
+    return linear_extend(model, c, "cprime", "cbar", 0, on_basis)
 
 
 def psi_inv(model: GroupModel, c: Chain) -> Chain:
     """C_n -> C'_n: consecutive quotients of the orbit representative."""
-    if c.kind != "cbar":
-        raise GroupMismatchError("psi_inv needs a cbar chain")
-    check_chain(model, c)
     mul, inv = model._mul, model._inv
 
     def on_basis(t):
@@ -110,7 +98,7 @@ def psi_inv(model: GroupModel, c: Chain) -> Chain:
         out = [mul(inv(t[i]), t[i + 1]) for i in range(len(t) - 1)]
         yield tuple(out), 1
 
-    return linear_extend(c, "cprime", c.degree, on_basis)
+    return linear_extend(model, c, "cbar", "cprime", 0, on_basis)
 
 
 def phi_g(section: CosetSection, c: Chain) -> Chain:
@@ -119,10 +107,7 @@ def phi_g(section: CosetSection, c: Chain) -> Chain:
 
     Entries must centralize g; the image tuple then has entry product g.
     """
-    if c.kind != "cprime":
-        raise GroupMismatchError("phi_g needs a cprime chain")
     model, g = section.model, section.h
-    check_chain(model, c)
     mul = model._mul
 
     def on_basis(t):
@@ -133,18 +118,12 @@ def phi_g(section: CosetSection, c: Chain) -> Chain:
         lead = mul(model._inv(entry_product(model, t)), g)
         yield (lead,) + t, 1
 
-    return linear_extend(c, "hochschild", c.degree, on_basis)
+    return linear_extend(model, c, "cprime", "hochschild", 0, on_basis)
 
 
 def phi_g_inv(c: Chain) -> Chain:
     """Drop the leading entry of each generator."""
-    if c.kind != "hochschild":
-        raise GroupMismatchError("phi_g_inv needs a hochschild chain")
-
-    def on_basis(t):
-        yield t[1:], 1
-
-    return linear_extend(c, "cprime", c.degree, on_basis)
+    return linear_extend(None, c, "hochschild", "cprime", 0, lambda t: ((t[1:], 1),))
 
 
 def localize_to_equivariant(section: CosetSection, c: Chain) -> Chain:
@@ -154,17 +133,13 @@ def localize_to_equivariant(section: CosetSection, c: Chain) -> Chain:
     with value 1 on the orbit of (p(r g_0), p(r g_0 g_1), ..., p(r g_0...g_n)),
     stored by its leading-e representative; r is the minimal conjugator.
     """
-    if c.kind != "hochschild":
-        raise GroupMismatchError("localize_to_equivariant needs a hochschild chain")
-    m = section.model
-    check_chain(m, c)
-    p = section.retract
+    m, p = section.model, section.retract
 
     def on_basis(t):
         lift = prefix_products(m, section.conjugator(entry_product(m, t)), t)
         yield normalize_cbar_tuple(m, tuple([p(x) for x in lift])), 1
 
-    return linear_extend(c, "cbar", c.degree, on_basis)
+    return linear_extend(m, c, "hochschild", "cbar", 0, on_basis)
 
 
 def composed_localization(section: CosetSection, c: Chain) -> Chain:

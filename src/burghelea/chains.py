@@ -16,29 +16,39 @@ A coefficient is an exact ``int`` where integral as built, else a
 coefficients +-1, so chains built from basis chains stay in ints.  An int
 and a Fraction of equal value compare and hash equal and print alike.
 
-A boundary is its complex's face map extended by ``linear_extend``, which
-builds its result in one pass: each image term is checked for arity and added
-straight into the result's term map, as ``Chain.__add__`` builds its sum, with
-no intermediate list and no second validation by the constructor.  The
-face map of the standard simplex, ``simplex_faces``, lives here because the
-E complex (``homotopy``), the C-bar complex (``bar_complexes``) and
-simplicial complexes (``dehn``) all use it; the same face functions feed the
-sparse boundary matrices of ``linalg.boundary_columns``.
+Every chain map that is not a composite of others is one ``linear_extend``
+call, which declares the map's domain and codomain kinds and its degree
+shift: a boundary is its complex's face map with shift -1, a comparison map
+its on-basis function with shift 0, the homotopy D its prepend with shift
++1.  ``linear_extend`` refuses a chain of another kind, checks the entries
+at the edge, sends a chain whose image degree would be negative (a degree-0
+boundary) to zero, and builds its result in one pass: each image term is
+checked for arity and added straight into the result's term map, as
+``Chain.__add__`` builds its sum, with no intermediate list and no second
+validation by the constructor.  The face map of the standard simplex,
+``simplex_faces``, lives here because the E complex (``homotopy``), the
+C-bar complex (``bar_complexes``) and simplicial complexes (``dehn``) all
+use it; the same face functions feed the sparse boundary matrices of
+``linalg.boundary_columns``.
 
-Elements are checked at the edge, once per chain and model.  A public chain
-map that touches the group law passes its input to ``check_chain``, which
-checks every entry and records the model in the chain's ``checked`` slot;
-its face and on-basis functions then run the model's unchecked kernel
-(``_mul``/``_inv``).  ``linear_extend`` copies the mark to its result (every
-on-basis map sends valid entries to valid entries), and a sum, difference or
-multiple keeps the mark its operands share.
+Elements are checked at the edge, once per chain and model.  A chain map
+that touches the group law names its model to ``linear_extend``, which
+passes the input to ``check_chain``; that checks every entry and records the
+model in the chain's ``checked`` slot, so the face and on-basis functions
+run the model's unchecked kernel (``_mul``/``_inv``).  A map that touches no
+group law (``boundary_e``, ``phi_g_inv``) names None.  Only the maps that do
+not go through one ``linear_extend`` call, ``hochschild.iota_h`` (either
+kind) and ``hochschild.split_by_class`` (a dict of chains), call
+``check_chain`` themselves.  ``linear_extend`` copies the mark to its result
+(every on-basis map sends valid entries to valid entries), and a sum,
+difference or multiple keeps the mark its operands share.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 
-from .errors import KindMismatchError
+from .errors import GroupMismatchError, KindMismatchError
 from .groups import GroupModel
 
 KINDS = ("hochschild", "cprime", "cbar", "e")
@@ -167,21 +177,33 @@ class Chain:
         return sorted(self.terms.items(), key=key)
 
 
-def linear_extend(c: Chain, kind: str, degree: int,
+def linear_extend(model: GroupModel | None, c: Chain, domain: str, codomain: str, shift: int,
                   on_basis: Callable[[BasisTuple], Iterable[tuple[BasisTuple, Coefficient]]]) -> Chain:
-    """Extend a map given on basis tuples linearly over a chain.
+    """The chain map from kind ``domain`` to kind ``codomain``, raising the
+    degree by ``shift``, that is ``on_basis`` on basis tuples, applied to c.
 
-    One pass: each output term goes straight into the result's term map,
-    after the same arity check as the constructor's, and a coefficient that
-    cancels to zero (or a zero coefficient r) is never stored.  The result
-    keeps c's ``checked`` mark: ``on_basis`` must keep entries valid."""
-    n = arity(kind, degree)
+    It raises GroupMismatchError unless c has kind ``domain``, then checks
+    c's entries against ``model`` (``check_chain``); a map that touches no
+    group law passes None.  An image degree below 0 gives the zero chain of
+    degree 0.  Otherwise one pass: each output term goes straight into the
+    result's term map, after the same arity check as the constructor's, and
+    a coefficient that cancels to zero (or a zero coefficient r) is never
+    stored.  The result keeps c's ``checked`` mark: ``on_basis`` must keep
+    entries valid."""
+    if c.kind != domain:
+        raise GroupMismatchError(f"this map needs a {domain} chain, got a {c.kind} chain")
+    if model is not None:
+        check_chain(model, c)
+    degree = c.degree + shift
+    if degree < 0:
+        return Chain.zero(codomain, 0)
+    n = arity(codomain, degree)
     acc: dict[BasisTuple, Coefficient] = {}
     get = acc.get
     for t, q in c.terms.items():
         for u, r in on_basis(t):
             if not (isinstance(u, tuple) and len(u) == n):
-                raise _arity_error(u, kind, degree, n)
+                raise _arity_error(u, codomain, degree, n)
             v = q * r
             if not v:
                 continue
@@ -194,7 +216,7 @@ def linear_extend(c: Chain, kind: str, degree: int,
                     acc[u] = s
                 else:
                     del acc[u]
-    return Chain._of(kind, degree, acc, c.checked)
+    return Chain._of(codomain, degree, acc, c.checked)
 
 
 def check_chain(model: GroupModel, c: Chain) -> None:

@@ -45,6 +45,21 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+# the largest --k and --k-grid upper bound: far above every default, and above
+# the exponents at which a norm-profile ratio leaves the float range (500 on
+# z4), but small enough that the grid is never a memory hazard, a fill norm
+# (1 + |g|)^k stays well inside int-to-string conversion, and a dehn table
+# of k rows stays short
+K_GRID_MAX = 1000
+
+
+def _k(text: str) -> int:
+    k = _nonnegative_int(text)
+    if k > K_GRID_MAX:
+        raise WorkbenchError(f"--k {k} is above {K_GRID_MAX}")
+    return k
+
+
 # argparse keywords of every flag.  A report's config has a key for every flag
 # but --out, holding the value given or None; --seed and --format hold their
 # default below instead of None, also where the subcommand does not take them.
@@ -56,7 +71,7 @@ _FLAGS = {
     "--degree": dict(type=_nonnegative_int, metavar="N"),
     "--max-degree": dict(type=_nonnegative_int, metavar="N"),
     "--radius": dict(type=_nonnegative_int, metavar="R"),
-    "--k": dict(type=_nonnegative_int, metavar="INT"),
+    "--k": dict(type=_k, metavar="INT"),
     "--k-grid": dict(metavar="a..b"),
     "--samples": dict(type=_nonnegative_int, metavar="N"),
     "--seed": dict(type=int, default=0, metavar="N"),
@@ -100,12 +115,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                 kwargs["help"] = f"{kwargs.get('help', '')} (default: {default})".lstrip()
             p.add_argument(flag, **kwargs)
     return parser, subparsers
-
-
-# the largest --k-grid upper bound: far above every default, and above the
-# exponents at which a norm-profile ratio leaves the float range (500 on z4),
-# but small enough that the grid is never a memory hazard
-K_GRID_MAX = 1000
 
 
 def _parse_k_grid(spec: str) -> list[int]:
@@ -321,18 +330,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         if extras:
             # a flag the subcommand does not take: show that subcommand's usage
             subparsers[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+        _, handler, flags = _SUBCOMMANDS[args.command]
+        # the config records the flags as given; defaults apply after it
+        args.config = {k: getattr(args, k) for k in _CONFIG_KEYS}
+        for flag, default in flags.items():
+            if getattr(args, _dest(flag)) is None:
+                if isinstance(default, _Derived):
+                    default = default.compute(args)
+                setattr(args, _dest(flag), default)
+        return handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _, handler, flags = _SUBCOMMANDS[args.command]
-    # the config records the flags as given; defaults apply after it
-    args.config = {k: getattr(args, k) for k in _CONFIG_KEYS}
-    for flag, default in flags.items():
-        if getattr(args, _dest(flag)) is None:
-            if isinstance(default, _Derived):
-                default = default.compute(args)
-            setattr(args, _dest(flag), default)
-    try:
-        return handler(args)
     except (WorkbenchError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -6,11 +6,15 @@ Degree-n chains live on (n+1)-tuples of group elements; the boundary is
                      + (-1)^n (g_n g_0, g_1,...,g_{n-1}).
 
 The face map is ``hochschild_faces``; the chain boundary
-``hochschild_boundary`` and the unsplit reference
-``homology_ranks_unsplit`` use it (matrices through
-``linalg.boundary_columns``).  The complex splits over conjugacy classes of
-the product of entries, and the retraction pi_h localizes a class component
-into the centralizer of h.
+``hochschild_boundary`` and the unsplit reference ``homology_ranks_unsplit``
+use it (matrices through ``linalg.boundary_columns``).
+``hochschild_boundary`` and pi_h are each one ``chains.linear_extend`` call
+that declares the kinds and the degree shift and checks the input's entries
+at that edge; iota_h, which includes either kind, and ``split_by_class``,
+which returns a dict of chains, are the two maps that call ``check_chain``
+themselves.  The complex splits over conjugacy classes of the product of
+entries, and the retraction pi_h localizes a class component into the
+centralizer of h.
 
 Homology ranks of finite models are computed by exact rational elimination,
 per class, on the conjugation-coinvariant complex of the normalized complex
@@ -83,12 +87,8 @@ def hochschild_faces(mul: Callable[[Element, Element], Element],
 
 
 def hochschild_boundary(model: GroupModel, c: Chain) -> Chain:
-    if c.kind != "hochschild":
-        raise GroupMismatchError("hochschild_boundary needs a hochschild chain")
-    check_chain(model, c)
-    if c.degree == 0:
-        return Chain.zero("hochschild", 0)
-    return linear_extend(c, "hochschild", c.degree - 1, partial(hochschild_faces, model._mul))
+    return linear_extend(model, c, "hochschild", "hochschild", -1,
+                         partial(hochschild_faces, model._mul))
 
 
 def entry_product(model: GroupModel, t: tuple) -> Element:
@@ -155,16 +155,11 @@ def pi_h(section: CosetSection, c: Chain,
     that default each generator's image is memoized in ``section._pi``,
     which a caller-supplied conjugator bypasses.
     """
-    if c.kind != "hochschild":
-        raise GroupMismatchError("pi_h needs a hochschild chain")
     if conjugator is None:
         conjugator, memo = section.conjugator, section._pi
     else:
         memo = {}
-    m = section.model
-    check_chain(m, c)
-    h = section.h
-    p = section.retract
+    m, h, p = section.model, section.h, section.retract
 
     def on_basis(t):
         u = memo.get(t)
@@ -173,7 +168,7 @@ def pi_h(section: CosetSection, c: Chain,
             u = memo[t] = theta_entries(m, h, [p(x) for x in lift])
         return ((u, 1),)
 
-    return linear_extend(c, "hochschild", c.degree, on_basis)
+    return linear_extend(m, c, "hochschild", "hochschild", 0, on_basis)
 
 
 def iota_h(section: CosetSection, c: Chain) -> Chain:

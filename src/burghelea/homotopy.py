@@ -17,8 +17,13 @@ is spanned by left Z_h-translation differences, so it identifies the
 Z_h-coinvariants of E_.(G) with the class component of h.
 
 The face map of E_.(G) is ``chains.simplex_faces``, shared with simplicial
-complexes.  i^E is ``hochschild.iota_h``: both are the identity on terms
-after checking that every entry centralizes h.  theta_h and its lift are
+complexes.  boundary_e, p^E, D, theta_h and its lift are each one
+``chains.linear_extend`` call that declares the domain and codomain kinds
+and the degree shift (-1 for the boundary, +1 for D, 0 for the rest); that
+call refuses a chain of another kind and checks the input's entries against
+the section's model (boundary_e touches no group law and names none).  Dbar
+is a composite of them.  i^E is ``hochschild.iota_h``: both are the identity on
+terms after checking that every entry centralizes h.  theta_h and its lift are
 ``hochschild.theta_entries`` and ``hochschild.prefix_products`` on one
 generator, as in ``hochschild.pi_h``; ``theta_quotient_dims`` builds its
 matrices from theta_entries and the translation differences.
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 
-from .chains import Chain, check_chain, linear_extend, simplex_faces
+from .chains import Chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel, class_members
 from .hochschild import entry_product, iota_h, prefix_products, theta_entries
@@ -44,24 +49,17 @@ from .metric import CosetSection, coset_section
 
 
 def boundary_e(c: Chain) -> Chain:
-    if c.kind != "e":
-        raise GroupMismatchError("boundary_e needs an e-complex chain")
-    if c.degree == 0:
-        return Chain.zero("e", 0)
-    return linear_extend(c, "e", c.degree - 1, simplex_faces)
+    return linear_extend(None, c, "e", "e", -1, simplex_faces)
 
 
 def p_e(section: CosetSection, c: Chain) -> Chain:
     """Entrywise retraction E_.(G) -> E_.(Z_h)."""
-    if c.kind != "e":
-        raise GroupMismatchError("p_e needs an e-complex chain")
-    check_chain(section.model, c)
     p = section.retract
 
     def on_basis(t):
         yield tuple(p(x) for x in t), 1
 
-    return linear_extend(c, "e", c.degree, on_basis)
+    return linear_extend(section.model, c, "e", "e", 0, on_basis)
 
 
 def homotopy_d(section: CosetSection, c: Chain) -> Chain:
@@ -71,10 +69,6 @@ def homotopy_d(section: CosetSection, c: Chain) -> Chain:
     terms on each generator are memoized on the section
     (``section._homotopy``); the recursion goes through this function.
     """
-    if c.kind != "e":
-        raise GroupMismatchError("homotopy_d needs an e-complex chain")
-    m = section.model
-    check_chain(m, c)
     n = c.degree
     p, memo = section.retract, section._homotopy
 
@@ -91,32 +85,25 @@ def homotopy_d(section: CosetSection, c: Chain) -> Chain:
             memo[t] = terms
         return terms
 
-    return linear_extend(c, "e", n + 1, on_basis)
+    return linear_extend(section.model, c, "e", "e", 1, on_basis)
 
 
 def theta_h(section: CosetSection, c: Chain) -> Chain:
     """E_n(G) -> C_n(QG)_x for x the class of section.h, extended linearly
     from ``hochschild.theta_entries``."""
-    if c.kind != "e":
-        raise GroupMismatchError("theta_h needs an e-complex chain")
     m, h = section.model, section.h
-    check_chain(m, c)
-    return linear_extend(c, "hochschild", c.degree,
-                         lambda t: ((theta_entries(m, h, t), 1),))
+    return linear_extend(m, c, "e", "hochschild", 0, lambda t: ((theta_entries(m, h, t), 1),))
 
 
 def theta_lift(section: CosetSection, c: Chain) -> Chain:
     """A section of theta_h: a generator with entry product r^-1 h r lifts to
     (r a_0, r a_0 a_1, ..., r a_0...a_n), r the minimal conjugator."""
-    if c.kind != "hochschild":
-        raise GroupMismatchError("theta_lift needs a hochschild chain")
     m = section.model
-    check_chain(m, c)
 
     def on_basis(t):
         yield prefix_products(m, section.conjugator(entry_product(m, t)), t), 1
 
-    return linear_extend(c, "e", c.degree, on_basis)
+    return linear_extend(m, c, "hochschild", "e", 0, on_basis)
 
 
 def dbar(section: CosetSection, c: Chain) -> Chain:

@@ -389,22 +389,12 @@ def conjugacy_bound_profile(model: GroupModel, sample_radius: int,
     for h in wm.ball(sample_radius):
         rep = conjugacy_class(model, h).rep
         try:
-            r = find_conjugator(model, rep, h, max_radius)
-            rows.append({
-                "class_rep": model.element_str(rep),
-                "h": model.element_str(h),
-                "length_h": wm.length(h),
-                "min_conjugator_len": wm.length(r),
-                "window_status": "ok",
-            })
+            length, status = wm.length(find_conjugator(model, rep, h, max_radius)), "ok"
         except NotConjugateWithinError:
-            rows.append({
-                "class_rep": model.element_str(rep),
-                "h": model.element_str(h),
-                "length_h": wm.length(h),
-                "min_conjugator_len": None,
-                "window_status": f"window_exhausted({max_radius})",
-            })
+            length, status = None, f"window_exhausted({max_radius})"
+        rows.append({"class_rep": model.element_str(rep), "h": model.element_str(h),
+                     "length_h": wm.length(h), "min_conjugator_len": length,
+                     "window_status": status})
     by_length: dict[int, int] = {}
     for row in rows:
         if row["min_conjugator_len"] is None:

@@ -74,9 +74,8 @@ class NormFamily:
 
 
 def rd_chain_seminorm_pair(nf: NormFamily, c: Chain, k: int) -> tuple[Fraction, Fraction]:
-    """(|c|_{k,1}, |dc|_{k,1}) for an equivariant bar chain of degree >= 1."""
-    if c.kind != "cbar":
-        raise GroupMismatchError("rd_chain_seminorm_pair needs a cbar chain")
+    """(|c|_{k,1}, |dc|_{k,1}) for an equivariant bar chain of degree >= 1;
+    ``boundary_cbar`` refuses a chain of any other kind."""
     if c.degree < 1:
         raise GroupMismatchError("the seminorm pair needs degree >= 1")
     return nf.norm(c, k), nf.norm(boundary_cbar(nf.model, c), k)

@@ -1,4 +1,6 @@
+import inspect
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,12 @@ from burghelea import (
     GroupMismatchError,
     KindMismatchError,
     NormFamily,
+    bar_complexes,
     chain_from_obj,
     chain_to_obj,
     coset_section,
+    hochschild,
+    homotopy,
     support_diameter,
 )
 from burghelea.bar_complexes import (
@@ -24,7 +29,8 @@ from burghelea.bar_complexes import (
     psi,
     psi_inv,
 )
-from burghelea.chains import Chain, convolve, linear_extend, tuple_diameter
+from burghelea.chains import KINDS, Chain, arity, convolve, linear_extend, tuple_diameter
+from burghelea.groups import GroupModel
 from burghelea.hochschild import (
     hochschild_boundary,
     iota_h,
@@ -33,6 +39,7 @@ from burghelea.hochschild import (
     split_by_class,
 )
 from burghelea.homotopy import dbar, homotopy_d, p_e, theta_h, theta_lift
+from burghelea.metric import CosetSection
 
 
 def f2_chains(degree=1):
@@ -136,7 +143,7 @@ def test_linear_extend_signs_match_products(c, signs):
         for k, r in enumerate(signs):
             yield t[k % 2:] + t[:k % 2], r
 
-    out = linear_extend(c, "hochschild", 1, on_basis)
+    out = linear_extend(None, c, "hochschild", "hochschild", 0, on_basis)
     reference = Chain("hochschild", 1, [(u, q * r) for t, q in c.terms.items()
                                         for u, r in on_basis(t)])
     assert out == reference
@@ -147,7 +154,8 @@ def test_linear_extend_checks_arity():
     c = Chain.basis("hochschild", 1, ((1,), (2,)))
     for image in (((1,),), ((1,), (2,), ()), [(1,), (2,)]):
         with pytest.raises(KindMismatchError):
-            linear_extend(c, "hochschild", 1, lambda t: [(t, 1), (image, -1)])
+            linear_extend(None, c, "hochschild", "hochschild", 0,
+                          lambda t: [(t, 1), (image, -1)])
 
 
 def test_chain_maps_reject_non_members(f2xz, z4):
@@ -182,6 +190,68 @@ def test_chain_maps_reject_non_members(f2xz, z4):
         for call in calls:
             with pytest.raises(GroupMismatchError):
                 call()
+
+
+# the domain kind of every public chain map of the three complexes' modules
+# that takes a chain c and returns a chain; iota_h includes a class
+# component of either complex and takes both kinds by design
+_DOMAINS = {
+    "hochschild.hochschild_boundary": "hochschild",
+    "hochschild.pi_h": "hochschild",
+    "bar_complexes.boundary_cprime": "cprime",
+    "bar_complexes.boundary_cbar": "cbar",
+    "bar_complexes.psi": "cprime",
+    "bar_complexes.psi_inv": "cbar",
+    "bar_complexes.phi_g": "cprime",
+    "bar_complexes.phi_g_inv": "hochschild",
+    "bar_complexes.localize_to_equivariant": "hochschild",
+    "bar_complexes.composed_localization": "hochschild",
+    "homotopy.boundary_e": "e",
+    "homotopy.p_e": "e",
+    "homotopy.homotopy_d": "e",
+    "homotopy.theta_h": "e",
+    "homotopy.theta_lift": "hochschild",
+    "homotopy.dbar": "hochschild",
+}
+
+
+def _chain_maps():
+    """(module.name, function) for every public function of hochschild,
+    bar_complexes and homotopy whose hints take c: Chain and return a Chain."""
+    for module in (hochschild, bar_complexes, homotopy):
+        short = module.__name__.rsplit(".", 1)[1]
+        for name, fn in vars(module).items():
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not name.startswith("_")):
+                hints = typing.get_type_hints(fn)
+                if hints.get("c") is Chain and hints.get("return") is Chain:
+                    yield f"{short}.{name}", fn
+
+
+def test_every_chain_map_refuses_a_chain_of_another_kind(z4):
+    # basis chains of degree 1 on the identity, and the section of the
+    # identity: every entry is valid and centralizes h, so the kind alone
+    # decides, and each map accepts a chain of its own kind
+    e = z4.identity
+    section = coset_section(z4, e)
+    basis = {kind: Chain.basis(kind, 1, (e,) * arity(kind, 1)) for kind in KINDS}
+    by_class = {GroupModel: z4, CosetSection: section}
+    found = dict(_chain_maps())
+    assert set(found) == set(_DOMAINS) | {"hochschild.iota_h"}
+    for name, domain in _DOMAINS.items():
+        fn = found[name]
+        hints = typing.get_type_hints(fn)
+        required = [p for p, param in inspect.signature(fn).parameters.items()
+                    if param.default is inspect.Parameter.empty]
+
+        def call(c):
+            return fn(*(c if p == "c" else by_class[hints[p]] for p in required))
+
+        assert isinstance(call(basis[domain]), Chain), name
+        for kind in KINDS:
+            if kind != domain:
+                with pytest.raises(GroupMismatchError):
+                    call(basis[kind])
 
 
 def test_a_chain_is_checked_once_per_model(z2, z4):

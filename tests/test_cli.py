@@ -320,6 +320,20 @@ def test_k_grid_past_the_cap_exits_one(command, group, capsys):
     assert cli._parse_k_grid(f"{cli.K_GRID_MAX}..{cli.K_GRID_MAX}") == [cli.K_GRID_MAX]
 
 
+@pytest.mark.parametrize("argv", [
+    # a fill norm (1 + |g|)^k past the int-to-string digit limit was a
+    # ValueError traceback, and a dehn table grew by one row per unit of k
+    ("fill", "--group", "f2.json", "--k", "14500"),
+    ("dehn", "--complex", "octahedron.json", "--cap", "1000", "--k", "100000000"),
+])
+def test_k_past_the_cap_exits_one(argv, capsys):
+    argv = [str(fixture_path(a)) if a.endswith(".json") else a for a in argv]
+    k = argv[argv.index("--k") + 1]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: --k {k} is above {cli.K_GRID_MAX}\n"
+    assert cli._FLAGS["--k"]["type"](str(cli.K_GRID_MAX)) == cli.K_GRID_MAX
+
+
 def test_norm_profile_ratio_past_the_float_range_exits_one(capsys):
     # (1+|g|)^500 ratios have exact values but no float
     assert run_cli("norm-profile", "--group", str(fixture_path("z4.json")),

@@ -48,6 +48,10 @@ PINNED = {
     "conj-bound": (
         ["conj-bound", "--group", "f2.json", "--radius", "2", "--cap", "6"],
         "d7197b6464a8f32bc661b4c6baee7421a45f720283fde73610848fc189dcca7c"),
+    # a zero window: the four non-trivial conjugates of length 2 exhaust it
+    "conj-bound-cap0": (
+        ["conj-bound", "--group", "f2.json", "--radius", "2", "--cap", "0"],
+        "ec51a607aff6849b7864d67cd92f311953c30ff6b4f3184a727d210964216957"),
     "norm-profile": (
         ["norm-profile", "--group", "z4.json", "--degree", "1", "--radius", "2",
          "--k-grid", "0..1", "--samples", "4", "--seed", "3"],

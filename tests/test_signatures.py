@@ -2,11 +2,14 @@
 coset section carries its model, h and conjugators, so no signature takes a
 WordMetric, none takes a model beside a section, and only pi_h takes a
 conjugator map (to check that its output does not depend on the choice).
-Switches and single-value knobs that were removed stay removed."""
+Switches and single-value knobs that were removed stay removed, and only the
+edge of the chain maps checks a chain's entries."""
+import ast
 import importlib
 import inspect
 import pkgutil
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +112,43 @@ def test_only_a_product_overrides_the_conjugator_search():
     assert "search_conjugator" in vars(GroupModel)
     overriding = {cls.__name__ for cls in _kinds() if "search_conjugator" in vars(cls)}
     assert overriding == {"ProductGroup"}
+
+
+def _check_chain_callers(source: str) -> set[str]:
+    """The functions, by qualified name within the module, whose own bodies
+    call check_chain."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) == "check_chain" or getattr(f, "attr", None) == "check_chain":
+                    callers.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return callers
+
+
+def test_the_scan_sees_a_check_chain_call():
+    assert _check_chain_callers(
+        "def f(m, c):\n    check_chain(m, c)\nclass K:\n    def g(self):\n"
+        "        def inner():\n            chains.check_chain(1, 2)\n") == {"f", "K.g.inner"}
+
+
+def test_only_the_edge_and_two_maps_call_check_chain():
+    # every chain map of one kind checks its input inside linear_extend;
+    # iota_h takes either kind and split_by_class returns a dict, so they
+    # check their input themselves
+    package = Path(burghelea.__file__).parent
+    callers = {f"{path.stem}.{name}" for path in sorted(package.glob("*.py"))
+               if path.name != "chains.py"
+               for name in _check_chain_callers(path.read_text(encoding="utf-8"))}
+    assert callers == {"hochschild.split_by_class", "hochschild.iota_h"}
 
 
 @pytest.mark.parametrize("suite", ["chain_map_suite", "well_definedness_suite", "metric_suite",
