@@ -6,6 +6,8 @@ other flag is a usage error.  Exit codes: 0 success, 2 mathematical-identity
 failure (the report names the counterexample), 1 usage or resource errors.
 All randomness is seed-derived, so identical configs produce byte-identical
 reports; every report embeds the config it was produced from.
+verify-identities runs on an interned view of its group, with ints for
+elements and every product memoized; its reports are those of the group.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Optional
 from . import dehn as dehn_mod
 from .bar_complexes import bar_homology_ranks
 from .errors import DescriptorError, WorkbenchError
-from .groups import parse_group
+from .groups import InternedModel, parse_group
 from .hochschild import homology_ranks
 from .metric import conjugacy_bound_profile, conjugacy_class, conjugacy_classes, coset_section
 from .norms import operator_growth_profile
@@ -229,7 +231,7 @@ def _cmd_burghelea_check(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    model = parse_group(_read_json(args, "--group"))
+    model = InternedModel(parse_group(_read_json(args, "--group")))
     h = model.parse_element(args.class_rep) if args.class_rep is not None else None
     report = run_identity_suite(
         model, h=h, max_degree=args.degree, samples=args.samples,

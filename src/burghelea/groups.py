@@ -18,6 +18,13 @@ product         tuple with one component encoding per factor
 Canonical encodings are unique, so two elements are equal iff their
 encodings are equal.
 
+``InternedModel(base)`` views any model with ints for elements, indices
+into a table of the base elements met so far: an element hashes as an int,
+and each product or inverse is computed once.  verify-identities runs on it,
+as its suites repeat products of few elements.  It lives beside the kinds as
+``perfbench/tracer.py`` wraps the law of each ``GroupModel`` subclass defined
+when it installs.
+
 There is one group law per encoding.  Its kernel ``_mul``/``_inv`` trusts
 its operands; the public ``mul``/``inv``, in each kind's own class body,
 check each operand once with ``check_element`` and call the kernel, as
@@ -124,7 +131,7 @@ def bfs_distances(start: Element, generators: Sequence[Element],
 
 
 class GroupModel:
-    """Base class; subclasses implement the five supported kinds."""
+    """Base class; subclasses implement the five kinds and the interned view."""
 
     kind: str
     name: str
@@ -716,6 +723,91 @@ class ProductGroup(GroupModel):
         return super().search_conjugator(g, h, lambda _, a, b: tuple(
             f.identity if x == y else f.search_conjugator(x, y, bfs)
             for f, x, y in zip(self.factors, a, b)))
+
+
+class InternedModel(GroupModel):
+    """The group of ``base`` with ints for elements: i is ``table[i]``, the
+    i-th base element met.  Products and inverses are memoized on the ints; a
+    miss runs the base kernel and interns the result.  The rest delegates on
+    ``table[i]`` and interns what it returns, except ``search_conjugator``:
+    its search runs in this model's balls."""
+
+    kind = "interned"
+
+    def __init__(self, base: GroupModel):
+        self.base = base
+        self.name = base.name
+        self.table: list[Element] = []
+        self._index, self._products, self._inverses = {}, {}, {}
+        self.identity = self.intern(base.identity)
+        self.generators = tuple(map(self.intern, base.generators))
+
+    def intern(self, x: Element) -> int:
+        """The int of the base element x, which must be valid."""
+        i = self._index.get(x)
+        if i is None:
+            i = self._index[x] = len(self.table)
+            self.table.append(x)
+        return i
+
+    def mul(self, a, b):
+        self.check_element(a)
+        self.check_element(b)
+        return self._mul(a, b)
+
+    def inv(self, a):
+        self.check_element(a)
+        return self._inv(a)
+
+    def _mul(self, a, b):
+        try:  # most products are hits, and a hit raises nothing
+            return self._products[a << 32 | b]
+        except KeyError:
+            c = self._products[a << 32 | b] = self.intern(
+                self.base._mul(self.table[a], self.table[b]))
+            return c
+
+    def _inv(self, a):
+        c = self._inverses.get(a)
+        if c is None:
+            c = self._inverses[a] = self.intern(self.base._inv(self.table[a]))
+        return c
+
+    def check_element(self, a):
+        if type(a) is not int or not 0 <= a < len(self.table):
+            raise GroupMismatchError(f"{a!r} is not an interned element of {self.name}")
+
+    def length(self, a):
+        return self.base.length(self.table[a])
+
+    def shortlex_key(self, a):
+        return self.base.shortlex_key(self.table[a])
+
+    def element_key(self, a):
+        return self.base.element_key(self.table[a])
+
+    def element_str(self, a):
+        return self.base.element_str(self.table[a])
+
+    def parse_element(self, s):
+        return self.intern(self.base.parse_element(s))
+
+    def class_rep(self, a):
+        return self.intern(self.base.class_rep(self.table[a]))
+
+    def ball_elements(self, radius, cap):
+        return map(self.intern, self.base.ball_elements(radius, cap))
+
+    def centralizer(self, h):
+        from .metric import InternedSection
+        return InternedSection(self, h)
+
+    @property
+    def is_finite(self):
+        return self.base.is_finite
+
+    def elements(self):
+        return tuple(map(self.intern, self.base.elements()))
 
 
 def class_members(model: GroupModel, g: Element) -> list[Element]:

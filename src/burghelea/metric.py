@@ -15,8 +15,10 @@ Each realization of Z_h (whole_group, finite_list, cyclic, product) is a
 ``CosetSection``, the one handle of a class component: it owns h, the
 memoized sections, the memoized p_h and the memoized minimal conjugators
 ``conjugator(product)``.  A product's components are its factors' own
-sections.  All minimal choices in this module break ties by shortlex so that
-every downstream computation is reproducible.
+sections.  A ``groups.InternedModel``'s section, an ``InternedSection``,
+reads its base model's realization on the ints.  All minimal choices in
+this module break ties by shortlex so that every downstream computation is
+reproducible.
 """
 from __future__ import annotations
 
@@ -315,6 +317,29 @@ class ProductCentralizer(CosetSection):
 
     def some_conjugator(self, product):
         return tuple(c.conjugator(x) for c, x in zip(self.components, product))
+
+
+class InternedSection(CosetSection):
+    """Z_h of a ``groups.InternedModel``: its base model's section of Z_h, whose
+    realization it reports, read on the ints.  Each map below delegates and
+    interns what it returns; the memos of ``CosetSection`` are on the ints."""
+
+    def __init__(self, model, h):
+        super().__init__(model, h)
+        self.base = model.base.centralizer(model.table[h])
+        self.realization = self.base.realization
+
+    def contains(self, g):
+        return self.base.contains(self.model.table[g])
+
+    def intrinsic_length(self, g):
+        return self.base.intrinsic_length(self.model.table[g])
+
+    def coset_rep(self, g):
+        return self.model.intern(self.base.coset_rep(self.model.table[g]))
+
+    def some_conjugator(self, product):
+        return self.model.intern(self.base.some_conjugator(self.model.table[product]))
 
 
 def coset_section(model: GroupModel, h: Element) -> CosetSection:

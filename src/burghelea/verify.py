@@ -287,7 +287,8 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
 
 def run_identity_suite(model: GroupModel, h: Optional[Element], max_degree: int,
                        samples: int, seed: int, radius: int) -> dict:
-    """The full battery for one model; the CLI maps failures to exit code 2."""
+    """The full battery for one model; the CLI maps failures to exit code 2.
+    The CLI passes its group's interned view (``groups``); a raw model reports the same."""
     reps = [h] if h is not None else default_class_reps(model)
     all_checks = []
     for rep in reps:

@@ -401,6 +401,17 @@ def test_class_outside_group_exits_one(command, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("group, rep, line", [
+    ("f2.json", "zz", "error: letter 'z' outside alphabet of F2\n"),
+    ("f2xz.json", "(e;(1,2))", "error: (1, 2) is not a rank-1 vector\n"),
+])
+def test_verify_identities_names_the_bad_class_part(group, rep, line, capsys):
+    # the interned model parses the class on its base, so the line is the base's
+    assert run_cli("verify-identities", "--group", str(fixture_path(group)),
+                   "--class", rep) == 1
+    assert capsys.readouterr().err == line
+
+
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{"])
 @pytest.mark.parametrize("argv", [("hh-ranks", "--group"), ("dehn", "--complex")])
 def test_invalid_json_file_exits_one(argv, content, tmp_path, capsys):

@@ -100,7 +100,8 @@ def test_each_kind_with_a_kernel_defines_its_checked_law():
     law = {"mul", "inv", "check_element", "_mul", "_inv"}
     assert not law & set(vars(GroupModel))
     with_kernel = {cls.__name__ for cls in _kinds() if "_mul" in vars(cls)}
-    assert with_kernel == {"FiniteGroup", "FreeGroup", "FreeAbelianGroup", "ProductGroup"}
+    assert with_kernel == {"FiniteGroup", "FreeGroup", "FreeAbelianGroup", "ProductGroup",
+                           "InternedModel"}
     for cls in _kinds():
         if "_mul" in vars(cls):
             assert law <= set(vars(cls)), cls.__name__
