@@ -2,7 +2,7 @@
 group rings: conjugacy-class splittings, centralizer localizations, chain
 homotopies, rapid-decay norm families and l1 filling functions."""
 
-from .chains import Chain, chain_from_obj, chain_to_obj, support_diameter, tuple_diameter
+from .chains import Chain, tuple_diameter
 from .errors import (
     CertificateError,
     DescriptorError,
@@ -11,7 +11,6 @@ from .errors import (
     NotABoundaryError,
     NotConjugateError,
     NotConjugateWithinError,
-    OracleCapError,
     ResourceCapError,
     WindowExhaustedError,
     WorkbenchError,
@@ -38,7 +37,6 @@ from .metric import (
 from .hochschild import (
     hochschild_boundary,
     homology_ranks,
-    homology_ranks_unsplit,
     iota_h,
     pi_h,
     split_by_class,
@@ -61,15 +59,12 @@ from .homotopy import (
     theta_h,
 )
 from .verify import verify_homotopy_square
-from .norms import NormFamily, operator_growth_profile, rd_chain_seminorm_pair
+from .norms import NormFamily, operator_growth_profile
 from .dehn import (
     BarTruncation,
-    FillingResult,
     SimplicialComplex,
     dehn_function,
     filling_estimate_check,
-    integer_min_filling,
-    min_l1_filling,
 )
 
 __version__ = "0.1.0"

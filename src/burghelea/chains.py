@@ -169,13 +169,6 @@ class Chain:
     def __repr__(self) -> str:
         return f"Chain({self.kind}, deg={self.degree}, {len(self.terms)} terms)"
 
-    def sorted_terms(self, model: GroupModel) -> list[tuple[BasisTuple, Coefficient]]:
-        """Terms in the canonical (elementwise encoding-key) order."""
-        def key(item):
-            t, _ = item
-            return tuple(model.element_key(x) for x in t)
-        return sorted(self.terms.items(), key=key)
-
 
 def linear_extend(model: GroupModel | None, c: Chain, domain: str, codomain: str, shift: int,
                   on_basis: Callable[[BasisTuple], Iterable[tuple[BasisTuple, Coefficient]]]) -> Chain:
@@ -259,32 +252,3 @@ def tuple_diameter(model: GroupModel, t: BasisTuple) -> int:
                 best = d
     return best
 
-
-def support_diameter(model: GroupModel, c: Chain) -> dict[BasisTuple, int]:
-    """Per-tuple diameters of the support of a group-tuple chain."""
-    return {t: tuple_diameter(model, t) for t in c.terms}
-
-
-def convolve(model: GroupModel, f: Chain, g: Chain) -> Chain:
-    """Convolution product of two group-algebra elements (degree-0 chains)."""
-    if f.degree != 0 or g.degree != 0:
-        raise KindMismatchError("convolution is defined on degree-0 chains")
-    items = []
-    for (a,), qa in f.terms.items():
-        for (b,), qb in g.terms.items():
-            items.append(((model.mul(a, b),), qa * qb))
-    return Chain(f.kind, 0, items)
-
-
-def chain_to_obj(model: GroupModel, c: Chain) -> list[dict]:
-    """Serialize as a list of {"tuple": [...element strings], "coeff": "p/q"}."""
-    return [{"tuple": [model.element_str(x) for x in t], "coeff": str(q)}
-            for t, q in c.sorted_terms(model)]
-
-
-def chain_from_obj(model: GroupModel, kind: str, degree: int, obj: Iterable[dict]) -> Chain:
-    items = []
-    for entry in obj:
-        t = tuple(model.parse_element(s) for s in entry["tuple"])
-        items.append((t, Fraction(entry["coeff"])))
-    return Chain(kind, degree, items)

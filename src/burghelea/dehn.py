@@ -1,17 +1,16 @@
 """Higher-order Dehn functions of finite simplicial complexes.
 
 l_f(b) is the least l1-norm of a chain a with da = b, computed by an exact
-LP (min w.(a+ + a-) subject to d(a+ - a-) = b; ``min_l1_filling``) whose
-optimum ``lp.solve_min_lp`` certifies against its dual.
-Its reference is ``integer_min_filling``, an exhaustive integer search with
-pruning: the LP value never exceeds the oracle value, and any strict gap is
-surfaced, not hidden.  All LPs of a run share the objective and the matrix,
-so a run hands them to ``min_l1_fillings`` at once, which builds the sparse
-int rows of [d | -d] straight from the boundary columns and solves every
-target on one ``lp.MinLP``, each by a revised dual simplex from the basis
-the one before left.  Each filling comes back as exact ints over one
-denominator.  d^N(k) is the sup of l_f over integer N-boundaries of l1-norm
-at most k.
+LP (min w.(a+ + a-) subject to d(a+ - a-) = b) whose optimum
+``lp.solve_min_lp`` certifies against its dual, A x = b included.  All LPs
+of a run share the objective and the matrix, so a run hands them to
+``min_l1_fillings`` at once, which builds the sparse int rows of [d | -d]
+straight from the boundary columns and solves every target on one
+``lp.MinLP``, each by a revised dual simplex from the basis the one before
+left, and returns the optimal values.  The tests check those values against
+an exhaustive integer search (``tests/oracles.py``): the LP value never
+exceeds the integer one.  d^N(k) is the sup of l_f over integer N-boundaries
+of l1-norm at most k.
 
 Those boundaries are enumerated on their parametrization, not over the l1
 ball: in the reduced column space of d_{N+1} a boundary is fixed by its
@@ -40,16 +39,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .bar_complexes import cbar_faces
 from .chains import simplex_faces, tuple_diameter
-from .errors import (
-    DescriptorError,
-    NotABoundaryError,
-    OracleCapError,
-    ResourceCapError,
-)
+from .errors import DescriptorError, NotABoundaryError, ResourceCapError
 from .groups import GroupModel, _checked
 from .hochschild import check_memory
 from .linalg import RationalEchelon, boundary_columns
@@ -131,12 +125,6 @@ class SimplicialComplex:
     def dimension_size(self, dim: int) -> int:
         return len(self.simplices.get(dim, ()))
 
-    def index_of(self, dim: int, simplex: tuple) -> int:
-        try:
-            return self._index[dim][tuple(simplex)]
-        except KeyError:
-            raise DescriptorError(f"unknown {dim}-simplex {simplex!r}") from None
-
     def boundary_columns(self, dim: int) -> list[dict[int, int]]:
         """Column j = boundary of the j-th dim-simplex, as a sparse vector
         over (dim-1)-simplex indices.  The columns are built once, by the
@@ -164,11 +152,6 @@ def _assert_dd_zero(cols_high, cols_low):
             raise DescriptorError("boundary matrices do not compose to zero")
 
 
-class FillingResult(NamedTuple):
-    value: Fraction              # minimal weighted l1 norm of a filling
-    witness: dict[int, Fraction]  # filling chain over (N+1)-simplex indices
-
-
 def check_tableau_space(n_rows: int, ncols: int) -> None:
     """Raise ResourceCapError if a dense tableau of the filling LP, n_rows x
     (2 ncols + n_rows + 1) entries at about 24 bytes each, passes the memory
@@ -183,9 +166,9 @@ def check_tableau_space(n_rows: int, ncols: int) -> None:
 
 def min_l1_fillings(columns: list[dict[int, int]], n_rows: int,
                     targets: Sequence[dict[int, Fraction]],
-                    weights: Optional[list[int]] = None) -> list[FillingResult]:
-    """Minimal (weighted) l1 filling of each target vector by the given
-    columns, in order, by one exact LP over all of them.  Raises
+                    weights: Optional[list[int]] = None) -> list[Fraction]:
+    """The minimal (weighted) l1 norm of a filling of each target vector by
+    the given columns, in order, by one exact LP over all of them.  Raises
     NotABoundaryError if a target does not bound, and ResourceCapError
     before any matrix is built if ``check_tableau_space`` refuses the LP."""
     ncols = len(columns)
@@ -202,111 +185,13 @@ def min_l1_fillings(columns: list[dict[int, int]], n_rows: int,
                                        for t in targets]):
         if res.status == "infeasible":
             raise NotABoundaryError("the target chain is not a boundary")
-        assert res.status == "optimal" and res.x is not None
-        X, dx = res.x
-        witness = {j: Fraction(X[j] - X[ncols + j], dx)
-                   for j in range(ncols) if X[j] != X[ncols + j]}
-        out.append(FillingResult(res.value, witness))
+        out.append(res.value)
     return out
-
-
-def _integer_min_filling(columns, n_rows, target: dict[int, int], cap: int):
-    """Exhaustive search over integer chains with l1 <= cap, by increasing
-    radius; pruned depth-first over coefficient choices.  The target has no
-    zero entries."""
-    ncols = len(columns)
-    # a row is settled once the last column touching it has been chosen
-    last_touch = [0] * n_rows
-    for j, col in enumerate(columns):
-        for i in col:
-            last_touch[i] = max(last_touch[i], j)
-    rows_closing_at = [[] for _ in range(ncols)]
-    for i, lt in enumerate(last_touch):
-        if ncols:
-            rows_closing_at[lt].append(i)
-    max_col_support = max((len(c) for c in columns), default=1)
-
-    for radius in range(cap + 1):
-        witness: dict[int, int] = {}
-
-        def dfs(j: int, budget: int, residual: dict[int, int]) -> bool:
-            if not residual and budget >= 0:
-                # zero-extend the remaining coefficients
-                return True
-            if j == ncols:
-                return not residual
-            # residual entries on rows no later column can touch must be zero
-            # (checked incrementally below); prune on l1 reachability
-            need = sum(abs(v) for v in residual.values())
-            if need > budget * max_col_support:
-                return False
-            col = columns[j]
-            for v in _coefficient_order(budget):
-                nr = dict(residual)
-                if v:
-                    for i, s in col.items():
-                        x = nr.get(i, 0) - v * s
-                        if x:
-                            nr[i] = x
-                        elif i in nr:
-                            del nr[i]
-                if any(i in nr for i in rows_closing_at[j]):
-                    continue
-                if dfs(j + 1, budget - abs(v), nr):
-                    if v:
-                        witness[j] = v
-                    return True
-            return False
-
-        if dfs(0, radius, dict(target)):
-            value = sum(abs(v) for v in witness.values())
-            return value, witness
-    return None
-
-
-def _coefficient_order(budget: int):
-    yield 0
-    for a in range(1, budget + 1):
-        yield a
-        yield -a
 
 
 # ---------------------------------------------------------------------------
 # higher-order Dehn functions
 # ---------------------------------------------------------------------------
-
-def min_l1_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int) -> FillingResult:
-    """l_f(b) for an N-chain b given over simplex tuples; fills with
-    (N+1)-chains."""
-    [res] = min_l1_fillings(X.boundary_columns(dim + 1), X.dimension_size(dim),
-                            [_target_vec(X, b, dim)])
-    return res
-
-
-def integer_min_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int,
-                        cap: int) -> FillingResult:
-    """The least l1-norm of an integer (N+1)-chain filling the integer N-chain
-    b, by exhaustive search up to l1 <= cap: the reference for the LP value
-    of ``min_l1_filling``.  Raises NotABoundaryError when b does not bound and
-    OracleCapError when no filling is found within the cap."""
-    target = _target_vec(X, b, dim)
-    if any(v.denominator != 1 for v in target.values()):
-        raise ValueError("the integer oracle needs an integer target chain")
-    target_int = {i: int(v) for i, v in target.items()}
-    columns = X.boundary_columns(dim + 1)
-    if not RationalEchelon(columns).contains(target_int):
-        raise NotABoundaryError("the target chain is not a boundary")
-    found = _integer_min_filling(columns, X.dimension_size(dim), target_int, cap)
-    if found is None:
-        raise OracleCapError(f"no integer filling with l1 <= {cap}")
-    value, witness = found
-    return FillingResult(Fraction(value), {j: Fraction(v) for j, v in witness.items()})
-
-
-def _target_vec(X: SimplicialComplex, b: dict[tuple, Fraction],
-                dim: int) -> dict[int, Fraction]:
-    return {X.index_of(dim, s): Fraction(q) for s, q in b.items() if q}
-
 
 def enumerate_boundaries(X: SimplicialComplex, dim: int, k: int,
                          cap: int) -> Iterable[dict[int, int]]:
@@ -406,7 +291,7 @@ def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
     """Table of d^N(k) = sup over boundaries of l1 <= k of l_f(b).
 
     Exact over the finite enumeration; monotone nondecreasing in k by
-    construction.  Witnesses (the arg-sup boundary and its filling) are kept.
+    construction.  Each row keeps its witness, the arg-sup boundary.
     Past ``enumeration_cap`` steps of the boundary walk the table covers the
     boundaries found so far and is marked partial.
     """
@@ -417,12 +302,12 @@ def dehn_function(X: SimplicialComplex, dim: int, k_max: int,
     except ResourceCapError:  # the boundaries found before the cap stay
         partial = True
     results = min_l1_fillings(X.boundary_columns(dim + 1), X.dimension_size(dim), boundaries)
-    fillings = [(sum(abs(v) for v in b.values()), b, res)
-                for b, res in zip(boundaries, results)]
+    fillings = [(sum(abs(v) for v in b.values()), b, value)
+                for b, value in zip(boundaries, results)]
     rows = []
     best: Optional[tuple] = None
     for k in range(0, k_max + 1):
-        candidates = [(res.value, b) for norm, b, res in fillings if norm <= k]
+        candidates = [(value, b) for norm, b, value in fillings if norm <= k]
         if candidates:
             value, witness_b = max(candidates, key=lambda t: t[0])
             if best is None or value > best[0]:
@@ -529,19 +414,19 @@ def filling_estimate_check(model: GroupModel, degree: int, radius: int, k: int,
 
     max_ratio: dict[int, Fraction] = {}
     unbounded_ps: set[int] = set()
-    for (entry, c), res in zip(to_fill, fillings):
+    for (entry, c), fill in zip(to_fill, fillings):
         entry["status"] = "ok"
-        entry["fill_norm_k"] = str(res.value)
+        entry["fill_norm_k"] = str(fill)
         for p in ps:
             denom = sum(abs(v) * lower[i] ** (k + p) for i, v in c.items())
             if denom == 0:
-                if res.value:
+                if fill:
                     entry[f"ratio_p{p}"] = "inf"
                     unbounded_ps.add(p)
                 else:
                     entry[f"ratio_p{p}"] = "0"
                 continue
-            ratio = res.value / denom
+            ratio = fill / denom
             entry[f"ratio_p{p}"] = str(ratio)
             if p not in max_ratio or ratio > max_ratio[p]:
                 max_ratio[p] = ratio

@@ -41,9 +41,5 @@ class NotABoundaryError(WorkbenchError):
     """The given chain is not a boundary, so no filling exists."""
 
 
-class OracleCapError(WorkbenchError):
-    """The integer enumeration oracle hit its configured cap."""
-
-
 class CertificateError(WorkbenchError):
     """An exact optimum failed its check against its dual certificate."""

@@ -83,11 +83,12 @@ Element = Hashable
 
 # Finite models are desk-scale: chain spaces grow as |G|**(n+1).
 MAX_ORDER = 24
-# One lowercase letter per free generator; free-abelian ranks share the cap.
-MAX_FREE_RANK = 26
+# One lowercase letter per free generator, skipping e, which names the
+# identity; free-abelian vectors need no letters and keep a cap of 26.
+_LETTERS = "abcdfghijklmnopqrstuvwxyz"
+MAX_FREE_RANK = len(_LETTERS)
+MAX_FREE_ABELIAN_RANK = 26
 MAX_PRODUCT_DEPTH = 32
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
@@ -538,8 +539,8 @@ class FreeAbelianGroup(GroupModel):
     kind = "free_abelian"
 
     def __init__(self, rank: int, name: str = ""):
-        if not 1 <= rank <= MAX_FREE_RANK:
-            raise DescriptorError(f"free_abelian rank must be in 1..{MAX_FREE_RANK}")
+        if not 1 <= rank <= MAX_FREE_ABELIAN_RANK:
+            raise DescriptorError(f"free_abelian rank must be in 1..{MAX_FREE_ABELIAN_RANK}")
         self.rank = rank
         self.identity = (0,) * rank
         gens = []

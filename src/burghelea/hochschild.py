@@ -6,8 +6,8 @@ Degree-n chains live on (n+1)-tuples of group elements; the boundary is
                      + (-1)^n (g_n g_0, g_1,...,g_{n-1}).
 
 The face map is ``hochschild_faces``; the chain boundary
-``hochschild_boundary`` and the unsplit reference ``homology_ranks_unsplit``
-use it (matrices through ``linalg.boundary_columns``).
+``hochschild_boundary`` and the orbit complex's faces use it (matrices
+through ``linalg.boundary_columns``).
 ``hochschild_boundary`` and pi_h are each one ``chains.linear_extend`` call
 that declares the kinds and the degree shift and checks the input's entries
 at that edge; iota_h, which includes either kind, and ``split_by_class``,
@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .chains import Chain, check_chain, linear_extend
 from .errors import GroupMismatchError, ResourceCapError
 from .groups import Element, GroupModel, class_members
-from .linalg import boundary_ranks, coboundary_ranks
+from .linalg import coboundary_ranks
 from .metric import ConjugacyClass, CosetSection, conjugacy_class, conjugacy_classes
 
 DEFAULT_CAP_MB = 512
@@ -377,8 +377,8 @@ def homology_ranks(model: GroupModel, max_degree: int,
     from the coboundary with clearing (``linalg.coboundary_ranks``).  All of
     it runs on the int ``MulTable``, built once per call.  The report is the
     full component's: dim C_n = |x| |G|^n, rank b_0 = 0 and
-    rank b_{n+1} = dim C_n - rank b_n - betti_n.  ``homology_ranks_unsplit``
-    is the reference, by column reduction on the full complex.
+    rank b_{n+1} = dim C_n - rank b_n - betti_n.  The tests check it against
+    column reduction on the full complex (``tests/oracles.py``).
     """
     if not model.is_finite:
         raise GroupMismatchError("homology ranks need a finite model")
@@ -397,23 +397,6 @@ def homology_ranks(model: GroupModel, max_degree: int,
         for n in range(max_degree + 1):
             full.append(dims[n] - full[n] - (len(bases[n]) - ranks[n] - ranks[n + 1]))
         _add_ranks(dims, full, per_degree)
-    return per_degree
-
-
-def homology_ranks_unsplit(model: GroupModel, max_degree: int) -> list[dict]:
-    """The unsplit reference for ``homology_ranks``: one elimination over all
-    of G^(n+1).  Its cap prices |G|^(n+1) tuples in degree n at
-    80 + 16 (N + 1) bytes each and the top boundary at 100 bytes an entry."""
-    per_tuple, top = 80 + 16 * (max_degree + 2), max_degree + 1
-    _check_counted((model.order ** (n + 1) * per_tuple for n in range(top + 1)),
-                   lambda: (top + 1) * model.order ** (top + 1) * 100)
-    elems = model.elements()
-    bases = [sorted(itertools.product(elems, repeat=n + 1),
-                    key=lambda t: tuple(model.element_key(g) for g in t))
-             for n in range(max_degree + 2)]
-    ranks = boundary_ranks(bases, partial(hochschild_faces, model.mul))
-    per_degree = _empty_reports(max_degree)
-    _add_ranks([len(b) for b in bases], ranks, per_degree)
     return per_degree
 
 

@@ -25,27 +25,23 @@ the section's model (boundary_e touches no group law and names none).  Dbar
 is a composite of them.  i^E is ``hochschild.iota_h``: both are the identity on
 terms after checking that every entry centralizes h.  theta_h and its lift are
 ``hochschild.theta_entries`` and ``hochschild.prefix_products`` on one
-generator, as in ``hochschild.pi_h``; ``theta_quotient_dims`` builds its
-matrices from theta_entries and the translation differences.
+generator, as in ``hochschild.pi_h``.
 
 p^E, D, Dbar, theta_h and its lift take the coset section of h alone: the
 section owns the model, h (already checked), the retraction p_h and the
 memoized minimal conjugators, and D memoizes its terms on each generator
 there too.  A model's word metric is ``model.metric``.
 
-This module holds the maps and their rank data only.  The identities the
-maps satisfy are checked by ``verify.verify_homotopy_square``.
+This module holds the maps only.  The identities the maps satisfy are
+checked by ``verify.verify_homotopy_square``; the rank data of theta_h on a
+finite model are a reference in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
-import itertools
-
 from .chains import Chain, linear_extend, simplex_faces
-from .errors import GroupMismatchError
-from .groups import Element, GroupModel, class_members
+from .groups import Element, GroupModel
 from .hochschild import entry_product, iota_h, prefix_products, theta_entries
-from .linalg import boundary_columns, rank_of_columns
-from .metric import CosetSection, coset_section
+from .metric import CosetSection
 
 
 def boundary_e(c: Chain) -> Chain:
@@ -121,39 +117,3 @@ def normalize_coinvariant(section: CosetSection, t: tuple) -> tuple:
 
 def translate_tuple(model: GroupModel, z: Element, t: tuple) -> tuple:
     return tuple(model.mul(z, x) for x in t)
-
-
-def theta_quotient_dims(model: GroupModel, h: Element, degree: int) -> dict:
-    """Rank data for theta_h on a finite model: image rank, kernel rank, and
-    the coinvariant basis count, against dim C_degree(QG)_x."""
-    if not model.is_finite:
-        raise GroupMismatchError("theta rank checks need a finite model")
-    section = coset_section(model, h)
-    tuples = list(itertools.product(model.elements(), repeat=degree + 1))
-    members = set(class_members(model, h))
-    target = [t for t in tuples if entry_product(model, t) in members]
-    index = {t: i for i, t in enumerate(target)}
-    image_rank = rank_of_columns(
-        boundary_columns(tuples, index, lambda t: ((theta_entries(model, h, t), 1),)))
-
-    zs = [z for z in model.elements() if model.commutes(z, h) and z != model.identity]
-    tindex = {t: i for i, t in enumerate(tuples)}
-
-    def difference(zt):
-        z, t = zt
-        yield translate_tuple(model, z, t), 1
-        yield t, -1
-
-    kernel_rank = rank_of_columns(
-        boundary_columns(((z, t) for t in tuples for z in zs), tindex, difference))
-    orbits = len({normalize_coinvariant(section, t) for t in tuples})
-
-    return {
-        "degree": degree,
-        "dim_e": len(tuples),
-        "dim_component": len(target),
-        "image_rank": image_rank,
-        "kernel_span_rank": kernel_rank,
-        "coinvariant_basis": orbits,
-    }
-

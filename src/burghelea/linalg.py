@@ -15,8 +15,8 @@ b_4 has 4,802 columns and rank 601 (601 inserts, 34,804 nonzeros).
 ``hochschild.homology_ranks`` takes the coboundary path on its
 conjugation-coinvariant complex, where b_4 has 1,241 columns and rank 161:
 161 inserts, none zero, storing 7,072 nonzeros.
-``homology_ranks_unsplit`` and ``bar_complexes.bar_homology_ranks`` stay on
-column reduction, the reference.
+``bar_complexes.bar_homology_ranks`` and the tests' unsplit reference
+(``tests/oracles.py``) stay on column reduction.
 
 Every boundary matrix in the workbench is built here.  Each complex defines
 its face map once, as a function from a basis tuple to ``(face, +-1)`` pairs

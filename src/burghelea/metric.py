@@ -100,8 +100,8 @@ class CosetSection:
     section of Z_h \\ G; ``GroupModel.centralizer`` picks the realization for
     its kind.
 
-    A realization implements ``contains``, ``intrinsic_length``,
-    ``coset_rep`` and ``some_conjugator``.  This class defines the three
+    A realization implements ``intrinsic_length``, ``coset_rep`` and
+    ``some_conjugator``.  This class defines the three
     memoized maps on top of them: ``section(g)`` returns s(Z_h g), the
     shortlex-least length-minimal representative of the coset of g;
     ``retract(g)`` is p_h(g) = g s(...)^-1; ``conjugator(product)`` is the
@@ -131,9 +131,6 @@ class CosetSection:
         self._conjugators: dict[Element, Element] = {}
         self._pi: dict[tuple, tuple] = {}
         self._homotopy: dict[tuple, list] = {}
-
-    def contains(self, g: Element) -> bool:
-        return self.model.commutes(g, self.h)
 
     def intrinsic_length(self, g: Element) -> int:
         """Word length for an intrinsic generating set of Z_h, where one is
@@ -255,9 +252,6 @@ class CyclicCentralizer(CosetSection):
                     return sign * k
         return None
 
-    def contains(self, g):
-        return self.power_of_root(g) is not None
-
     def intrinsic_length(self, g):
         p = self.power_of_root(g)
         if p is None:
@@ -329,9 +323,6 @@ class InternedSection(CosetSection):
         self.base = model.base.centralizer(model.table[h])
         self.realization = self.base.realization
 
-    def contains(self, g):
-        return self.base.contains(self.model.table[g])
-
     def intrinsic_length(self, g):
         return self.base.intrinsic_length(self.model.table[g])
 
@@ -384,21 +375,24 @@ def find_conjugator(model: GroupModel, g: Element, h: Element,
 # ---------------------------------------------------------------------------
 
 def ols_loglog_fit(points: list[tuple[float, float]]) -> dict:
-    """Least squares of log(1+y) against log(1+x); slope is the fitted degree."""
+    """Least squares of log(1+y) against log(1+x); slope is the fitted degree.
+    Every sum is ``math.fsum``, correctly rounded, so the fit does not depend
+    on the Python version (3.12 made the built-in ``sum`` of floats
+    compensated)."""
     pts = [(math.log1p(x), math.log1p(y)) for x, y in points]
     n = len(pts)
     if n < 2:
         return {"slope": 0.0, "intercept": 0.0, "residual": 0.0, "points": n}
-    sx = sum(p[0] for p in pts)
-    sy = sum(p[1] for p in pts)
-    sxx = sum(p[0] * p[0] for p in pts)
-    sxy = sum(p[0] * p[1] for p in pts)
+    sx = math.fsum(p[0] for p in pts)
+    sy = math.fsum(p[1] for p in pts)
+    sxx = math.fsum(p[0] * p[0] for p in pts)
+    sxy = math.fsum(p[0] * p[1] for p in pts)
     denom = n * sxx - sx * sx
     if denom == 0:
         return {"slope": 0.0, "intercept": sy / n, "residual": 0.0, "points": n}
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
-    residual = sum((y - slope * x - intercept) ** 2 for x, y in pts)
+    residual = math.fsum((y - slope * x - intercept) ** 2 for x, y in pts)
     return {"slope": slope, "intercept": intercept, "residual": residual, "points": n}
 
 

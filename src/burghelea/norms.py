@@ -1,15 +1,15 @@
 """Weighted l1 norm families on group algebras and chain spaces, plus
 empirical norm-growth profiling of the comparison maps.
 
-Three evaluators are provided, all exact rationals on finitely supported
+Two evaluators are provided, both exact rationals on finitely supported
 chains:
 
-    group-algebra      sum |f(g)| (1+|g|)^k
     hochschild-tensor  sum |f(g_0,...,g_n)| prod_i (1+|g_i|)^k
     rd-chain           sum |c(1,g_1,...,g_n)| diam(1,g_1,...,g_n)^k
 
 The tensor-space weight is the product weight, the concrete realization of
-the projective tensor norm of weighted l1 spaces.  diam is the max pairwise
+the projective tensor norm of weighted l1 spaces; on degree-0 chains it is
+the group-algebra norm sum |f(g)| (1+|g|)^k.  diam is the max pairwise
 distance.
 
 ``operator_growth_profile`` estimates the polynomial norm bounds of the
@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .bar_complexes import boundary_cbar, phi_g, phi_g_inv, psi, psi_inv
+from .bar_complexes import phi_g, phi_g_inv, psi, psi_inv
 from .chains import Chain, tuple_diameter
 from .errors import GroupMismatchError, WorkbenchError
 from .groups import Element, GroupModel
@@ -35,7 +35,7 @@ from .hochschild import iota_h, pi_h, sample_component_tuple
 from .homotopy import dbar
 from .metric import conjugacy_class, coset_section, ols_loglog_fit
 
-NORM_KINDS = ("group-algebra", "hochschild-tensor", "rd-chain")
+NORM_KINDS = ("hochschild-tensor", "rd-chain")
 
 
 class NormFamily:
@@ -71,14 +71,6 @@ class NormFamily:
                 w *= (1 + self.length(x)) ** k
             total += abs(q) * w
         return total
-
-
-def rd_chain_seminorm_pair(nf: NormFamily, c: Chain, k: int) -> tuple[Fraction, Fraction]:
-    """(|c|_{k,1}, |dc|_{k,1}) for an equivariant bar chain of degree >= 1;
-    ``boundary_cbar`` refuses a chain of any other kind."""
-    if c.degree < 1:
-        raise GroupMismatchError("the seminorm pair needs degree >= 1")
-    return nf.norm(c, k), nf.norm(boundary_cbar(nf.model, c), k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Reference implementations that the tests check the package against.
 
+None of them runs in a subcommand; each is the slow, plain computation that
+a faster one in the package must agree with.
+
 The dense-tableau dual simplex is the exact LP solver the package used
 before ``lp.MinLP`` became a revised dual simplex.  It is kept here
 unchanged as an oracle: ``tests/test_lp.py`` checks that the revised solver
@@ -7,14 +10,48 @@ makes the same pivots, LP by LP, and returns the same status, value, x and
 y.  It holds the tableau [A | I | rhs] over the cost row [c | 0 | 0], each
 row as ints over its own denominator in lowest terms, and updates every row
 with a nonzero entry in the entering column on each pivot.
+
+The others:
+
+- ``integer_min_filling``, an exhaustive integer search with pruning: the
+  LP value of ``min_l1_filling`` (``dehn.min_l1_fillings`` on one target
+  chain given over simplices) never exceeds it;
+- ``homology_ranks_unsplit``, column reduction over all of G^(n+1), which
+  the per-class ranks of ``hochschild.homology_ranks`` must add up to;
+- ``theta_quotient_dims``, the rank data of theta_h on a finite model;
+- ``convolve``, the product of the group algebra, for which the weighted
+  l1 norms are submultiplicative.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from burghelea.errors import CertificateError
+from burghelea.chains import Chain
+from burghelea.dehn import SimplicialComplex, min_l1_fillings
+from burghelea.errors import (
+    CertificateError,
+    DescriptorError,
+    GroupMismatchError,
+    KindMismatchError,
+    NotABoundaryError,
+    WorkbenchError,
+)
+from burghelea.groups import Element, GroupModel, class_members
+from burghelea.hochschild import (
+    _add_ranks,
+    _check_counted,
+    _empty_reports,
+    entry_product,
+    hochschild_faces,
+    theta_entries,
+)
+from burghelea.homotopy import normalize_coinvariant, translate_tuple
+from burghelea.linalg import RationalEchelon, boundary_columns, boundary_ranks, rank_of_columns
+from burghelea.metric import coset_section
 
 ZERO = Fraction(0)
 
@@ -161,3 +198,177 @@ def _pivot(tab, den, basis, i: int, j: int) -> None:
                 row[c] -= f * w
             tab[r], den[r] = _lowest(row, den[r] * p)
     basis[i] = j
+
+
+# ---------------------------------------------------------------------------
+# l1 fillings of simplicial chains: the LP on one target, the integer search
+# ---------------------------------------------------------------------------
+
+class OracleCapError(WorkbenchError):
+    """The integer enumeration oracle hit its configured cap."""
+
+
+def index_of(X: SimplicialComplex, dim: int, simplex: tuple) -> int:
+    try:
+        return X._index[dim][tuple(simplex)]
+    except KeyError:
+        raise DescriptorError(f"unknown {dim}-simplex {simplex!r}") from None
+
+
+def _target_vec(X: SimplicialComplex, b: dict[tuple, Fraction],
+                dim: int) -> dict[int, Fraction]:
+    return {index_of(X, dim, s): Fraction(q) for s, q in b.items() if q}
+
+
+def min_l1_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int) -> Fraction:
+    """l_f(b) for an N-chain b given over simplex tuples; fills with
+    (N+1)-chains."""
+    [value] = min_l1_fillings(X.boundary_columns(dim + 1), X.dimension_size(dim),
+                              [_target_vec(X, b, dim)])
+    return value
+
+
+def integer_min_filling(X: SimplicialComplex, b: dict[tuple, Fraction], dim: int,
+                        cap: int) -> Fraction:
+    """The least l1-norm of an integer (N+1)-chain filling the integer N-chain
+    b, by exhaustive search up to l1 <= cap: the reference for the LP value
+    of ``min_l1_filling``.  Raises NotABoundaryError when b does not bound and
+    OracleCapError when no filling is found within the cap."""
+    target = _target_vec(X, b, dim)
+    if any(v.denominator != 1 for v in target.values()):
+        raise ValueError("the integer oracle needs an integer target chain")
+    target_int = {i: int(v) for i, v in target.items()}
+    columns = X.boundary_columns(dim + 1)
+    if not RationalEchelon(columns).contains(target_int):
+        raise NotABoundaryError("the target chain is not a boundary")
+    found = _integer_min_filling(columns, X.dimension_size(dim), target_int, cap)
+    if found is None:
+        raise OracleCapError(f"no integer filling with l1 <= {cap}")
+    return Fraction(found[0])
+
+
+def _integer_min_filling(columns, n_rows, target: dict[int, int], cap: int):
+    """Exhaustive search over integer chains with l1 <= cap, by increasing
+    radius; pruned depth-first over coefficient choices.  The target has no
+    zero entries."""
+    ncols = len(columns)
+    # a row is settled once the last column touching it has been chosen
+    last_touch = [0] * n_rows
+    for j, col in enumerate(columns):
+        for i in col:
+            last_touch[i] = max(last_touch[i], j)
+    rows_closing_at = [[] for _ in range(ncols)]
+    for i, lt in enumerate(last_touch):
+        if ncols:
+            rows_closing_at[lt].append(i)
+    max_col_support = max((len(c) for c in columns), default=1)
+
+    for radius in range(cap + 1):
+        witness: dict[int, int] = {}
+
+        def dfs(j: int, budget: int, residual: dict[int, int]) -> bool:
+            if not residual and budget >= 0:
+                # zero-extend the remaining coefficients
+                return True
+            if j == ncols:
+                return not residual
+            # residual entries on rows no later column can touch must be zero
+            # (checked incrementally below); prune on l1 reachability
+            need = sum(abs(v) for v in residual.values())
+            if need > budget * max_col_support:
+                return False
+            col = columns[j]
+            for v in _coefficient_order(budget):
+                nr = dict(residual)
+                if v:
+                    for i, s in col.items():
+                        x = nr.get(i, 0) - v * s
+                        if x:
+                            nr[i] = x
+                        elif i in nr:
+                            del nr[i]
+                if any(i in nr for i in rows_closing_at[j]):
+                    continue
+                if dfs(j + 1, budget - abs(v), nr):
+                    if v:
+                        witness[j] = v
+                    return True
+            return False
+
+        if dfs(0, radius, dict(target)):
+            value = sum(abs(v) for v in witness.values())
+            return value, witness
+    return None
+
+
+def _coefficient_order(budget: int):
+    yield 0
+    for a in range(1, budget + 1):
+        yield a
+        yield -a
+
+
+# ---------------------------------------------------------------------------
+# Hochschild ranks without the splitting, theta_h's rank data, convolution
+# ---------------------------------------------------------------------------
+
+def homology_ranks_unsplit(model: GroupModel, max_degree: int) -> list[dict]:
+    """The unsplit reference for ``homology_ranks``: one elimination over all
+    of G^(n+1).  Its cap prices |G|^(n+1) tuples in degree n at
+    80 + 16 (N + 1) bytes each and the top boundary at 100 bytes an entry."""
+    per_tuple, top = 80 + 16 * (max_degree + 2), max_degree + 1
+    _check_counted((model.order ** (n + 1) * per_tuple for n in range(top + 1)),
+                   lambda: (top + 1) * model.order ** (top + 1) * 100)
+    elems = model.elements()
+    bases = [sorted(itertools.product(elems, repeat=n + 1),
+                    key=lambda t: tuple(model.element_key(g) for g in t))
+             for n in range(max_degree + 2)]
+    ranks = boundary_ranks(bases, partial(hochschild_faces, model.mul))
+    per_degree = _empty_reports(max_degree)
+    _add_ranks([len(b) for b in bases], ranks, per_degree)
+    return per_degree
+
+def theta_quotient_dims(model: GroupModel, h: Element, degree: int) -> dict:
+    """Rank data for theta_h on a finite model: image rank, kernel rank, and
+    the coinvariant basis count, against dim C_degree(QG)_x."""
+    if not model.is_finite:
+        raise GroupMismatchError("theta rank checks need a finite model")
+    section = coset_section(model, h)
+    tuples = list(itertools.product(model.elements(), repeat=degree + 1))
+    members = set(class_members(model, h))
+    target = [t for t in tuples if entry_product(model, t) in members]
+    index = {t: i for i, t in enumerate(target)}
+    image_rank = rank_of_columns(
+        boundary_columns(tuples, index, lambda t: ((theta_entries(model, h, t), 1),)))
+
+    zs = [z for z in model.elements() if model.commutes(z, h) and z != model.identity]
+    tindex = {t: i for i, t in enumerate(tuples)}
+
+    def difference(zt):
+        z, t = zt
+        yield translate_tuple(model, z, t), 1
+        yield t, -1
+
+    kernel_rank = rank_of_columns(
+        boundary_columns(((z, t) for t in tuples for z in zs), tindex, difference))
+    orbits = len({normalize_coinvariant(section, t) for t in tuples})
+
+    return {
+        "degree": degree,
+        "dim_e": len(tuples),
+        "dim_component": len(target),
+        "image_rank": image_rank,
+        "kernel_span_rank": kernel_rank,
+        "coinvariant_basis": orbits,
+    }
+
+
+def convolve(model: GroupModel, f: Chain, g: Chain) -> Chain:
+    """Convolution product of two group-algebra elements (degree-0 chains)."""
+    if f.degree != 0 or g.degree != 0:
+        raise KindMismatchError("convolution is defined on degree-0 chains")
+    items = []
+    for (a,), qa in f.terms.items():
+        for (b,), qb in g.terms.items():
+            items.append(((model.mul(a, b),), qa * qb))
+    return Chain(f.kind, 0, items)

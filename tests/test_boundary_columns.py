@@ -23,6 +23,7 @@ from burghelea.hochschild import hochschild_faces
 from burghelea.linalg import boundary_columns
 
 from conftest import load_complex_obj
+from oracles import index_of
 
 MAX_DEGREE = 3
 
@@ -82,7 +83,7 @@ def test_simplicial_columns_are_alternating_faces():
     dims = sorted(d for d in X.simplices if d >= 1)
     for dim in dims:
         for s, col in zip(X.simplices[dim], X.boundary_columns(dim)):
-            assert col == {X.index_of(dim - 1, s[:k] + s[k + 1:]): (-1) ** k
+            assert col == {index_of(X, dim - 1, s[:k] + s[k + 1:]): (-1) ** k
                            for k in range(len(s))}
     assert dims == [1, 2]
     assert not any(compose(X.boundary_columns(2), X.boundary_columns(1)))

@@ -7,13 +7,10 @@ from hypothesis import given, settings, strategies as st
 from burghelea import (
     DescriptorError,
     NotABoundaryError,
-    OracleCapError,
     ResourceCapError,
     SimplicialComplex,
     dehn_function,
     filling_estimate_check,
-    integer_min_filling,
-    min_l1_filling,
 )
 from burghelea import dehn
 from burghelea.bar_complexes import boundary_cbar
@@ -25,6 +22,7 @@ from burghelea.lp import solve_min_lp
 from burghelea.norms import NormFamily
 
 from conftest import MALFORMED_COMPLEXES, assert_certified, load_complex_obj, load_model
+from oracles import OracleCapError, index_of, integer_min_filling, min_l1_filling
 
 F = Fraction
 # the boundary walk's cap is the dehn subcommand's --cap default
@@ -76,40 +74,18 @@ def test_boundary_columns_signs(triangle):
 
 def test_single_simplex_fill(triangle):
     b = {(1, 2): F(1), (0, 2): F(-1), (0, 1): F(1)}
-    res = min_l1_filling(triangle, b, 1)
-    assert res.value == 1
-    oracle = integer_min_filling(triangle, b, 1, 24)
-    assert oracle.value == 1
+    assert min_l1_filling(triangle, b, 1) == 1
+    assert integer_min_filling(triangle, b, 1, 24) == 1
 
 
 def test_zero_chain_fill(triangle, octahedron):
     for X in (triangle, octahedron):
-        assert min_l1_filling(X, {}, 1).value == 0
-        assert integer_min_filling(X, {}, 1, 24).value == 0
+        assert min_l1_filling(X, {}, 1) == 0
+        assert integer_min_filling(X, {}, 1, 24) == 0
 
 
-def test_octahedron_equatorial_cycle(octahedron):
-    # pinned regression value: either hemisphere fills with 4 triangles
-    b = {(1, 2): F(1), (2, 3): F(1), (3, 4): F(1), (1, 4): F(-1)}
-    lp = min_l1_filling(octahedron, b, 1)
-    oracle = integer_min_filling(octahedron, b, 1, 8)
-    assert lp.value == 4
-    assert oracle.value == 4
-    # the witness is an exact filling
-    cols = octahedron.boundary_columns(2)
-    acc = {}
-    for j, coeff in lp.witness.items():
-        for i, s in cols[j].items():
-            acc[i] = acc.get(i, F(0)) + coeff * s
-    target = {octahedron.index_of(1, s): q for s, q in b.items()}
-    assert {i: v for i, v in acc.items() if v} == target
-    assert sum(abs(v) for v in lp.witness.values()) == lp.value
-
-
-def test_octahedron_pentagon_certifies(octahedron, monkeypatch):
-    # regression: the LP's rows are dependent (d_2 has rank 7 on 12 edges);
-    # the dual used to be solved on the wrong rows once the redundant ones
-    # were dropped, and this optimum went uncertified
+def _recorded_lps(monkeypatch):
+    """(c, A, bs, results) of each solve_min_lp call dehn makes."""
     lps = []
 
     def recording(c, A, bs):
@@ -117,8 +93,36 @@ def test_octahedron_pentagon_certifies(octahedron, monkeypatch):
         return lps[-1][-1]
 
     monkeypatch.setattr(dehn, "solve_min_lp", recording)
+    return lps
+
+
+def test_octahedron_equatorial_cycle(octahedron, monkeypatch):
+    # pinned regression value: either hemisphere fills with 4 triangles
+    lps = _recorded_lps(monkeypatch)
+    b = {(1, 2): F(1), (2, 3): F(1), (3, 4): F(1), (1, 4): F(-1)}
+    assert min_l1_filling(octahedron, b, 1) == 4
+    assert integer_min_filling(octahedron, b, 1, 8) == 4
+    # the LP's x, a+ then a-, is an exact filling of l1 norm the value
+    ((_, _, _, [res]),) = lps
+    cols = octahedron.boundary_columns(2)
+    X, dx = res.x
+    witness = {j: F(X[j] - X[len(cols) + j], dx) for j in range(len(cols))}
+    acc = {}
+    for j, coeff in witness.items():
+        for i, s in cols[j].items():
+            acc[i] = acc.get(i, F(0)) + coeff * s
+    target = {index_of(octahedron, 1, s): q for s, q in b.items()}
+    assert {i: v for i, v in acc.items() if v} == target
+    assert sum(abs(v) for v in witness.values()) == res.value == 4
+
+
+def test_octahedron_pentagon_certifies(octahedron, monkeypatch):
+    # regression: the LP's rows are dependent (d_2 has rank 7 on 12 edges);
+    # the dual used to be solved on the wrong rows once the redundant ones
+    # were dropped, and this optimum went uncertified
+    lps = _recorded_lps(monkeypatch)
     b = {(1, 2): F(1), (1, 4): F(-1), (2, 3): F(1), (3, 5): F(1), (4, 5): F(-1)}
-    assert min_l1_filling(octahedron, b, 1).value == 3
+    assert min_l1_filling(octahedron, b, 1) == 3
     ((c, A, [b_vec], [res]),) = lps
     assert_certified(c, A, b_vec, res)
 
@@ -155,8 +159,8 @@ def test_lp_matches_oracle_small_boundaries(triangle, tetrahedron, fan6):
         assert len(fillings) == len(targets)
         for target, lp in zip(targets, fillings):
             oracle = integer_min_filling(X, _over_simplices(X, target), 1, 10)
-            assert lp.value <= oracle.value
-            assert lp.value == oracle.value
+            assert lp <= oracle
+            assert lp == oracle
 
 
 def _ball_boundaries(columns, size, k):
@@ -276,10 +280,8 @@ def test_dehn_tetrahedron_triangle_fills(tetrahedron):
 def test_fan_rim_cycle_fills_with_m_triangles(fan6):
     rim = {(1, 2): F(1), (2, 3): F(1), (3, 4): F(1), (4, 5): F(1),
            (5, 6): F(1), (1, 6): F(-1)}
-    res = min_l1_filling(fan6, rim, 1)
-    assert res.value == 6
-    oracle = integer_min_filling(fan6, rim, 1, 8)
-    assert oracle.value == 6
+    assert min_l1_filling(fan6, rim, 1) == 6
+    assert integer_min_filling(fan6, rim, 1, 8) == 6
 
 
 def test_dd_zero_validation():
@@ -307,7 +309,7 @@ def test_random_complexes_lp_le_oracle(faces):
     b = {i: F(v) for i, v in X.boundary_columns(2)[0].items()}
     [lp] = min_l1_fillings(cols, X.dimension_size(1), [b])
     oracle = integer_min_filling(X, _over_simplices(X, b), 1, 6)
-    assert lp.value <= oracle.value <= 1  # the face itself is a filling
+    assert lp <= oracle <= 1  # the face itself is a filling
 
 
 # -- truncated bar complex ------------------------------------------------------

@@ -129,7 +129,7 @@ def test_parse_group_errors():
      "generators": [["g"]]},
     {"type": "free", "rank": 2, "name": 5},
     {"type": "product", "factors": [S4, S4]},  # order 576 > the cap of 24
-    {"type": "free_abelian", "rank": 27},  # above MAX_FREE_RANK
+    {"type": "free_abelian", "rank": 27},  # above MAX_FREE_ABELIAN_RANK
     {"type": "finite_perm", "degree": 10**6, "generators": [[1, 0]]},
 ])
 def test_malformed_descriptor_is_descriptor_error(descriptor):
@@ -383,3 +383,20 @@ def test_element_strings_round_trip(s3, f2, zz, f2xz):
     ]:
         for g in elems:
             assert m.parse_element(m.element_str(g)) == g
+
+
+def test_free_letters_never_spell_the_identity():
+    # e names the identity, so no free generator is spelled e: every
+    # generator and inverse of F25 prints as one other letter and parses back
+    f25 = parse_group({"type": "free", "rank": 25})
+    assert f25.parse_element("e") == f25.identity
+    for g in f25.generators:
+        s = f25.element_str(g)
+        assert len(s) == 1 and s.lower() != "e"
+        assert f25.parse_element(s) == g
+    assert len({f25.element_str(g) for g in f25.generators}) == 50
+    with pytest.raises(GroupMismatchError):
+        f25.parse_element("E")
+    with pytest.raises(DescriptorError):
+        parse_group({"type": "free", "rank": 26})
+    assert parse_group({"type": "free_abelian", "rank": 26}).rank == 26

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import load_model
+from oracles import homology_ranks_unsplit
 
 from burghelea import (
     GroupMismatchError,
@@ -17,7 +18,6 @@ from burghelea import (
     coset_section,
     hochschild_boundary,
     homology_ranks,
-    homology_ranks_unsplit,
     iota_h,
     pi_h,
     split_by_class,

@@ -23,12 +23,8 @@ from burghelea import (
 from burghelea.bar_complexes import normalize_cbar_tuple
 from burghelea.chains import Chain
 from burghelea.hochschild import entry_product, sample_component_tuple
-from burghelea.homotopy import (
-    normalize_coinvariant,
-    theta_lift,
-    theta_quotient_dims,
-    translate_tuple,
-)
+from burghelea.homotopy import normalize_coinvariant, theta_lift, translate_tuple
+from oracles import theta_quotient_dims
 
 
 def test_boundary_e_examples():

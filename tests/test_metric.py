@@ -171,7 +171,7 @@ def test_centralizer_free_maximal_root(f2):
     assert sec.root == (1,)
     # brute-force commutation on the radius-4 ball agrees with membership
     for g in wm.ball(4):
-        assert sec.contains(g) == f2.commutes(g, (1, 1))
+        assert (sec.power_of_root(g) is not None) == f2.commutes(g, (1, 1))
 
 
 def test_centralizer_conjugated_root(f2):
@@ -238,7 +238,7 @@ def test_section_minimality_and_equivariance(f2, s3, z4, f2xz, s3xz):
             s = sec.section(g)
             assert wm.length(s) <= wm.length(g)
             # the coset of the section matches the coset of g
-            assert sec.contains(m.mul(g, m.inv(s)))
+            assert m.commutes(m.mul(g, m.inv(s)), h)
             assert wm.length(sec.retract(g)) <= 2 * wm.length(g)
         for a in z_ball:
             for g in ball:

@@ -93,6 +93,39 @@ def test_no_removed_switch_or_knob_returns():
     assert takers == []
 
 
+def _defined_names() -> set[str]:
+    """The qualified name of every function and class defined in the
+    package's modules, and of every attribute such a class defines."""
+    names = set()
+    for info in pkgutil.iter_modules(burghelea.__path__):
+        module = importlib.import_module(f"burghelea.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                names.add(f"{module.__name__}.{name}")
+            if inspect.isclass(obj):
+                names.update(f"{module.__name__}.{name}.{attr}" for attr in vars(obj))
+    return names
+
+
+def test_no_removed_test_only_code_returns():
+    # code that only the tests ran is deleted, or is a reference in
+    # tests/oracles.py; the one membership test left is the echelon's, which
+    # the benchmark times
+    gone = {"chain_to_obj", "chain_from_obj", "sorted_terms", "support_diameter",
+            "rd_chain_seminorm_pair", "FillingResult", "integer_min_filling",
+            "_integer_min_filling", "_coefficient_order", "OracleCapError",
+            "homology_ranks_unsplit", "theta_quotient_dims", "convolve", "min_l1_filling",
+            "_target_vec", "index_of"}
+    defined = _defined_names()
+    assert "burghelea.dehn.min_l1_fillings" in defined and len(defined) > 300
+    assert [name for name in defined if name.rsplit(".", 1)[1] in gone] == []
+    assert not gone & set(vars(burghelea))
+    assert [name for name in defined if name.endswith(".contains")] == [
+        "burghelea.linalg.RationalEchelon.contains"]
+
+
 def test_each_kind_with_a_kernel_defines_its_checked_law():
     # perfbench/tracer.py times the group law by wrapping mul, inv and
     # check_element where a class body defines them, so a kind whose kernel
