@@ -2,9 +2,12 @@
 together.
 
 Every check is an exact equality of chains (or of integers, for the metric
-estimates).  One helper, ``check_identity``, builds every report entry: it
-tests each case on each side of the identity and names every failing case,
-so a run can name its counterexample.
+estimates).  One helper, ``check_identity``, tests each case on each side of
+the identity and names every failing case, so a run can name its
+counterexample.  The exhaustive window checks of ``metric_suite`` call it on
+their cases as given; every sampled check calls ``check_draws``, which runs
+``check_identity`` once on each distinct drawn case and records that outcome
+at every draw that repeats it.
 
 Each suite takes the coset section of its class, which carries the model, h,
 the retraction p_h and the memoized minimal conjugators.
@@ -14,7 +17,10 @@ it to every suite.
 The order of the drawn cases is part of the report contract.  Each suite
 draws from its own rng, seeded with the run's seed; a check draws all its
 cases, in a fixed order, before it evaluates any, and evaluating a case never
-touches the rng.
+touches the rng.  A drawn case is a hashable value (a basis tuple, an
+element, or a pair of them), never a chain, and a repeated draw is evaluated
+once: a side must be a pure function of its case, with no rng and no state
+that a later case reads.
 """
 from __future__ import annotations
 
@@ -69,7 +75,9 @@ def check_identity(name: str, degree: int, cases: Iterable,
     side in turn, and a side that does not hold records ``prefix + text(case)``.
     A side that raises GroupMismatchError (a map handed a point outside its
     domain, say a retraction that left Z_h) fails that case too, with the
-    error appended.  ``samples`` counts the cases."""
+    error appended.  ``samples`` counts the cases.  The cases are evaluated as
+    given, every one of them, which suits a window whose cases are distinct;
+    drawn cases go through ``check_draws``."""
     failures = []
     samples = 0
     for case in cases:
@@ -85,10 +93,22 @@ def check_identity(name: str, degree: int, cases: Iterable,
             "failures": failures}
 
 
-def _basis_str(model: GroupModel, c: Chain) -> str:
-    """The generator of a basis chain, as a report names it."""
-    [t] = c.terms
-    return tuple_str(model, t)
+def check_draws(name: str, degree: int, draws: list, text: Callable[[Any], str],
+                *sides: tuple[str, Callable[[Any], bool]]) -> dict:
+    """The entry ``check_identity`` makes of the drawn cases, evaluating each
+    distinct case once, in the order first drawn.  ``samples`` counts the
+    draws, and the failures of a case are listed at every draw of it."""
+    failures = {case: check_identity(name, degree, [case], text, *sides)["failures"]
+                for case in dict.fromkeys(draws)}
+    return {"identity_name": name, "degree": degree, "samples": len(draws),
+            "failures": [f for case in draws for f in failures[case]]}
+
+
+def on_basis(kind: str, degree: int,
+             holds: Callable[[Chain], bool]) -> Callable[[tuple], bool]:
+    """The side ``holds`` read on a drawn basis tuple: it takes the tuple's
+    basis chain of the given kind and degree."""
+    return lambda t: holds(Chain.basis(kind, degree, t))
 
 
 def chain_map_suite(section: CosetSection, max_degree: int, samples: int,
@@ -107,36 +127,40 @@ def chain_map_suite(section: CosetSection, max_degree: int, samples: int,
     ball = m.metric.ball(radius)
     z_ball = [g for g in ball if m.commutes(g, h)]
     b = partial(hochschild_boundary, m)
-    text = partial(_basis_str, m)
+    text = partial(tuple_str, m)
 
     def component(n):
-        return Chain.basis("hochschild", n, sample_component_tuple(m, rng, ball, h, n))
+        return sample_component_tuple(m, rng, ball, h, n)
 
-    def basis(kind, n, pool, length):
-        return [Chain.basis(kind, n, tuple(rng.choice(pool) for _ in range(length)))
-                for _ in range(samples)]
+    def basis(pool, length):
+        return [tuple(rng.choice(pool) for _ in range(length)) for _ in range(samples)]
 
     checks = []
     for n in range(max_degree + 1):
         checks += [
-            check_identity(
+            check_draws(
                 "b.pi == pi.b", n, [component(n) for _ in range(samples)], text,
-                ("", lambda c: b(pi_h(section, c)) == pi_h(section, b(c)))),
-            check_identity(
-                "d.psi == psi.d (and psi_inv.psi == id)", n, basis("cprime", n, ball, n), text,
-                ("", lambda c: boundary_cbar(m, psi(m, c)) == psi(m, boundary_cprime(m, c))),
-                ("round trip: ", lambda c: psi_inv(m, psi(m, c)) == c)),
-            check_identity(
-                "b.phi == phi.d (and phi_inv.phi == id)", n, basis("cprime", n, z_ball, n), text,
-                ("", lambda c: b(phi_g(section, c)) == phi_g(section, boundary_cprime(m, c))),
-                ("round trip: ", lambda c: phi_g_inv(phi_g(section, c)) == c)),
-            check_identity(
-                "b.theta == theta.d", n, basis("e", n, ball, n + 1), text,
-                ("", lambda c: b(theta_h(section, c)) == theta_h(section, boundary_e(c)))),
-            check_identity(
+                ("", on_basis("hochschild", n,
+                              lambda c: b(pi_h(section, c)) == pi_h(section, b(c))))),
+            check_draws(
+                "d.psi == psi.d (and psi_inv.psi == id)", n, basis(ball, n), text,
+                ("", on_basis("cprime", n, lambda c: boundary_cbar(m, psi(m, c))
+                              == psi(m, boundary_cprime(m, c)))),
+                ("round trip: ", on_basis("cprime", n, lambda c: psi_inv(m, psi(m, c)) == c))),
+            check_draws(
+                "b.phi == phi.d (and phi_inv.phi == id)", n, basis(z_ball, n), text,
+                ("", on_basis("cprime", n, lambda c: b(phi_g(section, c))
+                              == phi_g(section, boundary_cprime(m, c)))),
+                ("round trip: ", on_basis("cprime", n,
+                                          lambda c: phi_g_inv(phi_g(section, c)) == c))),
+            check_draws(
+                "b.theta == theta.d", n, basis(ball, n + 1), text,
+                ("", on_basis("e", n, lambda c: b(theta_h(section, c))
+                              == theta_h(section, boundary_e(c))))),
+            check_draws(
                 "localize == psi.phi_inv.pi", n, [component(n) for _ in range(samples)], text,
-                ("", lambda c: localize_to_equivariant(section, c)
-                 == composed_localization(section, c))),
+                ("", on_basis("hochschild", n, lambda c: localize_to_equivariant(section, c)
+                              == composed_localization(section, c)))),
         ]
 
     def parts(c):
@@ -145,11 +169,18 @@ def chain_map_suite(section: CosetSection, max_degree: int, samples: int,
     def total(chains, degree):
         return sum(chains, Chain.zero("hochschild", degree))
 
-    checks.append(check_identity(
+    def sums(t):
+        c = Chain.basis("hochschild", len(t) - 1, t)
+        return total(parts(c), c.degree) == c
+
+    def restricts(t):
+        c = Chain.basis("hochschild", len(t) - 1, t)
+        return total(map(b, parts(c)), max(c.degree - 1, 0)) == b(c)
+
+    checks.append(check_draws(
         "split_by_class respects b and sums to id", max_degree,
         [component(rng.randrange(0, max_degree + 1)) for _ in range(samples)], text,
-        ("sum: ", lambda c: total(parts(c), c.degree) == c),
-        ("boundary: ", lambda c: total(map(b, parts(c)), max(c.degree - 1, 0)) == b(c))))
+        ("sum: ", sums), ("boundary: ", restricts)))
     return checks
 
 
@@ -164,17 +195,17 @@ def well_definedness_suite(section: CosetSection, trials: int, max_degree: int,
 
     def draw():
         n = rng.randrange(0, max_degree + 1)
-        c = Chain.basis("hochschild", n, sample_component_tuple(m, rng, ball, section.h, n))
-        return c, rng.choice(z_ball)
+        return sample_component_tuple(m, rng, ball, section.h, n), rng.choice(z_ball)
 
     def holds(case):
-        c, a = case
+        t, a = case
+        c = Chain.basis("hochschild", len(t) - 1, t)
         return pi_h(section, c) == pi_h(
             section, c, conjugator=lambda product: m.mul(a, section.conjugator(product)))
 
-    return [check_identity(
+    return [check_draws(
         "pi_h invariant under r -> a r", max_degree, [draw() for _ in range(trials)],
-        lambda case: f"{_basis_str(m, case[0])} with a={m.element_str(case[1])}", ("", holds))]
+        lambda case: f"{tuple_str(m, case[0])} with a={m.element_str(case[1])}", ("", holds))]
 
 
 def metric_suite(section: CosetSection, radius: int) -> list[dict]:
@@ -209,7 +240,7 @@ def conjugator_cross_check(section: CosetSection, samples: int, radius: int,
     def bfs(product):
         return find_conjugator(m, h, product, radius)
 
-    return [check_identity(
+    return [check_draws(
         "minimal_conjugator == bfs find_conjugator", radius,
         [m.conj(rng.choice(ball), h) for _ in range(samples)],
         lambda y: f"{es(y)}: bfs={es(bfs(y))} fast={es(section.conjugator(y))}",
@@ -236,11 +267,10 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
     rng = random.Random(seed)
     b = partial(hochschild_boundary, m)
     theta = partial(theta_h, section)
-    text = partial(_basis_str, m)
+    text = partial(tuple_str, m)
     checks: list[dict] = []
 
     for n in range(n_max + 1):
-        e = partial(Chain.basis, "e", n)
         # a finite group whose E_n basis fits in the sample is checked on all of it
         if m.is_finite and m.order ** (n + 1) <= max(samples, 1):
             gens = list(itertools.product(m.elements(), repeat=n + 1))
@@ -249,8 +279,7 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
             gens = [tuple(rng.choice(ball) for _ in range(n + 1)) for _ in range(samples)]
         reps = sorted({normalize_coinvariant(section, t) for t in gens},
                       key=lambda t: tuple(m.element_key(x) for x in t))
-        z_gens = [e(tuple(section.retract(x) for x in t)) for t in reps]
-        gens, reps = list(map(e, gens)), list(map(e, reps))
+        z_gens = [tuple(section.retract(x) for x in t) for t in reps]
 
         def homotopy(c):
             lhs = c - iota_h(section, p_e(section, c))
@@ -273,13 +302,17 @@ def verify_homotopy_square(section: CosetSection, n_max: int, samples: int,
             return pi_h(section, iota_h(section, zc)) == zc
 
         checks += [
-            check_identity("theta.pE == pi.theta", n, reps, text,
-                           ("", lambda c: theta(p_e(section, c)) == pi_h(section, theta(c)))),
-            check_identity("theta.iE == iota.theta", n, z_gens, text,
-                           ("", lambda c: theta(iota_h(section, c)) == iota_h(section, theta(c)))),
-            check_identity("id - iE.pE == D.d + d.D", n, gens, text, ("", homotopy)),
-            check_identity("id - iota.pi == b.Dbar + Dbar.b", n, reps, text, ("", transferred)),
-            check_identity("pi.iota == id", n, z_gens, text, ("", retraction)),
+            check_draws("theta.pE == pi.theta", n, reps, text,
+                        ("", on_basis("e", n, lambda c: theta(p_e(section, c))
+                                      == pi_h(section, theta(c))))),
+            check_draws("theta.iE == iota.theta", n, z_gens, text,
+                        ("", on_basis("e", n, lambda c: theta(iota_h(section, c))
+                                      == iota_h(section, theta(c))))),
+            check_draws("id - iE.pE == D.d + d.D", n, gens, text,
+                        ("", on_basis("e", n, homotopy))),
+            check_draws("id - iota.pi == b.Dbar + Dbar.b", n, reps, text,
+                        ("", on_basis("e", n, transferred))),
+            check_draws("pi.iota == id", n, z_gens, text, ("", on_basis("e", n, retraction))),
         ]
 
     return checks

@@ -2,12 +2,15 @@
 coset section carries its model, h and conjugators, so no signature takes a
 WordMetric, none takes a model beside a section, and only pi_h takes a
 conjugator map (to check that its output does not depend on the choice).
+The identity checks take hashable cases, never chains, and only the window
+checks evaluate every case as given.
 Switches and single-value knobs that were removed stay removed, and only the
 edge of the chain maps checks a chain's entries."""
 import ast
 import importlib
 import inspect
 import pkgutil
+import textwrap
 import typing
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import pytest
 
 import burghelea
 from burghelea import metric, verify
+from burghelea.chains import Chain
 from burghelea.cli import main
 from burghelea.groups import GroupModel
 from burghelea.metric import CosetSection, WordMetric
@@ -194,6 +198,43 @@ def test_each_identity_suite_takes_a_section_and_no_model(suite):
     classes = _parameter_classes(getattr(verify, suite))
     assert CosetSection in classes
     assert not any(issubclass(c, GroupModel) for c in classes)
+
+
+def _called_names(fn) -> set[str]:
+    """The names that fn's body, nested functions included, calls by name."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_windows_check_each_case_and_sampled_suites_each_distinct_draw():
+    # metric_suite's windows have distinct cases, so they run on the plain
+    # loop; a sampled suite's draws repeat, so each distinct one runs once
+    harnesses = {"check_identity", "check_draws"}
+    assert _called_names(verify.metric_suite) & harnesses == {"check_identity"}
+    for suite in ("chain_map_suite", "well_definedness_suite", "conjugator_cross_check",
+                  "verify_homotopy_square"):
+        assert _called_names(getattr(verify, suite)) & harnesses == {"check_draws"}, suite
+    assert not hasattr(verify, "_basis_str")
+
+
+def test_no_identity_case_is_a_chain(f2xz, monkeypatch):
+    # a drawn case hashes, so check_draws can key its outcomes by it; a side
+    # builds its own basis chain
+    check, cases_seen = verify.check_identity, []
+
+    def recording(name, degree, cases, text, *sides):
+        cases = list(cases)
+        cases_seen.extend(cases)
+        return check(name, degree, cases, text, *sides)
+
+    monkeypatch.setattr(verify, "check_identity", recording)
+    report = verify.run_identity_suite(f2xz, None, max_degree=2, samples=4, seed=0, radius=1)
+    assert report["all_passed"] and len(cases_seen) > 100
+    assert not [case for case in cases_seen if isinstance(case, Chain)
+                or isinstance(case, tuple) and any(isinstance(x, Chain) for x in case)]
+    for case in cases_seen:
+        hash(case)
 
 
 @pytest.fixture
