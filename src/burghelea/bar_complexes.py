@@ -15,11 +15,16 @@ The face maps are ``cprime_faces`` and ``cbar_faces`` (the latter is
 ``chains.simplex_faces`` with face 0 renormalized).  ``boundary_cprime`` and
 ``boundary_cbar`` extend them over chains, ``bar_homology_ranks`` and
 ``dehn.BarTruncation`` turn them into matrices through
-``linalg.boundary_columns``.  Each chain map here but the composite
-``composed_localization`` is one ``chains.linear_extend`` call that declares
-its domain and codomain kinds and its degree shift (-1 for the boundaries, 0
-for the rest); that call refuses a chain of another kind and checks the
-input's entries against the model.
+``linalg.boundary_columns``.  ``bar_homology_ranks`` prices C'(H) against
+the memory cap (``check_cprime_space_cap``), then ranks it by the
+coboundary with clearing (``linalg.coboundary_ranks``), as
+``hochschild.homology_ranks`` ranks a class component.
+
+Each chain map here but the composite ``composed_localization`` is one
+``chains.linear_extend`` call that declares its domain and codomain kinds
+and its degree shift (-1 for the boundaries, 0 for the rest); that call
+refuses a chain of another kind and checks the input's entries against the
+model.
 
 psi / psi_inv translate between the two; phi_g embeds C'_n(Z_g) into the
 Hochschild component at the class of g.  phi_g and the localizations onto
@@ -36,8 +41,8 @@ from typing import Callable, Iterator
 from .chains import Chain, linear_extend, simplex_faces
 from .errors import GroupMismatchError
 from .groups import Element, GroupModel
-from .hochschild import entry_product, pi_h, prefix_products
-from .linalg import boundary_ranks
+from .hochschild import _check_counted, entry_product, pi_h, prefix_products
+from .linalg import coboundary_ranks
 from .metric import CosetSection
 
 
@@ -151,11 +156,27 @@ def composed_localization(section: CosetSection, c: Chain) -> Chain:
 # homology ranks of C'_.(H) for a finite (sub)group H
 # ---------------------------------------------------------------------------
 
+def check_cprime_space_cap(order: int, max_degree: int) -> int:
+    """Estimated bytes of ``bar_homology_ranks`` for a group of the given
+    order, checked against the cap before any basis is built.  Degree n has
+    |H|^n tuples at 112 + 8n bytes each (the tuple and its list slot,
+    48 + 8n under tracemalloc, and its entry in the coboundary's index, about
+    64), and the top coboundary has N + 1 entries per top tuple,
+    N = max_degree + 1, priced at 64 bytes each with its share of the
+    echelon (38-48 under tracemalloc on z4, s3 and d4 at degrees 4-7).  The
+    estimate covers the peak RSS of a run above the interpreter's own: d4
+    at degree 5 is priced at 157.4 MB and grows the RSS by 137.5."""
+    top = max_degree + 1
+    return _check_counted((order ** n * (112 + 8 * n) for n in range(top + 1)),
+                          lambda: 64 * (top + 1) * order ** top)
+
+
 def bar_homology_ranks(elements: list[Element], mul: Callable[[Element, Element], Element],
                        max_degree: int) -> list[int]:
     """Betti numbers of C'_.(H) for a finite group given by its elements and
     multiplication; independent of the Hochschild machinery."""
+    check_cprime_space_cap(len(elements), max_degree)
     elems = sorted(elements)
     bases = [sorted(itertools.product(elems, repeat=n)) for n in range(max_degree + 2)]
-    ranks = boundary_ranks(bases, partial(cprime_faces, mul))
+    ranks = coboundary_ranks(bases, partial(cprime_faces, mul))
     return [len(bases[n]) - ranks[n] - ranks[n + 1] for n in range(max_degree + 1)]

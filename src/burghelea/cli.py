@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import dehn as dehn_mod
-from .bar_complexes import bar_homology_ranks
+from .bar_complexes import bar_homology_ranks, check_cprime_space_cap
 from .errors import DescriptorError, WorkbenchError
 from .groups import InternedModel, parse_group
 from .hochschild import homology_ranks
@@ -196,10 +196,11 @@ def _cmd_burghelea_check(args) -> int:
         # complex against ranks of C'_.(Z_h), independently computed
         h = model.parse_element(args.class_rep)
         x = conjugacy_class(model, h)
+        z_elems = [g for g in model.elements() if model.commutes(g, h)]
+        check_cprime_space_cap(len(z_elems), max_degree)  # before either side builds
         hochschild_side = [r["betti"] for r in homology_ranks(model, max_degree, x=x)]
         realization = coset_section(model, h).realization
-        z_elems = [g for g in model.elements() if model.commutes(g, h)]
-        bar_side = bar_homology_ranks(z_elems, model.mul, max_degree)
+        bar_side = bar_homology_ranks(z_elems, model._mul, max_degree)
         mismatches = [n for n in range(max_degree + 1)
                       if hochschild_side[n] != bar_side[n]]
         payload = {

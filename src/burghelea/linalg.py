@@ -5,25 +5,23 @@ kept as gcd-normalized integer sparse vectors; all pivoting is fraction-free,
 so results are exact.  Rows are keyed by their largest index, the "lowest
 one" rule of persistence reduction.
 
-``boundary_ranks`` eliminates the columns of each boundary d_n: on the D4
-rotation class, b_4 (8192 columns, rank 911) stores 5,183 nonzeros (15,436
-with smallest-index pivots), but 7,281 of its inserts reduce to zero.
-``coboundary_ranks`` eliminates the coboundary with clearing (Chen & Kerber,
-EuroCG 2011; de Silva, Morozov & Vejdemo-Johansson, Inverse Problems 2011):
-911 inserts, none zero, storing 59,037 nonzeros.  On the normalized complex
-b_4 has 4,802 columns and rank 601 (601 inserts, 34,804 nonzeros).
-``hochschild.homology_ranks`` takes the coboundary path on its
+Every rank in the package comes from ``coboundary_ranks``, which eliminates
+the coboundary with clearing (Chen & Kerber, EuroCG 2011; de Silva, Morozov
+& Vejdemo-Johansson, Inverse Problems 2011).  On the D4 rotation class, b_4
+(8192 columns, rank 911) takes 911 inserts, none zero, storing 59,037
+nonzeros; on the normalized complex b_4 has 4,802 columns and rank 601 (601
+inserts, 34,804 nonzeros).  ``hochschild.homology_ranks`` runs it on its
 conjugation-coinvariant complex, where b_4 has 1,241 columns and rank 161:
 161 inserts, none zero, storing 7,072 nonzeros.
-``bar_complexes.bar_homology_ranks`` and the tests' unsplit reference
-(``tests/oracles.py``) stay on column reduction.
+``bar_complexes.bar_homology_ranks`` runs it on C'(H).  Plain column
+reduction is the tests' independent reference (``tests/oracles.py``).
 
 Every boundary matrix in the workbench is built here.  Each complex defines
 its face map once, as a function from a basis tuple to ``(face, +-1)`` pairs
 (``hochschild.hochschild_faces``, ``bar_complexes.cprime_faces`` and
 ``cbar_faces``, ``chains.simplex_faces`` for the E complex and simplicial
 complexes), and ``boundary_columns`` turns it into sparse integer columns,
-which both rank paths read.
+which ``coboundary_ranks`` reads.
 """
 from __future__ import annotations
 
@@ -113,10 +111,6 @@ class RationalEchelon:
                      for j, row in reduced.items()}
 
 
-def rank_of_columns(columns: Iterable[SparseVec]) -> int:
-    return RationalEchelon(columns).rank
-
-
 Faces = Callable[[tuple], Iterable[tuple[tuple, int]]]
 
 
@@ -137,23 +131,15 @@ def boundary_columns(basis: Iterable[tuple], index_prev: dict[tuple, int],
         yield col
 
 
-def boundary_ranks(bases: Sequence[Sequence[tuple]], faces: Faces) -> list[int]:
-    """Ranks of the boundary out of each degree of a complex given by one
-    basis per degree; the boundary out of degree 0 is zero."""
-    ranks = [0]
-    for n in range(1, len(bases)):
-        index_prev = {t: i for i, t in enumerate(bases[n - 1])}
-        ranks.append(rank_of_columns(boundary_columns(bases[n], index_prev, faces)))
-    return ranks
-
-
 def coboundary_ranks(bases: Sequence[Sequence[tuple]], faces: Faces) -> list[int]:
-    """The ranks of ``boundary_ranks``, from the coboundary with clearing:
-    rank d_n = rank delta_{n-1}, whose column i is row i of d_n, with basis
-    order and indices reversed in every degree.  A column whose index is a
-    pivot of the reduced delta_{n-2} is skipped: that pivot's reduced column
-    is a coboundary, so delta_{n-1} of it is zero, and its largest index is
-    the skipped one.  Each column is dropped once inserted."""
+    """Ranks of the boundary out of each degree of a complex given by one
+    basis per degree (the boundary out of degree 0 is zero), from the
+    coboundary with clearing: rank d_n = rank delta_{n-1}, whose column i is
+    row i of d_n, with basis order and indices reversed in every degree.  A
+    column whose index is a pivot of the reduced delta_{n-2} is skipped: that
+    pivot's reduced column is a coboundary, so delta_{n-1} of it is zero, and
+    its largest index is the skipped one.  Each column is dropped once
+    inserted."""
     ranks, pivots = [0], set()
     for n in range(1, len(bases)):
         ech = RationalEchelon()  # first, so the previous degree's echelon is freed

@@ -16,6 +16,13 @@ The others:
 - ``integer_min_filling``, an exhaustive integer search with pruning: the
   LP value of ``min_l1_filling`` (``dehn.min_l1_fillings`` on one target
   chain given over simplices) never exceeds it;
+- ``boundary_ranks``, plain column reduction of each boundary d_n
+  (``rank_of_columns`` on ``linalg.boundary_columns``), the reference for
+  ``linalg.coboundary_ranks``, the package's one rank algorithm, which
+  eliminates the coboundary with clearing instead.  On the D4 rotation
+  class b_4 has 8,192 columns and rank 911; column reduction stores 5,183
+  nonzeros (15,436 with smallest-index pivots), but 7,281 of its inserts
+  reduce to zero, where clearing makes 911 inserts, none zero;
 - ``homology_ranks_unsplit``, column reduction over all of G^(n+1), which
   the per-class ranks of ``hochschild.homology_ranks`` must add up to;
 - ``theta_quotient_dims``, the rank data of theta_h on a finite model;
@@ -28,7 +35,7 @@ import itertools
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from burghelea.chains import Chain
 from burghelea.dehn import SimplicialComplex, min_l1_fillings
@@ -50,7 +57,7 @@ from burghelea.hochschild import (
     theta_entries,
 )
 from burghelea.homotopy import normalize_coinvariant, translate_tuple
-from burghelea.linalg import RationalEchelon, boundary_columns, boundary_ranks, rank_of_columns
+from burghelea.linalg import Faces, RationalEchelon, SparseVec, boundary_columns
 from burghelea.metric import coset_section
 
 ZERO = Fraction(0)
@@ -309,8 +316,24 @@ def _coefficient_order(budget: int):
 
 
 # ---------------------------------------------------------------------------
-# Hochschild ranks without the splitting, theta_h's rank data, convolution
+# column reduction, Hochschild ranks without the splitting, theta_h's rank
+# data, convolution
 # ---------------------------------------------------------------------------
+
+def rank_of_columns(columns: Iterable[SparseVec]) -> int:
+    return RationalEchelon(columns).rank
+
+
+def boundary_ranks(bases: Sequence[Sequence[tuple]], faces: Faces) -> list[int]:
+    """Ranks of the boundary out of each degree of a complex given by one
+    basis per degree, by eliminating the columns of each d_n; the boundary
+    out of degree 0 is zero."""
+    ranks = [0]
+    for n in range(1, len(bases)):
+        index_prev = {t: i for i, t in enumerate(bases[n - 1])}
+        ranks.append(rank_of_columns(boundary_columns(bases[n], index_prev, faces)))
+    return ranks
+
 
 def homology_ranks_unsplit(model: GroupModel, max_degree: int) -> list[dict]:
     """The unsplit reference for ``homology_ranks``: one elimination over all

@@ -1,14 +1,21 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from oracles import boundary_ranks
+
 from burghelea import (
     GroupMismatchError,
+    ResourceCapError,
     bar_homology_ranks,
     boundary_cbar,
     boundary_cprime,
     conjugacy_class,
+    conjugacy_classes,
     coset_section,
     homology_ranks,
     localize_to_equivariant,
@@ -17,7 +24,12 @@ from burghelea import (
     psi,
     psi_inv,
 )
-from burghelea.bar_complexes import composed_localization, normalize_cbar_tuple
+from burghelea.bar_complexes import (
+    check_cprime_space_cap,
+    composed_localization,
+    cprime_faces,
+    normalize_cbar_tuple,
+)
 from burghelea.chains import Chain
 from burghelea.hochschild import sample_component_tuple
 
@@ -170,8 +182,58 @@ def test_bar_ranks_finite_groups(z2, z4, s3):
         assert ranks == [1, 0]
 
 
+def _column_reduction_betti(m, z, max_degree):
+    """Betti numbers of C'_.(Z) by column reduction of each boundary, over
+    the bases in product order and on the checked law."""
+    bases = [list(itertools.product(z, repeat=n)) for n in range(max_degree + 2)]
+    ranks = boundary_ranks(bases, partial(cprime_faces, m.mul))
+    return [len(bases[n]) - ranks[n] - ranks[n + 1] for n in range(max_degree + 1)]
+
+
+@pytest.mark.parametrize("name, reps, max_degree", [
+    ("z2", None, 3), ("z4", None, 3), ("s3", None, 3), ("d4", None, 3),
+    ("d4", [(0, 1, 2, 3), (2, 3, 0, 1)], 4)])
+def test_bar_ranks_match_column_reduction(name, reps, max_degree, request):
+    # the centralizer side of burghelea-check ranks by clearing; column
+    # reduction of C'(Z_h) is its reference, for every class rep (or d4's
+    # two central classes, Z_h = D4, at degree 4)
+    m = request.getfixturevalue(name)
+    for rep in reps or [c.rep for c in conjugacy_classes(m)]:
+        z = [g for g in m.elements() if m.commutes(g, rep)]
+        assert bar_homology_ranks(z, m._mul, max_degree) == _column_reduction_betti(
+            m, z, max_degree), (name, rep)
+
+
+@pytest.mark.parametrize("name, max_degree", [("z2", 11), ("z4", 5), ("s3", 4), ("d4", 3)])
+def test_bar_space_estimate_covers_traced_peak(name, max_degree, request):
+    m = request.getfixturevalue(name)
+    elements = list(m.elements())
+    estimate = check_cprime_space_cap(len(elements), max_degree)
+    tracemalloc.start()
+    try:
+        bar_homology_ranks(elements, m._mul, max_degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert estimate >= peak
+
+
+def test_bar_space_cap_refuses_before_any_basis(d4, monkeypatch):
+    # d4 at degree 5 is priced at about 157 MB, 47 MB of it the bases: under
+    # a 32 MB cap it refuses while still counting them, having built nothing
+    monkeypatch.setenv("BURGHELEA_CAP_MB", "32")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=r"^chain spaces up to degree 6 need more "
+                                                   r"than 32 MB, cap is 32 MB"):
+            bar_homology_ranks(list(d4.elements()), d4._mul, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_burghelea_factor_per_class(s3):
-    from burghelea import conjugacy_classes
     for rep in [c.rep for c in conjugacy_classes(s3)]:
         x = conjugacy_class(s3, rep)
         hochschild_side = [r["betti"] for r in homology_ranks(s3, 1, x=x)]

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burghelea import cli, dehn as dehn_mod
+from burghelea import cli, dehn as dehn_mod, hochschild
 from burghelea.cli import main
 from burghelea.metric import CosetSection
 
@@ -66,6 +67,32 @@ def test_burghelea_check_per_class(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())["results"]
     assert rep["hochschild_component_betti"] == rep["bar_complex_betti"] == [1, 0]
+
+
+def test_burghelea_check_prices_the_centralizer_first(monkeypatch, capsys, tmp_path):
+    # z2 --class g: the Hochschild component has one orbit per degree, but
+    # C'(Z_h) = C'(Z/2) has 2^n tuples in degree n, so at degree 24 the bar
+    # side alone would hold 2^25 top tuples.  The cap refuses it before
+    # either side builds a basis; degree 13 still runs at the default cap.
+    monkeypatch.delenv("BURGHELEA_CAP_MB", raising=False)
+    argv = ("burghelea-check", "--group", str(fixture_path("z2.json")), "--class", "g",
+            "--out", str(tmp_path / "r.json"), "--max-degree")
+    with monkeypatch.context() as patched:
+        patched.setattr(hochschild, "class_component_basis",
+                        lambda *args: pytest.fail("a basis was built"))
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, "24") == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1024 * 1024
+    assert capsys.readouterr().err == (
+        "error: chain spaces up to degree 20 need more than 512 MB, "
+        "cap is 512 MB (set BURGHELEA_CAP_MB to override)\n")
+    assert run_cli(*argv, "13") == 0
+    rep = json.loads((tmp_path / "r.json").read_text())["results"]
+    assert rep["hochschild_component_betti"] == rep["bar_complex_betti"] == [1] + [0] * 13
 
 
 def test_verify_identities_s3(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import load_model
-from oracles import homology_ranks_unsplit
+from oracles import boundary_ranks, homology_ranks_unsplit
 
 from burghelea import (
     GroupMismatchError,
@@ -34,7 +34,6 @@ from burghelea.hochschild import (
     hochschild_faces,
     sample_component_tuple,
 )
-from burghelea.linalg import boundary_ranks
 
 
 def test_boundary_degree_one_commutator(s3):

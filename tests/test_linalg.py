@@ -3,8 +3,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import boundary_ranks, rank_of_columns
+
 from burghelea.chains import simplex_faces
-from burghelea.linalg import RationalEchelon, boundary_ranks, coboundary_ranks, rank_of_columns
+from burghelea.linalg import RationalEchelon, coboundary_ranks
 
 
 def dense_rank_oracle(rows):

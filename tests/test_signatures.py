@@ -121,7 +121,7 @@ def test_no_removed_test_only_code_returns():
             "rd_chain_seminorm_pair", "FillingResult", "integer_min_filling",
             "_integer_min_filling", "_coefficient_order", "OracleCapError",
             "homology_ranks_unsplit", "theta_quotient_dims", "convolve", "min_l1_filling",
-            "_target_vec", "index_of"}
+            "_target_vec", "index_of", "boundary_ranks", "rank_of_columns"}
     defined = _defined_names()
     assert "burghelea.dehn.min_l1_fillings" in defined and len(defined) > 300
     assert [name for name in defined if name.rsplit(".", 1)[1] in gone] == []
